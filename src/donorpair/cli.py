@@ -23,7 +23,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to the JSON config")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
 
     p_val = sub.add_parser("validate", help="validate a JSON config")
     p_val.add_argument("--config", required=True)
@@ -53,7 +52,7 @@ def main(argv=None) -> int:
     if args.seed is not None:
         config.seed = args.seed
     try:
-        manifest = run(config, args.out, workers=max(1, args.workers))
+        manifest = run(config, args.out)
     except Exception as err:  # noqa: BLE001 - report and signal runtime failure
         print(f"runtime error: {err}", file=sys.stderr)
         return 3

@@ -7,6 +7,7 @@ One experiment per file. Unknown keys are rejected at every level; grids are
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -87,6 +88,9 @@ class _Checker:
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             self.fail(f"{path}.{key}", "expected a number")
             return default
+        if not math.isfinite(val):
+            self.fail(f"{path}.{key}", "must be finite")
+            return default
         if lo is not None and val < lo:
             self.fail(f"{path}.{key}", f"must be >= {lo}")
         if hi is not None and val > hi:
@@ -104,7 +108,7 @@ class _Checker:
             self.fail(f"{path}.{key}", f"must be >= {lo}")
         return val
 
-    def grid(self, sub, path, key, default):
+    def grid(self, sub, path, key, default, lo=None):
         if key not in sub:
             return default
         g = sub[key]
@@ -114,8 +118,8 @@ class _Checker:
         for k in g:
             if k not in ("start", "stop", "count"):
                 self.fail(f"{path}.{key}.{k}", "unknown key")
-        start = self.number(g, f"{path}.{key}", "start", 0.0)
-        stop = self.number(g, f"{path}.{key}", "stop", 1.0)
+        start = self.number(g, f"{path}.{key}", "start", 0.0, lo=lo)
+        stop = self.number(g, f"{path}.{key}", "stop", 1.0, lo=lo)
         count = self.integer(g, f"{path}.{key}", "count", 2, lo=1)
         return GridSpec(start, stop, count)
 
@@ -235,12 +239,11 @@ def _validate_options(chk: _Checker, doc, experiment) -> dict:
 
     if experiment in ("phase_map", "full_phase_sim"):
         center = sub.get("center_mhz", "auto")
-        if center != "auto" and not isinstance(center, (int, float)):
-            chk.fail(f"{path}.center_mhz", "expected 'auto' or a number")
-            center = "auto"
+        if center != "auto":  # otherwise a number, checked like any other
+            center = chk.number(sub, path, "center_mhz", "auto")
         out["center_mhz"] = center
         out["freq_offset"] = chk.grid(sub, path, "freq_offset", GridSpec(-10.0, 10.0, 101))
-        out["duration"] = chk.grid(sub, path, "duration", GridSpec(0.0, 10.0, 101))
+        out["duration"] = chk.grid(sub, path, "duration", GridSpec(0.0, 10.0, 101), lo=0.0)
         obs = sub.get("observables", experiment == "full_phase_sim")
         if not isinstance(obs, bool):
             chk.fail(f"{path}.observables", "expected a boolean")
@@ -261,7 +264,7 @@ def _validate_options(chk: _Checker, doc, experiment) -> dict:
     elif experiment == "rabi_spam":
         out["rabi_mhz"] = chk.number(sub, path, "rabi_mhz", 0.01, lo=1e-6)
         out["detuning_when_up_mhz"] = chk.number(sub, path, "detuning_when_up_mhz", None)
-        out["duration"] = chk.grid(sub, path, "duration", GridSpec(0.0, 100.0, 64))
+        out["duration"] = chk.grid(sub, path, "duration", GridSpec(0.0, 100.0, 64), lo=0.0)
         out["shots_per_point"] = chk.integer(sub, path, "shots_per_point", 0, lo=0)
     elif experiment == "phase_reversal":
         out["points"] = chk.integer(sub, path, "points", 96, lo=12)
@@ -283,7 +286,7 @@ def _validate_options(chk: _Checker, doc, experiment) -> dict:
         if sigma is not None and t2 is not None:
             chk.fail(f"{path}", "give sigma_f_mhz or t2_star_us, not both")
         out["sigma_f_mhz"], out["t2_star_us"] = sigma, t2
-        out["wait"] = chk.grid(sub, path, "wait", GridSpec(0.0, 60.0, 21))
+        out["wait"] = chk.grid(sub, path, "wait", GridSpec(0.0, 60.0, 21), lo=0.0)
         out["n_shots"] = chk.integer(sub, path, "n_shots", 10_000, lo=1)
     elif experiment == "donor_distance_fit":
         pts = sub.get("points")

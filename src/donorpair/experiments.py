@@ -3,12 +3,11 @@
 Every runner produces named text artifacts (CSV with stable column order and
 LF endings, or JSON) plus a manifest recording the config hash, seed, package
 version and per-output checksums. Re-running the same configuration and seed
-reproduces identical checksums regardless of worker count.
+reproduces identical checksums.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import time
@@ -19,12 +18,8 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, GridSpec
-from .linalg import partial_trace
 from .pulses import (
-    FULL_DYNAMICS,
-    GATE_MODEL,
     InitStep,
-    NoiseModel,
     PIRSModel,
     bell_prep,
     cz_flip_curve,
@@ -44,19 +39,21 @@ from .spam import (
     read_trace_csv,
     sine_fit,
 )
-from .spinmodel import SPINS, SystemParams
+from .spinmodel import SPINS
 from .tomography import sequence_table, tomography_pipeline
+
+_NUMBERS = (int, float, np.floating)
 
 
 def fmt(x) -> str:
-    """Stable shortest-repr float formatting for reproducible files."""
-    return format(float(x), ".12g")
+    """Text of one CSV cell: numbers as stable 12-significant-digit floats,
+    anything else through str."""
+    return "%.12g" % x if isinstance(x, _NUMBERS) else str(x)
 
 
 def csv_bytes(header, rows) -> bytes:
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) if isinstance(v, (int, float, np.floating)) else str(v) for v in row))
+    lines += [",".join(map(fmt, row)) for row in rows]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -109,7 +106,12 @@ def _config_hash(config: ExperimentConfig) -> str:
 
 
 def run(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
-    """Execute one experiment and write its outputs plus a manifest."""
+    """Execute one experiment and write its outputs plus a manifest.
+
+    `workers` is accepted for older callers and ignored: every experiment
+    runs in this process.
+    """
+    del workers
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     probe = out / ".write_probe"
@@ -121,7 +123,7 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
 
     t0 = time.perf_counter()
     runner = _RUNNERS[config.experiment]
-    artifacts = runner(config, workers)
+    artifacts = runner(config)
     checksums = {}
     for name, blob in artifacts:
         (out / name).write_bytes(blob)
@@ -142,104 +144,59 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
 # phase maps
 
 
-def _phase_map_chunk(args):
-    params, freqs, durations, mode, noise, observables = args
-    res = phase_map(params, freqs, durations, mode=mode, noise=noise, observables=observables)
-    return res
-
-
-def _run_phase_map_grid(config: ExperimentConfig, workers: int, observables: bool):
-    engine = engine_for(config.system)
+def _phase_map_result(config: ExperimentConfig, observables: bool):
     center = config.options["center_mhz"]
     if center == "auto":
-        center = phase_map_center_frequency(engine)
-    freqs = center + config.options["freq_offset"].points()
-    durations = config.options["duration"].points()
-
-    if workers <= 1 or freqs.size < 2 * workers:
-        return phase_map(
-            config.system, freqs, durations, mode=config.mode,
-            noise=config.noise, observables=observables,
-        )
-    chunks = np.array_split(np.arange(freqs.size), workers)
-    jobs = [
-        (config.system, freqs[idx], durations, config.mode, config.noise, observables)
-        for idx in chunks
-    ]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_phase_map_chunk, jobs))
-    p_flip = np.concatenate([p.p_flip for p in parts], axis=0)
-    obs = {}
-    if observables:
-        obs = {
-            s: {
-                k: np.concatenate([p.observables[s][k] for p in parts], axis=0)
-                for k in ("x", "y", "norm")
-            }
-            for s in SPINS
-        }
-    first = parts[0]
-    first.freqs_mhz = freqs
-    first.p_flip = p_flip
-    first.observables = obs
-    return first
+        center = phase_map_center_frequency(engine_for(config.system))
+    return phase_map(
+        config.system,
+        center + config.options["freq_offset"].points(),
+        config.options["duration"].points(),
+        mode=config.mode,
+        noise=config.noise,
+        observables=observables,
+    )
 
 
-def run_phase_map(config: ExperimentConfig, workers: int):
-    res = _run_phase_map_grid(config, workers, config.options.get("observables", False))
-    rows = [
-        (res.freqs_mhz[i], res.durations_us[j], res.p_flip[i, j])
-        for i in range(res.freqs_mhz.size)
-        for j in range(res.durations_us.size)
-    ]
-    arts = [("phase_map.csv", csv_bytes(("freq_mhz", "duration_us", "p_flip"), rows))]
+def _grid_csv(name, res, columns: dict):
+    """One row per (frequency, duration) point, frequency-major."""
+    freqs, durs = np.meshgrid(res.freqs_mhz, res.durations_us, indexing="ij")
+    table = np.stack([freqs, durs, *columns.values()], axis=-1)
+    header = ["freq_mhz", "duration_us", *columns]
+    return (name, csv_bytes(header, table.reshape(-1, len(header)).tolist()))
+
+
+def _phase_map_csv(res):
+    return _grid_csv("phase_map.csv", res, {"p_flip": res.p_flip})
+
+
+def _observable_csv(res):
+    columns = {}
+    for s in SPINS:
+        columns[f"{s}_x_up"] = res.observables[s]["x"]
+        columns[f"{s}_y_up"] = res.observables[s]["y"]
+        columns[f"{s}_bloch_norm"] = res.observables[s]["norm"]
+    return _grid_csv("spin_observables.csv", res, columns)
+
+
+def run_phase_map(config: ExperimentConfig):
+    res = _phase_map_result(config, config.options.get("observables", False))
+    arts = [_phase_map_csv(res)]
     if res.observables:
         arts.append(_observable_csv(res))
     return arts
 
 
-def _observable_csv(res):
-    header = ["freq_mhz", "duration_us"]
-    for s in SPINS:
-        header += [f"{s}_x_up", f"{s}_y_up", f"{s}_bloch_norm"]
-    rows = []
-    for i in range(res.freqs_mhz.size):
-        for j in range(res.durations_us.size):
-            row = [res.freqs_mhz[i], res.durations_us[j]]
-            for s in SPINS:
-                row += [
-                    res.observables[s]["x"][i, j],
-                    res.observables[s]["y"][i, j],
-                    res.observables[s]["norm"][i, j],
-                ]
-            rows.append(row)
-    return ("spin_observables.csv", csv_bytes(header, rows))
-
-
-def run_full_phase_sim(config: ExperimentConfig, workers: int):
-    res = _run_phase_map_grid(config, workers, observables=True)
-    return [
-        _observable_csv(res),
-        (
-            "phase_map.csv",
-            csv_bytes(
-                ("freq_mhz", "duration_us", "p_flip"),
-                [
-                    (res.freqs_mhz[i], res.durations_us[j], res.p_flip[i, j])
-                    for i in range(res.freqs_mhz.size)
-                    for j in range(res.durations_us.size)
-                ],
-            ),
-        ),
-    ]
+def run_full_phase_sim(config: ExperimentConfig):
+    res = _phase_map_result(config, observables=True)
+    return [_observable_csv(res), _phase_map_csv(res)]
 
 
 # ---------------------------------------------------------------------------
 # Bell tomography
 
 
-def run_bell_tomography(config: ExperimentConfig, workers: int):
-    del workers
+def run_bell_tomography(config: ExperimentConfig):
     prep = bell_prep()
     if config.options["spam_spins"] == "electrons":
         prep = [InitStep(spins=("e1", "e2"))] + prep[1:]
@@ -266,8 +223,7 @@ def run_bell_tomography(config: ExperimentConfig, workers: int):
 # drift, calibration and coherence experiments
 
 
-def run_pirs_cz(config: ExperimentConfig, workers: int):
-    del workers
+def run_pirs_cz(config: ExperimentConfig):
     engine = engine_for(config.system)
     tr = engine.electron_transition("e2", 0, 1)
     turn = 1.0 / (engine.rabi["ESR"] * tr.amplitude)
@@ -287,8 +243,7 @@ def run_pirs_cz(config: ExperimentConfig, workers: int):
     ]
 
 
-def run_rabi_spam(config: ExperimentConfig, workers: int):
-    del workers
+def run_rabi_spam(config: ExperimentConfig):
     durations = config.options["duration"].points()
     detuning = config.options["detuning_when_up_mhz"]
     if detuning is None:
@@ -313,8 +268,7 @@ def run_rabi_spam(config: ExperimentConfig, workers: int):
     ]
 
 
-def run_phase_reversal(config: ExperimentConfig, workers: int):
-    del workers
+def run_phase_reversal(config: ExperimentConfig):
     phis = np.linspace(0.0, 2 * np.pi, config.options["points"], endpoint=False)
     ideal = phase_reversal_curve(0.0, phis, params=config.system)
     distorted = phase_reversal_curve(config.noise.p_up, phis, params=config.system)
@@ -343,8 +297,7 @@ def run_phase_reversal(config: ExperimentConfig, workers: int):
     ]
 
 
-def run_ramsey(config: ExperimentConfig, workers: int):
-    del workers
+def run_ramsey(config: ExperimentConfig):
     sigma = config.options["sigma_f_mhz"]
     if sigma is None:
         sigma = sigma_from_t2_star(config.options["t2_star_us"])
@@ -378,8 +331,7 @@ def donor_distance_fit(points, target_j_mhz: float):
     return float(distance), float(slope), float(intercept)
 
 
-def run_donor_distance(config: ExperimentConfig, workers: int):
-    del workers
+def run_donor_distance(config: ExperimentConfig):
     points = config.options["points"]
     if points is None:
         raw = np.loadtxt(config.options["points_csv"], delimiter=",", skiprows=1)

@@ -835,18 +835,49 @@ def phase_map_center_frequency(engine: SequenceEngine) -> float:
     return 0.5 * (f_a + f_b)
 
 
-def _stationary_flip_rate(q_down: float, q_up: float) -> float:
-    """Consecutive-shot flip rate of a two-state chain with flip probabilities
-    q_down (from spin-down) and q_up (from spin-up)."""
-    if q_down + q_up <= 0:
-        return 0.0
-    return 2.0 * q_down * q_up / (q_down + q_up)
-
-
 def _electron_load(p_up: float) -> np.ndarray:
     return np.diag(
         [p_up * p_up, p_up * (1 - p_up), (1 - p_up) * p_up, (1 - p_up) * (1 - p_up)]
     ).astype(complex)
+
+
+def _flip_readout(engine: SequenceEngine, target: str, mode: str, p_up: float):
+    """Consecutive-shot flip readout of one nucleus between two identical
+    pi/2 pulses O, as (weights, starts, projectors).
+
+    The other (spectator) nucleus persists between shots in its loaded state
+    s, up (s = 0) with weight p_up; a state of zero weight is left out. The
+    electrons are reloaded every shot. starts[s, b] = O (|nuclei><nuclei| x
+    rho_e) O^dag for target state b, and projectors[b] = O^dag M_b O is the
+    projector onto the outcome that is a flip from b, pulled back through
+    the closing pulse.
+    """
+    pulse = engine.step_unitary(GateStep(target, math.pi / 2, math.pi / 2), mode)
+    q = SPIN_INDEX[target]
+    e_load = _electron_load(p_up)
+    spectators = [(s, w) for s, w in ((0, p_up), (1, 1.0 - p_up)) if w != 0.0]
+    starts = np.zeros((len(spectators), 2, 16, 16), dtype=complex)
+    for i, (s, _) in enumerate(spectators):
+        for b in (0, 1):
+            k = 2 * b + s if q == 0 else 2 * s + b  # nuclear index 2 n1 + n2
+            nuc = np.zeros((4, 4), dtype=complex)
+            nuc[k, k] = 1.0
+            starts[i, b] = pulse @ np.kron(nuc, e_load) @ pulse.conj().T
+    # outcome 1 = up; a flip from target state b (outcome 1 - b) lands on b
+    outcome = 1 - ((np.arange(16) >> (3 - q)) & 1)
+    projectors = np.array([pulse.conj().T @ ((outcome == b)[:, None] * pulse) for b in (0, 1)])
+    return np.array([w for _, w in spectators]), starts, projectors
+
+
+def _stationary_flip_rate(weights: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Consecutive-shot flip rate, weighted over spectator states, of the
+    two-state chains with flip probabilities q[s, 1] (from spin-down) and
+    q[s, 0] (from spin-up); a chain that never flips contributes 0."""
+    q_down, q_up = q[:, 1], q[:, 0]
+    total = q_down + q_up
+    flips = total > 0
+    rate = np.where(flips, 2.0 * q_down * q_up / np.where(flips, total, 1.0), 0.0)
+    return np.tensordot(weights, rate, axes=1)
 
 
 def phase_map(
@@ -866,6 +897,18 @@ def phase_map(
     reloaded each shot with the noise model's p_up. With `observables` the
     post-drive X/Y up-proportions and Bloch-vector norm of every spin are
     recorded for the nominal all-down start.
+
+    Closed form: at each frequency the drive Hamiltonian is diagonalized once,
+    H = B diag(w) B^dag, so the drive propagator at duration t is
+    B diag(E_t) B^dag with E_t = exp(-2 pi i w t). Every recorded value has
+    the form Tr(A U rho U^dag) for a fixed state rho (a start state after the
+    opening pulse) and a fixed operator A (a readout projector pulled back
+    through the closing pulse, or a Pauli operator), which is
+
+        Re sum_ij E_ti K_ij conj(E_tj),   K = (B^dag rho B) o (B^dag A B)^T,
+
+    with o the elementwise product: one (values x durations x 16) product and
+    a row sum per frequency.
     """
     noise = noise or NoiseModel()
     engine = engine or engine_for(params)
@@ -873,65 +916,45 @@ def phase_map(
     durs = np.asarray(durations_us, dtype=float)
     if freqs.size == 0 or durs.size == 0:
         raise ContractError("frequency and duration grids must be non-empty")
+    if np.any(durs < 0):
+        raise ContractError(f"negative duration {durs.min()} us")
 
-    opening = engine.step_unitary(GateStep("n2", math.pi / 2, math.pi / 2), mode)
-    closing = opening
-    p = noise.p_up
-    e_fresh = _electron_load(p)
-    n1_weights = {0: p, 1: 1.0 - p}
-
-    pf = np.zeros((freqs.size, durs.size))
-    obs = {}
+    weights, readout_starts, projectors = _flip_readout(engine, "n2", mode, noise.p_up)
+    n_spectator = weights.size
+    starts = readout_starts.reshape(-1, 16, 16)
+    ops = np.tile(projectors, (n_spectator, 1, 1))
     if observables:
-        obs = {
-            s: {k: np.zeros((freqs.size, durs.size)) for k in ("x", "y", "norm")}
-            for s in SPINS
-        }
-    sigma = {
-        (s, ax): pauli_op(s, ax) for s in SPINS for ax in "xyz"
-    }
+        # the spectator-down branch always has weight 1 - p_up > 0
+        nominal = readout_starts[-1, 1]
+        paulis = np.array([pauli_op(s, ax) for s in SPINS for ax in "xyz"])
+        starts = np.concatenate([starts, np.broadcast_to(nominal, paulis.shape)])
+        ops = np.concatenate([ops, paulis])
 
+    v = engine.vectors
     drive_op = engine.rabi["ESR"] * engine.channel_ops["ESR"][1]
+    if mode == GATE_MODEL:
+        d_eig = np.where(engine._gate_mask["ESR"], v.conj().T @ drive_op @ v, 0.0)
+    phase = -2j * np.pi * durs[:, None]
+    grid = (freqs.size, durs.size)
+    vals = np.zeros((starts.shape[0], *grid))  # every recorded value at every point
     for fi, f in enumerate(freqs):
         # one eigendecomposition per frequency, shared across all durations
         if mode == GATE_MODEL:
-            diag = engine.energies - engine._frame_diag(float(f))
-            d_eig = engine.vectors.conj().T @ drive_op @ engine.vectors
-            d_eig = np.where(engine._gate_mask["ESR"], d_eig, 0.0)
-            w, q = np.linalg.eigh(np.diag(diag) + d_eig)
-            basis = engine.vectors @ q
+            w, q = np.linalg.eigh(np.diag(engine.energies - engine._frame_diag(float(f))) + d_eig)
+            basis = v @ q
         else:
-            h = engine.free_hamiltonian(f_e=float(f)) + drive_op
-            w, basis = np.linalg.eigh(h)
+            w, basis = np.linalg.eigh(engine.free_hamiltonian(f_e=float(f)) + drive_op)
         bdag = basis.conj().T
+        # kt = K^T, so that the sum over j runs along a matrix product
+        kt = (bdag @ ops @ basis) * (bdag @ starts @ basis).transpose(0, 2, 1)
+        e = np.exp(phase * w)  # (durations, 16)
+        vals[:, fi] = np.real(np.sum((e.conj() @ kt) * e, axis=-1))
 
-        for di, t in enumerate(durs):
-            u_drive = (basis * np.exp(-2j * np.pi * w * t)) @ bdag
-            rate = 0.0
-            for b1, weight in n1_weights.items():
-                if weight == 0.0:
-                    continue
-                q_flip = {}
-                for b2 in (0, 1):
-                    nuc = np.zeros((4, 4), dtype=complex)
-                    nuc[2 * b1 + b2, 2 * b1 + b2] = 1.0
-                    rho = np.kron(nuc, e_fresh)
-                    rho = opening @ rho @ opening.conj().T
-                    rho = u_drive @ rho @ u_drive.conj().T
-                    if observables and b1 == 1 and b2 == 1:
-                        for s in SPINS:
-                            x = float(np.real(np.trace(sigma[(s, "x")] @ rho)))
-                            y = float(np.real(np.trace(sigma[(s, "y")] @ rho)))
-                            z = float(np.real(np.trace(sigma[(s, "z")] @ rho)))
-                            obs[s]["x"][fi, di] = 0.5 * (1 + x)
-                            obs[s]["y"][fi, di] = 0.5 * (1 + y)
-                            obs[s]["norm"][fi, di] = math.sqrt(x * x + y * y + z * z)
-                    rho = closing @ rho @ closing.conj().T
-                    probs = _measure_distribution(rho, ("n2",))
-                    # outcome 1 = up; start outcome is 1 - b2; a flip lands on b2
-                    q_flip[b2] = probs.get((b2,), 0.0)
-                rate += weight * _stationary_flip_rate(q_flip[1], q_flip[0])
-            pf[fi, di] = rate
+    pf = _stationary_flip_rate(weights, vals[: 2 * n_spectator].reshape(n_spectator, 2, *grid))
+    obs = {}
+    if observables:
+        for s, (x, y, z) in zip(SPINS, vals[2 * n_spectator :].reshape(len(SPINS), 3, *grid)):
+            obs[s] = {"x": 0.5 * (1 + x), "y": 0.5 * (1 + y), "norm": np.sqrt(x * x + y * y + z * z)}
     return PhaseMapResult(freqs, durs, pf, obs)
 
 
@@ -1042,12 +1065,8 @@ def cz_flip_curve(
     carrier = abs(tr.frequency_mhz)
     rabi = engine.rabi["ESR"]
 
-    opening = engine.step_unitary(GateStep("n1", math.pi / 2, math.pi / 2), mode)
-    p = noise.p_up
-    e_fresh = _electron_load(p)
-    n2_weights = {0: p, 1: 1.0 - p}
-
-    out = np.zeros(durs.size)
+    weights, starts, projectors = _flip_readout(engine, "n1", mode, noise.p_up)
+    q = np.zeros((weights.size, 2, durs.size))
     for di, t in enumerate(durs):
         if mode == GATE_MODEL:
             u_drive = addressed_pulse_unitary(engine, tr, float(t), pirs=pirs)
@@ -1059,22 +1078,10 @@ def cz_flip_curve(
                 apply_pirs=pirs is not None,
             )
             u_drive = engine.step_unitary(step, mode, pirs=pirs)
-        rate = 0.0
-        for b2, weight in n2_weights.items():
-            if weight == 0.0:
-                continue
-            q_flip = {}
-            for b1 in (0, 1):
-                nuc = np.zeros((4, 4), dtype=complex)
-                nuc[2 * b1 + b2, 2 * b1 + b2] = 1.0
-                rho = np.kron(nuc, e_fresh)
-                for u in (opening, u_drive, opening):
-                    rho = u @ rho @ u.conj().T
-                probs = _measure_distribution(rho, ("n1",))
-                q_flip[b1] = probs.get((b1,), 0.0)
-            rate += weight * _stationary_flip_rate(q_flip[1], q_flip[0])
-        out[di] = rate
-    return out
+        evolved = u_drive @ starts @ u_drive.conj().T
+        # q[s, b] = Tr(projector_b rho_sb)
+        q[..., di] = np.einsum("bij,sbji->sb", projectors, evolved).real
+    return _stationary_flip_rate(weights, q)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,45 @@ class TestValidateConfig:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "experiment, key",
+        [("phase_map", "duration"), ("full_phase_sim", "duration"), ("rabi_spam", "duration")],
+    )
+    def test_negative_duration_grid_rejected(self, experiment, key):
+        doc = {"experiment": experiment, "options": {key: {"start": -1.0, "stop": 2.0, "count": 3}}}
+        with pytest.raises(ConfigError) as err:
+            validate_config(doc)
+        assert [path for path, _ in err.value.errors] == [f"$.options.{key}.start"]
+
+    def test_negative_wait_grid_rejected(self):
+        doc = {
+            "experiment": "ramsey",
+            "options": {"t2_star_us": 10.0, "wait": {"start": 0.0, "stop": -5.0, "count": 3}},
+        }
+        with pytest.raises(ConfigError) as err:
+            validate_config(doc)
+        assert [path for path, _ in err.value.errors] == ["$.options.wait.stop"]
+
+    @pytest.mark.parametrize("bound", ["start", "stop"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_grid_bound_rejected(self, bound, value):
+        grid = {"start": -1.0, "stop": 1.0, "count": 3, bound: value}
+        doc = {"experiment": "phase_map", "options": {"freq_offset": grid}}
+        with pytest.raises(ConfigError) as err:
+            validate_config(doc)
+        assert [path for path, _ in err.value.errors] == [f"$.options.freq_offset.{bound}"]
+
+    def test_non_finite_number_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            validate_config({"experiment": "phase_map", "noise": {"p_up": float("nan")}})
+        assert [path for path, _ in err.value.errors] == ["$.noise.p_up"]
+
+    @pytest.mark.parametrize("center", [True, float("nan"), "middle"])
+    def test_bad_center_rejected(self, center):
+        with pytest.raises(ConfigError) as err:
+            validate_config({"experiment": "phase_map", "options": {"center_mhz": center}})
+        assert [path for path, _ in err.value.errors] == ["$.options.center_mhz"]
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             validate_config("/nonexistent/config.json")

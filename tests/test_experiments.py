@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from donorpair.config import validate_config
-from donorpair.experiments import donor_distance_fit, fmt, run
+from donorpair.experiments import csv_bytes, donor_distance_fit, fmt, run
 
 
 def read_csv(path):
@@ -59,6 +59,26 @@ class TestEmission:
         assert fmt(0.1 + 0.2) == fmt(0.30000000000000004)
         assert fmt(1.0) == "1"
 
+    def test_csv_matches_builtin_float_formatting(self):
+        def old_csv(header, rows):
+            cells = (
+                ",".join(
+                    format(float(v), ".12g") if isinstance(v, (int, float, np.floating)) else str(v)
+                    for v in row
+                )
+                for row in rows
+            )
+            return ("\n".join([",".join(header), *cells]) + "\n").encode()
+
+        rng = np.random.default_rng(7)
+        values = [
+            *rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500),
+            0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.inf, math.nan,
+            1e16, 123456789012345678, 7, -3, True, np.float32(0.1), np.float64(1 / 3),
+        ]
+        rows = [(v, "00", np.int64(5), np.float64(v)) for v in values]
+        assert csv_bytes(("a", "b", "c", "d"), rows) == old_csv(("a", "b", "c", "d"), rows)
+
 
 class TestDeterminism:
     def make_cfg(self, shots=60):
@@ -85,16 +105,19 @@ class TestDeterminism:
         m2 = run(cfg2, tmp_path / "b")
         assert m1.outputs != m2.outputs
 
-    def test_worker_count_does_not_change_output(self, tmp_path):
+    def test_phase_map_rerun_checksums_identical(self, tmp_path):
         doc = {
             "experiment": "phase_map",
+            "noise": {"p_up": 0.14},
             "options": {
                 "freq_offset": {"start": -5.0, "stop": 5.0, "count": 8},
                 "duration": {"start": 0.0, "stop": 3.0, "count": 5},
+                "observables": True,
             },
         }
-        m1 = run(validate_config(doc), tmp_path / "w1", workers=1)
-        m2 = run(validate_config(doc), tmp_path / "w2", workers=2)
+        m1 = run(validate_config(doc), tmp_path / "a")
+        m2 = run(validate_config(doc), tmp_path / "b")
+        assert set(m1.outputs) == {"phase_map.csv", "spin_observables.csv"}
         assert m1.outputs == m2.outputs
 
     def test_manifest_covers_every_output(self, tmp_path):

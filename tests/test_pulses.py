@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from donorpair import pulses as pl
 from donorpair.linalg import ContractError, partial_trace
-from donorpair.spinmodel import SystemParams, basis_index, bloch_vector
+from donorpair.spinmodel import SPINS, SystemParams, basis_index, bloch_vector, pauli_op
 
 PSI_PLUS = np.array([0, 1, 1, 0]) / np.sqrt(2)
 
@@ -350,3 +350,133 @@ class TestRamsey:
         tr = pl.ramsey_trace("n1", [10.0], sigma, 40000, seed=9)
         envelope = 2 * tr.p_up[0] - 1
         assert envelope == pytest.approx(math.exp(-1.0), abs=3.0 / math.sqrt(40000) * 2)
+
+
+# ---------------------------------------------------------------------------
+# per-point loops that the closed-form kernels must reproduce
+
+
+def _scalar_flip_rate(q_down, q_up):
+    if q_down + q_up <= 0:
+        return 0.0
+    return 2.0 * q_down * q_up / (q_down + q_up)
+
+
+def _flip_probabilities(pulse, u_drive, target, spectator_bit, p_up, observe=None):
+    """q[b] for target start b, evolving each start state matrix by matrix."""
+    e_fresh = pl._electron_load(p_up)
+    q_flip = {}
+    for b in (0, 1):
+        k = 2 * b + spectator_bit if target == "n1" else 2 * spectator_bit + b
+        nuc = np.zeros((4, 4), dtype=complex)
+        nuc[k, k] = 1.0
+        rho = np.kron(nuc, e_fresh)
+        rho = pulse @ rho @ pulse.conj().T
+        rho = u_drive @ rho @ u_drive.conj().T
+        if observe is not None and spectator_bit == 1 and b == 1:
+            observe(rho)
+        rho = pulse @ rho @ pulse.conj().T
+        q_flip[b] = pl._measure_distribution(rho, (target,)).get((b,), 0.0)
+    return q_flip
+
+
+def reference_phase_map(params, freqs, durs, mode, p_up, observables):
+    engine = pl.engine_for(params)
+    opening = engine.step_unitary(pl.GateStep("n2", math.pi / 2, math.pi / 2), mode)
+    weights = {0: p_up, 1: 1.0 - p_up}
+    pf = np.zeros((len(freqs), len(durs)))
+    obs = {s: {k: np.zeros_like(pf) for k in ("x", "y", "norm")} for s in SPINS}
+    drive_op = engine.rabi["ESR"] * engine.channel_ops["ESR"][1]
+    for fi, f in enumerate(freqs):
+        if mode == pl.GATE_MODEL:
+            diag = engine.energies - engine._frame_diag(float(f))
+            d_eig = engine.vectors.conj().T @ drive_op @ engine.vectors
+            d_eig = np.where(engine._gate_mask["ESR"], d_eig, 0.0)
+            w, q = np.linalg.eigh(np.diag(diag) + d_eig)
+            basis = engine.vectors @ q
+        else:
+            w, basis = np.linalg.eigh(engine.free_hamiltonian(f_e=float(f)) + drive_op)
+        for di, t in enumerate(durs):
+            u_drive = (basis * np.exp(-2j * np.pi * w * t)) @ basis.conj().T
+
+            def observe(rho):
+                for s in SPINS:
+                    x, y, z = (float(np.real(np.trace(pauli_op(s, ax) @ rho))) for ax in "xyz")
+                    obs[s]["x"][fi, di] = 0.5 * (1 + x)
+                    obs[s]["y"][fi, di] = 0.5 * (1 + y)
+                    obs[s]["norm"][fi, di] = math.sqrt(x * x + y * y + z * z)
+
+            rate = 0.0
+            for b1, weight in weights.items():
+                if weight == 0.0:
+                    continue
+                q_flip = _flip_probabilities(
+                    opening, u_drive, "n2", b1, p_up, observe if observables else None
+                )
+                rate += weight * _scalar_flip_rate(q_flip[1], q_flip[0])
+            pf[fi, di] = rate
+    return pf, obs
+
+
+def reference_cz_flip_curve(params, durs, pirs, mode, p_up):
+    engine = pl.engine_for(params)
+    tr = engine.electron_transition("e2", n1=0, n2=1)
+    opening = engine.step_unitary(pl.GateStep("n1", math.pi / 2, math.pi / 2), mode)
+    out = np.zeros(len(durs))
+    for di, t in enumerate(durs):
+        if mode == pl.GATE_MODEL:
+            u_drive = pl.addressed_pulse_unitary(engine, tr, float(t), pirs=pirs)
+        else:
+            pulse = pl.PulseSpec("ESR", abs(tr.frequency_mhz), engine.rabi["ESR"], float(t))
+            step = pl.PulseStep(pulse, apply_pirs=pirs is not None)
+            u_drive = engine.step_unitary(step, mode, pirs=pirs)
+        for b2, weight in {0: p_up, 1: 1.0 - p_up}.items():
+            if weight != 0.0:
+                q_flip = _flip_probabilities(opening, u_drive, "n1", b2, p_up)
+                out[di] += weight * _scalar_flip_rate(q_flip[1], q_flip[0])
+    return out
+
+
+ORACLE_TOL = 1e-12
+FALLBACK_DRIFT = pl.PIRSModel(shift_khz=120.0, time_constant_us=3.0, enabled=True)
+
+
+@pytest.mark.filterwarnings("ignore:rabi")
+class TestClosedFormKernels:
+    @pytest.mark.parametrize("mode", pl.MODES)
+    @pytest.mark.parametrize("p_up", [0.0, 0.14])
+    def test_phase_map_matches_per_point_loop(self, params, mode, p_up):
+        engine = pl.engine_for(params)
+        anchors = pl.phase_map_anchors(engine)
+        center = pl.phase_map_center_frequency(engine)
+        freqs = [center - 4.0, anchors.cz_freq_mhz, center, anchors.entangle_freq_mhz]
+        durs = [0.0, 0.7, anchors.cz_duration_us, 6.5]
+        got = pl.phase_map(
+            params, freqs, durs, mode=mode, noise=pl.NoiseModel(p_up=p_up), observables=True
+        )
+        want_pf, want_obs = reference_phase_map(params, freqs, durs, mode, p_up, True)
+        assert np.max(np.abs(got.p_flip - want_pf)) < ORACLE_TOL
+        for s in SPINS:
+            for k in ("x", "y", "norm"):
+                assert np.max(np.abs(got.observables[s][k] - want_obs[s][k])) < ORACLE_TOL
+
+    def test_phase_map_without_observables(self, params):
+        center = pl.phase_map_center_frequency(pl.engine_for(params))
+        freqs, durs = [center - 1.0, center + 2.0], [0.0, 1.5, 3.0]
+        got = pl.phase_map(params, freqs, durs, noise=pl.NoiseModel(p_up=0.14))
+        want, _ = reference_phase_map(params, freqs, durs, pl.GATE_MODEL, 0.14, False)
+        assert got.observables == {}
+        assert np.max(np.abs(got.p_flip - want)) < ORACLE_TOL
+
+    @pytest.mark.parametrize("mode", pl.MODES)
+    @pytest.mark.parametrize("pirs", [None, FALLBACK_DRIFT], ids=["ideal", "drift"])
+    def test_cz_flip_curve_matches_per_point_loop(self, params, mode, pirs):
+        durs = np.linspace(0.0, 6.0, 7)
+        noise = pl.NoiseModel(p_up=0.14)
+        got = pl.cz_flip_curve(params, durs, pirs=pirs, mode=mode, noise=noise)
+        want = reference_cz_flip_curve(params, durs, pirs, mode, 0.14)
+        assert np.max(np.abs(got - want)) < ORACLE_TOL
+
+    def test_negative_duration_rejected(self, params):
+        with pytest.raises(ContractError, match="negative duration"):
+            pl.phase_map(params, [28000.0], [0.0, -1.0])
