@@ -40,7 +40,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        config = validate_config(args.config)
+        config = validate_config(args.config, seed=getattr(args, "seed", None))
     except ConfigError as err:
         print(err, file=sys.stderr)
         return 2
@@ -49,8 +49,6 @@ def main(argv=None) -> int:
         print(f"ok: {config.experiment}")
         return 0
 
-    if args.seed is not None:
-        config.seed = args.seed
     try:
         manifest = run(config, args.out)
     except Exception as err:  # noqa: BLE001 - report and signal runtime failure

@@ -108,6 +108,19 @@ class _Checker:
             self.fail(f"{path}.{key}", f"must be >= {lo}")
         return val
 
+    def existing_file(self, sub, path, key):
+        """An optional path string that must name an existing file."""
+        val = sub.get(key)
+        if val is None:
+            return None
+        if not isinstance(val, str):
+            self.fail(f"{path}.{key}", "expected a path string")
+            return None
+        if not Path(val).is_file():
+            self.fail(f"{path}.{key}", f"no such file: {val}")
+            return None
+        return val
+
     def grid(self, sub, path, key, default, lo=None):
         if key not in sub:
             return default
@@ -141,8 +154,12 @@ _OPTION_KEYS = {
 }
 
 
-def validate_config(doc_or_path) -> ExperimentConfig:
-    """Parse and invariant-check a configuration document or file path."""
+def validate_config(doc_or_path, seed=None) -> ExperimentConfig:
+    """Parse and invariant-check a configuration document or file path.
+
+    `seed`, when given, replaces the document's seed (the command line's
+    --seed) and is checked the same way.
+    """
     if isinstance(doc_or_path, (str, Path)):
         path = Path(doc_or_path)
         if not path.exists():
@@ -171,7 +188,8 @@ def validate_config(doc_or_path) -> ExperimentConfig:
         chk.fail("$.mode", f"must be one of {MODES}")
         mode = "GATE_MODEL"
 
-    seed = doc.get("seed", 0)
+    if seed is None:
+        seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         chk.fail("$.seed", "expected a non-negative integer")
         seed = 0
@@ -268,11 +286,7 @@ def _validate_options(chk: _Checker, doc, experiment) -> dict:
         out["shots_per_point"] = chk.integer(sub, path, "shots_per_point", 0, lo=0)
     elif experiment == "phase_reversal":
         out["points"] = chk.integer(sub, path, "points", 96, lo=12)
-        data_csv = sub.get("data_csv")
-        if data_csv is not None and not isinstance(data_csv, str):
-            chk.fail(f"{path}.data_csv", "expected a path string")
-            data_csv = None
-        out["data_csv"] = data_csv
+        out["data_csv"] = chk.existing_file(sub, path, "data_csv")
     elif experiment == "ramsey":
         spin = sub.get("spin", "n1")
         if spin not in ("n1", "n2", "e1", "e2"):
@@ -290,8 +304,7 @@ def _validate_options(chk: _Checker, doc, experiment) -> dict:
         out["n_shots"] = chk.integer(sub, path, "n_shots", 10_000, lo=1)
     elif experiment == "donor_distance_fit":
         pts = sub.get("points")
-        csv_path = sub.get("points_csv")
-        if pts is None and csv_path is None:
+        if pts is None and sub.get("points_csv") is None:
             chk.fail(f"{path}", "one of points or points_csv is required")
         if pts is not None:
             good = isinstance(pts, list) and len(pts) >= 3 and all(
@@ -304,6 +317,6 @@ def _validate_options(chk: _Checker, doc, experiment) -> dict:
                     if not isinstance(j, (int, float)) or j <= 0:
                         chk.fail(f"{path}.points[{i}]", "exchange strength must be positive")
         out["points"] = pts
-        out["points_csv"] = csv_path if isinstance(csv_path, (str, type(None))) else None
+        out["points_csv"] = chk.existing_file(sub, path, "points_csv")
         out["target_j_mhz"] = chk.number(sub, path, "target_j_mhz", 12.0, lo=1e-9)
     return out

@@ -4,6 +4,10 @@ All Hamiltonians are in frequency units (MHz) and all durations in
 microseconds; propagators therefore carry an explicit 2*pi factor.
 Matrix exponentials go through an eigendecomposition rather than a series
 expansion so the result is unitary to machine precision at these sizes.
+The eigendecomposition kernels (`hermitian_eig`, `unitary_exp`, `psd_sqrt`,
+`project_to_simplex`, `nearest_physical_density`) also take a stack along
+leading axes and apply their checks to the whole stack; a single matrix goes
+through the same code.
 """
 
 from __future__ import annotations
@@ -45,17 +49,18 @@ class EigenSystem(NamedTuple):
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a square complex array with a supported dimension."""
+    """Coerce to a square complex array, or a stack of them along leading
+    axes, with a supported dimension."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] not in SUPPORTED_DIMS:
-        raise DimensionError(f"dimension {a.shape[0]} not in {SUPPORTED_DIMS}")
+    if a.shape[-1] not in SUPPORTED_DIMS:
+        raise DimensionError(f"dimension {a.shape[-1]} not in {SUPPORTED_DIMS}")
     return a
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(m.T)
+    return np.conj(m.swapaxes(-1, -2))
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -83,59 +88,66 @@ def unitary_exp(h, t_us: float) -> np.ndarray:
         raise ContractError(f"negative duration {t_us} us")
     w, v = hermitian_eig(h)
     phases = np.exp(-2j * np.pi * w * t_us)
-    return (v * phases) @ dagger(v)
+    return (v * phases[..., None, :]) @ dagger(v)
 
 
 def psd_sqrt(m) -> np.ndarray:
     """Principal square root of a positive-semidefinite Hermitian matrix.
 
-    Eigenvalues in [-PSD_CLIP_TOL, 0) are clipped to zero; anything lower
-    raises NotPositiveSemidefiniteError.
+    Eigenvalues in [-PSD_CLIP_TOL, 0) are clipped to zero; anything lower,
+    in any matrix of a stack, raises NotPositiveSemidefiniteError.
     """
     w, v = hermitian_eig(m)
-    if w[0] < -PSD_CLIP_TOL:
-        raise NotPositiveSemidefiniteError(f"minimum eigenvalue {w[0]:.3e}")
+    low = w[..., 0].min()
+    if low < -PSD_CLIP_TOL:
+        raise NotPositiveSemidefiniteError(f"minimum eigenvalue {low:.3e}")
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ dagger(v)
+    return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
 
 
 def project_to_simplex(vals: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex.
+    """Euclidean projection of a real vector, or of each vector along the
+    last axis, onto the probability simplex.
 
     Sort descending, zero out entries that would go negative, and spread the
     resulting deficit uniformly over the surviving entries (waterfilling).
     This is the closed-form minimizer of ||x - vals||_2 over {x >= 0, sum x = 1}.
+    The shift tau is the largest (sum of the j largest entries - 1) / j: that
+    sequence rises while the j-th largest entry survives and falls after.
     """
     vals = np.asarray(vals, dtype=float)
-    mu = np.sort(vals)[::-1]
-    div = np.arange(1, len(vals) + 1)
-    shifted = mu - (np.cumsum(mu) - 1.0) / div
-    k = int(np.nonzero(shifted > 0)[0][-1]) + 1
-    tau = (np.cumsum(mu)[k - 1] - 1.0) / k
-    return np.clip(vals - tau, 0.0, None)
+    if not np.isfinite(vals).all():
+        raise ContractError("cannot project non-finite values onto the simplex")
+    mu = np.sort(vals, axis=-1)[..., ::-1]
+    shifts = (np.cumsum(mu, axis=-1) - 1.0) / np.arange(1, vals.shape[-1] + 1)
+    return np.clip(vals - shifts.max(axis=-1, keepdims=True), 0.0, None)
 
 
 def nearest_physical_density(m) -> np.ndarray:
     """Frobenius-nearest density matrix (PSD, Hermitian, trace one).
 
     The input is hermitized as (M + M^dag)/2 and trace-normalized first; the
-    eigenvalues are then projected onto the probability simplex.
+    eigenvalues are then projected onto the probability simplex. A stack is
+    projected with one batched eigendecomposition (Smolin, Gambetta and
+    Smith, PRL 108, 070502, 2012).
     """
     m = as_matrix(m)
     m = (m + dagger(m)) / 2.0
-    tr = np.trace(m).real
-    if abs(tr) < 1e-12:
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    if np.abs(tr).min() < 1e-12:
         raise ContractError("matrix has (near-)zero trace; cannot normalize")
-    m = m / tr
+    m = m / tr[..., None, None]
     w, v = np.linalg.eigh(m)
     w_proj = project_to_simplex(w)
-    return (v * w_proj) @ dagger(v)
+    return (v * w_proj[..., None, :]) @ dagger(v)
 
 
 def tensor(a, b) -> np.ndarray:
     """Kronecker product with the <=16 dimension cap enforced."""
     a = as_matrix(a)
     b = as_matrix(b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionError("tensor takes single matrices, not stacks")
     if a.shape[0] * b.shape[0] > 16:
         raise DimensionError(
             f"tensor product dimension {a.shape[0] * b.shape[0]} exceeds 16"

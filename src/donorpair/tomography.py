@@ -20,6 +20,7 @@ import numpy as np
 from .linalg import (
     ContractError,
     PAULIS,
+    dagger,
     nearest_physical_density,
     psd_sqrt,
 )
@@ -31,6 +32,28 @@ PAULI_LABELS = ("I", "X", "Y", "Z")
 PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
 
 _SIGMA_YY = np.kron(PAULIS["Y"], PAULIS["Y"])
+
+# sigma_a (x) sigma_b for a, b in PAULI_LABELS
+_PAULI_BASIS = np.array(
+    [[np.kron(PAULIS[a], PAULIS[b]) for b in PAULI_LABELS] for a in PAULI_LABELS]
+)
+
+
+def _stokes_signs() -> np.ndarray:
+    """(9 pairs, 4 outcomes, 4, 4) weights: S[a, b] is the sum over pairs
+    and outcomes of P[pair, outcome] * weight[pair, outcome, a, b]. S[a, b]
+    reads the table of its designated axis pair (identity reads the Z table)
+    with outcome sign (-1)^q on each non-identity qubit."""
+    outcome_sign = {a: np.array([1.0, 1.0 if a == "I" else -1.0]) for a in PAULI_LABELS}
+    signs = np.zeros((len(AXIS_PAIRS), 4, 4, 4))
+    for ia, a in enumerate(PAULI_LABELS):
+        for ib, b in enumerate(PAULI_LABELS):
+            pair = AXIS_PAIRS.index(("Z" if a == "I" else a, "Z" if b == "I" else b))
+            signs[pair, :, ia, ib] = np.kron(outcome_sign[a], outcome_sign[b])
+    return signs
+
+
+_STOKES_SIGNS = _stokes_signs()
 
 
 @dataclass
@@ -95,40 +118,33 @@ def table_from_state(rho4: np.ndarray) -> ProbabilityTable:
     return ProbabilityTable(pairs)
 
 
-def stokes_from_probabilities(table: ProbabilityTable) -> np.ndarray:
+def stokes_from_probabilities(table) -> np.ndarray:
     """16 Stokes parameters S[a, b], a, b in (I, X, Y, Z), from the signed
     outcome sums of the designated axis-pair tables (identity reads the Z
-    table with the outcome sign dropped); S[I, I] is one by normalization."""
-    table.require_complete()
-    s = np.zeros((4, 4))
-    for ia, a in enumerate(PAULI_LABELS):
-        for ib, b in enumerate(PAULI_LABELS):
-            axis1 = "Z" if a == "I" else a
-            axis2 = "Z" if b == "I" else b
-            quartet = table.pairs[(axis1, axis2)]
-            total = 0.0
-            for q1 in (0, 1):
-                for q2 in (0, 1):
-                    sign1 = 1.0 if (a == "I" or q1 == 0) else -1.0
-                    sign2 = 1.0 if (b == "I" or q2 == 0) else -1.0
-                    total += sign1 * sign2 * quartet[2 * q1 + q2]
-            s[ia, ib] = total
-    return s
+    table with the outcome sign dropped); S[I, I] is one by normalization.
+
+    A ProbabilityTable gives one (4, 4) array; a sequence of tables gives a
+    (tables, 4, 4) stack.
+    """
+    single = isinstance(table, ProbabilityTable)
+    tables = [table] if single else list(table)
+    for tab in tables:
+        tab.require_complete()
+    probs = np.array([[tab.pairs[pair] for pair in AXIS_PAIRS] for tab in tables])
+    s = np.tensordot(probs, _STOKES_SIGNS, axes=2)
+    return s[0] if single else s
 
 
 def density_from_stokes(stokes: np.ndarray) -> np.ndarray:
-    """Linear inversion rho = (1/4) sum_ab S_ab sigma_a (x) sigma_b.
+    """Linear inversion rho = (1/4) sum_ab S_ab sigma_a (x) sigma_b, for one
+    (4, 4) Stokes array or a stack of them along leading axes.
 
     Hermitian with unit trace; not necessarily positive semidefinite.
     """
     stokes = np.asarray(stokes, dtype=float)
-    if abs(stokes[0, 0] - 1.0) > 1e-9:
+    if np.abs(stokes[..., 0, 0] - 1.0).max() > 1e-9:
         raise ContractError("S[I, I] must equal one")
-    rho = np.zeros((4, 4), dtype=complex)
-    for ia, a in enumerate(PAULI_LABELS):
-        for ib, b in enumerate(PAULI_LABELS):
-            rho += stokes[ia, ib] * np.kron(PAULIS[a], PAULIS[b])
-    return rho / 4.0
+    return np.tensordot(stokes, _PAULI_BASIS, axes=2) / 4.0
 
 
 def stokes_of_density(rho4: np.ndarray) -> np.ndarray:
@@ -141,58 +157,97 @@ def stokes_of_density(rho4: np.ndarray) -> np.ndarray:
     return s
 
 
-def fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
-    """State fidelity <psi| rho |psi> against a pure target."""
+def _scalar_or_stack(x: np.ndarray):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def fidelity(rho: np.ndarray, psi: np.ndarray):
+    """State fidelity <psi| rho |psi> against a pure target: a float for one
+    state, an array for a stack of states along leading axes."""
     rho = np.asarray(rho, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
-    if rho.shape[0] != psi.shape[0]:
+    if rho.shape[-1] != psi.shape[0]:
         raise ContractError("dimension mismatch between state and target")
-    return float(np.real(psi.conj() @ rho @ psi))
+    return _scalar_or_stack(np.real(psi.conj() @ rho @ psi))
 
 
 def spin_flip(rho: np.ndarray) -> np.ndarray:
     """(sigma_y (x) sigma_y) conj(rho) (sigma_y (x) sigma_y), with the
-    elementwise complex conjugate."""
+    elementwise complex conjugate; stacks map matrix by matrix."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ContractError("spin flip is defined for two-qubit states")
     return _SIGMA_YY @ rho.conj() @ _SIGMA_YY
 
 
-def concurrence(rho: np.ndarray, discriminant_tol: float = 1e-10) -> float:
+def concurrence(rho: np.ndarray, discriminant_tol: float = 1e-10):
     """Entanglement monotone max(0, l1 - l2 - l3 - l4) with l_i the ordered
-    eigenvalues of R = sqrt(sqrt(rho) rho_tilde sqrt(rho)).
+    eigenvalues of R = sqrt(sqrt(rho) rho_tilde sqrt(rho)): a float for one
+    state, an array for a stack of states along leading axes.
 
     Discriminants (eigenvalues under the square root) within the tolerance of
     zero are clipped before the root: the square root otherwise amplifies
     double-precision noise on rank-deficient states to the 1e-8 scale.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ContractError("concurrence is defined for two-qubit states")
-    low = float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)))
-    if low < -1e-3:
-        raise ContractError(f"input violates positivity beyond rounding: {low:.2e}")
-    if low < 0:
+    low = np.linalg.eigvalsh((rho + dagger(rho)) / 2.0)[..., 0]
+    lowest = low.min()
+    if lowest < -1e-3:
+        raise ContractError(f"input violates positivity beyond rounding: {lowest:.2e}")
+    if lowest < 0:
         # reconstructed matrices arrive with rounding-level negative
-        # eigenvalues; project onto the physical set first
-        rho = nearest_physical_density(rho)
+        # eigenvalues; project those onto the physical set first
+        negative = low < 0
+        rho = rho.copy()
+        rho[negative] = nearest_physical_density(rho[negative])
     root = psd_sqrt(rho)
     inner = root @ spin_flip(rho) @ root
-    disc = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
+    disc = np.linalg.eigvalsh((inner + dagger(inner)) / 2.0)
     disc = np.where(disc < discriminant_tol, 0.0, disc)
-    lam = np.sort(np.sqrt(disc))[::-1]
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    lam = np.sort(np.sqrt(disc), axis=-1)  # ascending
+    c = lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0]
+    return _scalar_or_stack(np.maximum(0.0, c))
 
 
 def _statistic_fn(statistic, target):
+    """The statistic as a function of a stack of states."""
     if callable(statistic):
-        return statistic
+        return lambda rhos: np.array([statistic(rho) for rho in rhos], dtype=float)
     if statistic == "fidelity":
-        return lambda rho: fidelity(rho, target)
+        return lambda rhos: fidelity(rhos, target)
     if statistic == "concurrence":
         return concurrence
     raise ContractError(f"unknown statistic {statistic!r}")
+
+
+def _bootstrap_states(groups, n_resamples: int, seed: int) -> np.ndarray:
+    """(n_resamples, 4, 4) physical states, one per resample of the groups.
+
+    Resample k draws len(groups) group indices with replacement from the
+    SeedSequence([seed, k]) stream. Stokes parameters are linear in the
+    tables, so each resample's Stokes array is the count-weighted mean of the
+    per-group arrays; the stack is inverted and projected in one pass.
+    """
+    groups = list(groups)
+    if len(groups) < 2:
+        raise ContractError("bootstrap needs at least two groups")
+    if n_resamples < 100:
+        warnings.warn(f"{n_resamples} resamples is too few for stable percentiles")
+    n = len(groups)
+    counts = np.zeros((n_resamples, n))
+    for k in range(n_resamples):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
+        counts[k] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    group_stokes = stokes_from_probabilities(groups).reshape(n, 16)
+    stokes = (counts @ group_stokes).reshape(n_resamples, 4, 4) / n
+    return nearest_physical_density(density_from_stokes(stokes))
+
+
+def _percentile_ci(stats: np.ndarray) -> tuple[float, float]:
+    lo, hi = np.percentile(stats, [2.5, 97.5])
+    return float(lo), float(hi)
 
 
 def bootstrap_ci(
@@ -205,24 +260,14 @@ def bootstrap_ci(
     """Nonparametric bootstrap over measurement groups.
 
     Resamples the group list with replacement, reconstructs the physical
-    state from the mean table of each resample, and returns the 2.5 and 97.5
-    percentiles (linear interpolation) plus the resample statistics.
+    state of every resample as one stack (see `_bootstrap_states`), and
+    returns the 2.5 and 97.5 percentiles (linear interpolation) of the
+    statistic plus the resample statistics. `statistic` is "fidelity"
+    (against `target`), "concurrence", or a function of one state.
     """
-    groups = list(groups)
-    if len(groups) < 2:
-        raise ContractError("bootstrap needs at least two groups")
-    if n_resamples < 100:
-        warnings.warn(f"{n_resamples} resamples is too few for stable percentiles")
     fn = _statistic_fn(statistic, target)
-    stats = np.zeros(n_resamples)
-    for k in range(n_resamples):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-        pick = rng.integers(0, len(groups), size=len(groups))
-        tab = mean_table([groups[i] for i in pick])
-        rho = nearest_physical_density(density_from_stokes(stokes_from_probabilities(tab)))
-        stats[k] = fn(rho)
-    lo, hi = np.percentile(stats, [2.5, 97.5])
-    return float(lo), float(hi), stats
+    stats = fn(_bootstrap_states(groups, n_resamples, seed))
+    return (*_percentile_ci(stats), stats)
 
 
 @dataclass
@@ -314,7 +359,9 @@ def tomography_pipeline(
     callable (axis_pair -> outcome quartet). With ``n_shots_per_axis == 0``
     the exact table is used directly (no randomness); otherwise `n_groups`
     empirical tables are sampled from counter-based per-group streams and
-    averaged, mirroring the grouped acquisition used for error bars.
+    averaged, mirroring the grouped acquisition used for error bars. The
+    bootstrap reconstructs and projects its resamples once, as one stack,
+    and both intervals are read from that stack.
     """
     if isinstance(source, ProbabilityTable):
         exact = source
@@ -345,9 +392,7 @@ def tomography_pipeline(
         stokes=stokes,
     )
     if groups is not None:
+        states = _bootstrap_states(groups, n_resamples, seed)
         for name in ("fidelity", "concurrence"):
-            lo, hi, _ = bootstrap_ci(
-                groups, n_resamples, statistic=name, seed=seed, target=target
-            )
-            est.ci[name] = (lo, hi)
+            est.ci[name] = _percentile_ci(_statistic_fn(name, target)(states))
     return est

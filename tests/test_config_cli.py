@@ -105,6 +105,31 @@ class TestValidateConfig:
             validate_config({"experiment": "phase_map", "options": {"center_mhz": center}})
         assert [path for path, _ in err.value.errors] == ["$.options.center_mhz"]
 
+    @pytest.mark.parametrize(
+        "experiment, key", [("donor_distance_fit", "points_csv"), ("phase_reversal", "data_csv")]
+    )
+    @pytest.mark.parametrize("value", [5, ["a.csv"], "no-such-dir/points.csv"])
+    def test_bad_csv_path_rejected(self, tmp_path, monkeypatch, experiment, key, value):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError) as err:
+            validate_config({"experiment": experiment, "options": {key: value}})
+        assert [path for path, _ in err.value.errors] == [f"$.options.{key}"]
+
+    def test_existing_csv_path_accepted(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("distance_nm,j_mhz\n10,300\n14,60\n18,5\n")
+        cfg = validate_config({"experiment": "donor_distance_fit", "options": {"points_csv": str(path)}})
+        assert cfg.options["points_csv"] == str(path)
+
+    @pytest.mark.parametrize("seed", [-3, 1.5, True])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigError) as err:
+            validate_config({"experiment": "phase_map", "seed": seed})
+        assert [path for path, _ in err.value.errors] == ["$.seed"]
+        with pytest.raises(ConfigError) as err:
+            validate_config({"experiment": "phase_map", "seed": 1}, seed=seed)
+        assert [path for path, _ in err.value.errors] == ["$.seed"]
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             validate_config("/nonexistent/config.json")
@@ -162,10 +187,27 @@ class TestCli:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["seed"] == 9
 
+    def test_negative_seed_override_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"experiment": "phase_map"})
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out_dir), "--seed", "-3"]) == 2
+        assert "$.seed" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("points_csv", [5, "/nonexistent.csv"])
+    def test_bad_points_csv_is_config_error(self, tmp_path, capsys, points_csv):
+        doc = {"experiment": "donor_distance_fit", "options": {"points_csv": points_csv}}
+        path = write_config(tmp_path, doc)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "$.options.points_csv" in capsys.readouterr().err
+
     def test_runtime_error_exit_code(self, tmp_path, capsys):
+        # the file exists and parses, but two points are too few to fit
+        csv = tmp_path / "points.csv"
+        csv.write_text("distance_nm,j_mhz\n10,300\n14,60\n")
         doc = {
             "experiment": "donor_distance_fit",
-            "options": {"points_csv": "/nonexistent.csv", "target_j_mhz": 12.0},
+            "options": {"points_csv": str(csv), "target_j_mhz": 12.0},
         }
         path = write_config(tmp_path, doc)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3

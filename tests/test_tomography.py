@@ -6,10 +6,17 @@ from hypothesis import given, strategies as st
 
 from donorpair import pulses as pl
 from donorpair import tomography as tm
-from donorpair.linalg import ContractError, nearest_physical_density
+from donorpair.linalg import (
+    PAULIS,
+    ContractError,
+    NotPositiveSemidefiniteError,
+    nearest_physical_density,
+    project_to_simplex,
+    psd_sqrt,
+)
 from donorpair.spinmodel import SystemParams
 
-from conftest import random_density, random_unitary
+from conftest import random_density, random_hermitian, random_unitary
 
 PSI_PLUS = tm.PSI_PLUS
 
@@ -243,6 +250,229 @@ class TestBootstrap:
     def test_needs_two_groups(self, params):
         with pytest.raises(ContractError):
             tm.bootstrap_ci(self.make_groups(params, n=1), 200, "fidelity")
+
+
+# Reference for the stacked bootstrap: the per-resample loop and the
+# single-matrix kernels it ran on (mean table -> Stokes sums -> 16 Kronecker
+# products -> eigh and waterfilling per resample).
+
+
+def _ref_stokes(table):
+    s = np.zeros((4, 4))
+    for ia, a in enumerate(tm.PAULI_LABELS):
+        for ib, b in enumerate(tm.PAULI_LABELS):
+            quartet = table.pairs[("Z" if a == "I" else a, "Z" if b == "I" else b)]
+            total = 0.0
+            for q1 in (0, 1):
+                for q2 in (0, 1):
+                    sign1 = 1.0 if (a == "I" or q1 == 0) else -1.0
+                    sign2 = 1.0 if (b == "I" or q2 == 0) else -1.0
+                    total += sign1 * sign2 * quartet[2 * q1 + q2]
+            s[ia, ib] = total
+    return s
+
+
+def _ref_density(stokes):
+    rho = np.zeros((4, 4), dtype=complex)
+    for ia, a in enumerate(tm.PAULI_LABELS):
+        for ib, b in enumerate(tm.PAULI_LABELS):
+            rho += stokes[ia, ib] * np.kron(PAULIS[a], PAULIS[b])
+    return rho / 4.0
+
+
+def _ref_simplex(vals):
+    mu = np.sort(vals)[::-1]
+    shifted = mu - (np.cumsum(mu) - 1.0) / np.arange(1, len(vals) + 1)
+    k = int(np.nonzero(shifted > 0)[0][-1]) + 1
+    return np.clip(vals - (np.cumsum(mu)[k - 1] - 1.0) / k, 0.0, None)
+
+
+def _ref_physical(m):
+    m = (m + m.conj().T) / 2.0
+    m = m / np.trace(m).real
+    w, v = np.linalg.eigh(m)
+    return (v * _ref_simplex(w)) @ v.conj().T
+
+
+def _ref_concurrence(rho):
+    rho = (rho + rho.conj().T) / 2.0
+    if np.min(np.linalg.eigvalsh(rho)) < 0:
+        rho = _ref_physical(rho)
+    w, v = np.linalg.eigh(rho)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    yy = np.kron(PAULIS["Y"], PAULIS["Y"])
+    inner = root @ yy @ rho.conj() @ yy @ root
+    disc = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
+    lam = np.sort(np.sqrt(np.where(disc < 1e-10, 0.0, disc)))[::-1]
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def _ref_bootstrap_stats(groups, n_resamples, statistic, seed):
+    stat = {"fidelity": lambda rho: tm.fidelity(rho, PSI_PLUS), "concurrence": _ref_concurrence}[statistic]
+    stats = np.zeros(n_resamples)
+    for k in range(n_resamples):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
+        pick = rng.integers(0, len(groups), size=len(groups))
+        tab = tm.mean_table([groups[i] for i in pick])
+        stats[k] = stat(_ref_physical(_ref_density(_ref_stokes(tab))))
+    return stats
+
+
+@pytest.fixture(scope="module")
+def bell_tables(params):
+    """Exact Bell-preparation tables at p_up = 0 (a pure, rank-one state) and
+    at the calibrated p_up = 0.14."""
+    return {
+        p_up: tm.sequence_table(params, pl.bell_prep(), noise=pl.NoiseModel(p_up=p_up))
+        for p_up in (0.0, 0.14)
+    }
+
+
+def _oracle_groups(tables, kind, n_groups, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "exact_p0":  # every resample is the pure Bell state
+        return [tables[0.0]] * n_groups
+    if kind == "mixed_p0":  # exact and sampled p_up = 0 tables: rank-deficient projections
+        return [tables[0.0] if g % 2 else tm.sample_table(tables[0.0], 200, rng) for g in range(n_groups)]
+    return [tm.sample_table(tables[0.14], 1000, rng) for _ in range(n_groups)]
+
+
+class TestStackedBootstrapOracle:
+    @pytest.mark.parametrize("statistic", ["fidelity", "concurrence"])
+    @pytest.mark.parametrize("n_groups", [2, 5, 16])
+    @pytest.mark.parametrize("kind", ["sampled_p014", "mixed_p0", "exact_p0"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_matches_per_resample_loop(self, bell_tables, statistic, n_groups, kind, seed):
+        groups = _oracle_groups(bell_tables, kind, n_groups, seed)
+        lo, hi, stats = tm.bootstrap_ci(groups, 120, statistic, seed=seed)
+        ref = _ref_bootstrap_stats(groups, 120, statistic, seed)
+        assert np.max(np.abs(stats - ref)) < 1e-12
+        ref_lo, ref_hi = np.percentile(ref, [2.5, 97.5])
+        assert abs(lo - ref_lo) < 1e-12 and abs(hi - ref_hi) < 1e-12
+
+    def test_rank_deficient_groups_project_to_low_rank(self, bell_tables):
+        # the exact p_up = 0 groups project to states whose two smallest
+        # eigenvalues are zero up to rounding, the input the oracle test feeds
+        # to concurrence's re-projection and discriminant clip
+        groups = _oracle_groups(bell_tables, "mixed_p0", 5, 0)
+        states = tm._bootstrap_states(groups, 120, 0)
+        assert np.all(np.linalg.eigvalsh(states)[:, :2] < 1e-10)
+
+    def test_pipeline_intervals_match_bootstrap_ci(self, bell_tables):
+        est = tm.tomography_pipeline(bell_tables[0.14], n_shots_per_axis=1000, n_resamples=150, seed=4)
+        groups = [
+            tm.sample_table(bell_tables[0.14], 1000, np.random.default_rng(np.random.SeedSequence([4, g])))
+            for g in range(5)
+        ]
+        for name in ("fidelity", "concurrence"):
+            lo, hi, _ = tm.bootstrap_ci(groups, 150, name, seed=4)
+            assert est.ci[name] == (lo, hi)
+
+    def test_callable_statistic_sees_each_state(self, bell_tables):
+        groups = _oracle_groups(bell_tables, "sampled_p014", 5, 1)
+        _, _, stats = tm.bootstrap_ci(groups, 120, lambda rho: float(np.real(rho[1, 2])), seed=1)
+        _, _, fid = tm.bootstrap_ci(groups, 120, "fidelity", seed=1)
+        # F(psi+) = (rho11 + rho22)/2 + Re rho12
+        states = tm._bootstrap_states(groups, 120, 1)
+        diag = np.real(states[:, 1, 1] + states[:, 2, 2]) / 2
+        assert np.max(np.abs(diag + stats - fid)) < 1e-12
+
+
+class TestStackedKernels:
+    @pytest.fixture
+    def stack(self, rng, bell_tables):
+        """Random states, noisy unit-trace Hermitian matrices with negative
+        eigenvalues, and rank-deficient reconstructions."""
+        mats = [random_density(rng, 4) for _ in range(6)]
+        for _ in range(6):
+            noisy = random_density(rng, 4) + 0.2 * np.diag([1, -1, 1, -1])
+            mats.append((noisy + noisy.conj().T) / 2)
+        mats.append(bell_rho())
+        mats.append(tm.density_from_stokes(_ref_stokes(bell_tables[0.0])))
+        return np.array(mats)
+
+    def test_stokes_and_inversion(self, rng, bell_tables):
+        tables = [tm.table_from_state(random_density(rng, 4)) for _ in range(4)] + [bell_tables[0.14]]
+        stack = tm.stokes_from_probabilities(tables)
+        assert stack.shape == (5, 4, 4)
+        rhos = tm.density_from_stokes(stack)
+        for tab, s, rho in zip(tables, stack, rhos):
+            assert np.max(np.abs(s - _ref_stokes(tab))) < 1e-15
+            assert np.max(np.abs(tm.stokes_from_probabilities(tab) - s)) < 1e-15
+            assert np.max(np.abs(rho - _ref_density(s))) < 1e-15
+            assert np.max(np.abs(tm.density_from_stokes(s) - rho)) < 1e-15
+
+    def test_simplex(self, rng):
+        vals = rng.normal(size=(50, 4)) * rng.uniform(0.1, 3.0, size=(50, 1))
+        out = project_to_simplex(vals)
+        for v, o in zip(vals, out):
+            assert np.max(np.abs(o - _ref_simplex(v))) < 1e-15
+            assert np.max(np.abs(project_to_simplex(v) - o)) < 1e-15
+        for bad in (np.nan, np.inf):
+            vals[7, 2] = bad
+            with pytest.raises(ContractError, match="non-finite"):
+                project_to_simplex(vals)
+
+    def test_physical_projection_and_concurrence(self, stack):
+        phys = nearest_physical_density(stack)
+        conc = tm.concurrence(phys)
+        fid = tm.fidelity(phys, PSI_PLUS)
+        assert phys.shape == stack.shape and conc.shape == fid.shape == (len(stack),)
+        for m, p, c, f in zip(stack, phys, conc, fid):
+            single = nearest_physical_density(m)
+            assert np.max(np.abs(single - p)) < 1e-15
+            assert np.max(np.abs(single - _ref_physical(m))) < 1e-12
+            assert abs(tm.concurrence(single) - c) < 1e-12
+            assert abs(_ref_concurrence(single) - c) < 1e-12
+            assert abs(tm.fidelity(single, PSI_PLUS) - f) < 1e-15
+        assert isinstance(tm.concurrence(phys[0]), float)
+        assert isinstance(tm.fidelity(phys[0], PSI_PLUS), float)
+
+    def test_concurrence_reprojects_slightly_negative_states(self, rng):
+        # pure states plus a 1e-5 traceless perturbation: eigenvalues below
+        # the PSD clip, within concurrence's rounding allowance
+        mats = []
+        for _ in range(8):
+            psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+            psi /= np.linalg.norm(psi)
+            h = random_hermitian(rng, 4)
+            mats.append(np.outer(psi, psi.conj()) + 1e-5 * (h - np.trace(h) * np.eye(4) / 4))
+        mats = np.array(mats)
+        assert np.all(np.linalg.eigvalsh(mats)[:, 0] < -1e-8)
+        conc = tm.concurrence(mats)
+        for m, c in zip(mats, conc):
+            assert abs(tm.concurrence(m) - c) < 1e-12
+            assert abs(_ref_concurrence(m) - c) < 1e-12
+
+    def test_psd_sqrt_stack(self, stack):
+        phys = nearest_physical_density(stack)
+        roots = psd_sqrt(phys)
+        for p, r in zip(phys, roots):
+            assert np.max(np.abs(psd_sqrt(p) - r)) < 1e-14
+            assert np.max(np.abs(r @ r - p)) < 1e-12
+
+    def test_checks_cover_every_matrix(self, stack):
+        phys = nearest_physical_density(stack)
+        bad_stokes = tm.stokes_from_probabilities([tm.table_from_state(bell_rho())] * 3)
+        bad_stokes[1, 0, 0] = 0.9
+        with pytest.raises(ContractError, match="S\\[I, I\\]"):
+            tm.density_from_stokes(bad_stokes)
+        zero_trace = stack.copy()
+        zero_trace[2] = 0.0
+        with pytest.raises(ContractError, match="zero trace"):
+            nearest_physical_density(zero_trace)
+        unphysical = phys.copy()
+        unphysical[3] = np.diag([1.5, 0.0, 0.0, -0.5])
+        with pytest.raises(ContractError, match="positivity"):
+            tm.concurrence(unphysical)
+        not_psd = phys.copy()
+        not_psd[4] = np.diag([1.0, 1e-3, 0.0, -1e-3])
+        with pytest.raises(NotPositiveSemidefiniteError):
+            psd_sqrt(not_psd)
+        not_hermitian = phys.copy()
+        not_hermitian[5, 0, 1] += 1e-6
+        with pytest.raises(ContractError, match="not Hermitian"):
+            psd_sqrt(not_hermitian)
 
 
 class TestPipeline:
