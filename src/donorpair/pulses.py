@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import ContractError, hermitian_eig, unitary_exp
+from .linalg import SUPPORTED_DIMS, ContractError, hermitian_eig, unitary_exp
 from .spinmodel import (
     ELECTRONS,
     NUCLEI,
@@ -351,29 +351,30 @@ class SequenceEngine:
 
     # -- pulse propagators -----------------------------------------------------
 
-    def _frame_diag(self, f_e: float) -> np.ndarray:
+    def _frame_diag(self, f_e: float, f_n=None) -> np.ndarray:
+        """Eigenbasis diagonal of the frame generator: the electrons at f_e,
+        the nuclei at f_n = (f_n1, f_n2), by default their standing
+        references."""
+        f_n1, f_n2 = (self.f_n1_ref, self.f_n2_ref) if f_n is None else f_n
         return (
-            self.f_n1_ref * self._zdiag["n1"]
-            + self.f_n2_ref * self._zdiag["n2"]
+            f_n1 * self._zdiag["n1"]
+            + f_n2 * self._zdiag["n2"]
             + f_e * (self._zdiag["e1"] + self._zdiag["e2"])
         ) / 2.0
 
-    def _frame_op(self, f_e: float) -> np.ndarray:
-        v = self.vectors
-        return (v * self._frame_diag(f_e)) @ v.conj().T
-
-    def free_hamiltonian(self, f_e: float | None = None, offsets=None) -> np.ndarray:
+    def free_hamiltonian(self, f_e: float | None = None, offsets=None, f_n=None) -> np.ndarray:
         """Frame-stripped static Hamiltonian, optionally with per-spin
         quasi-static detuning offsets (MHz, added along each spin's Z)."""
         f_e = self.f_e_default if f_e is None else f_e
-        h = self.h_sec - self._frame_op(f_e)
+        v = self.vectors
+        h = self.h_sec - (v * self._frame_diag(f_e, f_n)) @ v.conj().T
         if offsets:
             for spin, delta in offsets.items():
                 h = h + delta * self._pauli[(spin, "z")] / 2.0
         return h
 
     def _pulse_frame(self, pulse: PulseSpec):
-        """Per-pulse frame frequencies (f_n1, f_n2, f_e, signed) plus the
+        """Per-pulse frame frequencies ((f_n1, f_n2), f_e, signed) plus the
         diagonal that re-aligns nuclear phases to the standing frame.
 
         A radio pulse rotates both nuclei at its own carrier so the drive is
@@ -394,50 +395,41 @@ class SequenceEngine:
             (self.f_n1_ref - fn1) * np.diag(self._pauli[("n1", "z")]).real
             + (self.f_n2_ref - fn2) * np.diag(self._pauli[("n2", "z")]).real
         ) / 2.0
-        return fn1, fn2, fe, realign
-
-    def _frame_diag_custom(self, fn1: float, fn2: float, fe: float) -> np.ndarray:
-        return (
-            fn1 * self._zdiag["n1"]
-            + fn2 * self._zdiag["n2"]
-            + fe * (self._zdiag["e1"] + self._zdiag["e2"])
-        ) / 2.0
+        return (fn1, fn2), fe, realign
 
     def pulse_propagator(
         self,
         pulse: PulseSpec,
         mode: str,
-        shift_profile=None,
-        n_slices: int = 1,
+        pirs: PIRSModel | None = None,
         offsets=None,
+        durations_us=None,
     ) -> np.ndarray:
         """Unitary of one rectangular pulse, in the product basis and the
         standing frame.
 
-        `shift_profile(t_us)` gives a resonance drift in MHz applied along the
-        driven species' Z axis, integrated piecewise over `n_slices`.
+        With an enabled `pirs` the resonance drifts along the driven species'
+        Z axis with the model's relaxation profile (see `sliced_propagators`).
+        Given `durations_us`, the pulse is evaluated at each of those
+        durations in place of its own, and a (durations, 16, 16) stack is
+        returned.
         """
         if mode not in MODES:
             raise ContractError(f"unknown mode {mode!r}")
         self._check_selectivity(pulse, mode)
-        fn1, fn2, fe, realign = self._pulse_frame(pulse)
+        f_n, fe, realign = self._pulse_frame(pulse)
 
-        _, x_op, y_op = self.channel_ops[pulse.channel]
+        z_op, x_op, y_op = self.channel_ops[pulse.channel]
         drive = pulse.rabi_mhz * (
             math.cos(pulse.phase_rad) * x_op + math.sin(pulse.phase_rad) * y_op
         )
 
         v = self.vectors
-        frame = self._frame_diag_custom(fn1, fn2, fe)
         if mode == FULL_DYNAMICS:
-            h_free = self.h_sec - (v * frame) @ v.conj().T
-            if offsets:
-                for spin, delta in offsets.items():
-                    h_free = h_free + delta * self._pauli[(spin, "z")] / 2.0
-            h0 = h_free + drive
-            z_shift = self.channel_ops[pulse.channel][0]
+            h0 = self.free_hamiltonian(fe, offsets, f_n) + drive
+            z_shift = z_op
         else:
-            diag = self.energies - frame
+            diag = self.energies - self._frame_diag(fe, f_n)
             if offsets:
                 for spin, delta in offsets.items():
                     diag = diag + delta * self._zdiag[spin] / 2.0
@@ -449,34 +441,29 @@ class SequenceEngine:
             else:
                 z_shift = np.diag(self._zdiag["e1"] + self._zdiag["e2"]) / 2.0
 
-        if shift_profile is None:
-            u = unitary_exp(h0, pulse.duration_us)
-        else:
-            dt = pulse.duration_us / n_slices
-            u = np.eye(16, dtype=complex)
-            for k in range(n_slices):
-                eps = shift_profile((k + 0.5) * dt)
-                u = unitary_exp(h0 + eps * z_shift, dt) @ u
+        t = np.atleast_1d(pulse.duration_us if durations_us is None else durations_us)
+        u = sliced_propagators(h0, z_shift, t, pirs)
         if mode == GATE_MODEL:
             u = v @ u @ v.conj().T
-        phases = np.exp(2j * np.pi * realign * pulse.duration_us)
-        return (phases[:, None] * u) if np.any(realign) else u
+        if np.any(realign):
+            u = np.exp(2j * np.pi * realign * t[:, None])[..., None] * u
+        return u[0] if durations_us is None else u
 
     def _check_selectivity(self, pulse: PulseSpec, mode: str) -> None:
         if mode != FULL_DYNAMICS:
             return
-        x = self._drive_x[pulse.channel]
         f = abs(pulse.carrier_mhz + pulse.detuning_mhz)
-        gaps = []
-        for i in range(16):
-            for j in range(i + 1, 16):
-                if abs(x[j, i]) > GATE_PAIR_THRESHOLD:
-                    gaps.append(abs(abs(self.energies[j] - self.energies[i]) - f))
-        gaps = sorted(g for g in gaps if g > 1e-9)
-        if gaps and pulse.rabi_mhz > 0.25 * gaps[0]:
+        e = self.energies
+        gaps = np.abs(np.abs(e[None, :] - e[:, None]) - f)  # [i, j]: ||E_j - E_i| - f|
+        # driven pairs i < j, with the drive element taken as x[j, i]
+        driven = np.triu(self._gate_mask[pulse.channel].T, 1) & (gaps > 1e-9)
+        if not np.any(driven):
+            return
+        nearest = gaps[driven].min()
+        if pulse.rabi_mhz > 0.25 * nearest:
             warnings.warn(
                 f"rabi {pulse.rabi_mhz} MHz exceeds a quarter of the "
-                f"{gaps[0]:.3f} MHz splitting to the nearest off-target line",
+                f"{nearest:.3f} MHz splitting to the nearest off-target line",
                 stacklevel=3,
             )
 
@@ -520,13 +507,8 @@ class SequenceEngine:
                 return np.eye(16, dtype=complex)
             return self.step_unitary(projection_gate(step.spin, step.axis), mode, offsets)
         if isinstance(step, PulseStep):
-            shift = None
-            n_slices = 1
-            if step.apply_pirs and pirs is not None and pirs.enabled:
-                shift = relaxation_detuning_profile(pirs)
-                n_slices = max(16, int(step.pulse.duration_us / 0.05))
             return self.pulse_propagator(
-                step.pulse, mode, shift_profile=shift, n_slices=n_slices, offsets=offsets
+                step.pulse, mode, pirs=pirs if step.apply_pirs else None, offsets=offsets
             )
         if isinstance(step, IdleStep):
             return self.idle_propagator(step.duration_us, offsets=offsets)
@@ -546,30 +528,89 @@ def engine_for(
 # resonance drift
 
 
-def pirs_detuning(t_us: float, model: PIRSModel, drive_active: bool) -> float:
-    """Drift of the electron resonance in kHz after a time t.
+def pirs_detuning(t_us, model: PIRSModel, drive_active: bool):
+    """Drift of the electron resonance in kHz after a time t (a float or an
+    array of times).
 
     While a radio-frequency drive is active the shift approaches the
     saturation amplitude; otherwise it relaxes back toward zero. The value is
     added to the detuning of electron pulses.
     """
-    decay = math.exp(-t_us / model.time_constant_us)
+    decay = np.exp(-np.asarray(t_us, dtype=float) / model.time_constant_us)
     if drive_active:
         return model.shift_khz + (model.accumulated_khz - model.shift_khz) * decay
     return model.accumulated_khz * decay
 
 
 def relaxation_detuning_profile(model: PIRSModel):
-    """Detuning profile (MHz vs us) of an electron pulse that starts with the
-    drift saturated and the carrier recalibrated onto the shifted line: as the
-    shift relaxes, the effective detuning sweeps from 0 toward the full
-    amplitude."""
+    """Detuning profile (MHz vs us, vectorised over times) of an electron
+    pulse that starts with the drift saturated and the carrier recalibrated
+    onto the shifted line: as the shift relaxes, the effective detuning
+    sweeps from 0 toward the full amplitude."""
     saturated = replace(model, accumulated_khz=model.shift_khz)
 
-    def profile(t_us: float) -> float:
+    def profile(t_us):
         return (pirs_detuning(t_us, saturated, drive_active=False) - saturated.shift_khz) / 1e3
 
     return profile
+
+
+def _diagonal_blocks(h0, z_shift):
+    """(rows, cols) index arrays of the diagonal blocks that the joint
+    nonzero pattern of h0 and z_shift splits into: its connected index sets
+    when they all have one size that `unitary_exp` takes, else one block
+    holding every index."""
+    reach = (h0 != 0) | (z_shift != 0)
+    dim = reach.shape[-1]
+    reach = reach | reach.T | np.eye(dim, dtype=bool)
+    for _ in range((dim - 1).bit_length()):  # paths of up to dim - 1 steps
+        reach = reach @ reach
+    size = reach.sum(axis=1)  # size of each index's component
+    if np.any(size != size[0]) or size[0] not in SUPPORTED_DIMS:
+        idx = np.arange(dim)[None]
+    else:  # group the indices by the lowest index of their component
+        idx = np.argsort(reach.argmax(axis=1), kind="stable").reshape(-1, size[0])
+    return idx[:, :, None], idx[:, None, :]
+
+
+def sliced_propagators(h0, z_shift, durations_us, pirs: PIRSModel | None = None) -> np.ndarray:
+    """Propagators of a drive Hamiltonian h0 + eps(t) z_shift at every
+    duration, as a (durations, d, d) stack; eps(t) is the relaxation profile
+    of `pirs`, or 0 when the model is None or off.
+
+    Without drift every duration comes from one eigendecomposition of each
+    block (see below), or of h0 for a single duration. With drift a pulse of
+    duration t is cut into max(16, int(t / 0.05)) equal slices, each evolved
+    under the shift at its midpoint. All durations advance together one
+    slice index at a time: step k exponentiates one stack holding the
+    slice-k Hamiltonians of the durations that still have a slice k and
+    left-multiplies it into their running products (u = U_k @ u). The
+    Hamiltonians are cut into the diagonal blocks of the joint nonzero
+    pattern of h0 and z_shift, found for each call, so a step exponentiates
+    blocks (four 4x4 nuclear sectors for an electron pulse in full dynamics)
+    rather than whole matrices.
+    """
+    t = np.asarray(durations_us, dtype=float)
+    drift = pirs is not None and pirs.enabled
+    if not drift and t.size == 1:
+        return unitary_exp(h0, t)  # one exponential: splitting it saves nothing
+    rows, cols = _diagonal_blocks(h0, z_shift)
+    h_blocks, z_blocks = h0[rows, cols], z_shift[rows, cols]
+    if not drift:
+        u = unitary_exp(h_blocks, t[:, None])
+    else:
+        n = np.maximum(16, (t / 0.05).astype(int))
+        dt = t / n
+        profile = relaxation_detuning_profile(pirs)
+        u = np.empty(t.shape + h_blocks.shape, dtype=complex)
+        for k in range(n.max(initial=0)):
+            on = n > k  # durations that still have a slice k
+            eps = profile((k + 0.5) * dt[on])
+            step = unitary_exp(h_blocks + eps[:, None, None, None] * z_blocks, dt[on, None])
+            u[on] = step if k == 0 else step @ u[on]
+    out = np.zeros(t.shape + h0.shape, dtype=complex)
+    out[:, rows, cols] = u
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -835,6 +876,13 @@ def phase_map_center_frequency(engine: SequenceEngine) -> float:
     return 0.5 * (f_a + f_b)
 
 
+def _duration_grid(durations_us) -> np.ndarray:
+    durs = np.asarray(durations_us, dtype=float)
+    if np.any(durs < 0):
+        raise ContractError(f"negative duration {durs.min()} us")
+    return durs
+
+
 def _electron_load(p_up: float) -> np.ndarray:
     return np.diag(
         [p_up * p_up, p_up * (1 - p_up), (1 - p_up) * p_up, (1 - p_up) * (1 - p_up)]
@@ -913,11 +961,9 @@ def phase_map(
     noise = noise or NoiseModel()
     engine = engine or engine_for(params)
     freqs = np.asarray(freqs_mhz, dtype=float)
-    durs = np.asarray(durations_us, dtype=float)
+    durs = _duration_grid(durations_us)
     if freqs.size == 0 or durs.size == 0:
         raise ContractError("frequency and duration grids must be non-empty")
-    if np.any(durs < 0):
-        raise ContractError(f"negative duration {durs.min()} us")
 
     weights, readout_starts, projectors = _flip_readout(engine, "n2", mode, noise.p_up)
     n_spectator = weights.size
@@ -1015,32 +1061,23 @@ def calibrate_point(
 def addressed_pulse_unitary(
     engine: SequenceEngine,
     tr: Transition,
-    duration_us: float,
+    duration_us,
     rabi_mhz: float | None = None,
     pirs: PIRSModel | None = None,
-    n_slices: int | None = None,
 ) -> np.ndarray:
     """Ideal addressed drive: generalized-Rabi SU(2) on the addressed pair
-    only, identity elsewhere, with an optional piecewise detuning drift."""
+    only, identity elsewhere, with an optional piecewise detuning drift of
+    the upper level. A vector of durations gives a (durations, 16, 16)
+    stack."""
     rabi = engine.rabi["ESR"] if rabi_mhz is None else rabi_mhz
     omega = rabi * tr.amplitude
-    if pirs is not None and pirs.enabled:
-        profile = relaxation_detuning_profile(pirs)
-        slices = n_slices or max(16, int(duration_us / 0.05))
-    else:
-        profile = None
-        slices = 1
-    u2 = np.eye(2, dtype=complex)
-    dt = duration_us / slices if slices else 0.0
-    for k in range(slices):
-        delta = profile((k + 0.5) * dt) if profile else 0.0
-        h2 = np.array([[0.0, omega / 2], [omega / 2, delta]], dtype=complex)
-        u2 = unitary_exp(h2, dt) @ u2
-    u = np.eye(16, dtype=complex)
-    lo, hi = tr.lo_index, tr.hi_index
-    u[lo, lo], u[lo, hi] = u2[0, 0], u2[0, 1]
-    u[hi, lo], u[hi, hi] = u2[1, 0], u2[1, 1]
-    return u
+    h2 = np.array([[0.0, omega / 2], [omega / 2, 0.0]], dtype=complex)
+    t = np.asarray(duration_us, dtype=float)
+    u2 = sliced_propagators(h2, np.diag([0.0, 1.0]), t.reshape(-1), pirs)
+    u = np.tile(np.eye(16, dtype=complex), (u2.shape[0], 1, 1))
+    pair = np.array([tr.lo_index, tr.hi_index])
+    u[:, pair[:, None], pair] = u2
+    return u.reshape(t.shape + (16, 16))
 
 
 def cz_flip_curve(
@@ -1060,24 +1097,21 @@ def cz_flip_curve(
     """
     noise = noise or NoiseModel()
     engine = engine or engine_for(params)
-    durs = np.asarray(durations_us, dtype=float)
+    durs = _duration_grid(durations_us)
     tr = engine.electron_transition("e2", n1=0, n2=1)
-    carrier = abs(tr.frequency_mhz)
-    rabi = engine.rabi["ESR"]
 
     weights, starts, projectors = _flip_readout(engine, "n1", mode, noise.p_up)
+    if mode == GATE_MODEL:
+        drives = addressed_pulse_unitary(engine, tr, durs, pirs=pirs)
+    else:
+        pulse = PulseSpec(
+            channel="ESR", carrier_mhz=abs(tr.frequency_mhz), rabi_mhz=engine.rabi["ESR"], duration_us=0.0
+        )
+        drives = engine.pulse_propagator(pulse, mode, pirs=pirs, durations_us=durs)
     q = np.zeros((weights.size, 2, durs.size))
-    for di, t in enumerate(durs):
-        if mode == GATE_MODEL:
-            u_drive = addressed_pulse_unitary(engine, tr, float(t), pirs=pirs)
-        else:
-            step = PulseStep(
-                PulseSpec(
-                    channel="ESR", carrier_mhz=carrier, rabi_mhz=rabi, duration_us=float(t)
-                ),
-                apply_pirs=pirs is not None,
-            )
-            u_drive = engine.step_unitary(step, mode, pirs=pirs)
+    # the readout runs one duration at a time, keeping the working set to
+    # the propagator stack
+    for di, u_drive in enumerate(drives):
         evolved = u_drive @ starts @ u_drive.conj().T
         # q[s, b] = Tr(projector_b rho_sb)
         q[..., di] = np.einsum("bij,sbji->sb", projectors, evolved).real

@@ -86,6 +86,19 @@ class TestUnitaryExp:
     def test_negative_duration_rejected(self):
         with pytest.raises(ContractError):
             unitary_exp(np.eye(2), -0.1)
+        with pytest.raises(ContractError, match="negative duration -0.5 us"):
+            unitary_exp(np.eye(2), [0.0, 1.0, -0.5])
+
+    def test_durations_broadcast_against_the_stack(self, rng):
+        # one matrix and a vector of durations, or one duration per matrix
+        hs = np.array([random_hermitian(rng, 4) for _ in range(3)])
+        ts = np.array([0.0, 0.4, 2.5])
+        want = np.array([[unitary_exp(h, t) for t in ts] for h in hs])
+        close = lambda a, b: np.max(np.abs(a - b)) < 1e-13
+        for i, h in enumerate(hs):
+            assert close(unitary_exp(h, ts), want[i])
+        assert close(unitary_exp(hs, ts), want[np.arange(3), np.arange(3)])
+        assert close(unitary_exp(hs, ts[:, None]), want.swapaxes(0, 1))
 
 
 class TestPsdSqrt:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from donorpair import pulses as pl
-from donorpair.linalg import ContractError, partial_trace
+from donorpair.linalg import ContractError, partial_trace, unitary_exp
 from donorpair.spinmodel import SPINS, SystemParams, basis_index, bloch_vector, pauli_op
 
 PSI_PLUS = np.array([0, 1, 1, 0]) / np.sqrt(2)
@@ -418,6 +418,92 @@ def reference_phase_map(params, freqs, durs, mode, p_up, observables):
     return pf, obs
 
 
+def reference_sliced_exp(h0, z_shift, t, pirs):
+    """Drifting drive propagator, one `unitary_exp` per slice: a saturated,
+    recalibrated drift relaxes the resonance during the pulse, sampled at
+    each slice midpoint."""
+    if pirs is None or not pirs.enabled:
+        return unitary_exp(h0, t)
+    n_slices = max(16, int(t / 0.05))
+    dt = t / n_slices
+    u = np.eye(h0.shape[0], dtype=complex)
+    for k in range(n_slices):
+        decay = math.exp(-(k + 0.5) * dt / pirs.time_constant_us)
+        eps = (pirs.shift_khz * decay - pirs.shift_khz) / 1e3
+        u = unitary_exp(h0 + eps * z_shift, dt) @ u
+    return u
+
+
+def reference_pulse_propagator(engine, pulse, mode, pirs=None, offsets=None):
+    """Unitary of one rectangular pulse, built matrix by matrix: the pulse
+    frame, the rotating-wave Hamiltonian in the product basis (full
+    dynamics) or truncated in the eigenbasis (gate model), the drift along
+    the driven species' Z, and the re-alignment to the standing frame."""
+    f = pulse.carrier_mhz + pulse.detuning_mhz
+    if pulse.channel == "NMR":
+        fn1 = fn2 = (-1.0 if engine.f_n1_ref < 0 else 1.0) * f
+        fe = engine.f_e_default
+    else:
+        fn1, fn2, fe = engine.f_n1_ref, engine.f_n2_ref, f
+    zd = engine._zdiag
+    frame = (fn1 * zd["n1"] + fn2 * zd["n2"] + fe * (zd["e1"] + zd["e2"])) / 2.0
+    z_op, x_op, y_op = engine.channel_ops[pulse.channel]
+    drive = pulse.rabi_mhz * (math.cos(pulse.phase_rad) * x_op + math.sin(pulse.phase_rad) * y_op)
+    v = engine.vectors
+    offsets = offsets or {}
+    if mode == pl.FULL_DYNAMICS:
+        h0 = engine.h_sec - (v * frame) @ v.conj().T
+        for spin, delta in offsets.items():
+            h0 = h0 + delta * pauli_op(spin, "z") / 2.0
+        h0 = h0 + drive
+        z_shift = z_op
+    else:
+        diag = engine.energies - frame
+        for spin, delta in offsets.items():
+            diag = diag + delta * zd[spin] / 2.0
+        d_eig = np.where(engine._gate_mask[pulse.channel], v.conj().T @ drive @ v, 0.0)
+        h0 = np.diag(diag) + d_eig
+        species = ("n1", "n2") if pulse.channel == "NMR" else ("e1", "e2")
+        z_shift = np.diag(zd[species[0]] + zd[species[1]]) / 2.0
+    u = reference_sliced_exp(h0, z_shift, pulse.duration_us, pirs)
+    if mode == pl.GATE_MODEL:
+        u = v @ u @ v.conj().T
+    realign = (
+        (engine.f_n1_ref - fn1) * np.diag(pauli_op("n1", "z")).real
+        + (engine.f_n2_ref - fn2) * np.diag(pauli_op("n2", "z")).real
+    ) / 2.0
+    return np.exp(2j * np.pi * realign * pulse.duration_us)[:, None] * u
+
+
+def reference_addressed_unitary(engine, tr, t, pirs):
+    """Generalized-Rabi SU(2) on the addressed pair, drift on its upper level."""
+    omega = engine.rabi["ESR"] * tr.amplitude
+    h2 = np.array([[0.0, omega / 2], [omega / 2, 0.0]], dtype=complex)
+    u2 = reference_sliced_exp(h2, np.diag([0.0, 1.0]), t, pirs)
+    u = np.eye(16, dtype=complex)
+    pair = [tr.lo_index, tr.hi_index]
+    u[np.ix_(pair, pair)] = u2
+    return u
+
+
+def reference_selectivity_message(engine, pulse):
+    """Selectivity warning text from the pair-by-pair scan, or None."""
+    x = engine._drive_x[pulse.channel]
+    f = abs(pulse.carrier_mhz + pulse.detuning_mhz)
+    gaps = []
+    for i in range(16):
+        for j in range(i + 1, 16):
+            if abs(x[j, i]) > pl.GATE_PAIR_THRESHOLD:
+                gaps.append(abs(abs(engine.energies[j] - engine.energies[i]) - f))
+    gaps = sorted(g for g in gaps if g > 1e-9)
+    if gaps and pulse.rabi_mhz > 0.25 * gaps[0]:
+        return (
+            f"rabi {pulse.rabi_mhz} MHz exceeds a quarter of the "
+            f"{gaps[0]:.3f} MHz splitting to the nearest off-target line"
+        )
+    return None
+
+
 def reference_cz_flip_curve(params, durs, pirs, mode, p_up):
     engine = pl.engine_for(params)
     tr = engine.electron_transition("e2", n1=0, n2=1)
@@ -425,11 +511,10 @@ def reference_cz_flip_curve(params, durs, pirs, mode, p_up):
     out = np.zeros(len(durs))
     for di, t in enumerate(durs):
         if mode == pl.GATE_MODEL:
-            u_drive = pl.addressed_pulse_unitary(engine, tr, float(t), pirs=pirs)
+            u_drive = reference_addressed_unitary(engine, tr, float(t), pirs)
         else:
             pulse = pl.PulseSpec("ESR", abs(tr.frequency_mhz), engine.rabi["ESR"], float(t))
-            step = pl.PulseStep(pulse, apply_pirs=pirs is not None)
-            u_drive = engine.step_unitary(step, mode, pirs=pirs)
+            u_drive = reference_pulse_propagator(engine, pulse, mode, pirs)
         for b2, weight in {0: p_up, 1: 1.0 - p_up}.items():
             if weight != 0.0:
                 q_flip = _flip_probabilities(opening, u_drive, "n1", b2, p_up)
@@ -477,6 +562,72 @@ class TestClosedFormKernels:
         want = reference_cz_flip_curve(params, durs, pirs, mode, 0.14)
         assert np.max(np.abs(got - want)) < ORACLE_TOL
 
+    @pytest.mark.parametrize("mode", pl.MODES)
+    @pytest.mark.parametrize("channel", ["ESR", "NMR"])
+    @pytest.mark.parametrize("pirs", [None, FALLBACK_DRIFT], ids=["ideal", "drift"])
+    def test_pulse_step_matches_per_slice_loop(self, params, engine, mode, channel, pirs):
+        # one phased pulse through run_sequence, with one shot's quasi-static
+        # offsets; the nuclear pulse's slices do not split by nuclear sector
+        if channel == "ESR":
+            tr = engine.electron_transition("e2", n1=0, n2=1)
+            rabi, duration = engine.rabi["ESR"], 3.1
+        else:
+            tr = engine.nuclear_transition("n1")
+            rabi, duration = 0.05, 2.3
+        pulse = pl.PulseSpec(channel, abs(tr.frequency_mhz), rabi, duration, phase_rad=0.7)
+        noise = pl.NoiseModel(sigma_f_mhz=0.05)
+        psi = np.array([1.0, 1j]) @ np.random.default_rng(4).normal(size=(2, 16))
+        psi /= np.linalg.norm(psi)
+        res = pl.run_sequence(
+            [pl.PulseStep(pulse, apply_pirs=True)], params, noise=noise, pirs=pirs,
+            mode=mode, seed=5, shots=1, initial_state=psi,
+        )
+        offsets = dict(zip(SPINS, pl._shot_rng(5, 0).normal(0.0, 0.05, size=len(SPINS))))
+        u = reference_pulse_propagator(engine, pulse, mode, pirs, offsets)
+        want = u @ np.outer(psi, psi.conj()) @ u.conj().T
+        assert np.max(np.abs(res.final_state - want)) < ORACLE_TOL
+
+    def test_block_split_follows_the_nonzero_pattern(self, engine):
+        def sizes(*ops):
+            rows, _ = pl._diagonal_blocks(*ops)
+            return rows.shape[:2]
+
+        z_e, x_e, _ = engine.channel_ops["ESR"]
+        z_n, x_n, _ = engine.channel_ops["NMR"]
+        h_free = engine.free_hamiltonian()
+        assert sizes(h_free + x_e, z_e) == (4, 4)  # nuclear sectors
+        assert sizes(h_free + 0.01 * x_n, z_n) == (1, 16)
+        assert sizes(np.diag(np.arange(16.0)), np.zeros((16, 16))) == (1, 16)  # 1x1 blocks
+        assert sizes(np.array([[0.0, 0.2], [0.2, 0.0]]), np.diag([0.0, 1.0])) == (1, 2)
+
     def test_negative_duration_rejected(self, params):
         with pytest.raises(ContractError, match="negative duration"):
             pl.phase_map(params, [28000.0], [0.0, -1.0])
+
+    @pytest.mark.parametrize("mode", pl.MODES)
+    @pytest.mark.parametrize("pirs", [None, FALLBACK_DRIFT], ids=["ideal", "drift"])
+    def test_cz_flip_curve_rejects_negative_duration(self, params, mode, pirs):
+        with pytest.raises(ContractError, match="negative duration -1.0 us"):
+            pl.cz_flip_curve(params, [0.0, -1.0], pirs=pirs, mode=mode)
+
+    def test_selectivity_warning_once_per_curve(self, params, engine):
+        tr = engine.electron_transition("e2", n1=0, n2=1)
+        pulse = pl.PulseSpec("ESR", abs(tr.frequency_mhz), engine.rabi["ESR"], 1.0)
+        want = reference_selectivity_message(engine, pulse)
+        assert want is not None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pl.cz_flip_curve(params, np.linspace(0.0, 6.0, 7), pirs=FALLBACK_DRIFT, mode=pl.FULL_DYNAMICS)
+        assert [str(w.message) for w in caught] == [want]
+
+    @pytest.mark.parametrize(
+        "channel, carrier, rabi",
+        [("ESR", 27908.0, 0.5), ("ESR", 27970.0, 0.5), ("NMR", 38.27, 0.01), ("NMR", 38.27, 2.0)],
+    )
+    def test_selectivity_check_matches_pair_scan(self, engine, channel, carrier, rabi):
+        pulse = pl.PulseSpec(channel, carrier, rabi, 1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            engine._check_selectivity(pulse, pl.FULL_DYNAMICS)
+        want = reference_selectivity_message(engine, pulse)
+        assert [str(w.message) for w in caught] == ([want] if want else [])
