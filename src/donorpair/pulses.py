@@ -117,7 +117,6 @@ class NoiseModel:
 class ShotRecord:
     shot_index: int
     outcomes: dict
-    rng_stream_id: int
 
 
 @dataclass(frozen=True)
@@ -456,10 +455,12 @@ class SequenceEngine:
         e = self.energies
         gaps = np.abs(np.abs(e[None, :] - e[:, None]) - f)  # [i, j]: ||E_j - E_i| - f|
         # driven pairs i < j, with the drive element taken as x[j, i]
-        driven = np.triu(self._gate_mask[pulse.channel].T, 1) & (gaps > 1e-9)
-        if not np.any(driven):
+        gaps = gaps[np.triu(self._gate_mask[pulse.channel].T, 1)]
+        # the target is the driven line (or lines) nearest the carrier
+        off_target = gaps[gaps > gaps.min(initial=np.inf) + 1e-9]
+        if not off_target.size:
             return
-        nearest = gaps[driven].min()
+        nearest = off_target.min()
         if pulse.rabi_mhz > 0.25 * nearest:
             warnings.warn(
                 f"rabi {pulse.rabi_mhz} MHz exceeds a quarter of the "
@@ -728,13 +729,7 @@ def run_sequence(
                     p = np.clip(p, 0, None)
                     choice = keys[rng.choice(len(keys), p=p / p.sum())]
                     rho = _collapse(rho, step.spins, choice)
-                    records.append(
-                        ShotRecord(
-                            shot_index,
-                            dict(zip(step.spins, choice)),
-                            rng_stream_id=shot_index,
-                        )
-                    )
+                    records.append(ShotRecord(shot_index, dict(zip(step.spins, choice))))
             else:
                 u = engine.step_unitary(step, mode, offsets=offsets, pirs=pirs)
                 rho = u @ rho @ u.conj().T
@@ -761,7 +756,7 @@ def run_sequence(
 # canonical sequences
 
 
-def bell_prep(params: SystemParams | None = None, mode: str = GATE_MODEL):
+def bell_prep():
     """Preparation of the nuclear Bell state (|01> + |10>)/sqrt(2).
 
     Initialize all spins down; pi/2 on n1 about -Y, pi/2 on n2 about +Y; a
@@ -769,7 +764,6 @@ def bell_prep(params: SystemParams | None = None, mode: str = GATE_MODEL):
     (the geometric controlled-Z); and a closing pi/2 on n1 about -Y. The axis
     choices make the +|01> +|10> phase exact.
     """
-    del params, mode  # declarative; both simulation modes accept the steps
     return [
         InitStep(),
         GateStep("n1", math.pi / 2, math.pi / 2),
@@ -779,10 +773,9 @@ def bell_prep(params: SystemParams | None = None, mode: str = GATE_MODEL):
     ]
 
 
-def crot_prep(params: SystemParams | None = None):
+def crot_prep():
     """Controlled-rotation variant: the conditional-Z between two pi/2 pulses
     on the target nucleus implements a zero-controlled NOT on n2."""
-    del params
     return [
         InitStep(),
         GateStep("n2", math.pi / 2, math.pi / 2),

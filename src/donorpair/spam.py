@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .linalg import ContractError
 from .pulses import GATE_MODEL, GateStep, engine_for, rot2, spam_mixture
@@ -90,6 +89,9 @@ def fit_p_up(
     Fits p_up alone when the drive rate is known, or (p_up, rabi) jointly.
     Requires at least eight points spanning a full oscillation.
     """
+    # deferred: scipy.optimize is slow to import, and only this fit needs it
+    from scipy.optimize import least_squares
+
     t = np.asarray(durations_us, dtype=float)
     y = np.asarray(trace, dtype=float)
     if t.size < 8:

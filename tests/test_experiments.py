@@ -144,6 +144,16 @@ class TestBellReport:
         assert doc["fidelity"] == pytest.approx(0.997, abs=0.002)
 
 
+class TestRabiSpam:
+    def test_noiseless_trace_recovers_p_up(self, tmp_path):
+        cfg = validate_config({"experiment": "rabi_spam", "noise": {"p_up": 0.14}})
+        manifest = run(cfg, tmp_path)
+        assert set(manifest.outputs) == {"rabi_trace.csv", "rabi_fit.json"}
+        doc = json.loads((tmp_path / "rabi_fit.json").read_text())
+        assert doc["p_up_fit"] == pytest.approx(0.14, abs=1e-6)
+        assert doc["residual_rms"] < 1e-8
+
+
 class TestDonorDistance:
     def test_exact_exponential(self):
         d = np.array([5.0, 10.0, 15.0, 20.0])

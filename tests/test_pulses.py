@@ -487,7 +487,9 @@ def reference_addressed_unitary(engine, tr, t, pirs):
 
 
 def reference_selectivity_message(engine, pulse):
-    """Selectivity warning text from the pair-by-pair scan, or None."""
+    """Selectivity warning text from the pair-by-pair scan, or None. The
+    target is the driven line (or lines, within 1e-9 MHz) nearest the
+    carrier; the warning measures the nearest other driven line."""
     x = engine._drive_x[pulse.channel]
     f = abs(pulse.carrier_mhz + pulse.detuning_mhz)
     gaps = []
@@ -495,7 +497,8 @@ def reference_selectivity_message(engine, pulse):
         for j in range(i + 1, 16):
             if abs(x[j, i]) > pl.GATE_PAIR_THRESHOLD:
                 gaps.append(abs(abs(engine.energies[j] - engine.energies[i]) - f))
-    gaps = sorted(g for g in gaps if g > 1e-9)
+    target = min(gaps, default=math.inf)
+    gaps = sorted(g for g in gaps if g > target + 1e-9)
     if gaps and pulse.rabi_mhz > 0.25 * gaps[0]:
         return (
             f"rabi {pulse.rabi_mhz} MHz exceeds a quarter of the "
@@ -614,7 +617,7 @@ class TestClosedFormKernels:
         tr = engine.electron_transition("e2", n1=0, n2=1)
         pulse = pl.PulseSpec("ESR", abs(tr.frequency_mhz), engine.rabi["ESR"], 1.0)
         want = reference_selectivity_message(engine, pulse)
-        assert want is not None
+        assert want is not None and "1.000 MHz splitting" in want
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             pl.cz_flip_curve(params, np.linspace(0.0, 6.0, 7), pirs=FALLBACK_DRIFT, mode=pl.FULL_DYNAMICS)
@@ -622,7 +625,13 @@ class TestClosedFormKernels:
 
     @pytest.mark.parametrize(
         "channel, carrier, rabi",
-        [("ESR", 27908.0, 0.5), ("ESR", 27970.0, 0.5), ("NMR", 38.27, 0.01), ("NMR", 38.27, 2.0)],
+        [
+            ("ESR", 27908.0, 0.5),
+            ("ESR", 27970.0, 0.5),
+            ("ESR", 27909.175121138687, 0.5),  # midway between two lines
+            ("NMR", 38.27, 0.01),
+            ("NMR", 38.27, 2.0),
+        ],
     )
     def test_selectivity_check_matches_pair_scan(self, engine, channel, carrier, rabi):
         pulse = pl.PulseSpec(channel, carrier, rabi, 1.0)
@@ -631,3 +640,26 @@ class TestClosedFormKernels:
             engine._check_selectivity(pulse, pl.FULL_DYNAMICS)
         want = reference_selectivity_message(engine, pulse)
         assert [str(w.message) for w in caught] == ([want] if want else [])
+
+    @pytest.mark.parametrize(
+        "carrier, detuning, splitting",
+        [
+            (27908.675, 0.0, "1.000"),
+            (27908.675121138687, 0.001, "0.999"),
+            (27908.675121138687, -0.001, "1.001"),
+        ],
+        ids=["rounded-carrier", "detuned-up", "detuned-down"],
+    )
+    def test_selectivity_targets_nearest_line(self, engine, carrier, detuning, splitting):
+        # the e2 line at 27908.6751 MHz stays the target of a drive slightly
+        # off it; the next driven line is 1.0 MHz above it
+        pulse = pl.PulseSpec("ESR", carrier, 0.5, 1.0, detuning_mhz=detuning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            engine._check_selectivity(pulse, pl.FULL_DYNAMICS)
+        want = (
+            f"rabi 0.5 MHz exceeds a quarter of the {splitting} MHz splitting "
+            "to the nearest off-target line"
+        )
+        assert [str(w.message) for w in caught] == [want]
+        assert reference_selectivity_message(engine, pulse) == want
