@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, GridSpec
 from .pulses import (
-    InitStep,
     PIRSModel,
     bell_prep,
     cz_flip_curve,
@@ -28,6 +27,7 @@ from .pulses import (
     phase_map_center_frequency,
     ramsey_trace,
     sigma_from_t2_star,
+    spam_mixture,
 )
 from .spam import (
     MEASURED_AMPLITUDE_RATIO,
@@ -47,14 +47,23 @@ _NUMBERS = (int, float, np.floating)
 
 def fmt(x) -> str:
     """Text of one CSV cell: numbers as stable 12-significant-digit floats,
-    anything else through str."""
+    anything else through str.
+
+    Every numeric cell of every CSV this module writes passes through this
+    function, looked up as the module attribute at call time, so replacing
+    `experiments.fmt` changes every number written.
+    """
     return "%.12g" % x if isinstance(x, _NUMBERS) else str(x)
 
 
+def _csv_lines(header, lines) -> bytes:
+    """The header, then the already formatted lines; LF-terminated UTF-8."""
+    return ("\n".join([",".join(header), *lines]) + "\n").encode("utf-8")
+
+
 def csv_bytes(header, rows) -> bytes:
-    lines = [",".join(header)]
-    lines += [",".join(map(fmt, row)) for row in rows]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    """CSV of `rows` under `header`, every cell formatted by `fmt`."""
+    return _csv_lines(header, [",".join(map(fmt, row)) for row in rows])
 
 
 def json_bytes(payload) -> bytes:
@@ -159,11 +168,22 @@ def _phase_map_result(config: ExperimentConfig, observables: bool):
 
 
 def _grid_csv(name, res, columns: dict):
-    """One row per (frequency, duration) point, frequency-major."""
-    freqs, durs = np.meshgrid(res.freqs_mhz, res.durations_us, indexing="ij")
-    table = np.stack([freqs, durs, *columns.values()], axis=-1)
-    header = ["freq_mhz", "duration_us", *columns]
-    return (name, csv_bytes(header, table.reshape(-1, len(header)).tolist()))
+    """One row per (frequency, duration) point, frequency-major.
+
+    Built column by column: each grid axis value (frequency or duration) is
+    formatted once by `fmt` and its text repeated down the rows, and each
+    value column is formatted by `fmt` in one pass over its flattened
+    (frequency, duration) array. Every numeric cell thus goes through `fmt`,
+    and the bytes equal those of `csv_bytes` on the float table.
+    """
+    freqs = np.asarray(res.freqs_mhz, dtype=float).tolist()
+    durs = np.asarray(res.durations_us, dtype=float).tolist()
+    freq_col = [text for text in map(fmt, freqs) for _ in durs]
+    dur_col = list(map(fmt, durs)) * len(freqs)
+    n = len(freq_col)
+    values = [map(fmt, np.asarray(v, dtype=float).reshape(n).tolist()) for v in columns.values()]
+    lines = map(",".join, zip(freq_col, dur_col, *values))
+    return (name, _csv_lines(["freq_mhz", "duration_us", *columns], lines))
 
 
 def _phase_map_csv(res):
@@ -197,12 +217,13 @@ def run_full_phase_sim(config: ExperimentConfig):
 
 
 def run_bell_tomography(config: ExperimentConfig):
-    prep = bell_prep()
+    prep, initial = bell_prep(), None
     if config.options["spam_spins"] == "electrons":
-        prep = [InitStep(spins=("e1", "e2"))] + prep[1:]
-        # nuclei start ideally spin-down; electrons carry the loading error
+        # nuclei start ideally spin-down; only the electrons carry the
+        # loading error, so the initialize-all step is left out
+        prep, initial = prep[1:], spam_mixture(config.noise.p_up, ("e1", "e2"))
     table = sequence_table(
-        config.system, prep, mode=config.mode, noise=config.noise
+        config.system, prep, mode=config.mode, noise=config.noise, initial_state=initial
     )
     est = tomography_pipeline(
         table,
@@ -302,7 +323,6 @@ def run_ramsey(config: ExperimentConfig):
     if sigma is None:
         sigma = sigma_from_t2_star(config.options["t2_star_us"])
     trace = ramsey_trace(
-        config.options["spin"],
         config.options["wait"].points(),
         sigma,
         config.options["n_shots"],

@@ -625,12 +625,13 @@ class RunResult:
     shot_records: list
 
 
-def spam_mixture(p_up: float) -> np.ndarray:
-    """Product initialization state: each spin down, erring up w.p. p_up."""
-    one = np.array([p_up, 1.0 - p_up])  # (up, down) populations
+def spam_mixture(p_up: float, spins=SPINS) -> np.ndarray:
+    """Product initialization state: each listed spin down, erring up w.p.
+    p_up; the other spins exactly down."""
     diag = np.ones(1)
-    for _ in range(4):
-        diag = np.kron(diag, one)
+    for s in SPINS:
+        p = p_up if s in spins else 0.0
+        diag = np.kron(diag, np.array([p, 1.0 - p]))  # (up, down) populations
     return np.diag(diag.astype(complex))
 
 
@@ -1132,7 +1133,6 @@ def sigma_from_t2_star(t2_star_us: float) -> float:
 
 
 def ramsey_trace(
-    spin: str,
     wait_grid_us,
     sigma_f_mhz: float,
     n_shots: int,
@@ -1144,7 +1144,6 @@ def ramsey_trace(
     At zero detuning the pulse pair flips the spin, so p_up = (1 + E(t))/2
     with ensemble envelope E(t) = exp(-(t/T2*)^2), T2* = sqrt(2)/(2 pi sigma).
     """
-    del spin  # the quasi-static model is identical for every spin
     if sigma_f_mhz < 0:
         raise ContractError("sigma_f must be non-negative")
     waits = np.asarray(wait_grid_us, dtype=float)

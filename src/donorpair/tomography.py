@@ -283,19 +283,16 @@ class DensityEstimate:
     stokes: np.ndarray | None = None
 
     def to_json(self) -> str:
+        # bounds not computed (no sampled groups) are written as null
+        fid = self.ci.get("fidelity", (None, None))
+        conc = self.ci.get("concurrence", (None, None))
         payload = {
             "re": np.real(self.physical).tolist(),
             "im": np.imag(self.physical).tolist(),
             "fidelity": self.fidelity,
             "concurrence": self.concurrence,
-            "ci": {
-                "lo": self.ci.get("fidelity", (math.nan, math.nan))[0],
-                "hi": self.ci.get("fidelity", (math.nan, math.nan))[1],
-            },
-            "ci_concurrence": {
-                "lo": self.ci.get("concurrence", (math.nan, math.nan))[0],
-                "hi": self.ci.get("concurrence", (math.nan, math.nan))[1],
-            },
+            "ci": {"lo": fid[0], "hi": fid[1]},
+            "ci_concurrence": {"lo": conc[0], "hi": conc[1]},
         }
         return json.dumps(payload, indent=2)
 
@@ -316,6 +313,7 @@ def sequence_table(
     mode: str = "GATE_MODEL",
     noise=None,
     engine=None,
+    initial_state=None,
 ) -> ProbabilityTable:
     """Exact nine-basis outcome table of a preparation sequence.
 
@@ -323,6 +321,7 @@ def sequence_table(
     preparation steps and collects the probability-level outcome
     distribution for every axis pair. Projection pulses are conditional
     nuclear gates, so initialization errors distort them faithfully.
+    `initial_state`, if given, is the state `run_sequence` starts from.
     """
     from . import pulses  # deferred: tomography is importable standalone
 
@@ -333,7 +332,7 @@ def sequence_table(
         steps.append(pulses.ProjectStep("n2", a2))
         steps.append(pulses.MeasureStep(("n1", "n2")))
         res = pulses.run_sequence(
-            steps, params, noise=noise, mode=mode, shots=0, engine=engine
+            steps, params, noise=noise, mode=mode, shots=0, initial_state=initial_state, engine=engine
         )
         quartet = np.zeros(4)
         for (o1, o2), prob in res.outcome_probabilities.items():

@@ -1,11 +1,14 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from donorpair.config import validate_config
+from donorpair import experiments
+from donorpair.config import EXPERIMENTS, validate_config
 from donorpair.experiments import csv_bytes, donor_distance_fit, fmt, run
+from donorpair.pulses import PhaseMapResult
 
 
 def read_csv(path):
@@ -80,6 +83,101 @@ class TestEmission:
         assert csv_bytes(("a", "b", "c", "d"), rows) == old_csv(("a", "b", "c", "d"), rows)
 
 
+def reference_grid_csv(name, res, columns):
+    """The float-table grid writer: meshgrid, one row list, csv_bytes."""
+    freqs, durs = np.meshgrid(res.freqs_mhz, res.durations_us, indexing="ij")
+    table = np.stack([freqs, durs, *columns.values()], axis=-1)
+    header = ["freq_mhz", "duration_us", *columns]
+    return (name, csv_bytes(header, table.reshape(-1, len(header)).tolist()))
+
+
+SPECIAL_VALUES = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308, 1e16, -1e16,
+]
+
+
+class TestGridCsv:
+    @pytest.mark.parametrize("n_freq, n_dur", [(3, 5), (5, 3), (1, 7), (7, 1), (1, 1)])
+    def test_matches_float_table_writer(self, n_freq, n_dur):
+        rng = np.random.default_rng(n_freq * 10 + n_dur)
+        freqs = 27900.0 + rng.standard_normal(n_freq)
+        freqs[0] = -0.0
+        durs = np.linspace(0.0, 1e16, n_dur)
+
+        def column():
+            v = rng.standard_normal(n_freq * n_dur) * 10.0 ** rng.integers(-300, 300, n_freq * n_dur)
+            k = min(v.size, len(SPECIAL_VALUES))
+            v[rng.permutation(v.size)[:k]] = rng.permutation(SPECIAL_VALUES)[:k]
+            return v.reshape(n_freq, n_dur)
+
+        res = PhaseMapResult(freqs, durs, column(), {})
+        for columns in ({"p_flip": res.p_flip}, {"a": column(), "b": column(), "c": column()}):
+            got = experiments._grid_csv("g.csv", res, columns)
+            assert got == reference_grid_csv("g.csv", res, columns)
+
+    def test_special_values_on_axes_and_cells(self):
+        values = np.array(SPECIAL_VALUES).reshape(3, 3)
+        res = PhaseMapResult(np.array(SPECIAL_VALUES[:3]), np.array(SPECIAL_VALUES[3:6]), values, {})
+        got = experiments._grid_csv("g.csv", res, {"v": values, "w": values.T})
+        assert got == reference_grid_csv("g.csv", res, {"v": values, "w": values.T})
+
+    def test_every_number_goes_through_fmt(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "fmt", lambda x: "NUM")
+        cfg = validate_config(
+            {
+                "experiment": "full_phase_sim",
+                "options": {
+                    "freq_offset": {"start": -1.0, "stop": 1.0, "count": 3},
+                    "duration": {"start": 0.0, "stop": 2.0, "count": 2},
+                },
+            }
+        )
+        run(cfg, tmp_path)
+        for name, n_cols in (("phase_map.csv", 3), ("spin_observables.csv", 14)):
+            header, rows = read_csv(tmp_path / name)
+            assert header[:2] == ["freq_mhz", "duration_us"] and len(header) == n_cols
+            assert rows == [["NUM"] * n_cols] * 6
+
+
+def _raise_on_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+SMALL_CONFIGS = {
+    "phase_map": {
+        "freq_offset": {"start": -1.0, "stop": 1.0, "count": 3},
+        "duration": {"start": 0.0, "stop": 2.0, "count": 2},
+    },
+    "full_phase_sim": {
+        "freq_offset": {"start": -1.0, "stop": 1.0, "count": 2},
+        "duration": {"start": 0.0, "stop": 2.0, "count": 2},
+    },
+    "bell_tomography": {},
+    "pirs_cz": {"max_turns": 1, "points_per_turn": 2},
+    "rabi_spam": {"duration": {"start": 0.0, "stop": 100.0, "count": 24}},
+    "phase_reversal": {"points": 12},
+    "ramsey": {"t2_star_us": 10.0, "wait": {"start": 0.0, "stop": 5.0, "count": 3}, "n_shots": 20},
+    "donor_distance_fit": {"points": [[5.0, 100.0], [10.0, 10.0], [15.0, 1.0]]},
+}
+
+
+class TestJsonOutputs:
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_every_json_output_is_strict_json(self, experiment, tmp_path):
+        doc = {"experiment": experiment, "noise": {"p_up": 0.14}, "options": SMALL_CONFIGS[experiment]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # pirs_cz's selectivity warning
+            manifest = run(validate_config(doc), tmp_path)
+        names = [n for n in manifest.outputs if n.endswith(".json")] + ["manifest.json"]
+        for name in names:
+            json.loads((tmp_path / name).read_text(), parse_constant=_raise_on_constant)
+
+    def test_uncomputed_bell_interval_is_null(self, tmp_path):
+        run(validate_config({"experiment": "bell_tomography", "noise": {"p_up": 0.14}}), tmp_path)
+        doc = json.loads((tmp_path / "bell_density.json").read_text())
+        assert doc["ci"] == doc["ci_concurrence"] == {"lo": None, "hi": None}
+
+
 class TestDeterminism:
     def make_cfg(self, shots=60):
         return validate_config(
@@ -142,6 +240,32 @@ class TestBellReport:
         run(cfg, tmp_path)
         doc = json.loads((tmp_path / "bell_density.json").read_text())
         assert doc["fidelity"] == pytest.approx(0.997, abs=0.002)
+
+    def bell_report(self, tmp_path, mode, spam_spins):
+        cfg = validate_config(
+            {
+                "experiment": "bell_tomography",
+                "mode": mode,
+                "noise": {"p_up": 0.14},
+                "options": {"spam_spins": spam_spins},
+            }
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # full dynamics' selectivity warning
+            run(cfg, tmp_path / spam_spins)
+        return json.loads((tmp_path / spam_spins / "bell_density.json").read_text())
+
+    @pytest.mark.parametrize(
+        "mode, fid, conc",
+        [("GATE_MODEL", 0.856293, 0.744196), ("FULL_DYNAMICS", 0.684845, 0.532840)],
+    )
+    def test_electron_only_loading(self, tmp_path, mode, fid, conc):
+        # loading error on the electrons alone: the nuclei start down, so
+        # the Bell state is better than with all four spins loaded
+        doc = self.bell_report(tmp_path, mode, "electrons")
+        assert doc["fidelity"] == pytest.approx(fid, abs=1e-6)
+        assert doc["concurrence"] == pytest.approx(conc, abs=1e-6)
+        assert doc["fidelity"] > self.bell_report(tmp_path, mode, "all")["fidelity"]
 
 
 class TestRabiSpam:

@@ -331,7 +331,7 @@ class TestPhaseMap:
 
 class TestRamsey:
     def test_no_noise_no_decay(self):
-        tr = pl.ramsey_trace("n1", [0.0, 5.0, 50.0], 0.0, 100, seed=1)
+        tr = pl.ramsey_trace([0.0, 5.0, 50.0], 0.0, 100, seed=1)
         assert np.allclose(tr.p_up, 1.0)
 
     def test_t2_constant_conversion_roundtrip(self):
@@ -341,13 +341,13 @@ class TestRamsey:
         sigma = pl.sigma_from_t2_star(20.0)
         n = 20000
         waits = np.linspace(0.0, 50.0, 11)
-        tr = pl.ramsey_trace("e1", waits, sigma, n, seed=5)
+        tr = pl.ramsey_trace(waits, sigma, n, seed=5)
         for meas, env in zip(tr.p_up, (1 + tr.envelope) / 2):
             assert abs(meas - env) <= 3.0 / math.sqrt(n) + 1e-12
 
     def test_one_over_e_point(self):
         sigma = pl.sigma_from_t2_star(10.0)
-        tr = pl.ramsey_trace("n1", [10.0], sigma, 40000, seed=9)
+        tr = pl.ramsey_trace([10.0], sigma, 40000, seed=9)
         envelope = 2 * tr.p_up[0] - 1
         assert envelope == pytest.approx(math.exp(-1.0), abs=3.0 / math.sqrt(40000) * 2)
 
