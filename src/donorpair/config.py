@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pulses import NoiseModel, PIRSModel
+from .pulses import MAX_SHIFT_KHZ, NoiseModel, PIRSModel
 from .spinmodel import SystemParams
 
 EXPERIMENTS = (
@@ -149,7 +149,7 @@ _OPTION_KEYS = {
     "pirs_cz": {"max_turns", "points_per_turn"},
     "rabi_spam": {"rabi_mhz", "detuning_when_up_mhz", "duration", "shots_per_point"},
     "phase_reversal": {"points", "data_csv"},
-    "ramsey": {"spin", "sigma_f_mhz", "t2_star_us", "wait", "n_shots"},
+    "ramsey": {"sigma_f_mhz", "t2_star_us", "wait", "n_shots"},
     "donor_distance_fit": {"points", "points_csv", "target_j_mhz"},
 }
 
@@ -215,7 +215,7 @@ def validate_config(doc_or_path, seed=None) -> ExperimentConfig:
 
     pirs_doc = chk.section(doc, "$", "pirs", _PIRS_KEYS)
     pirs = PIRSModel()
-    shift = chk.number(pirs_doc, "$.pirs", "shift_khz", 0.0, lo=0.0)
+    shift = chk.number(pirs_doc, "$.pirs", "shift_khz", 0.0, lo=0.0, hi=MAX_SHIFT_KHZ)
     tau = chk.number(pirs_doc, "$.pirs", "time_constant_us", 100.0)
     acc = chk.number(pirs_doc, "$.pirs", "accumulated_khz", 0.0)
     enabled = pirs_doc.get("enabled", False)
@@ -288,11 +288,6 @@ def _validate_options(chk: _Checker, doc, experiment) -> dict:
         out["points"] = chk.integer(sub, path, "points", 96, lo=12)
         out["data_csv"] = chk.existing_file(sub, path, "data_csv")
     elif experiment == "ramsey":
-        spin = sub.get("spin", "n1")
-        if spin not in ("n1", "n2", "e1", "e2"):
-            chk.fail(f"{path}.spin", "must be one of n1, n2, e1, e2")
-            spin = "n1"
-        out["spin"] = spin
         sigma = chk.number(sub, path, "sigma_f_mhz", None, lo=0.0)
         t2 = chk.number(sub, path, "t2_star_us", None, lo=1e-9)
         if sigma is None and t2 is None:

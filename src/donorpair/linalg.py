@@ -4,6 +4,10 @@ All Hamiltonians are in frequency units (MHz) and all durations in
 microseconds; propagators therefore carry an explicit 2*pi factor.
 Matrix exponentials go through an eigendecomposition rather than a series
 expansion so the result is unitary to machine precision at these sizes.
+Drifting-drive propagators are not exponentials themselves: they are
+products of slice steps interpolated between exponentials (see
+`pulses.sliced_propagators`), and `require_unitary` checks them to
+UNITARITY_TOL.
 The eigendecomposition kernels (`hermitian_eig`, `unitary_exp`, `psd_sqrt`,
 `project_to_simplex`, `nearest_physical_density`) also take a stack along
 leading axes and apply their checks to the whole stack; a single matrix goes
@@ -20,6 +24,7 @@ SUPPORTED_DIMS = (2, 4, 8, 16)
 
 # 100x double-precision accumulation error at dim 16.
 HERMITICITY_TOL = 1e-10
+UNITARITY_TOL = 1e-10
 PSD_CLIP_TOL = 1e-10
 
 SIGMA_I = np.eye(2, dtype=complex)
@@ -69,6 +74,15 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray
     if dev >= tol:
         raise ContractError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
     return m
+
+
+def require_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
+    """`u`, or raise ContractError when max |U U^dag - I| over the stack
+    exceeds `tol`."""
+    dev = np.max(np.abs(u @ dagger(u) - np.eye(u.shape[-1])), initial=0.0)
+    if dev > tol:
+        raise ContractError(f"propagator is not unitary: max |U U^dag - I| = {dev:.3e}")
+    return u
 
 
 def hermitian_eig(m) -> EigenSystem:

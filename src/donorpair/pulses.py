@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import SUPPORTED_DIMS, ContractError, hermitian_eig, unitary_exp
+from .linalg import SUPPORTED_DIMS, ContractError, hermitian_eig, require_unitary, unitary_exp
 from .spinmodel import (
     ELECTRONS,
     NUCLEI,
@@ -55,6 +55,11 @@ DEFAULT_RABI_NUCLEAR_MHZ = 0.01
 
 # pairs with |<f| sum sigma_x |i>| above this drive in the truncated model
 GATE_PAIR_THRESHOLD = 0.02
+
+# largest drift amplitude: 40x the fallback shift and 5x the 1 MHz gap to the
+# nearest off-target line; with the engine's unit-norm shift operators it keeps
+# `sliced_propagators` at <= 14 interpolation nodes, under the 16-slice minimum
+MAX_SHIFT_KHZ = 5000.0
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +100,8 @@ class PIRSModel:
     def __post_init__(self):
         if self.shift_khz < 0:
             raise ContractError("shift amplitude must be non-negative")
+        if self.shift_khz > MAX_SHIFT_KHZ:
+            raise ContractError(f"shift amplitude must be at most {MAX_SHIFT_KHZ} kHz")
         if self.time_constant_us <= 0:
             raise ContractError("time constant must be positive")
 
@@ -574,22 +581,93 @@ def _diagonal_blocks(h0, z_shift):
     return idx[:, :, None], idx[:, None, :]
 
 
+def _chebyshev_node_count(rho: float) -> int:
+    """Fewest Chebyshev nodes p whose interpolation bound 2 rho^p / p! is at
+    or below double-precision rounding (see `sliced_propagators`)."""
+    p, bound = 1, 2.0 * rho
+    while bound > np.finfo(float).eps:
+        p += 1
+        bound *= rho / p
+    return p
+
+
+def _chebyshev_points(p: int):
+    """The p Chebyshev points of the first kind on [-1, 1], cos((j + 1/2) pi / p),
+    and their barycentric weights."""
+    theta = (np.arange(p) + 0.5) * np.pi / p
+    return np.cos(theta), (-1.0) ** np.arange(p) * np.sin(theta)
+
+
+def _barycentric(x, nodes, weights) -> np.ndarray:
+    """Coefficients c[..., j] of the interpolant through the nodes at each x,
+    so that f(x) ~ sum_j c[..., j] f(nodes[j]) (the second barycentric form;
+    Berrut and Trefethen, SIAM Review 46, 501, 2004). An x on a node takes
+    that node's value."""
+    diff = x[..., None] - nodes
+    hit = diff == 0
+    terms = weights / np.where(hit, 1.0, diff)
+    c = terms / terms.sum(axis=-1, keepdims=True)
+    return np.where(hit.any(axis=-1, keepdims=True), hit, c)
+
+
+def _drifting_blocks(h_blocks, z_blocks, t, pirs: PIRSModel) -> np.ndarray:
+    """Slice products of `sliced_propagators` under drift, for a stack of
+    diagonal blocks: one (blocks, b, b) stack per duration. The node stack
+    is freed before the caller assembles the full matrices."""
+    t, inverse = np.unique(t, return_inverse=True)  # ascending slice counts
+    n = np.maximum(16, (t / 0.05).astype(int))
+    dt = t / n
+    profile = relaxation_detuning_profile(pirs)
+    first, last = profile(0.5 * dt), profile((n - 0.5) * dt)
+    center, half = (first + last) / 2.0, (last - first) / 2.0
+    z_norm = np.abs(z_blocks).sum(axis=-1).max()
+    p = _chebyshev_node_count(np.max(np.pi * dt * z_norm * np.abs(half), initial=0.0))
+    nodes, weights = _chebyshev_points(p)
+    at_nodes = np.empty((t.size, p, h_blocks.size), dtype=complex)
+    for j, node in enumerate(nodes):
+        h = h_blocks + (center + half * node)[:, None, None, None] * z_blocks
+        at_nodes[:, j] = unitary_exp(h, dt[:, None]).reshape(t.size, -1)
+    scale = np.where(half == 0, 1.0, half)  # no eps range: every slice at the center
+    u = np.empty(t.shape + h_blocks.shape, dtype=complex)
+    # durations from start[k] on still have a slice k
+    for k, start in enumerate(np.searchsorted(n, np.arange(n.max(initial=0)), side="right")):
+        x = (profile((k + 0.5) * dt[start:]) - center[start:]) / scale[start:]
+        c = _barycentric(x, nodes, weights)
+        step = (c[:, None, :] @ at_nodes[start:]).reshape(u[start:].shape)
+        u[start:] = step if k == 0 else step @ u[start:]
+    return require_unitary(u)[inverse]
+
+
 def sliced_propagators(h0, z_shift, durations_us, pirs: PIRSModel | None = None) -> np.ndarray:
     """Propagators of a drive Hamiltonian h0 + eps(t) z_shift at every
     duration, as a (durations, d, d) stack; eps(t) is the relaxation profile
     of `pirs`, or 0 when the model is None or off.
 
-    Without drift every duration comes from one eigendecomposition of each
-    block (see below), or of h0 for a single duration. With drift a pulse of
-    duration t is cut into max(16, int(t / 0.05)) equal slices, each evolved
-    under the shift at its midpoint. All durations advance together one
-    slice index at a time: step k exponentiates one stack holding the
-    slice-k Hamiltonians of the durations that still have a slice k and
-    left-multiplies it into their running products (u = U_k @ u). The
-    Hamiltonians are cut into the diagonal blocks of the joint nonzero
-    pattern of h0 and z_shift, found for each call, so a step exponentiates
-    blocks (four 4x4 nuclear sectors for an electron pulse in full dynamics)
-    rather than whole matrices.
+    The Hamiltonians are cut into the diagonal blocks of the joint nonzero
+    pattern of h0 and z_shift, found for each call, so the kernel
+    exponentiates blocks (four 4x4 nuclear sectors for an electron pulse in
+    full dynamics) rather than whole matrices. Without drift every duration
+    comes from one eigendecomposition of each block, or of h0 for a single
+    duration.
+
+    With drift a pulse of duration t is cut into n = max(16, int(t / 0.05))
+    slices of width dt = t / n. Slice k evolves under the shift
+    eps_k = eps((k + 1/2) dt) at its midpoint, and the running product is
+    left-multiplied one slice at a time (u = U_k @ u). Only the scalar eps_k
+    changes between slices, and U(eps) = exp(-2 pi i dt (h0 + eps z_shift))
+    is entire in eps with ||d^m U / d eps^m|| <= (2 pi dt ||z_shift||)^m, so
+    interpolating U at p Chebyshev points across a duration's eps range of
+    width W errs by at most 2 rho^p / p!, with rho = pi dt ||z_shift|| W / 2
+    (||z_shift|| bounded by its largest absolute row sum). A call takes the
+    fewest nodes whose bound at its largest rho is at or below
+    double-precision rounding: 7 for the 120 kHz fallback drift, 14 at the
+    `MAX_SHIFT_KHZ` ceiling. The blocks are exponentiated only at those p
+    shifts, one `unitary_exp` per node over every duration, and each slice
+    step is the barycentric combination of the node propagators at eps_k.
+    The node stack is p times the size of the running-product stack.
+    Durations are sorted once, with repeats computed once, so the durations
+    that still have a slice k are a contiguous tail and each step works on
+    views. The products must stay unitary to `linalg.UNITARITY_TOL`.
     """
     t = np.asarray(durations_us, dtype=float)
     drift = pirs is not None and pirs.enabled
@@ -597,19 +675,11 @@ def sliced_propagators(h0, z_shift, durations_us, pirs: PIRSModel | None = None)
         return unitary_exp(h0, t)  # one exponential: splitting it saves nothing
     rows, cols = _diagonal_blocks(h0, z_shift)
     h_blocks, z_blocks = h0[rows, cols], z_shift[rows, cols]
-    if not drift:
-        u = unitary_exp(h_blocks, t[:, None])
+    if drift:
+        u = _drifting_blocks(h_blocks, z_blocks, t, pirs)
     else:
-        n = np.maximum(16, (t / 0.05).astype(int))
-        dt = t / n
-        profile = relaxation_detuning_profile(pirs)
-        u = np.empty(t.shape + h_blocks.shape, dtype=complex)
-        for k in range(n.max(initial=0)):
-            on = n > k  # durations that still have a slice k
-            eps = profile((k + 0.5) * dt[on])
-            step = unitary_exp(h_blocks + eps[:, None, None, None] * z_blocks, dt[on, None])
-            u[on] = step if k == 0 else step @ u[on]
-    out = np.zeros(t.shape + h0.shape, dtype=complex)
+        u = unitary_exp(h_blocks, t[:, None])
+    out = np.zeros(u.shape[:1] + h0.shape, dtype=complex)
     out[:, rows, cols] = u
     return out
 

@@ -47,6 +47,20 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             validate_config({"experiment": "nope"})
 
+    def test_ramsey_spin_option_rejected(self):
+        # `spin` reached no code; it is an unknown key like any other
+        with pytest.raises(ConfigError) as err:
+            validate_config({"experiment": "ramsey", "options": {"spin": "n1", "t2_star_us": 10}})
+        assert [path for path, _ in err.value.errors] == ["$.options.spin"]
+
+    @pytest.mark.parametrize("shift", [5000.1, 6000])
+    def test_pirs_shift_above_ceiling_rejected(self, shift):
+        with pytest.raises(ConfigError) as err:
+            validate_config({"experiment": "pirs_cz", "pirs": {"enabled": True, "shift_khz": shift}})
+        assert [path for path, _ in err.value.errors] == ["$.pirs.shift_khz"]
+        cfg = validate_config({"experiment": "pirs_cz", "pirs": {"enabled": True, "shift_khz": 5000}})
+        assert cfg.pirs.shift_khz == 5000.0
+
     def test_ramsey_requires_one_width(self):
         with pytest.raises(ConfigError):
             validate_config({"experiment": "ramsey"})
@@ -156,6 +170,12 @@ class TestCli:
         path = write_config(tmp_path, {"experiment": "phase_map", "noise": {"p_up": 2}})
         assert main(["validate", "--config", str(path)]) == 2
         assert "$.noise.p_up" in capsys.readouterr().err
+
+    def test_pirs_shift_above_ceiling_exit_code(self, tmp_path, capsys):
+        doc = {"experiment": "pirs_cz", "pirs": {"enabled": True, "shift_khz": 6000}}
+        path = write_config(tmp_path, doc)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "$.pirs.shift_khz: must be <= 5000.0" in capsys.readouterr().err
 
     def test_run_produces_manifest(self, tmp_path, capsys):
         doc = {

@@ -12,6 +12,7 @@ from donorpair.linalg import (
     partial_trace,
     project_to_simplex,
     psd_sqrt,
+    require_unitary,
     tensor,
     unitary_exp,
 )
@@ -99,6 +100,19 @@ class TestUnitaryExp:
             assert close(unitary_exp(h, ts), want[i])
         assert close(unitary_exp(hs, ts), want[np.arange(3), np.arange(3)])
         assert close(unitary_exp(hs, ts[:, None]), want.swapaxes(0, 1))
+
+
+class TestRequireUnitary:
+    def test_unitary_stack_passes_through(self, rng):
+        u = unitary_exp(np.array([random_hermitian(rng, 4) for _ in range(3)]), 2.0)
+        assert require_unitary(u) is u
+
+    def test_departure_above_tolerance_rejected(self, rng):
+        u = unitary_exp(random_hermitian(rng, 4), 2.0)
+        stack = np.array([u, u * (1.0 + 1e-9)])
+        with pytest.raises(ContractError, match="not unitary"):
+            require_unitary(stack)
+        assert require_unitary(u * (1.0 + 1e-12)) is not None
 
 
 class TestPsdSqrt:

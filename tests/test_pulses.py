@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,6 +69,11 @@ class TestValidation:
     def test_pirs_bounds(self):
         with pytest.raises(ContractError):
             pl.PIRSModel(time_constant_us=0.0)
+
+    def test_pirs_shift_ceiling(self):
+        assert pl.PIRSModel(shift_khz=5000.0).shift_khz == pl.MAX_SHIFT_KHZ
+        with pytest.raises(ContractError, match="at most 5000.0 kHz"):
+            pl.PIRSModel(shift_khz=5000.1)
 
     def test_pulse_bounds(self):
         with pytest.raises(ContractError):
@@ -527,6 +533,12 @@ def reference_cz_flip_curve(params, durs, pirs, mode, p_up):
 
 ORACLE_TOL = 1e-12
 FALLBACK_DRIFT = pl.PIRSModel(shift_khz=120.0, time_constant_us=3.0, enabled=True)
+CEILING_DRIFT = pl.PIRSModel(shift_khz=pl.MAX_SHIFT_KHZ, time_constant_us=0.3, enabled=True)
+# interpolated drift steps against the per-slice exponentials: flip curves,
+# and the propagators themselves, which carry the rounding of up to 500 slice
+# products of both sides (about 1e-14 each; 7e-12 seen at 25 us)
+DRIFT_TOL = 1e-11
+DRIFT_PROPAGATOR_TOL = 3e-11
 
 
 @pytest.mark.filterwarnings("ignore:rabi")
@@ -589,6 +601,71 @@ class TestClosedFormKernels:
         u = reference_pulse_propagator(engine, pulse, mode, pirs, offsets)
         want = u @ np.outer(psi, psi.conj()) @ u.conj().T
         assert np.max(np.abs(res.final_state - want)) < ORACLE_TOL
+
+    @pytest.mark.parametrize("mode", pl.MODES)
+    @pytest.mark.parametrize("pirs", [FALLBACK_DRIFT, CEILING_DRIFT], ids=["fallback", "ceiling"])
+    def test_interpolated_drift_matches_per_slice_loop(self, params, engine, mode, pirs):
+        # unsorted, one duration repeated, t = 0, the widest slices (just
+        # under 0.85 us: 16 slices of 0.053 us) and 500 slices at 25 us
+        durs = np.array([25.0, 3.7, 0.0, 0.8499, 12.3, 3.7, 0.4])
+        got = pl.cz_flip_curve(params, durs, pirs=pirs, mode=mode, noise=pl.NoiseModel(p_up=0.14))
+        want = reference_cz_flip_curve(params, durs, pirs, mode, 0.14)
+        assert np.max(np.abs(got - want)) < DRIFT_TOL
+        tr = engine.electron_transition("e2", n1=0, n2=1)
+        pulse = pl.PulseSpec("ESR", abs(tr.frequency_mhz), engine.rabi["ESR"], 0.0)
+        got = engine.pulse_propagator(pulse, mode, pirs=pirs, durations_us=durs)
+        for t, u in zip(durs, got):
+            want = reference_pulse_propagator(engine, replace(pulse, duration_us=t), mode, pirs)
+            assert np.max(np.abs(u - want)) < DRIFT_PROPAGATOR_TOL
+
+    @pytest.mark.parametrize(
+        "pirs, nodes", [(FALLBACK_DRIFT, 7), (CEILING_DRIFT, 14)], ids=["fallback", "ceiling"]
+    )
+    def test_drift_exponentials_one_per_node(self, engine, monkeypatch, pirs, nodes):
+        # each node exponentiates the blocks of every distinct duration once;
+        # the ceiling needs no more nodes than the 16-slice minimum
+        calls = []
+
+        def spy(h, t_us):
+            calls.append(np.shape(h))
+            return unitary_exp(h, t_us)
+
+        monkeypatch.setattr(pl, "unitary_exp", spy)
+        tr = engine.electron_transition("e2", n1=0, n2=1)
+        pulse = pl.PulseSpec("ESR", abs(tr.frequency_mhz), engine.rabi["ESR"], 0.0)
+        durs = np.r_[np.linspace(0.0, 25.0, 51), 0.8499]
+        engine.pulse_propagator(pulse, pl.FULL_DYNAMICS, pirs=pirs, durations_us=durs)
+        assert calls == [(52, 4, 4, 4)] * nodes
+        assert nodes <= 16
+
+    @pytest.mark.parametrize("rho", [0.4, 1.0])
+    def test_chebyshev_interpolation_meets_its_bound(self, rho):
+        # exp(-2i rho x) on [-1, 1] has |f^(p)| <= (2 rho)^p, the kernel's
+        # derivative bound with the eps range mapped onto [-1, 1]
+        x = np.linspace(-1.0, 1.0, 2001)
+        f = lambda y: np.exp(-2j * rho * y)
+        for p in range(1, 13):
+            nodes, weights = pl._chebyshev_points(p)
+            err = np.max(np.abs(pl._barycentric(x, nodes, weights) @ f(nodes) - f(x)))
+            assert err <= 2.0 * rho**p / math.factorial(p) + 1e-15
+        # a point on a node takes the node's value exactly
+        c = pl._barycentric(nodes[[3]], nodes, weights)
+        assert np.array_equal(c, np.eye(12)[[3]])
+
+    def test_node_count_is_the_fewest_under_rounding(self):
+        bound = lambda rho, p: 2.0 * rho**p / math.factorial(p)
+        eps = np.finfo(float).eps
+        for rho in (0.0, 1e-3, 0.0094, 0.1, 0.42, 1.0):
+            p = pl._chebyshev_node_count(rho)
+            assert bound(rho, p) <= eps
+            assert p == 1 or bound(rho, p - 1) > eps
+
+    def test_drift_kernel_checks_unitarity(self, engine, monkeypatch):
+        monkeypatch.setattr(pl, "unitary_exp", lambda h, t_us: (1.0 + 1e-9) * unitary_exp(h, t_us))
+        tr = engine.electron_transition("e2", n1=0, n2=1)
+        pulse = pl.PulseSpec("ESR", abs(tr.frequency_mhz), engine.rabi["ESR"], 2.0)
+        with pytest.raises(ContractError, match="not unitary"):
+            engine.pulse_propagator(pulse, pl.FULL_DYNAMICS, pirs=FALLBACK_DRIFT)
 
     def test_block_split_follows_the_nonzero_pattern(self, engine):
         def sizes(*ops):
