@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pulses import MAX_SHIFT_KHZ, NoiseModel, PIRSModel
+from .pulses import MAX_SHIFT_KHZ, MODES, NoiseModel, PIRSModel
 from .spinmodel import SystemParams
 
 EXPERIMENTS = (
@@ -26,9 +26,6 @@ EXPERIMENTS = (
     "ramsey",
     "donor_distance_fit",
 )
-
-MODES = ("GATE_MODEL", "FULL_DYNAMICS")
-
 
 class ConfigError(ValueError):
     """Itemized validation failures with JSON paths."""
@@ -209,6 +206,8 @@ def validate_config(doc_or_path, seed=None) -> ExperimentConfig:
     noise_doc = chk.section(doc, "$", "noise", _NOISE_KEYS)
     p_up = chk.number(noise_doc, "$.noise", "p_up", 0.0, lo=0.0, hi=0.5)
     sigma = chk.number(noise_doc, "$.noise", "sigma_f_mhz", 0.0, lo=0.0)
+    if sigma > 0:  # the probability-level runners never draw quasi-static offsets
+        chk.fail("$.noise.sigma_f_mhz", "no experiment reads it; use the ramsey option sigma_f_mhz")
     noise = NoiseModel()
     if not chk.errors:
         noise = NoiseModel(sigma_f_mhz=sigma, p_up=p_up)

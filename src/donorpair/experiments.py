@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, GridSpec
 from .pulses import (
+    InitStep,
     PIRSModel,
     bell_prep,
     cz_flip_curve,
@@ -27,7 +28,6 @@ from .pulses import (
     phase_map_center_frequency,
     ramsey_trace,
     sigma_from_t2_star,
-    spam_mixture,
 )
 from .spam import (
     MEASURED_AMPLITUDE_RATIO,
@@ -217,14 +217,11 @@ def run_full_phase_sim(config: ExperimentConfig):
 
 
 def run_bell_tomography(config: ExperimentConfig):
-    prep, initial = bell_prep(), None
+    prep = bell_prep()
     if config.options["spam_spins"] == "electrons":
-        # nuclei start ideally spin-down; only the electrons carry the
-        # loading error, so the initialize-all step is left out
-        prep, initial = prep[1:], spam_mixture(config.noise.p_up, ("e1", "e2"))
-    table = sequence_table(
-        config.system, prep, mode=config.mode, noise=config.noise, initial_state=initial
-    )
+        # nuclei stay ideally spin-down; only the electrons carry loading error
+        prep[0] = InitStep(("e1", "e2"))
+    table = sequence_table(config.system, prep, mode=config.mode, noise=config.noise)
     est = tomography_pipeline(
         table,
         n_shots_per_axis=config.options["shots_per_axis"],

@@ -128,7 +128,8 @@ class ShotRecord:
 
 @dataclass(frozen=True)
 class InitStep:
-    """Reset spins to spin-down, each erring to spin-up with probability p_up."""
+    """Reset the listed spins to spin-down, each erring to spin-up with
+    probability p_up (`spam_mixture`); spins not listed are left untouched."""
 
     spins: tuple = SPINS
 
@@ -196,6 +197,28 @@ def rot2(theta: float, phase: float) -> np.ndarray:
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     e = np.exp(1j * phase)
     return np.array([[c, -1j * e * s], [-1j * np.conj(e) * s, c]])
+
+
+def spin_bits(spin: str) -> np.ndarray:
+    """Bit of one spin (0 = up, 1 = down) in every product-basis index."""
+    return (np.arange(16) >> (3 - SPIN_INDEX[spin])) & 1
+
+
+def conditional_rotation(r: np.ndarray, target: str, where: dict) -> np.ndarray:
+    """16x16 unitary applying the 2x2 `r` (in the target's (up, down) basis)
+    to `target` on the basis states whose spins carry the bits in `where`
+    ({spin: bit}), and the identity elsewhere."""
+    cond = spin_bits(target) == 0  # the pairs' target-up states
+    for spin, bit in where.items():
+        cond &= spin_bits(spin) == bit
+    up = np.flatnonzero(cond)
+    down = up | (1 << (3 - SPIN_INDEX[target]))
+    u = np.eye(16, dtype=complex)
+    u[up, up] = r[0, 0]
+    u[down, down] = r[1, 1]
+    u[up, down] = r[0, 1]
+    u[down, up] = r[1, 0]
+    return u
 
 
 def rotating_frame_hamiltonian(
@@ -292,75 +315,48 @@ class SequenceEngine:
         """Eigenlevel whose dominant component is |n1 n2 e1 e2>."""
         return self._level_of[basis_index(n1, n2, e1, e2)]
 
-    def nuclear_transition(self, spin: str, spectators=None) -> Transition:
-        """Flip of one nucleus with every other spin down (signed gap)."""
-        bits = [1, 1, 1, 1] if spectators is None else list(spectators)
-        q = SPIN_INDEX[spin]
-        hi_bits, lo_bits = list(bits), list(bits)
-        hi_bits[q], lo_bits[q] = 0, 1  # up vs down target
+    def _transition(self, channel: str, spin: str, bits) -> Transition:
+        """Flip of `spin` from down to up (signed gap), the other spins
+        keeping their `bits`."""
+        lo_bits, hi_bits = list(bits), list(bits)
+        lo_bits[SPIN_INDEX[spin]], hi_bits[SPIN_INDEX[spin]] = 1, 0
         lo_l, hi_l = self.level(*lo_bits), self.level(*hi_bits)
         freq = self.energies[hi_l] - self.energies[lo_l]
-        amp = abs(self._drive_x["NMR"][hi_l, lo_l])
+        amp = abs(self._drive_x[channel][hi_l, lo_l])
         return Transition(
             float(freq), basis_index(*lo_bits), basis_index(*hi_bits), lo_l, hi_l, float(amp)
         )
 
+    def nuclear_transition(self, spin: str, spectators=None) -> Transition:
+        """Flip of one nucleus with every other spin down (signed gap)."""
+        return self._transition("NMR", spin, [1, 1, 1, 1] if spectators is None else spectators)
+
     def electron_transition(self, electron: str, n1: int, n2: int) -> Transition:
         """Flip of one electron conditional on the nuclear sector, with the
         other electron down."""
-        bits_lo = [n1, n2, 1, 1]
-        bits_hi = list(bits_lo)
-        bits_hi[SPIN_INDEX[electron]] = 0
-        lo_l, hi_l = self.level(*bits_lo), self.level(*bits_hi)
-        freq = self.energies[hi_l] - self.energies[lo_l]
-        amp = abs(self._drive_x["ESR"][hi_l, lo_l])
-        return Transition(
-            float(freq),
-            basis_index(*bits_lo),
-            basis_index(*bits_hi),
-            lo_l,
-            hi_l,
-            float(amp),
-        )
+        return self._transition("ESR", electron, [n1, n2, 1, 1])
 
     # -- exact gate-model unitaries -------------------------------------------
 
     def gate_unitary(self, step: GateStep) -> np.ndarray:
         """Exact SU(2) on the target nucleus wherever its electron is down."""
-        q = SPIN_INDEX[step.spin]
         own_e = "e" + step.spin[-1]
-        qe = SPIN_INDEX[own_e]
-        r = rot2(step.theta, step.phase)
-        u = np.eye(16, dtype=complex)
-        for idx in range(16):
-            bits = basis_bits(idx)
-            if bits[q] == 0 and bits[qe] == 1:  # target up, own electron down
-                partner = idx | (1 << (3 - q))
-                u[idx, idx] = r[0, 0]
-                u[partner, partner] = r[1, 1]
-                u[idx, partner] = r[0, 1]
-                u[partner, idx] = r[1, 0]
-        return u
+        return conditional_rotation(rot2(step.theta, step.phase), step.spin, {own_e: 1})
 
     def cz_unitary(self, step: CzStep) -> np.ndarray:
         """(-1)^turns on the conditioned electron pair, identity elsewhere."""
-        qe = SPIN_INDEX[step.electron]
         other = "e2" if step.electron == "e1" else "e1"
-        qo = SPIN_INDEX[other]
-        u = np.eye(16, dtype=complex)
         sign = (-1.0) ** step.turns
-        for idx in range(16):
-            bits = basis_bits(idx)
-            if bits[0] == step.n1 and bits[1] == step.n2 and bits[qo] == 1:
-                u[idx, idx] = sign
-        return u
+        where = {"n1": step.n1, "n2": step.n2, other: 1}
+        return conditional_rotation(sign * np.eye(2), step.electron, where)
 
     # -- pulse propagators -----------------------------------------------------
 
-    def _frame_diag(self, f_e: float, f_n=None) -> np.ndarray:
+    def _frame_diag(self, f_e=None, f_n=None) -> np.ndarray:
         """Eigenbasis diagonal of the frame generator: the electrons at f_e,
-        the nuclei at f_n = (f_n1, f_n2), by default their standing
-        references."""
+        by default the bare Zeeman mean, and the nuclei at f_n = (f_n1, f_n2),
+        by default their standing references."""
+        f_e = self.f_e_default if f_e is None else f_e
         f_n1, f_n2 = (self.f_n1_ref, self.f_n2_ref) if f_n is None else f_n
         return (
             f_n1 * self._zdiag["n1"]
@@ -371,13 +367,34 @@ class SequenceEngine:
     def free_hamiltonian(self, f_e: float | None = None, offsets=None, f_n=None) -> np.ndarray:
         """Frame-stripped static Hamiltonian, optionally with per-spin
         quasi-static detuning offsets (MHz, added along each spin's Z)."""
-        f_e = self.f_e_default if f_e is None else f_e
         v = self.vectors
         h = self.h_sec - (v * self._frame_diag(f_e, f_n)) @ v.conj().T
-        if offsets:
-            for spin, delta in offsets.items():
-                h = h + delta * self._pauli[(spin, "z")] / 2.0
+        for spin, delta in (offsets or {}).items():
+            h = h + delta * self._pauli[(spin, "z")] / 2.0
         return h
+
+    def static_hamiltonian(self, mode: str, f_e=None, f_n=None, offsets=None) -> np.ndarray:
+        """Frame-stripped static Hamiltonian with its offsets (see
+        `free_hamiltonian`) in the mode's working basis: the product basis in
+        full dynamics, the secular eigenbasis (where it is diagonal) in the
+        gate model."""
+        if mode == FULL_DYNAMICS:
+            return self.free_hamiltonian(f_e, offsets, f_n)
+        diag = self.energies - self._frame_diag(f_e, f_n)
+        for spin, delta in (offsets or {}).items():
+            diag = diag + delta * self._zdiag[spin] / 2.0
+        return np.diag(diag)
+
+    def drive_hamiltonian(self, mode: str, channel: str, rabi_mhz, phase_rad=0.0) -> np.ndarray:
+        """Rotating-wave drive rabi (cos(phi) X + sin(phi) Y) of one channel
+        in the mode's working basis; the gate model keeps only the pairs of
+        the allowed-transition graph."""
+        _, x_op, y_op = self.channel_ops[channel]
+        drive = rabi_mhz * (math.cos(phase_rad) * x_op + math.sin(phase_rad) * y_op)
+        if mode == FULL_DYNAMICS:
+            return drive
+        v = self.vectors
+        return np.where(self._gate_mask[channel], v.conj().T @ drive @ v, 0.0)
 
     def _pulse_frame(self, pulse: PulseSpec):
         """Per-pulse frame frequencies ((f_n1, f_n2), f_e, signed) plus the
@@ -425,31 +442,20 @@ class SequenceEngine:
         self._check_selectivity(pulse, mode)
         f_n, fe, realign = self._pulse_frame(pulse)
 
-        z_op, x_op, y_op = self.channel_ops[pulse.channel]
-        drive = pulse.rabi_mhz * (
-            math.cos(pulse.phase_rad) * x_op + math.sin(pulse.phase_rad) * y_op
+        h0 = self.static_hamiltonian(mode, fe, f_n, offsets) + self.drive_hamiltonian(
+            mode, pulse.channel, pulse.rabi_mhz, pulse.phase_rad
         )
-
-        v = self.vectors
+        # the drift runs along the driven species' summed Z
         if mode == FULL_DYNAMICS:
-            h0 = self.free_hamiltonian(fe, offsets, f_n) + drive
-            z_shift = z_op
+            z_shift = self.channel_ops[pulse.channel][0]
         else:
-            diag = self.energies - self._frame_diag(fe, f_n)
-            if offsets:
-                for spin, delta in offsets.items():
-                    diag = diag + delta * self._zdiag[spin] / 2.0
-            d_eig = v.conj().T @ drive @ v
-            d_eig = np.where(self._gate_mask[pulse.channel], d_eig, 0.0)
-            h0 = np.diag(diag) + d_eig
-            if pulse.channel == "NMR":
-                z_shift = np.diag(self._zdiag["n1"] + self._zdiag["n2"]) / 2.0
-            else:
-                z_shift = np.diag(self._zdiag["e1"] + self._zdiag["e2"]) / 2.0
+            a, b = NUCLEI if pulse.channel == "NMR" else ELECTRONS
+            z_shift = np.diag(self._zdiag[a] + self._zdiag[b]) / 2.0
 
         t = np.atleast_1d(pulse.duration_us if durations_us is None else durations_us)
         u = sliced_propagators(h0, z_shift, t, pirs)
         if mode == GATE_MODEL:
+            v = self.vectors
             u = v @ u @ v.conj().T
         if np.any(realign):
             u = np.exp(2j * np.pi * realign * t[:, None])[..., None] * u
@@ -474,9 +480,6 @@ class SequenceEngine:
                 f"{nearest:.3f} MHz splitting to the nearest off-target line",
                 stacklevel=3,
             )
-
-    def idle_propagator(self, duration_us: float, offsets=None) -> np.ndarray:
-        return unitary_exp(self.free_hamiltonian(offsets=offsets), duration_us)
 
     # -- labeled-gate compilation to pulses ------------------------------------
 
@@ -519,7 +522,7 @@ class SequenceEngine:
                 step.pulse, mode, pirs=pirs if step.apply_pirs else None, offsets=offsets
             )
         if isinstance(step, IdleStep):
-            return self.idle_propagator(step.duration_us, offsets=offsets)
+            return unitary_exp(self.free_hamiltonian(offsets=offsets), step.duration_us)
         raise ContractError(f"cannot build a unitary for step {step!r}")
 
 
@@ -732,8 +735,7 @@ def _measure_distribution(rho: np.ndarray, spins) -> dict:
 def _collapse(rho: np.ndarray, spins, outcome) -> np.ndarray:
     mask = np.ones(16, dtype=bool)
     for s, o in zip(spins, outcome):
-        q = SPIN_INDEX[s]
-        mask &= np.array([1 - basis_bits(i)[q] == o for i in range(16)])
+        mask &= 1 - spin_bits(s) == o
     proj = np.where(mask, 1.0, 0.0)
     out = rho * np.outer(proj, proj)
     p = np.real(np.trace(out))
@@ -758,6 +760,10 @@ def run_sequence(
     engine: SequenceEngine | None = None,
 ) -> RunResult:
     """Execute a declarative sequence.
+
+    Without `initial_state` the run starts with every spin down, so loading
+    error enters only through `InitStep`s, on the spins they list; the
+    other spins are untouched.
 
     With ``shots == 0`` the sequence runs once at the probability level (no
     randomness is consumed) and the outcome distribution of the measure step
@@ -785,7 +791,7 @@ def run_sequence(
         if rho0.ndim == 1:
             rho0 = np.outer(rho0, rho0.conj())
     else:
-        rho0 = spam_mixture(noise.p_up)
+        rho0 = spam_mixture(0.0)  # all down: loading error enters through InitStep only
 
     def one_pass(rho, offsets, rng, records, shot_index):
         probs_out = {}
@@ -947,12 +953,6 @@ def _duration_grid(durations_us) -> np.ndarray:
     return durs
 
 
-def _electron_load(p_up: float) -> np.ndarray:
-    return np.diag(
-        [p_up * p_up, p_up * (1 - p_up), (1 - p_up) * p_up, (1 - p_up) * (1 - p_up)]
-    ).astype(complex)
-
-
 def _flip_readout(engine: SequenceEngine, target: str, mode: str, p_up: float):
     """Consecutive-shot flip readout of one nucleus between two identical
     pi/2 pulses O, as (weights, starts, projectors).
@@ -966,7 +966,7 @@ def _flip_readout(engine: SequenceEngine, target: str, mode: str, p_up: float):
     """
     pulse = engine.step_unitary(GateStep(target, math.pi / 2, math.pi / 2), mode)
     q = SPIN_INDEX[target]
-    e_load = _electron_load(p_up)
+    e_load = spam_mixture(p_up, ELECTRONS)[12:, 12:]  # the nuclei-down block
     spectators = [(s, w) for s, w in ((0, p_up), (1, 1.0 - p_up)) if w != 0.0]
     starts = np.zeros((len(spectators), 2, 16, 16), dtype=complex)
     for i, (s, _) in enumerate(spectators):
@@ -976,7 +976,7 @@ def _flip_readout(engine: SequenceEngine, target: str, mode: str, p_up: float):
             nuc[k, k] = 1.0
             starts[i, b] = pulse @ np.kron(nuc, e_load) @ pulse.conj().T
     # outcome 1 = up; a flip from target state b (outcome 1 - b) lands on b
-    outcome = 1 - ((np.arange(16) >> (3 - q)) & 1)
+    outcome = 1 - spin_bits(target)
     projectors = np.array([pulse.conj().T @ ((outcome == b)[:, None] * pulse) for b in (0, 1)])
     return np.array([w for _, w in spectators]), starts, projectors
 
@@ -1040,20 +1040,15 @@ def phase_map(
         starts = np.concatenate([starts, np.broadcast_to(nominal, paulis.shape)])
         ops = np.concatenate([ops, paulis])
 
-    v = engine.vectors
-    drive_op = engine.rabi["ESR"] * engine.channel_ops["ESR"][1]
-    if mode == GATE_MODEL:
-        d_eig = np.where(engine._gate_mask["ESR"], v.conj().T @ drive_op @ v, 0.0)
+    drive = engine.drive_hamiltonian(mode, "ESR", engine.rabi["ESR"])
     phase = -2j * np.pi * durs[:, None]
     grid = (freqs.size, durs.size)
     vals = np.zeros((starts.shape[0], *grid))  # every recorded value at every point
     for fi, f in enumerate(freqs):
         # one eigendecomposition per frequency, shared across all durations
+        w, basis = np.linalg.eigh(engine.static_hamiltonian(mode, float(f)) + drive)
         if mode == GATE_MODEL:
-            w, q = np.linalg.eigh(np.diag(engine.energies - engine._frame_diag(float(f))) + d_eig)
-            basis = v @ q
-        else:
-            w, basis = np.linalg.eigh(engine.free_hamiltonian(f_e=float(f)) + drive_op)
+            basis = engine.vectors @ basis  # back to the product basis
         bdag = basis.conj().T
         # kt = K^T, so that the sum over j runs along a matrix product
         kt = (bdag @ ops @ basis) * (bdag @ starts @ basis).transpose(0, 2, 1)

@@ -2,11 +2,13 @@
 extraction from the neutral nuclear Rabi amplitude, and phase-reversal
 tomography with fixed-period sine-fit comparison.
 
-The loading model assumes the same spin-up probability for every spin: the
-initialization projects the readout electron's state onto the other spins, so
-one parameter captures the error budget. Nuclear drives are conditional on
-the bound electron being spin-down; a spin-up electron detunes the drive by
-roughly the hyperfine coupling.
+The loading model is `pulses.spam_mixture`: every loaded spin is spin-down,
+erring to spin-up with the same probability p_up (the initialization projects
+the readout electron's state onto the other spins, so one parameter captures
+the error budget). A sequence loads spins only through its `InitStep`s, each
+of which resets the spins it lists to that state. Nuclear drives are
+conditional on the bound electron being spin-down; a spin-up electron detunes
+the drive by roughly the hyperfine coupling.
 """
 
 from __future__ import annotations
@@ -19,31 +21,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ContractError
-from .pulses import GATE_MODEL, GateStep, engine_for, rot2, spam_mixture
-from .spinmodel import SPIN_INDEX, SystemParams, basis_bits, pauli_op
+from .pulses import (
+    GATE_MODEL,
+    GateStep,
+    NoiseModel,
+    conditional_rotation,
+    engine_for,
+    rot2,
+    spam_mixture,
+)
+from .spinmodel import SystemParams, pauli_op
 
 # Golden regression targets: measured-device sine fit against the p_up = 0.14
 # simulation (phase offset in rad, amplitude reduction factor).
 MEASURED_PHASE_OFFSET_RAD = -0.638
 MEASURED_AMPLITUDE_RATIO = 0.61
-
-
-@dataclass(frozen=True)
-class SpamParams:
-    """Spin-up loading probability, applied identically to all four spins."""
-
-    p_up: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_up <= 0.5:
-            raise ContractError("p_up must lie in [0, 0.5]")
-
-
-def spam_initial_density(p_up: float) -> np.ndarray:
-    """Product loading state of all four spins: each spin down with
-    probability 1 - p_up, up with p_up; diagonal with unit trace."""
-    SpamParams(p_up)
-    return spam_mixture(p_up)
 
 
 def neutral_rabi_forward(
@@ -60,7 +52,7 @@ def neutral_rabi_forward(
     """
     if rabi_mhz <= 0:
         raise ContractError("rabi frequency must be positive")
-    SpamParams(p_up)
+    NoiseModel(p_up=p_up)  # checks p_up
     t = np.asarray(durations_us, dtype=float)
     flip_res = np.sin(np.pi * rabi_mhz * t) ** 2
     omega = math.hypot(rabi_mhz, detuning_when_up_mhz)
@@ -123,20 +115,9 @@ def fit_p_up(
 # phase-reversal tomography
 
 
-def _controlled_rotation_n2(theta: float, phase: float) -> np.ndarray:
-    """Rotation of n2 conditional on n1 being spin-up, applied only where e2
-    is spin-down (a spin-up bound electron detunes the drive)."""
-    r = rot2(theta, phase)
-    u = np.eye(16, dtype=complex)
-    for idx in range(16):
-        n1, n2, _, e2 = basis_bits(idx)
-        if n1 == 0 and n2 == 0 and e2 == 1:
-            partner = idx | 4  # n2 bit set: spin down
-            u[idx, idx] = r[0, 0]
-            u[partner, partner] = r[1, 1]
-            u[idx, partner] = r[0, 1]
-            u[partner, idx] = r[1, 0]
-    return u
+# the controlled rotation of n2: only where n1 is spin-up, and only where e2
+# is spin-down (a spin-up bound electron detunes the drive)
+_N2_CONTROL = {"n1": 0, "e2": 1}
 
 
 def phase_reversal_curve(
@@ -162,9 +143,10 @@ def phase_reversal_curve(
     engine = engine_for(params)
     phis = np.asarray(phi_grid, dtype=float)
 
-    rho0 = spam_initial_density(p_up)
+    NoiseModel(p_up=p_up)  # checks p_up
+    rho0 = spam_mixture(p_up)
     r1 = engine.gate_unitary(GateStep("n1", math.pi / 2, 0.0))
-    cr2 = _controlled_rotation_n2(math.pi, 0.0)
+    cr2 = conditional_rotation(rot2(math.pi, 0.0), "n2", _N2_CONTROL)
     prep = cr2 @ r1
     rho_bell = prep @ rho0 @ prep.conj().T
 
@@ -172,7 +154,7 @@ def phase_reversal_curve(
     out = np.zeros_like(phis)
     for i, phi in enumerate(phis):
         rev = engine.gate_unitary(GateStep("n1", math.pi / 2, phi)) @ (
-            _controlled_rotation_n2(math.pi, 3 * phi)
+            conditional_rotation(rot2(math.pi, 3 * phi), "n2", _N2_CONTROL)
         )
         rho = rev @ rho_bell @ rev.conj().T
         out[i] = 0.5 * (1.0 + float(np.real(np.trace(z1 @ rho))))

@@ -313,7 +313,6 @@ def sequence_table(
     mode: str = "GATE_MODEL",
     noise=None,
     engine=None,
-    initial_state=None,
 ) -> ProbabilityTable:
     """Exact nine-basis outcome table of a preparation sequence.
 
@@ -321,7 +320,6 @@ def sequence_table(
     preparation steps and collects the probability-level outcome
     distribution for every axis pair. Projection pulses are conditional
     nuclear gates, so initialization errors distort them faithfully.
-    `initial_state`, if given, is the state `run_sequence` starts from.
     """
     from . import pulses  # deferred: tomography is importable standalone
 
@@ -331,9 +329,7 @@ def sequence_table(
         steps.append(pulses.ProjectStep("n1", a1))
         steps.append(pulses.ProjectStep("n2", a2))
         steps.append(pulses.MeasureStep(("n1", "n2")))
-        res = pulses.run_sequence(
-            steps, params, noise=noise, mode=mode, shots=0, initial_state=initial_state, engine=engine
-        )
+        res = pulses.run_sequence(steps, params, noise=noise, mode=mode, shots=0, engine=engine)
         quartet = np.zeros(4)
         for (o1, o2), prob in res.outcome_probabilities.items():
             q1, q2 = 1 - o1, 1 - o2  # outcome 1 = up = qubit 0

@@ -4,6 +4,7 @@ import pytest
 
 from donorpair.cli import main
 from donorpair.config import ConfigError, EXPERIMENTS, GridSpec, validate_config
+from donorpair.experiments import _config_hash
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -60,6 +61,18 @@ class TestValidateConfig:
         assert [path for path, _ in err.value.errors] == ["$.pirs.shift_khz"]
         cfg = validate_config({"experiment": "pirs_cz", "pirs": {"enabled": True, "shift_khz": 5000}})
         assert cfg.pirs.shift_khz == 5000.0
+
+    def test_noise_sigma_f_rejected(self):
+        # every runner but ramsey works at probability level and never reads it
+        with pytest.raises(ConfigError) as err:
+            validate_config({"experiment": "phase_map", "noise": {"sigma_f_mhz": 0.1}})
+        assert [path for path, _ in err.value.errors] == ["$.noise.sigma_f_mhz"]
+        assert "ramsey option sigma_f_mhz" in str(err.value)
+        # zero or absent is accepted and hashes alike
+        zero = validate_config({"experiment": "phase_map", "noise": {"sigma_f_mhz": 0}})
+        absent = validate_config({"experiment": "phase_map"})
+        assert zero.noise.sigma_f_mhz == 0.0
+        assert _config_hash(zero) == _config_hash(absent)
 
     def test_ramsey_requires_one_width(self):
         with pytest.raises(ConfigError):
@@ -176,6 +189,11 @@ class TestCli:
         path = write_config(tmp_path, doc)
         assert main(["validate", "--config", str(path)]) == 2
         assert "$.pirs.shift_khz: must be <= 5000.0" in capsys.readouterr().err
+
+    def test_noise_sigma_f_exit_code(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"experiment": "phase_map", "noise": {"sigma_f_mhz": 0.1}})
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "$.noise.sigma_f_mhz" in capsys.readouterr().err
 
     def test_run_produces_manifest(self, tmp_path, capsys):
         doc = {

@@ -7,8 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from donorpair import pulses as pl
+from donorpair import spam
 from donorpair.linalg import ContractError, partial_trace, unitary_exp
-from donorpair.spinmodel import SPINS, SystemParams, basis_index, bloch_vector, pauli_op
+from donorpair.spinmodel import (
+    SPIN_INDEX,
+    SPINS,
+    SystemParams,
+    basis_bits,
+    basis_index,
+    bloch_vector,
+    pauli_op,
+)
 
 PSI_PLUS = np.array([0, 1, 1, 0]) / np.sqrt(2)
 
@@ -214,6 +223,15 @@ class TestRunSequence:
         b = pl.run_sequence(steps, params, seed=2, shots=64)
         assert [r.outcomes for r in a.shot_records] != [r.outcomes for r in b.shot_records]
 
+    def test_partial_init_leaves_other_spins_down(self, params):
+        # a run starts all down: the nuclei carry no loading error unless an
+        # InitStep lists them
+        steps = [pl.InitStep(("e1", "e2")), pl.MeasureStep(("n1", "n2"))]
+        res = pl.run_sequence(steps, params, noise=pl.NoiseModel(p_up=0.14))
+        assert res.outcome_probabilities == {(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0}
+        e1 = partial_trace(res.final_state, (2,), 4)
+        assert np.allclose(e1, np.diag([0.14, 0.86]))
+
     def test_probability_mode_consumes_no_rng(self, params):
         steps = pl.bell_prep() + [pl.MeasureStep(("n1", "n2"))]
         res = pl.run_sequence(steps, params, shots=0)
@@ -370,7 +388,7 @@ def _scalar_flip_rate(q_down, q_up):
 
 def _flip_probabilities(pulse, u_drive, target, spectator_bit, p_up, observe=None):
     """q[b] for target start b, evolving each start state matrix by matrix."""
-    e_fresh = pl._electron_load(p_up)
+    e_fresh = np.kron(np.diag([p_up, 1 - p_up]), np.diag([p_up, 1 - p_up])).astype(complex)
     q_flip = {}
     for b in (0, 1):
         k = 2 * b + spectator_bit if target == "n1" else 2 * spectator_bit + b
@@ -740,3 +758,86 @@ class TestClosedFormKernels:
         )
         assert [str(w.message) for w in caught] == [want]
         assert reference_selectivity_message(engine, pulse) == want
+
+
+# ---------------------------------------------------------------------------
+# 16-index loops that the conditional-rotation helper must reproduce
+
+
+def reference_gate_unitary(step):
+    """SU(2) on the target nucleus wherever its own electron is down."""
+    q = SPIN_INDEX[step.spin]
+    qe = SPIN_INDEX["e" + step.spin[-1]]
+    r = pl.rot2(step.theta, step.phase)
+    u = np.eye(16, dtype=complex)
+    for idx in range(16):
+        bits = basis_bits(idx)
+        if bits[q] == 0 and bits[qe] == 1:  # target up, own electron down
+            partner = idx | (1 << (3 - q))
+            u[idx, idx] = r[0, 0]
+            u[partner, partner] = r[1, 1]
+            u[idx, partner] = r[0, 1]
+            u[partner, idx] = r[1, 0]
+    return u
+
+
+def reference_cz_unitary(step):
+    """(-1)^turns on the conditioned electron pair, identity elsewhere."""
+    other = "e2" if step.electron == "e1" else "e1"
+    qo = SPIN_INDEX[other]
+    u = np.eye(16, dtype=complex)
+    sign = (-1.0) ** step.turns
+    for idx in range(16):
+        bits = basis_bits(idx)
+        if bits[0] == step.n1 and bits[1] == step.n2 and bits[qo] == 1:
+            u[idx, idx] = sign
+    return u
+
+
+def reference_controlled_rotation_n2(theta, phase):
+    """Rotation of n2 where n1 is spin-up and e2 spin-down."""
+    r = pl.rot2(theta, phase)
+    u = np.eye(16, dtype=complex)
+    for idx in range(16):
+        n1, n2, _, e2 = basis_bits(idx)
+        if n1 == 0 and n2 == 0 and e2 == 1:
+            partner = idx | 4  # n2 bit set: spin down
+            u[idx, idx] = r[0, 0]
+            u[partner, partner] = r[1, 1]
+            u[idx, partner] = r[0, 1]
+            u[partner, idx] = r[1, 0]
+    return u
+
+
+ANGLES = [(math.pi / 2, math.pi / 2), (math.pi / 2, -math.pi / 2), (math.pi, 0.0), (0.3, 1.7), (2.9, -2.2)]
+
+
+class TestConditionalRotation:
+    @pytest.mark.parametrize("spin", ["n1", "n2"])
+    @pytest.mark.parametrize("theta, phase", ANGLES)
+    def test_gate_unitary_matches_loop(self, engine, spin, theta, phase):
+        step = pl.GateStep(spin, theta, phase)
+        assert np.array_equal(engine.gate_unitary(step), reference_gate_unitary(step))
+
+    @pytest.mark.parametrize("electron", ["e1", "e2"])
+    @pytest.mark.parametrize("n1, n2", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    @pytest.mark.parametrize("turns", [1, 2])
+    def test_cz_unitary_matches_loop(self, engine, electron, n1, n2, turns):
+        step = pl.CzStep(electron, n1=n1, n2=n2, turns=turns)
+        assert np.array_equal(engine.cz_unitary(step), reference_cz_unitary(step))
+
+    @pytest.mark.parametrize("theta, phase", ANGLES + [(math.pi, 3 * 0.4)])
+    def test_phase_reversal_rotation_matches_loop(self, theta, phase):
+        got = pl.conditional_rotation(pl.rot2(theta, phase), "n2", spam._N2_CONTROL)
+        assert np.array_equal(got, reference_controlled_rotation_n2(theta, phase))
+
+    @pytest.mark.parametrize("spin", SPINS)
+    def test_spin_bits_match_basis_bits(self, spin):
+        want = [basis_bits(i)[SPIN_INDEX[spin]] for i in range(16)]
+        assert pl.spin_bits(spin).tolist() == want
+
+    def test_unconditioned_rotation_acts_on_every_pair(self):
+        r = pl.rot2(0.9, 0.2)
+        u = pl.conditional_rotation(r, "e1", {})
+        want = np.kron(np.kron(np.eye(4), r), np.eye(2))
+        assert np.array_equal(u, want)

@@ -5,21 +5,23 @@ import pytest
 
 from donorpair import spam
 from donorpair.linalg import ContractError, partial_trace
-from donorpair.pulses import FULL_DYNAMICS
+from donorpair.pulses import FULL_DYNAMICS, spam_mixture
 
 
 class TestInitialDensity:
+    """The loading state of all four spins, `pulses.spam_mixture`."""
+
     def test_no_error_is_all_down(self):
-        rho = spam.spam_initial_density(0.0)
+        rho = spam_mixture(0.0)
         assert rho[15, 15] == pytest.approx(1.0)
         assert np.trace(rho).real == pytest.approx(1.0)
 
     def test_half_error_is_maximally_mixed(self):
-        assert np.allclose(spam.spam_initial_density(0.5), np.eye(16) / 16)
+        assert np.allclose(spam_mixture(0.5), np.eye(16) / 16)
 
     def test_diagonal_bernoulli_product(self):
         p = 0.14
-        rho = spam.spam_initial_density(p)
+        rho = spam_mixture(p)
         assert np.count_nonzero(rho - np.diag(np.diag(rho))) == 0
         diag = np.real(np.diag(rho))
         # each diagonal entry is the product of per-spin Bernoulli weights
@@ -29,20 +31,23 @@ class TestInitialDensity:
 
     def test_two_spin_marginal(self):
         p = 0.2
-        rho = spam.spam_initial_density(p)
+        rho = spam_mixture(p)
         nuc = partial_trace(rho, (0, 1), 4)
         want = np.diag([p * p, p * (1 - p), (1 - p) * p, (1 - p) * (1 - p)])
         assert np.allclose(nuc, want)
 
     def test_single_spin_marginal(self):
         p = 0.3
-        rho = spam.spam_initial_density(p)
+        rho = spam_mixture(p)
         one = partial_trace(rho, (2,), 4)
         assert np.allclose(one, np.diag([p, 1 - p]))
 
     def test_invalid_probability(self):
+        # the callers that build a loading state check p_up
         with pytest.raises(ContractError):
-            spam.spam_initial_density(0.7)
+            spam.phase_reversal_curve(0.7, [0.0, 1.0])
+        with pytest.raises(ContractError):
+            spam.neutral_rabi_forward(0.7, [0.0, 1.0], 0.01)
 
 
 class TestNeutralRabiForward:
