@@ -2,18 +2,25 @@
 
 One experiment per file. Unknown keys are rejected at every level; grids are
 {start, stop, count} with inclusive linear spacing.
+
+The `system`, `noise` and `pirs` sections are `SystemParams`, `NoiseModel`
+and `PIRSModel`: a section's keys are its dataclass's fields, and the
+dataclass checks their ranges. Only phase_map, full_phase_sim,
+bell_tomography and pirs_cz read `mode`, and only pirs_cz reads `pirs`;
+elsewhere either is rejected.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .pulses import MAX_SHIFT_KHZ, MODES, NoiseModel, PIRSModel
+from .linalg import ContractError
+from .pulses import MODES, NoiseModel, PIRSModel
 from .spinmodel import SystemParams
 
 EXPERIMENTS = (
@@ -54,8 +61,21 @@ class ExperimentConfig:
     pirs: PIRSModel
     mode: str = "GATE_MODEL"
     seed: int = 0
-    output_format: str = "csv"
     options: dict = field(default_factory=dict)
+
+
+def _finite(val) -> bool:
+    """A JSON number (not a boolean) that is finite."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+
+
+def _broken(default, values):
+    """The `ContractError` message of `default` with `values` in place, or None."""
+    try:
+        replace(default, **values)
+    except ContractError as err:
+        return str(err)
+    return None
 
 
 class _Checker:
@@ -65,7 +85,7 @@ class _Checker:
     def fail(self, path, msg):
         self.errors.append((path, msg))
 
-    def section(self, doc, path, key, known, required=()):
+    def section(self, doc, path, key, known):
         sub = doc.get(key, {})
         if not isinstance(sub, dict):
             self.fail(f"{path}.{key}", "expected an object")
@@ -73,12 +93,33 @@ class _Checker:
         for k in sub:
             if k not in known:
                 self.fail(f"{path}.{key}.{k}", "unknown key")
-        for k in required:
-            if k not in sub:
-                self.fail(f"{path}.{key}.{k}", "missing required key")
         return sub
 
-    def number(self, sub, path, key, default=None, lo=None, hi=None):
+    def model(self, doc, key, default):
+        """Section `key` as the dataclass `default` with the document's values
+        in place: a JSON boolean for a bool field, a finite number otherwise.
+        If the values break the dataclass's checks, each is tried alone on
+        the defaults; the error lands at each field that breaks one by
+        itself, or else at the section."""
+        path, names = f"$.{key}", [f.name for f in fields(default)]
+        sub = self.section(doc, "$", key, names)
+        values = {}
+        for name in [k for k in sub if k in names]:
+            if not isinstance(getattr(default, name), bool):
+                values[name] = self.number(sub, path, name)
+            elif isinstance(sub[name], bool):
+                values[name] = sub[name]
+            else:
+                self.fail(f"{path}.{name}", "expected a boolean")
+        values = {k: v for k, v in values.items() if v is not None}
+        try:
+            return replace(default, **values)
+        except ContractError as err:
+            alone = [(f"{path}.{k}", _broken(default, {k: v})) for k, v in values.items()]
+            self.errors.extend([e for e in alone if e[1] is not None] or [(path, str(err))])
+        return default
+
+    def number(self, sub, path, key, default=None, lo=None):
         if key not in sub:
             return default
         val = sub[key]
@@ -90,8 +131,6 @@ class _Checker:
             return default
         if lo is not None and val < lo:
             self.fail(f"{path}.{key}", f"must be >= {lo}")
-        if hi is not None and val > hi:
-            self.fail(f"{path}.{key}", f"must be <= {hi}")
         return float(val)
 
     def integer(self, sub, path, key, default=None, lo=None):
@@ -118,26 +157,18 @@ class _Checker:
             return None
         return val
 
-    def grid(self, sub, path, key, default, lo=None):
+    def grid(self, sub, path, key, default, lo=None, min_count=1):
         if key not in sub:
             return default
-        g = sub[key]
-        if not isinstance(g, dict):
-            self.fail(f"{path}.{key}", "expected {start, stop, count}")
-            return default
-        for k in g:
-            if k not in ("start", "stop", "count"):
-                self.fail(f"{path}.{key}.{k}", "unknown key")
+        g = self.section(sub, path, key, ("start", "stop", "count"))
         start = self.number(g, f"{path}.{key}", "start", 0.0, lo=lo)
         stop = self.number(g, f"{path}.{key}", "stop", 1.0, lo=lo)
-        count = self.integer(g, f"{path}.{key}", "count", 2, lo=1)
+        count = self.integer(g, f"{path}.{key}", "count", 2, lo=min_count)
         return GridSpec(start, stop, count)
 
 
-_TOP_KEYS = {"experiment", "system", "noise", "pirs", "mode", "seed", "output", "options"}
-_SYSTEM_KEYS = {"b0", "g1", "g2", "mu_b_over_h", "gamma_n", "a1", "a2", "j"}
-_NOISE_KEYS = {"p_up", "sigma_f_mhz"}
-_PIRS_KEYS = {"shift_khz", "time_constant_us", "enabled", "accumulated_khz"}
+_TOP_KEYS = {"experiment", "system", "noise", "pirs", "mode", "seed", "options"}
+_MODE_EXPERIMENTS = ("phase_map", "full_phase_sim", "bell_tomography", "pirs_cz")
 
 _OPTION_KEYS = {
     "phase_map": {"center_mhz", "freq_offset", "duration", "observables"},
@@ -181,7 +212,10 @@ def validate_config(doc_or_path, seed=None) -> ExperimentConfig:
         experiment = "phase_map"
 
     mode = doc.get("mode", "GATE_MODEL")
-    if mode not in MODES:
+    if "mode" in doc and experiment not in _MODE_EXPERIMENTS:
+        chk.fail("$.mode", f"{experiment} does not read it; only {', '.join(_MODE_EXPERIMENTS)} do")
+        mode = "GATE_MODEL"
+    elif mode not in MODES:
         chk.fail("$.mode", f"must be one of {MODES}")
         mode = "GATE_MODEL"
 
@@ -191,46 +225,13 @@ def validate_config(doc_or_path, seed=None) -> ExperimentConfig:
         chk.fail("$.seed", "expected a non-negative integer")
         seed = 0
 
-    sys_doc = chk.section(doc, "$", "system", _SYSTEM_KEYS)
-    defaults = SystemParams()
-    kwargs = {}
-    for key in _SYSTEM_KEYS:
-        kwargs[key] = chk.number(sys_doc, "$.system", key, getattr(defaults, key))
-    system = defaults
-    if not chk.errors:
-        try:
-            system = SystemParams(**kwargs)
-        except ValueError as err:
-            chk.fail("$.system", str(err))
-
-    noise_doc = chk.section(doc, "$", "noise", _NOISE_KEYS)
-    p_up = chk.number(noise_doc, "$.noise", "p_up", 0.0, lo=0.0, hi=0.5)
-    sigma = chk.number(noise_doc, "$.noise", "sigma_f_mhz", 0.0, lo=0.0)
-    if sigma > 0:  # the probability-level runners never draw quasi-static offsets
+    system = chk.model(doc, "system", SystemParams())
+    noise = chk.model(doc, "noise", NoiseModel())
+    if noise.sigma_f_mhz > 0:  # the probability-level runners never draw quasi-static offsets
         chk.fail("$.noise.sigma_f_mhz", "no experiment reads it; use the ramsey option sigma_f_mhz")
-    noise = NoiseModel()
-    if not chk.errors:
-        noise = NoiseModel(sigma_f_mhz=sigma, p_up=p_up)
-
-    pirs_doc = chk.section(doc, "$", "pirs", _PIRS_KEYS)
-    pirs = PIRSModel()
-    shift = chk.number(pirs_doc, "$.pirs", "shift_khz", 0.0, lo=0.0, hi=MAX_SHIFT_KHZ)
-    tau = chk.number(pirs_doc, "$.pirs", "time_constant_us", 100.0)
-    acc = chk.number(pirs_doc, "$.pirs", "accumulated_khz", 0.0)
-    enabled = pirs_doc.get("enabled", False)
-    if not isinstance(enabled, bool):
-        chk.fail("$.pirs.enabled", "expected a boolean")
-        enabled = False
-    if tau is not None and tau <= 0:
-        chk.fail("$.pirs.time_constant_us", "must be positive")
-    elif not chk.errors:
-        pirs = PIRSModel(shift_khz=shift, time_constant_us=tau, enabled=enabled, accumulated_khz=acc)
-
-    out_doc = chk.section(doc, "$", "output", {"format"})
-    fmt = out_doc.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        chk.fail("$.output.format", "must be 'csv' or 'json'")
-        fmt = "csv"
+    if "pirs" in doc and experiment != "pirs_cz":
+        chk.fail("$.pirs", f"{experiment} does not read it; only pirs_cz does")
+    pirs = chk.model(doc, "pirs", PIRSModel())
 
     options = _validate_options(chk, doc, experiment)
 
@@ -243,7 +244,6 @@ def validate_config(doc_or_path, seed=None) -> ExperimentConfig:
         pirs=pirs,
         mode=mode,
         seed=seed,
-        output_format=fmt,
         options=options,
     )
 
@@ -281,13 +281,16 @@ def _validate_options(chk: _Checker, doc, experiment) -> dict:
     elif experiment == "rabi_spam":
         out["rabi_mhz"] = chk.number(sub, path, "rabi_mhz", 0.01, lo=1e-6)
         out["detuning_when_up_mhz"] = chk.number(sub, path, "detuning_when_up_mhz", None)
-        out["duration"] = chk.grid(sub, path, "duration", GridSpec(0.0, 100.0, 64), lo=0.0)
+        # the loading-error fit needs eight points
+        out["duration"] = chk.grid(
+            sub, path, "duration", GridSpec(0.0, 100.0, 64), lo=0.0, min_count=8
+        )
         out["shots_per_point"] = chk.integer(sub, path, "shots_per_point", 0, lo=0)
     elif experiment == "phase_reversal":
         out["points"] = chk.integer(sub, path, "points", 96, lo=12)
         out["data_csv"] = chk.existing_file(sub, path, "data_csv")
     elif experiment == "ramsey":
-        sigma = chk.number(sub, path, "sigma_f_mhz", None, lo=0.0)
+        sigma = chk.number(sub, path, "sigma_f_mhz", None, lo=1e-9)
         t2 = chk.number(sub, path, "t2_star_us", None, lo=1e-9)
         if sigma is None and t2 is None:
             chk.fail(f"{path}", "one of sigma_f_mhz or t2_star_us is required")
@@ -307,9 +310,18 @@ def _validate_options(chk: _Checker, doc, experiment) -> dict:
             if not good:
                 chk.fail(f"{path}.points", "expected a list of [distance_nm, j_mhz] pairs")
             else:
-                for i, (_, j) in enumerate(pts):
-                    if not isinstance(j, (int, float)) or j <= 0:
+                for i, (d, j) in enumerate(pts):
+                    if not _finite(d):
+                        chk.fail(f"{path}.points[{i}]", "distance must be a finite number")
+                    if not _finite(j) or j <= 0:
                         chk.fail(f"{path}.points[{i}]", "exchange strength must be positive")
+                # a line through one distance, or one strength, has no crossing
+                distances, strengths = zip(*pts)
+                if all(map(_finite, distances + strengths)):
+                    if len(set(distances)) == 1:
+                        chk.fail(f"{path}.points", "distances must not all be equal")
+                    if len(set(strengths)) == 1:
+                        chk.fail(f"{path}.points", "exchange strengths must not all be equal")
         out["points"] = pts
         out["points_csv"] = chk.existing_file(sub, path, "points_csv")
         out["target_j_mhz"] = chk.number(sub, path, "target_j_mhz", 12.0, lo=1e-9)

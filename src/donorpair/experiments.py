@@ -11,16 +11,15 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, GridSpec
+from .config import ExperimentConfig
 from .pulses import (
     InitStep,
-    PIRSModel,
     bell_prep,
     cz_flip_curve,
     engine_for,
@@ -80,37 +79,11 @@ class RunManifest:
     wall_time_s: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "experiment": self.experiment,
-                "config_sha256": self.config_sha256,
-                "seed": self.seed,
-                "version": self.version,
-                "outputs": self.outputs,
-                "wall_time_s": self.wall_time_s,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _config_hash(config: ExperimentConfig) -> str:
-    blob = json.dumps(
-        {
-            "experiment": config.experiment,
-            "system": vars(config.system),
-            "noise": vars(config.noise),
-            "pirs": vars(config.pirs),
-            "mode": config.mode,
-            "seed": config.seed,
-            "options": {
-                k: (vars(v) if isinstance(v, GridSpec) else v)
-                for k, v in config.options.items()
-            },
-        },
-        sort_keys=True,
-        default=str,
-    )
+    blob = json.dumps(asdict(config), sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -248,10 +221,9 @@ def run_pirs_cz(config: ExperimentConfig):
     n = config.options["max_turns"] * config.options["points_per_turn"] + 1
     durations = np.linspace(0.0, config.options["max_turns"] * turn, n)
     ideal = cz_flip_curve(config.system, durations, pirs=None, mode=config.mode, noise=config.noise)
-    pirs = config.pirs
-    if not pirs.enabled:
-        pirs = PIRSModel(shift_khz=120.0, time_constant_us=3.0, enabled=True)
-    drift = cz_flip_curve(config.system, durations, pirs=pirs, mode=config.mode, noise=config.noise)
+    drift = cz_flip_curve(
+        config.system, durations, pirs=config.pirs, mode=config.mode, noise=config.noise
+    )
     rows = list(zip(durations, ideal, drift))
     return [
         (
@@ -343,6 +315,8 @@ def donor_distance_fit(points, target_j_mhz: float):
         raise ValueError("need at least three (distance, exchange) points")
     if np.any(pts[:, 1] <= 0):
         raise ValueError("exchange strengths must be positive")
+    if np.all(pts == pts[0], axis=0).any():  # no line, or one that never crosses the target
+        raise ValueError("distances and exchange strengths must not all be equal")
     slope, intercept = np.polyfit(pts[:, 0], np.log(pts[:, 1]), 1)
     distance = (np.log(target_j_mhz) - intercept) / slope
     return float(distance), float(slope), float(intercept)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,7 @@ DEFAULT_RABI_NUCLEAR_MHZ = 0.01
 # pairs with |<f| sum sigma_x |i>| above this drive in the truncated model
 GATE_PAIR_THRESHOLD = 0.02
 
-# largest drift amplitude: 40x the fallback shift and 5x the 1 MHz gap to the
+# largest drift amplitude: 40x the default shift and 5x the 1 MHz gap to the
 # nearest off-target line; with the engine's unit-norm shift operators it keeps
 # `sliced_propagators` at <= 14 interpolation nodes, under the 16-slice minimum
 MAX_SHIFT_KHZ = 5000.0
@@ -90,12 +90,12 @@ class PulseSpec:
 class PIRSModel:
     """Drive-induced resonance drift: exponential approach to shift_khz while
     a radio-frequency drive is active, exponential relaxation to zero
-    otherwise, both with the same time constant."""
+    otherwise, both with the same time constant. The defaults are the
+    120 kHz / 3 us drift; a model that is not enabled adds none."""
 
-    shift_khz: float = 0.0
-    time_constant_us: float = 100.0
-    enabled: bool = False
-    accumulated_khz: float = 0.0
+    shift_khz: float = 120.0
+    time_constant_us: float = 3.0
+    enabled: bool = True
 
     def __post_init__(self):
         if self.shift_khz < 0:
@@ -144,6 +144,10 @@ class GateStep:
     theta: float
     phase: float = 0.0
 
+    def __post_init__(self):
+        if self.spin not in NUCLEI:
+            raise ContractError(f"gate target must be one of {NUCLEI}, not {self.spin!r}")
+
 
 @dataclass(frozen=True)
 class CzStep:
@@ -155,6 +159,12 @@ class CzStep:
     n1: int  # 0 = up, 1 = down
     n2: int
     turns: int = 1
+
+    def __post_init__(self):
+        if self.electron not in ELECTRONS:
+            raise ContractError(f"CZ target must be one of {ELECTRONS}, not {self.electron!r}")
+        if self.n1 not in (0, 1) or self.n2 not in (0, 1):
+            raise ContractError("nuclear sector bits n1, n2 must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -539,29 +549,15 @@ def engine_for(
 # resonance drift
 
 
-def pirs_detuning(t_us, model: PIRSModel, drive_active: bool):
-    """Drift of the electron resonance in kHz after a time t (a float or an
-    array of times).
-
-    While a radio-frequency drive is active the shift approaches the
-    saturation amplitude; otherwise it relaxes back toward zero. The value is
-    added to the detuning of electron pulses.
-    """
-    decay = np.exp(-np.asarray(t_us, dtype=float) / model.time_constant_us)
-    if drive_active:
-        return model.shift_khz + (model.accumulated_khz - model.shift_khz) * decay
-    return model.accumulated_khz * decay
-
-
 def relaxation_detuning_profile(model: PIRSModel):
     """Detuning profile (MHz vs us, vectorised over times) of an electron
     pulse that starts with the drift saturated and the carrier recalibrated
-    onto the shifted line: as the shift relaxes, the effective detuning
-    sweeps from 0 toward the full amplitude."""
-    saturated = replace(model, accumulated_khz=model.shift_khz)
+    onto the shifted line: as the shift relaxes to zero, the effective
+    detuning sweeps from 0 toward the full amplitude."""
 
     def profile(t_us):
-        return (pirs_detuning(t_us, saturated, drive_active=False) - saturated.shift_khz) / 1e3
+        decay = np.exp(-np.asarray(t_us, dtype=float) / model.time_constant_us)
+        return (model.shift_khz * decay - model.shift_khz) / 1e3
 
     return profile
 
@@ -663,7 +659,7 @@ def sliced_propagators(h0, z_shift, durations_us, pirs: PIRSModel | None = None)
     width W errs by at most 2 rho^p / p!, with rho = pi dt ||z_shift|| W / 2
     (||z_shift|| bounded by its largest absolute row sum). A call takes the
     fewest nodes whose bound at its largest rho is at or below
-    double-precision rounding: 7 for the 120 kHz fallback drift, 14 at the
+    double-precision rounding: 7 for the 120 kHz default drift, 14 at the
     `MAX_SHIFT_KHZ` ceiling. The blocks are exponentiated only at those p
     shifts, one `unitary_exp` per node over every duration, and each slice
     step is the barycentric combination of the node propagators at eps_k.

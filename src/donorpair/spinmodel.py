@@ -62,6 +62,8 @@ class SystemParams:
             raise ContractError("exchange coupling j must be non-negative")
         if self.b0 <= 0:
             raise ContractError("magnetic field b0 must be positive")
+        if self.g1 <= 0 or self.g2 <= 0:
+            raise ContractError("electron g-factors g1, g2 must be positive")
         if abs(self.g1 - self.g2) / self.g1 >= 0.01:
             raise ContractError("electron g-factors differ by more than 1%")
 

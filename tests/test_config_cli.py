@@ -1,16 +1,26 @@
 import json
+from dataclasses import fields
 
 import pytest
 
 from donorpair.cli import main
 from donorpair.config import ConfigError, EXPERIMENTS, GridSpec, validate_config
 from donorpair.experiments import _config_hash
+from donorpair.pulses import NoiseModel, PIRSModel
+from donorpair.spinmodel import SystemParams
 
 
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+# the fewest options that make each experiment's config valid
+VALID_OPTIONS = {
+    "ramsey": {"t2_star_us": 10.0},
+    "donor_distance_fit": {"points": [[5.0, 100.0], [10.0, 10.0], [15.0, 1.0]]},
+}
 
 
 class TestValidateConfig:
@@ -62,6 +72,98 @@ class TestValidateConfig:
         cfg = validate_config({"experiment": "pirs_cz", "pirs": {"enabled": True, "shift_khz": 5000}})
         assert cfg.pirs.shift_khz == 5000.0
 
+    @pytest.mark.parametrize(
+        "section, model", [("system", SystemParams), ("noise", NoiseModel), ("pirs", PIRSModel)]
+    )
+    def test_section_keys_are_model_fields(self, section, model):
+        for f in fields(model):
+            doc = {"experiment": "pirs_cz", section: {f.name: f.default}}
+            assert getattr(getattr(validate_config(doc), section), f.name) == f.default
+        with pytest.raises(ConfigError) as err:
+            validate_config({"experiment": "pirs_cz", section: {"bogus": 1}})
+        assert [path for path, _ in err.value.errors] == [f"$.{section}.bogus"]
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"experiment": "phase_map", "output": {"format": "csv"}}, "$.output"),
+            ({"experiment": "pirs_cz", "pirs": {"accumulated_khz": 100.0}}, "$.pirs.accumulated_khz"),
+        ],
+    )
+    def test_ignored_inputs_are_unknown_keys(self, doc, path):
+        with pytest.raises(ConfigError) as err:
+            validate_config(doc)
+        assert err.value.errors == [(path, "unknown key")]
+
+    def test_model_error_lands_at_its_field(self):
+        with pytest.raises(ConfigError) as err:
+            validate_config({"experiment": "phase_map", "system": {"g1": 0}})
+        assert err.value.errors == [("$.system.g1", "electron g-factors g1, g2 must be positive")]
+        with pytest.raises(ConfigError) as err:
+            validate_config({"experiment": "pirs_cz", "pirs": {"time_constant_us": 0, "enabled": 1}})
+        assert [path for path, _ in err.value.errors] == ["$.pirs.enabled", "$.pirs.time_constant_us"]
+
+    def test_joint_rule_lands_at_the_section(self):
+        # each g-factor is within 1% of the default, but not of the other
+        with pytest.raises(ConfigError) as err:
+            validate_config({"experiment": "phase_map", "system": {"g1": 1.985, "g2": 2.012}})
+        assert err.value.errors == [("$.system", "electron g-factors differ by more than 1%")]
+        cfg = validate_config({"experiment": "phase_map", "system": {"g1": 2.5, "g2": 2.5}})
+        assert (cfg.system.g1, cfg.system.g2) == (2.5, 2.5)
+
+    def test_pirs_default_is_the_drift(self):
+        cfg = validate_config({"experiment": "pirs_cz"})
+        assert cfg.pirs == PIRSModel(shift_khz=120.0, time_constant_us=3.0, enabled=True)
+        assert not validate_config({"experiment": "pirs_cz", "pirs": {"enabled": False}}).pirs.enabled
+
+    @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "pirs_cz"])
+    def test_pirs_only_on_pirs_cz(self, experiment):
+        doc = {"experiment": experiment, "pirs": {}, "options": VALID_OPTIONS.get(experiment, {})}
+        with pytest.raises(ConfigError) as err:
+            validate_config(doc)
+        assert [path for path, _ in err.value.errors] == ["$.pirs"]
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_mode_only_where_read(self, experiment):
+        doc = {"experiment": experiment, "mode": "FULL_DYNAMICS", "options": VALID_OPTIONS.get(experiment, {})}
+        if experiment in ("phase_map", "full_phase_sim", "bell_tomography", "pirs_cz"):
+            assert validate_config(doc).mode == "FULL_DYNAMICS"
+            return
+        with pytest.raises(ConfigError) as err:
+            validate_config(doc)
+        assert [path for path, _ in err.value.errors] == ["$.mode"]
+
+    @pytest.mark.parametrize("count, ok", [(7, False), (8, True)])
+    def test_rabi_spam_needs_eight_durations(self, count, ok):
+        doc = {"experiment": "rabi_spam", "options": {"duration": {"start": 0, "stop": 50, "count": count}}}
+        if ok:
+            assert validate_config(doc).options["duration"].count == count
+            return
+        with pytest.raises(ConfigError) as err:
+            validate_config(doc)
+        assert [path for path, _ in err.value.errors] == ["$.options.duration.count"]
+
+    @pytest.mark.parametrize(
+        "points, path",
+        [
+            ([["a", 1.0], [2.0, 2.0], [3.0, 3.0]], "$.options.points[0]"),
+            ([[1.0, 1.0], [None, 2.0], [3.0, 3.0]], "$.options.points[1]"),
+            ([[1.0, 1.0], [2.0, float("nan")], [3.0, 3.0]], "$.options.points[1]"),
+            ([[1, 1], [1, 2], [1, 3]], "$.options.points"),
+            ([[1, 2], [2, 2], [3, 2]], "$.options.points"),
+        ],
+    )
+    def test_donor_points_rejected(self, points, path):
+        with pytest.raises(ConfigError) as err:
+            validate_config({"experiment": "donor_distance_fit", "options": {"points": points}})
+        assert [p for p, _ in err.value.errors] == [path]
+
+    def test_ramsey_width_must_be_positive(self):
+        # a zero width would write an infinite T2* into ramsey_fit.json
+        with pytest.raises(ConfigError) as err:
+            validate_config({"experiment": "ramsey", "options": {"sigma_f_mhz": 0}})
+        assert [path for path, _ in err.value.errors] == ["$.options.sigma_f_mhz"]
+
     def test_noise_sigma_f_rejected(self):
         # every runner but ramsey works at probability level and never reads it
         with pytest.raises(ConfigError) as err:
@@ -98,7 +200,8 @@ class TestValidateConfig:
         [("phase_map", "duration"), ("full_phase_sim", "duration"), ("rabi_spam", "duration")],
     )
     def test_negative_duration_grid_rejected(self, experiment, key):
-        doc = {"experiment": experiment, "options": {key: {"start": -1.0, "stop": 2.0, "count": 3}}}
+        # eight points: the fewest that rabi_spam's loading-error fit takes
+        doc = {"experiment": experiment, "options": {key: {"start": -1.0, "stop": 2.0, "count": 8}}}
         with pytest.raises(ConfigError) as err:
             validate_config(doc)
         assert [path for path, _ in err.value.errors] == [f"$.options.{key}.start"]
@@ -188,7 +291,29 @@ class TestCli:
         doc = {"experiment": "pirs_cz", "pirs": {"enabled": True, "shift_khz": 6000}}
         path = write_config(tmp_path, doc)
         assert main(["validate", "--config", str(path)]) == 2
-        assert "$.pirs.shift_khz: must be <= 5000.0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "$.pirs.shift_khz: shift amplitude must be at most 5000.0 kHz" in err
+
+    def test_zero_g_factor_exit_code(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"experiment": "phase_map", "system": {"g1": 0}})
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "$.system.g1: electron g-factors g1, g2 must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"experiment": "rabi_spam", "options": {"duration": {"start": 0, "stop": 50, "count": 4}}},
+            {"experiment": "donor_distance_fit", "options": {"points": [["a", 1], [2, 2], [3, 3]]}},
+            {"experiment": "donor_distance_fit", "options": {"points": [[1, 1], [1, 2], [1, 3]]}},
+        ],
+        ids=["rabi-four-points", "donor-text-distance", "donor-one-distance"],
+    )
+    def test_runtime_failures_are_config_errors(self, tmp_path, capsys, doc):
+        # each used to fail only in the run (exit 3) or fit a meaningless line
+        path = write_config(tmp_path, doc)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "$.options" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_noise_sigma_f_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"experiment": "phase_map", "noise": {"sigma_f_mhz": 0.1}})

@@ -1,0 +1,177 @@
+"""Generated configuration documents: each is either rejected with a
+`ConfigError` or runs to finite, strict-JSON outputs.
+
+A document is drawn with values in the ranges each key is meant to take
+(some combinations of which the models still reject), then half of them get
+one fault: a bad value (zero, a negative, a non-finite number, a boolean, a
+string, null, a list) in place of any value, an unknown key, an `output`
+section, or a `pirs` or `mode` key on an experiment that reads neither.
+Grid, shot and resample sizes are bounded, and always given where the
+defaults are large, so that a valid document runs in milliseconds.
+"""
+
+import json
+import math
+import tempfile
+import warnings
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from donorpair.config import EXPERIMENTS, ConfigError, validate_config
+from donorpair.experiments import run
+from donorpair.pulses import MODES
+
+BAD = st.sampled_from([0, -1.0, float("nan"), float("inf"), True, "1", None, [1.0]])
+READS_MODE = ("phase_map", "full_phase_sim", "bell_tomography", "pirs_cz")
+
+
+def number(lo, hi):
+    """A float in [lo, hi], or an integer there if there is one."""
+    ints = st.integers(math.ceil(lo), math.floor(hi)) if math.ceil(lo) <= hi else st.nothing()
+    return st.one_of(st.floats(lo, hi), ints)
+
+
+def obj(required=None, optional=None):
+    return st.fixed_dictionaries(required or {}, optional=optional or {})
+
+
+def grid(lo, hi, count_lo, count_hi):
+    return obj({"count": st.integers(count_lo, count_hi)}, {"start": number(lo, hi), "stop": number(lo, hi)})
+
+
+SECTIONS = {
+    "system": obj(
+        optional={
+            "b0": number(0.2, 3.0),
+            "g1": number(1.99, 2.01),
+            "g2": number(1.99, 2.01),
+            "mu_b_over_h": number(1e4, 2e4),
+            "gamma_n": number(5.0, 30.0),
+            "a1": number(50.0, 150.0),
+            "a2": number(50.0, 150.0),
+            "j": number(0.0, 30.0),
+        }
+    ),
+    "noise": obj(optional={"p_up": number(0.0, 0.5), "sigma_f_mhz": st.just(0) | number(0.0, 0.2)}),
+    "pirs": obj(
+        optional={
+            "enabled": st.booleans(),
+            "shift_khz": number(0.0, 5000.0),
+            "time_constant_us": number(0.1, 10.0),
+        }
+    ),
+}
+OPTIONS = {
+    "phase_map": obj(
+        {"freq_offset": grid(-20.0, 20.0, 1, 4), "duration": grid(0.0, 20.0, 1, 4)},
+        {"center_mhz": st.just("auto") | number(-100.0, 100.0), "observables": st.booleans()},
+    ),
+    "full_phase_sim": obj(
+        {"freq_offset": grid(-20.0, 20.0, 1, 3), "duration": grid(0.0, 20.0, 1, 3)},
+        {"center_mhz": st.just("auto") | number(-100.0, 100.0)},
+    ),
+    "bell_tomography": obj(
+        {"shots_per_axis": st.integers(0, 50), "resamples": st.integers(1, 20)},
+        {"groups": st.integers(2, 4), "spam_spins": st.sampled_from(["all", "electrons"])},
+    ),
+    "pirs_cz": obj({"max_turns": st.integers(1, 2), "points_per_turn": st.integers(2, 4)}),
+    "rabi_spam": obj(
+        {"duration": grid(0.0, 200.0, 6, 12)},
+        {
+            "rabi_mhz": number(0.001, 0.1),
+            "detuning_when_up_mhz": number(-200.0, 200.0),
+            "shots_per_point": st.integers(0, 100),
+        },
+    ),
+    "phase_reversal": obj({"points": st.integers(12, 16)}),
+    "ramsey": st.one_of(
+        obj({"wait": grid(0.0, 60.0, 1, 4), "n_shots": st.integers(1, 50), width: number(0.0, hi)})
+        for width, hi in [("sigma_f_mhz", 1.0), ("t2_star_us", 100.0)]
+    ),
+    "donor_distance_fit": obj(
+        {"points": st.lists(st.lists(number(1.0, 30.0), min_size=2, max_size=2), min_size=3, max_size=5)},
+        {"target_j_mhz": number(0.0, 100.0)},
+    ),
+}
+
+
+@st.composite
+def intended_documents(draw):
+    """Every value in the range its key is meant to take; each optional key
+    present half of the time, and `mode` and `pirs` only where read."""
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    doc = {"experiment": experiment, "options": draw(OPTIONS[experiment])}
+    optional = {"seed": st.integers(0, 2**32), **SECTIONS}
+    if experiment in READS_MODE:
+        optional["mode"] = st.sampled_from(MODES)
+    if experiment != "pirs_cz":
+        del optional["pirs"]
+    for key, strategy in optional.items():
+        if draw(st.booleans()):
+            doc[key] = draw(strategy)
+    return doc
+
+
+def _slots(node):
+    """(container, key) of every value under a document node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, val in items:
+        yield node, key
+        if isinstance(val, (dict, list)):
+            yield from _slots(val)
+
+
+@st.composite
+def faulty_documents(draw):
+    doc = draw(intended_documents())
+    fault = draw(st.sampled_from(["value", "unknown key", "output", "pirs", "mode"]))
+    if fault == "value":
+        container, key = draw(st.sampled_from(list(_slots(doc))))
+        container[key] = draw(BAD)
+    elif fault == "unknown key":
+        dicts = [doc] + [c[k] for c, k in _slots(doc) if isinstance(c[k], dict)]
+        container = draw(st.sampled_from(dicts))
+        container["bogus"] = 1
+    elif fault == "output":
+        doc["output"] = {"format": "csv"}
+    elif fault == "pirs":
+        doc["pirs"] = draw(SECTIONS["pirs"])
+    else:
+        doc["mode"] = draw(st.sampled_from(MODES))
+    return doc
+
+
+def _raise_on_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def check_outputs(out: Path, names):
+    for name in names:
+        text = (out / name).read_text()
+        if name.endswith(".json"):
+            json.loads(text, parse_constant=_raise_on_constant)
+            continue
+        for line in text.splitlines()[1:]:
+            cells = [float(cell) for cell in line.split(",")]
+            assert all(math.isfinite(c) for c in cells), f"{name}: {line}"
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(intended_documents() | faulty_documents())
+def test_document_is_rejected_or_runs_clean(doc):
+    try:
+        config = validate_config(doc)
+    except ConfigError as err:
+        assert err.errors and all(path.startswith("$") for path, _ in err.errors)
+        return
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # full dynamics' selectivity warning
+        warnings.simplefilter("error", RuntimeWarning)
+        manifest = run(config, out)
+        check_outputs(Path(out), [*manifest.outputs, "manifest.json"])

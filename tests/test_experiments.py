@@ -305,6 +305,14 @@ class TestDonorDistance:
         with pytest.raises(ValueError):
             donor_distance_fit([[1.0, 1.0], [2.0, 0.5]], 1.0)
 
+    @pytest.mark.parametrize(
+        "points", [[[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 2.0], [3.0, 2.0]]]
+    )
+    def test_rejects_points_without_a_slope(self, points):
+        # one distance fits a meaningless line; one strength divides by a zero slope
+        with pytest.raises(ValueError, match="must not all be equal"):
+            donor_distance_fit(points, 1.0)
+
 
 class TestPirsExperiment:
     def test_curves_emitted_and_drift_deviates(self, tmp_path):
@@ -321,3 +329,21 @@ class TestPirsExperiment:
         ideal_end = float(rows[-1][1])
         drift_end = float(rows[-1][2])
         assert abs(ideal_end - drift_end) > 0.1
+
+    def run_pirs(self, tmp_path, name, pirs=None):
+        doc = {"experiment": "pirs_cz", "options": {"max_turns": 2, "points_per_turn": 4}}
+        if pirs is not None:
+            doc["pirs"] = pirs
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            run(validate_config(doc), tmp_path / name)
+        return read_csv(tmp_path / name / "pirs_cz.csv")[1]
+
+    def test_default_section_is_the_stated_drift(self, tmp_path):
+        stated = {"shift_khz": 120.0, "time_constant_us": 3.0, "enabled": True}
+        assert self.run_pirs(tmp_path, "default") == self.run_pirs(tmp_path, "stated", stated)
+
+    def test_disabled_drift_is_no_drift(self, tmp_path):
+        rows = self.run_pirs(tmp_path, "off", {"enabled": False})
+        assert all(ideal == drift for _, ideal, drift in rows)
+        assert rows != self.run_pirs(tmp_path, "default")

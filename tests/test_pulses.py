@@ -90,6 +90,28 @@ class TestValidation:
         with pytest.raises(ContractError):
             pl.PulseSpec("XYZ", 100.0, rabi_mhz=0.1, duration_us=1.0)
 
+    @pytest.mark.parametrize("mode", pl.MODES)
+    @pytest.mark.parametrize(
+        "step, args",
+        [
+            (pl.GateStep, ("e1", math.pi / 2)),
+            (pl.CzStep, ("n1", 1, 0)),
+            (pl.CzStep, ("e2", 2, 0)),
+            (pl.CzStep, ("e2", 1, -1)),
+        ],
+        ids=["gate-on-electron", "cz-on-nucleus", "cz-n1-bit", "cz-n2-bit"],
+    )
+    def test_step_targets_checked_at_construction(self, params, mode, step, args):
+        # unchecked, the gate model ran such a step as the identity and full
+        # dynamics divided by its zero drive amplitude
+        with pytest.raises(ContractError):
+            pl.run_sequence([pl.InitStep(), step(*args), pl.MeasureStep(("n1",))], params, mode=mode)
+        valid = {pl.GateStep: ("n1", math.pi / 2), pl.CzStep: ("e2", 1, 0)}[step]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # full dynamics' selectivity warning
+            u = pl.engine_for(params).step_unitary(step(*valid), mode)
+        assert np.allclose(u @ u.conj().T, np.eye(16), atol=1e-10)
+
     def test_measure_before_initialize_rejected(self, params):
         with pytest.raises(ContractError):
             pl.run_sequence([pl.MeasureStep(("n1",))], params)
@@ -293,18 +315,6 @@ class TestGeometricPhase:
 
 
 class TestPirs:
-    def test_rest_state_stays_zero(self):
-        m = pl.PIRSModel(shift_khz=100.0, time_constant_us=50.0, enabled=True)
-        assert pl.pirs_detuning(0.0, m, drive_active=True) == pytest.approx(0.0)
-
-    def test_saturation(self):
-        m = pl.PIRSModel(shift_khz=100.0, time_constant_us=10.0, enabled=True)
-        assert pl.pirs_detuning(1000.0, m, drive_active=True) == pytest.approx(100.0)
-
-    def test_relaxation_toward_zero(self):
-        m = pl.PIRSModel(shift_khz=100.0, time_constant_us=10.0, accumulated_khz=100.0)
-        assert pl.pirs_detuning(1000.0, m, drive_active=False) == pytest.approx(0.0)
-
     def test_recalibrated_profile_sweeps_zero_to_amplitude(self):
         m = pl.PIRSModel(shift_khz=120.0, time_constant_us=3.0, enabled=True)
         prof = pl.relaxation_detuning_profile(m)

@@ -29,6 +29,12 @@ class TestSystemParams:
         with pytest.raises(ContractError):
             SystemParams(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [dict(g1=0.0), dict(g2=-1.9985)])
+    def test_nonpositive_g_factor(self, kwargs):
+        # checked before the spread, which divides by g1
+        with pytest.raises(ContractError, match="must be positive"):
+            SystemParams(**kwargs)
+
 
 class TestStaticHamiltonian:
     def test_zeeman_only_diagonal_entry(self):
