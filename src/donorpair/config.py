@@ -1,38 +1,62 @@
 """JSON experiment configuration: schema validation with path-tagged errors.
 
 One experiment per file. Unknown keys are rejected at every level; grids are
-{start, stop, count} with inclusive linear spacing.
-
-The `system`, `noise` and `pirs` sections are `SystemParams`, `NoiseModel`
-and `PIRSModel`: a section's keys are its dataclass's fields, and the
-dataclass checks their ranges. Only phase_map, full_phase_sim,
-bell_tomography and pirs_cz read `mode`, and only pirs_cz reads `pirs`;
-elsewhere either is rejected.
+{start, stop, count} with inclusive linear spacing. `READS` is the one
+statement of what each experiment reads: which of the sections `mode`,
+`system`, `noise` and `pirs`, and which option keys. Any other section is
+rejected at `$.<section>`. `seed` is accepted everywhere, because the run
+manifest records it. The `system`, `noise` and `pirs` sections are
+`SystemParams`, `NoiseModel` and `PIRSModel`: a section's keys are its
+dataclass's fields, and the dataclass checks their ranges.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import ContractError
-from .pulses import MODES, NoiseModel, PIRSModel
+from .pulses import FULL_DYNAMICS, GATE_MODEL, MODES, NoiseModel, PIRSModel
+from .spam import DETUNING_WHEN_UP_MHZ
 from .spinmodel import SystemParams
 
-EXPERIMENTS = (
-    "phase_map",
-    "bell_tomography",
-    "pirs_cz",
-    "full_phase_sim",
-    "rabi_spam",
-    "phase_reversal",
-    "ramsey",
-    "donor_distance_fit",
-)
+
+class Reads(NamedTuple):
+    """One experiment's sections and option keys, and sections it reads only in FULL_DYNAMICS."""
+
+    sections: tuple
+    options: tuple
+    full_dynamics: tuple = ()
+
+    def sections_in(self, mode: str) -> tuple:
+        return self.sections + (self.full_dynamics if mode == FULL_DYNAMICS else ())
+
+
+SECTIONS = ("mode", "system", "noise", "pirs")
+READS = {
+    "phase_map": Reads(
+        ("mode", "system", "noise"), ("center_mhz", "freq_offset", "duration", "observables")
+    ),
+    # the gate model's rotations read no system parameter
+    "bell_tomography": Reads(
+        ("mode", "noise"), ("shots_per_axis", "groups", "resamples", "spam_spins"), ("system",)
+    ),
+    "pirs_cz": Reads(SECTIONS, ("max_turns", "points_per_turn")),
+    "full_phase_sim": Reads(("mode", "system", "noise"), ("center_mhz", "freq_offset", "duration")),
+    "rabi_spam": Reads(
+        ("noise",), ("rabi_mhz", "detuning_when_up_mhz", "duration", "shots_per_point")
+    ),
+    "phase_reversal": Reads(("noise",), ("points", "data_csv")),
+    "ramsey": Reads((), ("sigma_f_mhz", "t2_star_us", "wait", "n_shots")),
+    "donor_distance_fit": Reads((), ("points", "points_csv", "target_j_mhz")),
+}
+EXPERIMENTS = tuple(READS)
+
 
 class ConfigError(ValueError):
     """Itemized validation failures with JSON paths."""
@@ -59,9 +83,9 @@ class ExperimentConfig:
     system: SystemParams
     noise: NoiseModel
     pirs: PIRSModel
-    mode: str = "GATE_MODEL"
-    seed: int = 0
-    options: dict = field(default_factory=dict)
+    mode: str
+    seed: int
+    options: dict
 
 
 def _finite(val) -> bool:
@@ -167,19 +191,7 @@ class _Checker:
         return GridSpec(start, stop, count)
 
 
-_TOP_KEYS = {"experiment", "system", "noise", "pirs", "mode", "seed", "options"}
-_MODE_EXPERIMENTS = ("phase_map", "full_phase_sim", "bell_tomography", "pirs_cz")
-
-_OPTION_KEYS = {
-    "phase_map": {"center_mhz", "freq_offset", "duration", "observables"},
-    "full_phase_sim": {"center_mhz", "freq_offset", "duration"},
-    "bell_tomography": {"shots_per_axis", "groups", "resamples", "spam_spins"},
-    "pirs_cz": {"max_turns", "points_per_turn"},
-    "rabi_spam": {"rabi_mhz", "detuning_when_up_mhz", "duration", "shots_per_point"},
-    "phase_reversal": {"points", "data_csv"},
-    "ramsey": {"sigma_f_mhz", "t2_star_us", "wait", "n_shots"},
-    "donor_distance_fit": {"points", "points_csv", "target_j_mhz"},
-}
+_TOP_KEYS = {"experiment", "seed", "options", *SECTIONS}
 
 
 def validate_config(doc_or_path, seed=None) -> ExperimentConfig:
@@ -211,13 +223,17 @@ def validate_config(doc_or_path, seed=None) -> ExperimentConfig:
         chk.fail("$.experiment", f"must be one of {EXPERIMENTS}")
         experiment = "phase_map"
 
-    mode = doc.get("mode", "GATE_MODEL")
-    if "mode" in doc and experiment not in _MODE_EXPERIMENTS:
-        chk.fail("$.mode", f"{experiment} does not read it; only {', '.join(_MODE_EXPERIMENTS)} do")
-        mode = "GATE_MODEL"
-    elif mode not in MODES:
+    reads = READS[experiment]
+    mode = doc.get("mode", GATE_MODEL) if "mode" in reads.sections else GATE_MODEL
+    if mode not in MODES:
         chk.fail("$.mode", f"must be one of {MODES}")
-        mode = "GATE_MODEL"
+        mode = GATE_MODEL
+    sections = reads.sections_in(mode)
+    for key in SECTIONS:
+        if key in doc and key not in sections:
+            where = f" in {mode}" if key in reads.full_dynamics else ""
+            readers = ", ".join(e for e, r in READS.items() if key in r.sections_in(FULL_DYNAMICS))
+            chk.fail(f"$.{key}", f"{experiment} does not read it{where}; read by {readers}")
 
     if seed is None:
         seed = doc.get("seed", 0)
@@ -225,32 +241,24 @@ def validate_config(doc_or_path, seed=None) -> ExperimentConfig:
         chk.fail("$.seed", "expected a non-negative integer")
         seed = 0
 
-    system = chk.model(doc, "system", SystemParams())
-    noise = chk.model(doc, "noise", NoiseModel())
+    # a section the experiment does not read keeps its defaults
+    models = {"system": SystemParams(), "noise": NoiseModel(), "pirs": PIRSModel()}
+    system, noise, pirs = (chk.model(doc, k, m) if k in sections else m for k, m in models.items())
     if noise.sigma_f_mhz > 0:  # the probability-level runners never draw quasi-static offsets
         chk.fail("$.noise.sigma_f_mhz", "no experiment reads it; use the ramsey option sigma_f_mhz")
-    if "pirs" in doc and experiment != "pirs_cz":
-        chk.fail("$.pirs", f"{experiment} does not read it; only pirs_cz does")
-    pirs = chk.model(doc, "pirs", PIRSModel())
+    if not pirs.enabled:  # no drift: nothing else in the section is read
+        for key in [f.name for f in fields(pirs) if f.name != "enabled" and f.name in doc["pirs"]]:
+            chk.fail(f"$.pirs.{key}", "not read when enabled is false")
 
     options = _validate_options(chk, doc, experiment)
 
     if chk.errors:
         raise ConfigError(chk.errors)
-    return ExperimentConfig(
-        experiment=experiment,
-        system=system,
-        noise=noise,
-        pirs=pirs,
-        mode=mode,
-        seed=seed,
-        options=options,
-    )
+    return ExperimentConfig(experiment, system, noise, pirs, mode, seed, options)
 
 
 def _validate_options(chk: _Checker, doc, experiment) -> dict:
-    known = _OPTION_KEYS[experiment]
-    sub = chk.section(doc, "$", "options", known)
+    sub = chk.section(doc, "$", "options", READS[experiment].options)
     path = "$.options"
     out = {}
 
@@ -270,6 +278,9 @@ def _validate_options(chk: _Checker, doc, experiment) -> dict:
         out["shots_per_axis"] = chk.integer(sub, path, "shots_per_axis", 0, lo=0)
         out["groups"] = chk.integer(sub, path, "groups", 5, lo=2)
         out["resamples"] = chk.integer(sub, path, "resamples", 1000, lo=1)
+        if out["shots_per_axis"] == 0:  # exact tables: no bootstrap runs
+            for key in [k for k in ("groups", "resamples") if k in sub]:
+                chk.fail(f"{path}.{key}", "not read when shots_per_axis is 0")
         spins = sub.get("spam_spins", "all")
         if spins not in ("all", "electrons"):
             chk.fail(f"{path}.spam_spins", "must be 'all' or 'electrons'")
@@ -280,7 +291,8 @@ def _validate_options(chk: _Checker, doc, experiment) -> dict:
         out["points_per_turn"] = chk.integer(sub, path, "points_per_turn", 8, lo=2)
     elif experiment == "rabi_spam":
         out["rabi_mhz"] = chk.number(sub, path, "rabi_mhz", 0.01, lo=1e-6)
-        out["detuning_when_up_mhz"] = chk.number(sub, path, "detuning_when_up_mhz", None)
+        detuning = chk.number(sub, path, "detuning_when_up_mhz", DETUNING_WHEN_UP_MHZ)
+        out["detuning_when_up_mhz"] = detuning
         # the loading-error fit needs eight points
         out["duration"] = chk.grid(
             sub, path, "duration", GridSpec(0.0, 100.0, 64), lo=0.0, min_count=8
@@ -303,6 +315,8 @@ def _validate_options(chk: _Checker, doc, experiment) -> dict:
         pts = sub.get("points")
         if pts is None and sub.get("points_csv") is None:
             chk.fail(f"{path}", "one of points or points_csv is required")
+        if pts is not None and sub.get("points_csv") is not None:
+            chk.fail(f"{path}", "give points or points_csv, not both")
         if pts is not None:
             good = isinstance(pts, list) and len(pts) >= 3 and all(
                 isinstance(p, list) and len(p) == 2 for p in pts

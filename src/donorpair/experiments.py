@@ -173,7 +173,7 @@ def _observable_csv(res):
 
 
 def run_phase_map(config: ExperimentConfig):
-    res = _phase_map_result(config, config.options.get("observables", False))
+    res = _phase_map_result(config, config.options["observables"])
     arts = [_phase_map_csv(res)]
     if res.observables:
         arts.append(_observable_csv(res))
@@ -236,8 +236,6 @@ def run_pirs_cz(config: ExperimentConfig):
 def run_rabi_spam(config: ExperimentConfig):
     durations = config.options["duration"].points()
     detuning = config.options["detuning_when_up_mhz"]
-    if detuning is None:
-        detuning = config.system.a2
     rabi = config.options["rabi_mhz"]
     trace = neutral_rabi_forward(config.noise.p_up, durations, rabi, detuning)
     shots = config.options["shots_per_point"]
@@ -260,8 +258,8 @@ def run_rabi_spam(config: ExperimentConfig):
 
 def run_phase_reversal(config: ExperimentConfig):
     phis = np.linspace(0.0, 2 * np.pi, config.options["points"], endpoint=False)
-    ideal = phase_reversal_curve(0.0, phis, params=config.system)
-    distorted = phase_reversal_curve(config.noise.p_up, phis, params=config.system)
+    ideal = phase_reversal_curve(0.0, phis)
+    distorted = phase_reversal_curve(config.noise.p_up, phis)
     fit_ideal = sine_fit(phis, ideal)
     fit_sim = sine_fit(phis, distorted)
     report = {

@@ -231,6 +231,20 @@ def conditional_rotation(r: np.ndarray, target: str, where: dict) -> np.ndarray:
     return u
 
 
+def gate_unitary(step: GateStep) -> np.ndarray:
+    """Exact SU(2) on the target nucleus wherever its electron is down."""
+    own_e = "e" + step.spin[-1]
+    return conditional_rotation(rot2(step.theta, step.phase), step.spin, {own_e: 1})
+
+
+def cz_unitary(step: CzStep) -> np.ndarray:
+    """(-1)^turns on the conditioned electron pair, identity elsewhere."""
+    other = "e2" if step.electron == "e1" else "e1"
+    sign = (-1.0) ** step.turns
+    where = {"n1": step.n1, "n2": step.n2, other: 1}
+    return conditional_rotation(sign * np.eye(2), step.electron, where)
+
+
 def rotating_frame_hamiltonian(
     h_static: np.ndarray,
     pulse: PulseSpec,
@@ -257,14 +271,11 @@ def rotating_frame_hamiltonian(
 @dataclass(frozen=True)
 class Transition:
     """One addressable line: signed frequency (MHz), the product-basis pair
-    (low index, high index), eigenlevel pair, and drive amplitude in units of
-    a bare transition."""
+    (low index, high index), and drive amplitude in units of a bare one."""
 
     frequency_mhz: float
     lo_index: int
     hi_index: int
-    lo_level: int
-    hi_level: int
     amplitude: float
 
 
@@ -321,44 +332,25 @@ class SequenceEngine:
 
     # -- level bookkeeping ---------------------------------------------------
 
-    def level(self, n1: int, n2: int, e1: int, e2: int) -> int:
-        """Eigenlevel whose dominant component is |n1 n2 e1 e2>."""
-        return self._level_of[basis_index(n1, n2, e1, e2)]
-
     def _transition(self, channel: str, spin: str, bits) -> Transition:
         """Flip of `spin` from down to up (signed gap), the other spins
         keeping their `bits`."""
         lo_bits, hi_bits = list(bits), list(bits)
         lo_bits[SPIN_INDEX[spin]], hi_bits[SPIN_INDEX[spin]] = 1, 0
-        lo_l, hi_l = self.level(*lo_bits), self.level(*hi_bits)
+        lo, hi = basis_index(*lo_bits), basis_index(*hi_bits)
+        lo_l, hi_l = self._level_of[lo], self._level_of[hi]
         freq = self.energies[hi_l] - self.energies[lo_l]
         amp = abs(self._drive_x[channel][hi_l, lo_l])
-        return Transition(
-            float(freq), basis_index(*lo_bits), basis_index(*hi_bits), lo_l, hi_l, float(amp)
-        )
+        return Transition(float(freq), lo, hi, float(amp))
 
-    def nuclear_transition(self, spin: str, spectators=None) -> Transition:
+    def nuclear_transition(self, spin: str) -> Transition:
         """Flip of one nucleus with every other spin down (signed gap)."""
-        return self._transition("NMR", spin, [1, 1, 1, 1] if spectators is None else spectators)
+        return self._transition("NMR", spin, [1, 1, 1, 1])
 
     def electron_transition(self, electron: str, n1: int, n2: int) -> Transition:
         """Flip of one electron conditional on the nuclear sector, with the
         other electron down."""
         return self._transition("ESR", electron, [n1, n2, 1, 1])
-
-    # -- exact gate-model unitaries -------------------------------------------
-
-    def gate_unitary(self, step: GateStep) -> np.ndarray:
-        """Exact SU(2) on the target nucleus wherever its electron is down."""
-        own_e = "e" + step.spin[-1]
-        return conditional_rotation(rot2(step.theta, step.phase), step.spin, {own_e: 1})
-
-    def cz_unitary(self, step: CzStep) -> np.ndarray:
-        """(-1)^turns on the conditioned electron pair, identity elsewhere."""
-        other = "e2" if step.electron == "e1" else "e1"
-        sign = (-1.0) ** step.turns
-        where = {"n1": step.n1, "n2": step.n2, other: 1}
-        return conditional_rotation(sign * np.eye(2), step.electron, where)
 
     # -- pulse propagators -----------------------------------------------------
 
@@ -517,11 +509,11 @@ class SequenceEngine:
     def step_unitary(self, step, mode: str, offsets=None, pirs: PIRSModel | None = None):
         if isinstance(step, GateStep):
             if mode == GATE_MODEL:
-                return self.gate_unitary(step)
+                return gate_unitary(step)
             return self.pulse_propagator(self.compile_gate(step), mode, offsets=offsets)
         if isinstance(step, CzStep):
             if mode == GATE_MODEL:
-                return self.cz_unitary(step)
+                return cz_unitary(step)
             return self.pulse_propagator(self.compile_cz(step), mode, offsets=offsets)
         if isinstance(step, ProjectStep):
             if step.axis.upper() == "Z":
@@ -916,7 +908,7 @@ def measure_geometric_phase(
     amp = psi0.conj() @ u @ psi0
     total = np.angle(amp)
     dyn = -2 * math.pi * pulse.duration_us * np.real(psi0.conj() @ h @ psi0)
-    return float((total - dyn + math.pi) % (2 * math.pi) - math.pi)
+    return float(wrap_angle(total - dyn))
 
 
 def wrap_angle(a: float) -> float:

@@ -22,27 +22,30 @@ import numpy as np
 
 from .linalg import ContractError
 from .pulses import (
-    GATE_MODEL,
     GateStep,
     NoiseModel,
     conditional_rotation,
-    engine_for,
+    gate_unitary,
     rot2,
     spam_mixture,
+    wrap_angle,
 )
-from .spinmodel import SystemParams, pauli_op
+from .spinmodel import pauli_op
 
 # Golden regression targets: measured-device sine fit against the p_up = 0.14
 # simulation (phase offset in rad, amplitude reduction factor).
 MEASURED_PHASE_OFFSET_RAD = -0.638
 MEASURED_AMPLITUDE_RATIO = 0.61
 
+# drive detuning of a nucleus whose electron loaded spin-up: about a2
+DETUNING_WHEN_UP_MHZ = 113.0
+
 
 def neutral_rabi_forward(
     p_up: float,
     durations_us,
     rabi_mhz: float,
-    detuning_when_up_mhz: float = 113.0,
+    detuning_when_up_mhz: float = DETUNING_WHEN_UP_MHZ,
 ) -> np.ndarray:
     """Up proportion of a driven neutral nucleus under loading errors.
 
@@ -74,7 +77,7 @@ def fit_p_up(
     durations_us,
     trace,
     rabi_mhz: float | None = None,
-    detuning_when_up_mhz: float = 113.0,
+    detuning_when_up_mhz: float = DETUNING_WHEN_UP_MHZ,
 ) -> PupFit:
     """Least-squares fit of the loading-error Rabi model to a measured trace.
 
@@ -120,32 +123,20 @@ def fit_p_up(
 _N2_CONTROL = {"n1": 0, "e2": 1}
 
 
-def phase_reversal_curve(
-    p_up: float,
-    phi_grid,
-    mode: str = GATE_MODEL,
-    params: SystemParams | None = None,
-) -> np.ndarray:
+def phase_reversal_curve(p_up: float, phi_grid) -> np.ndarray:
     """Up proportion of n1 after preparing the nuclear Bell pair and reversing
     it with phase-swept pulses, the second phase three times the first.
 
     Without loading errors the curve is exactly (1 - cos(4 phi))/2; loading
-    errors distort both its amplitude and phase. The composite
-    controlled-rotation is applied at the gate level; a dynamical-pulse
+    errors distort both its amplitude and phase. Every rotation is an exact
+    gate-level unitary, so no system parameter enters; a dynamical-pulse
     version of this composite is not defined.
     """
-    if mode != GATE_MODEL:
-        raise ContractError(
-            "phase reversal uses composite gate-level rotations; "
-            "full-dynamics mode is not supported"
-        )
-    params = params or SystemParams()
-    engine = engine_for(params)
     phis = np.asarray(phi_grid, dtype=float)
 
     NoiseModel(p_up=p_up)  # checks p_up
     rho0 = spam_mixture(p_up)
-    r1 = engine.gate_unitary(GateStep("n1", math.pi / 2, 0.0))
+    r1 = gate_unitary(GateStep("n1", math.pi / 2, 0.0))
     cr2 = conditional_rotation(rot2(math.pi, 0.0), "n2", _N2_CONTROL)
     prep = cr2 @ r1
     rho_bell = prep @ rho0 @ prep.conj().T
@@ -153,7 +144,7 @@ def phase_reversal_curve(
     z1 = pauli_op("n1", "z")
     out = np.zeros_like(phis)
     for i, phi in enumerate(phis):
-        rev = engine.gate_unitary(GateStep("n1", math.pi / 2, phi)) @ (
+        rev = gate_unitary(GateStep("n1", math.pi / 2, phi)) @ (
             conditional_rotation(rot2(math.pi, 3 * phi), "n2", _N2_CONTROL)
         )
         rho = rev @ rho_bell @ rev.conj().T
@@ -199,9 +190,8 @@ def compare_fits(sim: SineFit, data: SineFit) -> dict:
     to the simulated reference fit."""
     if sim.amplitude < 1e-6:
         raise ContractError("reference fit amplitude too small to compare against")
-    offset = (data.phase - sim.phase + math.pi) % (2 * math.pi) - math.pi
     return {
-        "phase_offset_rad": float(offset),
+        "phase_offset_rad": float(wrap_angle(data.phase - sim.phase)),
         "amplitude_ratio": float(data.amplitude / sim.amplitude),
     }
 

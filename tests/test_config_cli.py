@@ -21,6 +21,28 @@ VALID_OPTIONS = {
     "ramsey": {"t2_star_us": 10.0},
     "donor_distance_fit": {"points": [[5.0, 100.0], [10.0, 10.0], [15.0, 1.0]]},
 }
+DONOR_POINTS = VALID_OPTIONS["donor_distance_fit"]
+
+# (experiment, mode, the sections it reads), written out here and not taken
+# from config.py; a mode of None is the default GATE_MODEL, left unwritten
+SECTIONS_READ = [
+    ("phase_map", None, {"mode", "system", "noise"}),
+    ("bell_tomography", None, {"mode", "noise"}),  # gate-model rotations read no parameter
+    ("bell_tomography", "FULL_DYNAMICS", {"mode", "system", "noise"}),
+    ("pirs_cz", None, {"mode", "system", "noise", "pirs"}),
+    ("full_phase_sim", None, {"mode", "system", "noise"}),
+    ("rabi_spam", None, {"noise"}),
+    ("phase_reversal", None, {"noise"}),
+    ("ramsey", None, set()),
+    ("donor_distance_fit", None, set()),
+]
+# one value per section that differs from its default
+SECTION_VALUES = {
+    "mode": "FULL_DYNAMICS",
+    "system": {"j": 14.0},
+    "noise": {"p_up": 0.1},
+    "pirs": {"shift_khz": 200.0},
+}
 
 
 class TestValidateConfig:
@@ -33,6 +55,7 @@ class TestValidateConfig:
         cfg = validate_config(
             {
                 "experiment": "bell_tomography",
+                "mode": "FULL_DYNAMICS",
                 "system": {"a1": 111.0, "a2": 113.0, "j": 12.0},
             }
         )
@@ -116,22 +139,54 @@ class TestValidateConfig:
         assert cfg.pirs == PIRSModel(shift_khz=120.0, time_constant_us=3.0, enabled=True)
         assert not validate_config({"experiment": "pirs_cz", "pirs": {"enabled": False}}).pirs.enabled
 
-    @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "pirs_cz"])
-    def test_pirs_only_on_pirs_cz(self, experiment):
-        doc = {"experiment": experiment, "pirs": {}, "options": VALID_OPTIONS.get(experiment, {})}
-        with pytest.raises(ConfigError) as err:
-            validate_config(doc)
-        assert [path for path, _ in err.value.errors] == ["$.pirs"]
-
-    @pytest.mark.parametrize("experiment", EXPERIMENTS)
-    def test_mode_only_where_read(self, experiment):
-        doc = {"experiment": experiment, "mode": "FULL_DYNAMICS", "options": VALID_OPTIONS.get(experiment, {})}
-        if experiment in ("phase_map", "full_phase_sim", "bell_tomography", "pirs_cz"):
-            assert validate_config(doc).mode == "FULL_DYNAMICS"
+    @pytest.mark.parametrize("section", SECTION_VALUES)
+    @pytest.mark.parametrize(
+        "experiment, mode, read", SECTIONS_READ, ids=[e + ("-" + m if m else "") for e, m, _ in SECTIONS_READ]
+    )
+    def test_section_only_where_read(self, experiment, mode, read, section):
+        value = SECTION_VALUES[section]
+        doc = {"experiment": experiment, "options": VALID_OPTIONS.get(experiment, {}), section: value}
+        if mode:
+            doc["mode"] = mode
+        if section in read:
+            got = getattr(validate_config(doc), section)
+            assert got == value if section == "mode" else {k: getattr(got, k) for k in value} == value
             return
         with pytest.raises(ConfigError) as err:
             validate_config(doc)
-        assert [path for path, _ in err.value.errors] == ["$.mode"]
+        assert [path for path, _ in err.value.errors] == [f"$.{section}"]
+
+    def test_section_table_covers_every_experiment(self):
+        assert [e for e, m, _ in SECTIONS_READ if not m] == list(EXPERIMENTS)
+
+    @pytest.mark.parametrize(
+        "experiment, section, value, path",
+        [
+            ("pirs_cz", "pirs", {"enabled": False, "shift_khz": 500}, "$.pirs.shift_khz"),
+            ("pirs_cz", "pirs", {"time_constant_us": 2, "enabled": False}, "$.pirs.time_constant_us"),
+            ("bell_tomography", "options", {"groups": 3}, "$.options.groups"),
+            ("bell_tomography", "options", {"shots_per_axis": 0, "resamples": 9}, "$.options.resamples"),
+        ],
+    )
+    def test_field_not_read_in_context_rejected(self, experiment, section, value, path):
+        with pytest.raises(ConfigError) as err:
+            validate_config({"experiment": experiment, section: value})
+        assert [p for p, _ in err.value.errors] == [path]
+
+    def test_field_read_in_context_accepted(self):
+        pirs = validate_config({"experiment": "pirs_cz", "pirs": {"enabled": True, "shift_khz": 500}}).pirs
+        assert (pirs.enabled, pirs.shift_khz) == (True, 500.0)
+        options = {"shots_per_axis": 10, "groups": 3, "resamples": 9}
+        got = validate_config({"experiment": "bell_tomography", "options": options}).options
+        assert {k: got[k] for k in options} == options
+
+    def test_donor_points_and_csv_rejected(self, tmp_path):
+        csv = tmp_path / "points.csv"
+        csv.write_text("distance_nm,j_mhz\n10,300\n14,60\n18,5\n")
+        options = {**DONOR_POINTS, "points_csv": str(csv)}
+        with pytest.raises(ConfigError) as err:
+            validate_config({"experiment": "donor_distance_fit", "options": options})
+        assert err.value.errors == [("$.options", "give points or points_csv, not both")]
 
     @pytest.mark.parametrize("count, ok", [(7, False), (8, True)])
     def test_rabi_spam_needs_eight_durations(self, count, ok):
@@ -314,6 +369,29 @@ class TestCli:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "$.options" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "experiment, extra, path",
+        [
+            ("phase_reversal", {"system": {"a2": 100}}, "$.system"),
+            ("ramsey", {"system": {"j": 20}}, "$.system"),
+            ("ramsey", {"noise": {"p_up": 0.3}}, "$.noise"),
+            ("donor_distance_fit", {"system": {"j": 20}}, "$.system"),
+            ("donor_distance_fit", {"noise": {"p_up": 0.3}}, "$.noise"),
+            ("rabi_spam", {"system": {"a2": 90}}, "$.system"),
+            ("bell_tomography", {"system": {"j": 20}}, "$.system"),
+            ("pirs_cz", {"pirs": {"enabled": False, "shift_khz": 500}}, "$.pirs.shift_khz"),
+            ("bell_tomography", {"options": {"resamples": 100}}, "$.options.resamples"),
+            ("donor_distance_fit", {"options": {**DONOR_POINTS, "points_csv": "p.csv"}}, "$.options"),
+        ],
+    )
+    def test_unread_input_exit_code(self, tmp_path, monkeypatch, capsys, experiment, extra, path):
+        # each of these was accepted and left every output unchanged
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.csv").write_text("distance_nm,j_mhz\n10,300\n14,60\n18,5\n")
+        doc = {"experiment": experiment, "options": VALID_OPTIONS.get(experiment, {}), **extra}
+        assert main(["validate", "--config", str(write_config(tmp_path, doc))]) == 2
+        assert f"  {path}: " in capsys.readouterr().err
 
     def test_noise_sigma_f_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"experiment": "phase_map", "noise": {"sigma_f_mhz": 0.1}})

@@ -2,10 +2,11 @@
 `ConfigError` or runs to finite, strict-JSON outputs.
 
 A document is drawn with values in the ranges each key is meant to take
-(some combinations of which the models still reject), then half of them get
+(some combinations of which the models still reject), and with each section
+only where `config.READS` says the experiment reads it. Half of them then get
 one fault: a bad value (zero, a negative, a non-finite number, a boolean, a
 string, null, a list) in place of any value, an unknown key, an `output`
-section, or a `pirs` or `mode` key on an experiment that reads neither.
+section, or a section where the experiment does not read it.
 Grid, shot and resample sizes are bounded, and always given where the
 defaults are large, so that a valid document runs in milliseconds.
 """
@@ -18,12 +19,11 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from donorpair.config import EXPERIMENTS, ConfigError, validate_config
+from donorpair.config import EXPERIMENTS, READS, ConfigError, validate_config
 from donorpair.experiments import run
-from donorpair.pulses import MODES
+from donorpair.pulses import GATE_MODEL, MODES
 
 BAD = st.sampled_from([0, -1.0, float("nan"), float("inf"), True, "1", None, [1.0]])
-READS_MODE = ("phase_map", "full_phase_sim", "bell_tomography", "pirs_cz")
 
 
 def number(lo, hi):
@@ -41,6 +41,7 @@ def grid(lo, hi, count_lo, count_hi):
 
 
 SECTIONS = {
+    "mode": st.sampled_from(MODES),
     "system": obj(
         optional={
             "b0": number(0.2, 3.0),
@@ -54,14 +55,17 @@ SECTIONS = {
         }
     ),
     "noise": obj(optional={"p_up": number(0.0, 0.5), "sigma_f_mhz": st.just(0) | number(0.0, 0.2)}),
-    "pirs": obj(
+    # a disabled drift reads nothing else
+    "pirs": obj({"enabled": st.just(False)})
+    | obj(
         optional={
-            "enabled": st.booleans(),
+            "enabled": st.just(True),
             "shift_khz": number(0.0, 5000.0),
             "time_constant_us": number(0.1, 10.0),
         }
     ),
 }
+SPAM_SPINS = st.sampled_from(["all", "electrons"])
 OPTIONS = {
     "phase_map": obj(
         {"freq_offset": grid(-20.0, 20.0, 1, 4), "duration": grid(0.0, 20.0, 1, 4)},
@@ -71,9 +75,11 @@ OPTIONS = {
         {"freq_offset": grid(-20.0, 20.0, 1, 3), "duration": grid(0.0, 20.0, 1, 3)},
         {"center_mhz": st.just("auto") | number(-100.0, 100.0)},
     ),
-    "bell_tomography": obj(
-        {"shots_per_axis": st.integers(0, 50), "resamples": st.integers(1, 20)},
-        {"groups": st.integers(2, 4), "spam_spins": st.sampled_from(["all", "electrons"])},
+    # exact tables (no shots) run no bootstrap, so read no groups or resamples
+    "bell_tomography": obj(optional={"shots_per_axis": st.just(0), "spam_spins": SPAM_SPINS})
+    | obj(
+        {"shots_per_axis": st.integers(1, 50), "resamples": st.integers(1, 20)},
+        {"groups": st.integers(2, 4), "spam_spins": SPAM_SPINS},
     ),
     "pirs_cz": obj({"max_turns": st.integers(1, 2), "points_per_turn": st.integers(2, 4)}),
     "rabi_spam": obj(
@@ -98,18 +104,17 @@ OPTIONS = {
 
 @st.composite
 def intended_documents(draw):
-    """Every value in the range its key is meant to take; each optional key
-    present half of the time, and `mode` and `pirs` only where read."""
+    """Every value in the range its key is meant to take; the seed and each
+    section the experiment reads present half of the time."""
     experiment = draw(st.sampled_from(EXPERIMENTS))
     doc = {"experiment": experiment, "options": draw(OPTIONS[experiment])}
-    optional = {"seed": st.integers(0, 2**32), **SECTIONS}
-    if experiment in READS_MODE:
-        optional["mode"] = st.sampled_from(MODES)
-    if experiment != "pirs_cz":
-        del optional["pirs"]
-    for key, strategy in optional.items():
-        if draw(st.booleans()):
-            doc[key] = draw(strategy)
+    if draw(st.booleans()):
+        doc["seed"] = draw(st.integers(0, 2**32))
+    if "mode" in READS[experiment].sections and draw(st.booleans()):
+        doc["mode"] = draw(SECTIONS["mode"])
+    for key in READS[experiment].sections_in(doc.get("mode", GATE_MODEL)):
+        if key != "mode" and draw(st.booleans()):
+            doc[key] = draw(SECTIONS[key])
     return doc
 
 
@@ -125,7 +130,9 @@ def _slots(node):
 @st.composite
 def faulty_documents(draw):
     doc = draw(intended_documents())
-    fault = draw(st.sampled_from(["value", "unknown key", "output", "pirs", "mode"]))
+    read = READS[doc["experiment"]].sections_in(doc.get("mode", GATE_MODEL))
+    unread = [k for k in SECTIONS if k not in read]
+    fault = draw(st.sampled_from(["value", "unknown key", "output"] + ["section where unread"] * bool(unread)))
     if fault == "value":
         container, key = draw(st.sampled_from(list(_slots(doc))))
         container[key] = draw(BAD)
@@ -135,10 +142,9 @@ def faulty_documents(draw):
         container["bogus"] = 1
     elif fault == "output":
         doc["output"] = {"format": "csv"}
-    elif fault == "pirs":
-        doc["pirs"] = draw(SECTIONS["pirs"])
     else:
-        doc["mode"] = draw(st.sampled_from(MODES))
+        key = draw(st.sampled_from(unread))
+        doc[key] = draw(SECTIONS[key])
     return doc
 
 

@@ -122,30 +122,30 @@ class TestValidation:
 
 
 class TestGateModel:
-    def test_pi_pulse_defining_action(self, params, engine):
+    def test_pi_pulse_defining_action(self):
         # pi on n2 conditional e2 down flips n2 wherever e2 is down
         psi = np.zeros(16, dtype=complex)
         psi[basis_index(1, 0, 1, 1)] = 1.0  # D U d d
-        u = engine.gate_unitary(pl.GateStep("n2", math.pi, math.pi / 2))
+        u = pl.gate_unitary(pl.GateStep("n2", math.pi, math.pi / 2))
         out = u @ psi
         target = basis_index(1, 1, 1, 1)
         assert abs(out[target]) == pytest.approx(1.0, abs=1e-12)
 
-    def test_gate_identity_when_electron_up(self, engine):
+    def test_gate_identity_when_electron_up(self):
         psi = np.zeros(16, dtype=complex)
         psi[basis_index(1, 0, 1, 0)] = 1.0  # e2 up: conditioned gate idles
-        u = engine.gate_unitary(pl.GateStep("n2", math.pi, 0.0))
+        u = pl.gate_unitary(pl.GateStep("n2", math.pi, 0.0))
         assert abs((u @ psi)[basis_index(1, 0, 1, 0)]) == pytest.approx(1.0)
 
-    def test_full_turn_imparts_minus_one(self, engine):
-        u = engine.cz_unitary(pl.CzStep("e2", n1=1, n2=0, turns=1))
+    def test_full_turn_imparts_minus_one(self):
+        u = pl.cz_unitary(pl.CzStep("e2", n1=1, n2=0, turns=1))
         idx = basis_index(1, 0, 1, 1)
         assert u[idx, idx] == pytest.approx(-1.0)
         other = basis_index(1, 1, 1, 1)
         assert u[other, other] == pytest.approx(1.0)
 
-    def test_two_turns_restore_identity(self, engine):
-        u = engine.cz_unitary(pl.CzStep("e2", n1=1, n2=0, turns=2))
+    def test_two_turns_restore_identity(self):
+        u = pl.cz_unitary(pl.CzStep("e2", n1=1, n2=0, turns=2))
         assert np.allclose(u, np.eye(16))
 
 
@@ -253,6 +253,26 @@ class TestRunSequence:
         assert res.outcome_probabilities == {(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0}
         e1 = partial_trace(res.final_state, (2,), 4)
         assert np.allclose(e1, np.diag([0.14, 0.86]))
+
+    @pytest.mark.parametrize("mode", pl.MODES)
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.2])
+    def test_idle_precesses_at_the_offset(self, engine, mode, delta):
+        # n1 along +X from all down, then idles of t us with n1 offset by
+        # delta MHz: (<X>, <Y>) turns to (cos 2 pi delta t, sin 2 pi delta t)
+        psi = np.zeros(16, dtype=complex)
+        psi[basis_index(1, 1, 1, 1)] = 1.0
+        psi = engine.step_unitary(pl.GateStep("n1", math.pi / 2, math.pi / 2), mode) @ psi
+
+        def bloch_xy(state):
+            return [np.real(state.conj() @ pauli_op("n1", ax) @ state) for ax in "xy"]
+
+        # the compiled full-dynamics pulse leaves <Y> at about 2.4e-12
+        assert bloch_xy(psi) == pytest.approx([1.0, 0.0], abs=1e-12 if mode == pl.GATE_MODEL else 1e-11)
+        x0, y0 = bloch_xy(psi)
+        for t in (0.0, 1.3, 7.9, 25.0):
+            idle = engine.step_unitary(pl.IdleStep(t), mode, offsets={"n1": delta})
+            c, s = math.cos(2 * math.pi * delta * t), math.sin(2 * math.pi * delta * t)
+            assert bloch_xy(idle @ psi) == pytest.approx([c * x0 - s * y0, s * x0 + c * y0], abs=1e-12)
 
     def test_probability_mode_consumes_no_rng(self, params):
         steps = pl.bell_prep() + [pl.MeasureStep(("n1", "n2"))]
@@ -825,16 +845,16 @@ ANGLES = [(math.pi / 2, math.pi / 2), (math.pi / 2, -math.pi / 2), (math.pi, 0.0
 class TestConditionalRotation:
     @pytest.mark.parametrize("spin", ["n1", "n2"])
     @pytest.mark.parametrize("theta, phase", ANGLES)
-    def test_gate_unitary_matches_loop(self, engine, spin, theta, phase):
+    def test_gate_unitary_matches_loop(self, spin, theta, phase):
         step = pl.GateStep(spin, theta, phase)
-        assert np.array_equal(engine.gate_unitary(step), reference_gate_unitary(step))
+        assert np.array_equal(pl.gate_unitary(step), reference_gate_unitary(step))
 
     @pytest.mark.parametrize("electron", ["e1", "e2"])
     @pytest.mark.parametrize("n1, n2", [(0, 0), (0, 1), (1, 0), (1, 1)])
     @pytest.mark.parametrize("turns", [1, 2])
-    def test_cz_unitary_matches_loop(self, engine, electron, n1, n2, turns):
+    def test_cz_unitary_matches_loop(self, electron, n1, n2, turns):
         step = pl.CzStep(electron, n1=n1, n2=n2, turns=turns)
-        assert np.array_equal(engine.cz_unitary(step), reference_cz_unitary(step))
+        assert np.array_equal(pl.cz_unitary(step), reference_cz_unitary(step))
 
     @pytest.mark.parametrize("theta, phase", ANGLES + [(math.pi, 3 * 0.4)])
     def test_phase_reversal_rotation_matches_loop(self, theta, phase):

@@ -5,7 +5,7 @@ import pytest
 
 from donorpair import spam
 from donorpair.linalg import ContractError, partial_trace
-from donorpair.pulses import FULL_DYNAMICS, spam_mixture
+from donorpair.pulses import spam_mixture
 
 
 class TestInitialDensity:
@@ -130,10 +130,6 @@ class TestPhaseReversal:
             fit = spam.sine_fit(phis, spam.phase_reversal_curve(p, phis))
             amps.append(fit.amplitude)
         assert all(a >= b - 1e-12 for a, b in zip(amps, amps[1:]))
-
-    def test_full_dynamics_rejected(self):
-        with pytest.raises(ContractError):
-            spam.phase_reversal_curve(0.0, [0.0], mode=FULL_DYNAMICS)
 
 
 class TestSineFit:
