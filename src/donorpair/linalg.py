@@ -5,7 +5,8 @@ microseconds; propagators therefore carry an explicit 2*pi factor.
 Matrix exponentials go through an eigendecomposition rather than a series
 expansion so the result is unitary to machine precision at these sizes.
 Drifting-drive propagators are not exponentials themselves: they are
-products of slice steps interpolated between exponentials (see
+products of slice steps interpolated between the exponentials of one shared
+set of decomposed Hamiltonians, multiplied in real arithmetic (see
 `pulses.sliced_propagators`), and `require_unitary` checks them to
 UNITARITY_TOL.
 The eigendecomposition kernels (`hermitian_eig`, `unitary_exp`, `psd_sqrt`,
@@ -101,15 +102,19 @@ def unitary_exp(h, t_us) -> np.ndarray:
 
     `t_us` broadcasts against the stack axes of `h`, so one H and a vector
     of durations give one propagator per duration from one eigendecomposition.
+    `h` may also be the `EigenSystem` of H, so that several calls share one
+    decomposition.
     """
     t_us = np.asarray(t_us, dtype=float)
     if (t_us < 0).any():  # the method: np.any adds several us of dispatch per call
         raise ContractError(f"negative duration {t_us.min()} us")
-    w, v = hermitian_eig(h)
+    shared = isinstance(h, EigenSystem)
+    w, v = h if shared else hermitian_eig(h)
     phases = np.exp(-2j * np.pi * w * t_us[..., None])
     scaled = v * phases[..., None, :]
-    # V^dag from v conjugated in place: one (stack, d, d) array fewer in flight
-    return scaled @ np.conj(v, out=v).swapaxes(-1, -2)
+    # V^dag from v conjugated in place when no caller keeps v: one (stack, d, d)
+    # array fewer in flight
+    return scaled @ np.conj(v, out=None if shared else v).swapaxes(-1, -2)
 
 
 def psd_sqrt(m) -> np.ndarray:

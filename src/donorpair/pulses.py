@@ -60,6 +60,12 @@ GATE_PAIR_THRESHOLD = 0.02
 # nearest off-target line; with the engine's unit-norm shift operators it keeps
 # `sliced_propagators` at <= 14 interpolation nodes, under the 16-slice minimum
 MAX_SHIFT_KHZ = 5000.0
+# a drifting pulse has int(t / SLICE_US) slices, and at least MIN_SLICES
+SLICE_US = 0.05
+MIN_SLICES = 16
+# bytes of real-form node propagators and slice steps that `sliced_propagators`
+# holds for one group of durations
+DRIFT_GROUP_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -601,31 +607,60 @@ def _barycentric(x, nodes, weights) -> np.ndarray:
     return np.where(hit.any(axis=-1, keepdims=True), hit, c)
 
 
+def _drifting_group(node_eig, n, dt, coefficients) -> np.ndarray:
+    """Slice products of one group of durations, ascending, as a (durations,
+    blocks, b, b) stack. `coefficients` gives the barycentric node weights of
+    the shift at each slice midpoint time; one product of those weights with
+    the node propagators forms the steps of MIN_SLICES slices."""
+    at_nodes = unitary_exp(node_eig, dt[:, None, None])  # (durations, p, blocks, b, b)
+    # real forms: each acts on [Re x; Im x] as its complex block acts on x
+    at_nodes = np.block([[at_nodes.real, -at_nodes.imag], [at_nodes.imag, at_nodes.real]])
+    d, p = at_nodes.shape[:2]
+    steps = np.empty((MIN_SLICES, d) + at_nodes.shape[2:])
+    # each duration's blocks flattened, for the combination product
+    flat_nodes, flat_steps = at_nodes.reshape(d, p, -1), steps.reshape(MIN_SLICES, d, -1)
+    b = steps.shape[-1] // 2
+    u = np.zeros(steps.shape[1:-1] + (b,))
+    u[..., :b, :] = np.eye(b)  # [Re u; Im u] of the identity
+    # durations from first[k] on have a slice k
+    first = np.searchsorted(n, np.arange(n[-1]), side="right").tolist()
+    for k0 in range(0, n[-1], MIN_SLICES):
+        s = first[k0]
+        c = coefficients((k0 + 0.5 + np.arange(MIN_SLICES)) * dt[s:, None])
+        np.matmul(c, flat_nodes[s:], out=flat_steps[:, s:].swapaxes(0, 1))
+        for k in range(k0, min(k0 + MIN_SLICES, n[-1])):
+            a = first[k]
+            u[a:] = steps[k - k0, a:] @ u[a:]
+    return u[..., :b, :] + 1j * u[..., b:, :]
+
+
 def _drifting_blocks(h_blocks, z_blocks, t, pirs: PIRSModel) -> np.ndarray:
     """Slice products of `sliced_propagators` under drift, for a stack of
-    diagonal blocks: one (blocks, b, b) stack per duration. The node stack
-    is freed before the caller assembles the full matrices."""
+    diagonal blocks: one (blocks, b, b) stack per duration."""
     t, inverse = np.unique(t, return_inverse=True)  # ascending slice counts
-    n = np.maximum(16, (t / 0.05).astype(int))
+    n = np.maximum(MIN_SLICES, (t / SLICE_US).astype(int))
     dt = t / n
     profile = relaxation_detuning_profile(pirs)
-    first, last = profile(0.5 * dt), profile((n - 0.5) * dt)
-    center, half = (first + last) / 2.0, (last - first) / 2.0
+    # one node range for the call: eps runs from 0 to 2 * half, its value at
+    # the longest duration's last slice midpoint; node x sits at half * (1 + x)
+    half = profile(np.max((n - 0.5) * dt, initial=0.0)) / 2.0
     z_norm = np.abs(z_blocks).sum(axis=-1).max()
-    p = _chebyshev_node_count(np.max(np.pi * dt * z_norm * np.abs(half), initial=0.0))
+    p = _chebyshev_node_count(np.pi * np.max(dt, initial=0.0) * z_norm * abs(half))
     nodes, weights = _chebyshev_points(p)
-    at_nodes = np.empty((t.size, p, h_blocks.size), dtype=complex)
-    for j, node in enumerate(nodes):
-        h = h_blocks + (center + half * node)[:, None, None, None] * z_blocks
-        at_nodes[:, j] = unitary_exp(h, dt[:, None]).reshape(t.size, -1)
-    scale = np.where(half == 0, 1.0, half)  # no eps range: every slice at the center
+    node_eig = hermitian_eig(h_blocks + (half * (1.0 + nodes))[:, None, None, None] * z_blocks)
+    scale = half or 1.0  # no eps range: every node Hamiltonian is h_blocks
+
+    def coefficients(times):
+        return _barycentric(profile(times) / scale - 1.0, nodes, weights)
+
+    # real forms (4 floats for each complex entry) of the p node propagators
+    # and MIN_SLICES slice steps of one duration
+    per_duration = (p + MIN_SLICES) * 4 * h_blocks.size * 8
+    group = max(1, DRIFT_GROUP_BYTES // per_duration)
     u = np.empty(t.shape + h_blocks.shape, dtype=complex)
-    # durations from start[k] on still have a slice k
-    for k, start in enumerate(np.searchsorted(n, np.arange(n.max(initial=0)), side="right")):
-        x = (profile((k + 0.5) * dt[start:]) - center[start:]) / scale[start:]
-        c = _barycentric(x, nodes, weights)
-        step = (c[:, None, :] @ at_nodes[start:]).reshape(u[start:].shape)
-        u[start:] = step if k == 0 else step @ u[start:]
+    for g in range(0, t.size, group):
+        part = slice(g, g + group)
+        u[part] = _drifting_group(node_eig, n[part], dt[part], coefficients)
     return require_unitary(u)[inverse]
 
 
@@ -641,24 +676,37 @@ def sliced_propagators(h0, z_shift, durations_us, pirs: PIRSModel | None = None)
     comes from one eigendecomposition of each block, or of h0 for a single
     duration.
 
-    With drift a pulse of duration t is cut into n = max(16, int(t / 0.05))
-    slices of width dt = t / n. Slice k evolves under the shift
-    eps_k = eps((k + 1/2) dt) at its midpoint, and the running product is
-    left-multiplied one slice at a time (u = U_k @ u). Only the scalar eps_k
-    changes between slices, and U(eps) = exp(-2 pi i dt (h0 + eps z_shift))
-    is entire in eps with ||d^m U / d eps^m|| <= (2 pi dt ||z_shift||)^m, so
-    interpolating U at p Chebyshev points across a duration's eps range of
-    width W errs by at most 2 rho^p / p!, with rho = pi dt ||z_shift|| W / 2
-    (||z_shift|| bounded by its largest absolute row sum). A call takes the
-    fewest nodes whose bound at its largest rho is at or below
-    double-precision rounding: 7 for the 120 kHz default drift, 14 at the
-    `MAX_SHIFT_KHZ` ceiling. The blocks are exponentiated only at those p
-    shifts, one `unitary_exp` per node over every duration, and each slice
-    step is the barycentric combination of the node propagators at eps_k.
-    The node stack is p times the size of the running-product stack.
-    Durations are sorted once, with repeats computed once, so the durations
-    that still have a slice k are a contiguous tail and each step works on
-    views. The products must stay unitary to `linalg.UNITARITY_TOL`.
+    With drift a pulse of duration t is cut into n = max(MIN_SLICES,
+    int(t / SLICE_US)) slices of width dt = t / n. Slice k evolves under the
+    shift eps_k = eps((k + 1/2) dt) at its midpoint, and the running product
+    is left-multiplied one slice at a time (u = U_k @ u). Only the scalar
+    eps_k changes between slices, and U(eps) = exp(-2 pi i dt (h0 + eps
+    z_shift)) is entire in eps with ||d^m U / d eps^m|| <= (2 pi dt
+    ||z_shift||)^m, so interpolating U at p Chebyshev points across an eps
+    range of width W errs by at most 2 rho^p / p!, with rho = pi dt
+    ||z_shift|| W / 2 (||z_shift|| bounded by its largest absolute row sum).
+
+    One node set serves the whole call. Its range runs from eps = 0, where
+    the drift starts, to eps at the last slice midpoint of the longest
+    duration, so it holds every eps_k of every duration. p is the fewest
+    nodes whose bound at the largest dt is at or below double-precision
+    rounding: 7 for the 120 kHz default drift, 14 at the `MAX_SHIFT_KHZ`
+    ceiling. Each block is decomposed once at each node, and `unitary_exp`
+    turns those decompositions into node propagators for every slice width
+    by phases alone. Each slice step is the barycentric combination of the
+    node propagators at eps_k.
+
+    The steps and the running product are real: a complex block U is held
+    as its real form [[Re U, -Im U], [Im U, Re U]] and the product as
+    [Re u; Im u], which the stacked real matrix product multiplies several
+    times faster than the complex one. The combination coefficients and
+    their product with the node propagators are formed MIN_SLICES slices at
+    a time. Durations are sorted once, with repeats computed once, and taken
+    in groups whose node propagators and steps fit in `DRIFT_GROUP_BYTES`,
+    so the working set is flat in the number of durations for every block
+    layout. Within a group the durations that still have a slice k are a
+    contiguous tail, and each step works on views. The products must stay
+    unitary to `linalg.UNITARITY_TOL`.
     """
     t = np.asarray(durations_us, dtype=float)
     drift = pirs is not None and pirs.enabled

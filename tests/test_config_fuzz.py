@@ -9,6 +9,8 @@ string, null, a list) in place of any value, an unknown key, an `output`
 section, or a section where the experiment does not read it.
 Grid, shot and resample sizes are bounded, and always given where the
 defaults are large, so that a valid document runs in milliseconds.
+Few of those documents run `pirs_cz`, so a second generator draws only valid
+`pirs_cz` documents, in both modes and with drifts up to the ceiling.
 """
 
 import json
@@ -17,11 +19,12 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from donorpair.config import EXPERIMENTS, READS, ConfigError, validate_config
 from donorpair.experiments import run
-from donorpair.pulses import GATE_MODEL, MODES
+from donorpair.pulses import GATE_MODEL, MAX_SHIFT_KHZ, MODES
 
 BAD = st.sampled_from([0, -1.0, float("nan"), float("inf"), True, "1", None, [1.0]])
 
@@ -40,20 +43,19 @@ def grid(lo, hi, count_lo, count_hi):
     return obj({"count": st.integers(count_lo, count_hi)}, {"start": number(lo, hi), "stop": number(lo, hi)})
 
 
+SYSTEM = {
+    "b0": number(0.2, 3.0),
+    "g1": number(1.99, 2.01),
+    "g2": number(1.99, 2.01),
+    "mu_b_over_h": number(1e4, 2e4),
+    "gamma_n": number(5.0, 30.0),
+    "a1": number(50.0, 150.0),
+    "a2": number(50.0, 150.0),
+    "j": number(0.0, 30.0),
+}
 SECTIONS = {
     "mode": st.sampled_from(MODES),
-    "system": obj(
-        optional={
-            "b0": number(0.2, 3.0),
-            "g1": number(1.99, 2.01),
-            "g2": number(1.99, 2.01),
-            "mu_b_over_h": number(1e4, 2e4),
-            "gamma_n": number(5.0, 30.0),
-            "a1": number(50.0, 150.0),
-            "a2": number(50.0, 150.0),
-            "j": number(0.0, 30.0),
-        }
-    ),
+    "system": obj(optional=SYSTEM),
     "noise": obj(optional={"p_up": number(0.0, 0.5), "sigma_f_mhz": st.just(0) | number(0.0, 0.2)}),
     # a disabled drift reads nothing else
     "pirs": obj({"enabled": st.just(False)})
@@ -181,3 +183,48 @@ def test_document_is_rejected_or_runs_clean(doc):
         warnings.simplefilter("error", RuntimeWarning)
         manifest = run(config, out)
         check_outputs(Path(out), [*manifest.outputs, "manifest.json"])
+
+
+# pirs_cz documents that every model accepts: g-factors within 1% of each
+# other and no sigma_f (no pirs_cz step reads it). The drift is off, the
+# default, any amplitude up to the ceiling, or the ceiling itself.
+PIRS_CZ_DOCUMENTS = obj(
+    {
+        "experiment": st.just("pirs_cz"),
+        "options": OPTIONS["pirs_cz"],
+        "system": obj(optional={**SYSTEM, "g2": number(1.995, 2.005)}),
+        "noise": obj(optional={"p_up": number(0.0, 0.5)}),
+        "pirs": st.one_of(
+            st.just({"enabled": False}),
+            st.just({}),
+            obj({"shift_khz": number(0.0, MAX_SHIFT_KHZ), "time_constant_us": number(0.1, 10.0)}),
+            obj({"shift_khz": st.just(MAX_SHIFT_KHZ), "time_constant_us": number(0.1, 10.0)}),
+        ),
+    },
+    {"seed": st.integers(0, 2**32)},
+)
+
+
+@settings(
+    max_examples=24,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@pytest.mark.parametrize("mode", MODES)
+@given(doc=PIRS_CZ_DOCUMENTS)
+def test_pirs_cz_document_runs_to_flip_probabilities(mode, doc):
+    doc = {**doc, "mode": mode}
+    config = validate_config(doc)
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # full dynamics' selectivity warning
+        warnings.simplefilter("error", RuntimeWarning)
+        run(config, out)
+        lines = (Path(out) / "pirs_cz.csv").read_text().splitlines()
+    assert lines[0] == "duration_us,p_flip_ideal,p_flip_drift"
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == doc["options"]["max_turns"] * doc["options"]["points_per_turn"] + 1
+    for _, ideal, drift in rows:
+        assert all(math.isfinite(float(p)) and 0.0 <= float(p) <= 1.0 for p in (ideal, drift))
+    if not doc.get("pirs", {}).get("enabled", True):
+        assert [drift for _, _, drift in rows] == [ideal for _, ideal, _ in rows]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -589,6 +590,31 @@ DRIFT_TOL = 1e-11
 DRIFT_PROPAGATOR_TOL = 3e-11
 
 
+def drift_layout(engine, layout):
+    """(h0, z_shift) of a drive whose drift `sliced_propagators` slices."""
+    if layout == "esr":
+        tr = engine.electron_transition("e2", 0, 1)
+        z_e, x_e, _ = engine.channel_ops["ESR"]
+        return engine.free_hamiltonian(f_e=abs(tr.frequency_mhz)) + engine.rabi["ESR"] * x_e, z_e
+    if layout == "addressed":
+        omega = engine.rabi["ESR"] * engine.electron_transition("e2", 0, 1).amplitude
+        return np.array([[0.0, omega / 2], [omega / 2, 0.0]], dtype=complex), np.diag([0.0, 1.0])
+    z_n, x_n, _ = engine.channel_ops["NMR"]
+    return engine.free_hamiltonian() + 0.05 * x_n, z_n
+
+
+@st.composite
+def drift_cases(draw):
+    """A drift in the model's range and 1-6 durations of at most 3 us, with
+    0 and repeats among them."""
+    pirs = pl.PIRSModel(
+        shift_khz=draw(st.floats(0.0, pl.MAX_SHIFT_KHZ)), time_constant_us=draw(st.floats(0.1, 10.0))
+    )
+    durs = draw(st.lists(st.just(0.0) | st.floats(0.0, 3.0), min_size=1, max_size=6))
+    durs += draw(st.lists(st.sampled_from(durs), max_size=6 - len(durs)))
+    return pirs, np.array(durs)
+
+
 @pytest.mark.filterwarnings("ignore:rabi")
 class TestClosedFormKernels:
     @pytest.mark.parametrize("mode", pl.MODES)
@@ -669,22 +695,58 @@ class TestClosedFormKernels:
     @pytest.mark.parametrize(
         "pirs, nodes", [(FALLBACK_DRIFT, 7), (CEILING_DRIFT, 14)], ids=["fallback", "ceiling"]
     )
-    def test_drift_exponentials_one_per_node(self, engine, monkeypatch, pirs, nodes):
-        # each node exponentiates the blocks of every distinct duration once;
-        # the ceiling needs no more nodes than the 16-slice minimum
+    def test_drift_decomposes_each_block_once_per_node(self, engine, monkeypatch, pirs, nodes):
+        # one node set serves every duration of a call: nodes x blocks
+        # eigendecompositions, however many durations there are; the ceiling
+        # needs no more nodes than the 16-slice minimum
         calls = []
 
-        def spy(h, t_us):
-            calls.append(np.shape(h))
-            return unitary_exp(h, t_us)
+        def spy(m, *args, **kwargs):
+            calls.append(np.shape(m))
+            return eigh(m, *args, **kwargs)
 
-        monkeypatch.setattr(pl, "unitary_exp", spy)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", spy)
         tr = engine.electron_transition("e2", n1=0, n2=1)
         pulse = pl.PulseSpec("ESR", abs(tr.frequency_mhz), engine.rabi["ESR"], 0.0)
-        durs = np.r_[np.linspace(0.0, 25.0, 51), 0.8499]
-        engine.pulse_propagator(pulse, pl.FULL_DYNAMICS, pirs=pirs, durations_us=durs)
-        assert calls == [(52, 4, 4, 4)] * nodes
+        for durs in (np.r_[np.linspace(0.0, 25.0, 51), 0.8499], np.linspace(0.0, 24.0, 193)):
+            calls.clear()
+            engine.pulse_propagator(pulse, pl.FULL_DYNAMICS, pirs=pirs, durations_us=durs)
+            assert calls == [(nodes, 4, 4, 4)]
         assert nodes <= 16
+
+    @pytest.mark.parametrize(
+        "layout, blocks", [("esr", (4, 4)), ("addressed", (1, 2)), ("nmr", (1, 16))]
+    )
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(case=drift_cases())
+    def test_sliced_propagators_match_per_slice_loop(self, engine, layout, blocks, case):
+        # four 4x4 nuclear sectors (an electron pulse in full dynamics), the
+        # gate model's addressed pair, and the whole-matrix fallback of a
+        # nuclear pulse in full dynamics
+        h0, z_shift = drift_layout(engine, layout)
+        assert pl._diagonal_blocks(h0, z_shift)[0].shape[:2] == blocks
+        pirs, durs = case
+        got = pl.sliced_propagators(h0, z_shift, durs, pirs)
+        for t, u in zip(durs, got):
+            want = reference_sliced_exp(h0, z_shift, t, pirs)
+            assert np.max(np.abs(u - want)) < DRIFT_PROPAGATOR_TOL
+
+    def test_drift_working_set_is_bounded(self, engine):
+        # one drifting electron pulse over the 12-turn, 193-point pirs_cz grid
+        # in full dynamics: the (193, 16, 16) result is 0.79 MB of the peak
+        tr = engine.electron_transition("e2", 0, 1)
+        turn = 1.0 / (engine.rabi["ESR"] * tr.amplitude)
+        pulse = pl.PulseSpec("ESR", abs(tr.frequency_mhz), engine.rabi["ESR"], 0.0)
+        durs = np.linspace(0.0, 12 * turn, 193)
+        engine.pulse_propagator(pulse, pl.FULL_DYNAMICS, pirs=FALLBACK_DRIFT, durations_us=durs)
+        tracemalloc.start()
+        try:
+            engine.pulse_propagator(pulse, pl.FULL_DYNAMICS, pirs=FALLBACK_DRIFT, durations_us=durs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.4e6
 
     @pytest.mark.parametrize("rho", [0.4, 1.0])
     def test_chebyshev_interpolation_meets_its_bound(self, rho):
