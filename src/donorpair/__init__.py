@@ -1,8 +1,8 @@
 """Four-spin (two phosphorus donors, two exchange-coupled electrons) simulator.
 
-Deterministic desk-scale toolkit covering the static spin Hamiltonian and its
-spectra, rotating-frame pulse sequences with SPAM/drift error models, the
-geometric controlled-Z nuclear gate, two-qubit state tomography with bootstrap
+Deterministic desk-scale toolkit covering the static spin Hamiltonian,
+rotating-frame pulse sequences with SPAM/drift error models, the geometric
+controlled-Z nuclear gate, two-qubit state tomography with bootstrap
 confidence intervals, and configuration-driven experiment runners.
 """
 
@@ -17,20 +17,12 @@ from .linalg import (
     nearest_physical_density,
     partial_trace,
     psd_sqrt,
-    tensor,
     unitary_exp,
 )
 from .spinmodel import (
     SystemParams,
-    TransitionLine,
     basis_index,
-    basis_label,
-    bloch_vector,
     build_static_hamiltonian,
-    esr_spectrum,
-    expectation_axis,
-    hybridization_angle,
-    nmr_spectrum,
     secular_hamiltonian,
 )
 
@@ -40,20 +32,12 @@ __all__ = [
     "EigenSystem",
     "NotPositiveSemidefiniteError",
     "SystemParams",
-    "TransitionLine",
     "basis_index",
-    "basis_label",
-    "bloch_vector",
     "build_static_hamiltonian",
-    "esr_spectrum",
-    "expectation_axis",
     "hermitian_eig",
-    "hybridization_angle",
     "nearest_physical_density",
-    "nmr_spectrum",
     "partial_trace",
     "psd_sqrt",
     "secular_hamiltonian",
-    "tensor",
     "unitary_exp",
 ]

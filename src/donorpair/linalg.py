@@ -168,19 +168,6 @@ def nearest_physical_density(m) -> np.ndarray:
     return (v * w_proj[..., None, :]) @ dagger(v)
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product with the <=16 dimension cap enforced."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError("tensor takes single matrices, not stacks")
-    if a.shape[0] * b.shape[0] > 16:
-        raise DimensionError(
-            f"tensor product dimension {a.shape[0] * b.shape[0]} exceeds 16"
-        )
-    return np.kron(a, b)
-
-
 def kron_all(*ops) -> np.ndarray:
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:

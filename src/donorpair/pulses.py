@@ -251,25 +251,6 @@ def cz_unitary(step: CzStep) -> np.ndarray:
     return conditional_rotation(sign * np.eye(2), step.electron, where)
 
 
-def rotating_frame_hamiltonian(
-    h_static: np.ndarray,
-    pulse: PulseSpec,
-    ops: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """Rotating-wave Hamiltonian H - f Z + rabi (cos(phi) X + sin(phi) Y).
-
-    `ops` are the summed spin-1/2 operators (Z, X, Y) of the driven species;
-    counter-rotating drive terms are dropped. On resonance the two-level
-    reduction is (rabi/2) sigma_x.
-    """
-    z, x, y = ops
-    f = pulse.carrier_mhz + pulse.detuning_mhz
-    drive = pulse.rabi_mhz * (
-        math.cos(pulse.phase_rad) * x + math.sin(pulse.phase_rad) * y
-    )
-    return h_static - f * z + drive
-
-
 # ---------------------------------------------------------------------------
 # engine
 
@@ -321,6 +302,11 @@ class SequenceEngine:
         self._level_of = {
             int(np.argmax(np.abs(v[:, k]) ** 2)): k for k in range(16)
         }
+        if len(self._level_of) < 16:
+            raise ContractError(
+                f"exchange j = {params.j} MHz leaves two secular eigenlevels with "
+                "the same dominant product state, so the resonance lines are undefined"
+            )
         self._drive_x = {
             ch: v.conj().T @ (2 * self.channel_ops[ch][1]) @ v for ch in ("ESR", "NMR")
         }
@@ -886,83 +872,6 @@ def bell_prep():
     ]
 
 
-def crot_prep():
-    """Controlled-rotation variant: the conditional-Z between two pi/2 pulses
-    on the target nucleus implements a zero-controlled NOT on n2."""
-    return [
-        InitStep(),
-        GateStep("n2", math.pi / 2, math.pi / 2),
-        CzStep("e1", n1=1, n2=0, turns=1),
-        GateStep("n2", math.pi / 2, math.pi / 2),
-    ]
-
-
-# ---------------------------------------------------------------------------
-# estimators
-
-
-def p_flip(outcomes) -> float:
-    """Fraction of consecutive-shot changes, N_F / (N - 1)."""
-    outcomes = np.asarray(list(outcomes))
-    if outcomes.size < 2:
-        raise ContractError("flip probability needs at least two shots")
-    return float(np.count_nonzero(np.diff(outcomes) != 0) / (outcomes.size - 1))
-
-
-def p_up(outcomes) -> float:
-    """Up proportion N_up / N with outcome 1 meaning spin up."""
-    outcomes = np.asarray(list(outcomes))
-    if outcomes.size < 1:
-        raise ContractError("up proportion needs at least one shot")
-    return float(np.mean(outcomes))
-
-
-# ---------------------------------------------------------------------------
-# geometric phase
-
-
-def geometric_phase_of_drive(delta_f_mhz: float, rabi_mhz: float, n_loops: int) -> float:
-    """Solid-angle phase of n closed detuned loops:
-    -n pi (1 - |delta| / sqrt(rabi^2 + delta^2))."""
-    if rabi_mhz <= 0:
-        raise ContractError("rabi frequency must be positive")
-    omega = math.hypot(rabi_mhz, delta_f_mhz)
-    return -n_loops * math.pi * (1.0 - abs(delta_f_mhz) / omega)
-
-
-def measure_geometric_phase(
-    delta_f_mhz: float, rabi_mhz: float, n_loops: int, f0_mhz: float = 1000.0
-) -> float:
-    """Geometric phase extracted from a two-level rotating-frame simulation.
-
-    Drives a spin starting in the lower level through n closed generalized
-    Rabi loops, subtracts the dynamical phase -2 pi t <H>, and returns the
-    remainder wrapped to (-pi, pi]. The detuning sign is fixed so that a
-    closed resonant cone gives the negative phase of the solid-angle law.
-    """
-    sz = np.diag([0.5, -0.5])
-    sx = np.array([[0, 0.5], [0.5, 0]])
-    sy = np.array([[0, -0.5j], [0.5j, 0]])
-    h_static = f0_mhz * sz
-    pulse = PulseSpec(
-        channel="ESR",
-        carrier_mhz=f0_mhz + delta_f_mhz,
-        rabi_mhz=rabi_mhz,
-        duration_us=n_loops / math.hypot(rabi_mhz, delta_f_mhz),
-    )
-    h = rotating_frame_hamiltonian(h_static, pulse, (sz, sx, sy))
-    u = unitary_exp(h, pulse.duration_us)
-    psi0 = np.array([0.0, 1.0])  # lower level
-    amp = psi0.conj() @ u @ psi0
-    total = np.angle(amp)
-    dyn = -2 * math.pi * pulse.duration_us * np.real(psi0.conj() @ h @ psi0)
-    return float(wrap_angle(total - dyn))
-
-
-def wrap_angle(a: float) -> float:
-    return (a + math.pi) % (2 * math.pi) - math.pi
-
-
 # ---------------------------------------------------------------------------
 # phase map
 
@@ -1099,73 +1008,17 @@ def phase_map(
     return PhaseMapResult(freqs, durs, pf, obs)
 
 
-@dataclass(frozen=True)
-class PhaseMapAnchors:
-    """Nominal special points of the swept-electron-pulse map: the full-turn
-    conditional-phase point on the electron-1 down-up line and the
-    half-rotation point on the hybridized down-down line (where both
-    electrons rotate, at the bare single-electron pi time)."""
-
-    cz_freq_mhz: float
-    cz_duration_us: float
-    entangle_freq_mhz: float
-    entangle_duration_us: float
-
-
-def phase_map_anchors(engine: SequenceEngine) -> PhaseMapAnchors:
-    tr_cz = engine.electron_transition("e1", 1, 0)
-    tr_hyb = engine.electron_transition("e1", 1, 1)
-    rabi = engine.rabi["ESR"]
-    return PhaseMapAnchors(
-        cz_freq_mhz=abs(tr_cz.frequency_mhz),
-        cz_duration_us=1.0 / (rabi * tr_cz.amplitude),
-        entangle_freq_mhz=abs(tr_hyb.frequency_mhz),
-        # near-degenerate two-rung ladder: each electron rotates pi in the
-        # bare pi time, independent of the pair-element enhancement
-        entangle_duration_us=1.0 / (2.0 * rabi),
-    )
-
-
-def calibrate_point(
-    params: SystemParams,
-    freq_mhz: float,
-    duration_us: float,
-    metric: str = "p_flip",
-    span_mhz: float = 0.1,
-    span_us: float = 0.1,
-    steps: int = 9,
-    mode: str = GATE_MODEL,
-    noise: NoiseModel | None = None,
-    engine: SequenceEngine | None = None,
-) -> tuple[float, float, float]:
-    """Refine a nominal map point against AC level shifts, as the experiment
-    does when re-tuning onto the driven resonance: minimize the metric over a
-    small neighborhood. Returns (freq, duration, metric value)."""
-    engine = engine or engine_for(params)
-    freqs = np.linspace(freq_mhz - span_mhz, freq_mhz + span_mhz, steps)
-    durs = np.linspace(max(duration_us - span_us, 0.0), duration_us + span_us, steps)
-    res = phase_map(
-        params, freqs, durs, mode=mode, noise=noise,
-        observables=(metric != "p_flip"), engine=engine,
-    )
-    grid = res.p_flip if metric == "p_flip" else res.observables["n2"]["norm"]
-    i, j = np.unravel_index(int(np.argmin(grid)), grid.shape)
-    return float(freqs[i]), float(durs[j]), float(grid[i, j])
-
-
 def addressed_pulse_unitary(
     engine: SequenceEngine,
     tr: Transition,
     duration_us,
-    rabi_mhz: float | None = None,
     pirs: PIRSModel | None = None,
 ) -> np.ndarray:
     """Ideal addressed drive: generalized-Rabi SU(2) on the addressed pair
     only, identity elsewhere, with an optional piecewise detuning drift of
     the upper level. A vector of durations gives a (durations, 16, 16)
     stack."""
-    rabi = engine.rabi["ESR"] if rabi_mhz is None else rabi_mhz
-    omega = rabi * tr.amplitude
+    omega = engine.rabi["ESR"] * tr.amplitude
     h2 = np.array([[0.0, omega / 2], [omega / 2, 0.0]], dtype=complex)
     t = np.asarray(duration_us, dtype=float)
     u2 = sliced_propagators(h2, np.diag([0.0, 1.0]), t.reshape(-1), pirs)

@@ -28,7 +28,6 @@ from .pulses import (
     gate_unitary,
     rot2,
     spam_mixture,
-    wrap_angle,
 )
 from .spinmodel import pauli_op
 
@@ -183,6 +182,11 @@ def sine_fit(phi_grid, values, fixed_periods: int = 4) -> SineFit:
     if amplitude < 0.01:
         warnings.warn("oscillation amplitude below 0.01: fitted phase is degenerate")
     return SineFit(float(amplitude), float(phase), float(offset), k, rms)
+
+
+def wrap_angle(a: float) -> float:
+    """`a` wrapped to [-pi, pi)."""
+    return (a + math.pi) % (2 * math.pi) - math.pi
 
 
 def compare_fits(sim: SineFit, data: SineFit) -> dict:

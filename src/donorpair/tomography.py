@@ -78,43 +78,12 @@ class ProbabilityTable:
         if missing:
             raise ContractError(f"missing axis pairs: {missing}")
 
-    def to_json(self) -> str:
-        payload = {f"{a}{b}": list(map(float, v)) for (a, b), v in self.pairs.items()}
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProbabilityTable":
-        payload = json.loads(text)
-        pairs = {(k[0], k[1]): np.asarray(v, dtype=float) for k, v in payload.items()}
-        return cls(pairs)
-
 
 def mean_table(tables) -> ProbabilityTable:
     tables = list(tables)
     pairs = {}
     for key in tables[0].pairs:
         pairs[key] = np.mean([t.pairs[key] for t in tables], axis=0)
-    return ProbabilityTable(pairs)
-
-
-def table_from_state(rho4: np.ndarray) -> ProbabilityTable:
-    """Exact outcome probabilities of a two-qubit state in all nine bases
-    (the direct-measurement oracle for the linear-inversion round trip)."""
-    rho4 = np.asarray(rho4, dtype=complex)
-    half = 1 / math.sqrt(2.0)
-    eigvecs = {
-        "Z": (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
-        "X": (np.array([half, half]), np.array([half, -half])),
-        "Y": (np.array([half, 1j * half]), np.array([half, -1j * half])),
-    }
-    pairs = {}
-    for a1, a2 in AXIS_PAIRS:
-        quartet = np.zeros(4)
-        for q1 in (0, 1):
-            for q2 in (0, 1):
-                proj = np.kron(eigvecs[a1][q1], eigvecs[a2][q2])
-                quartet[2 * q1 + q2] = float(np.real(proj.conj() @ rho4 @ proj))
-        pairs[(a1, a2)] = quartet
     return ProbabilityTable(pairs)
 
 
@@ -145,16 +114,6 @@ def density_from_stokes(stokes: np.ndarray) -> np.ndarray:
     if np.abs(stokes[..., 0, 0] - 1.0).max() > 1e-9:
         raise ContractError("S[I, I] must equal one")
     return np.tensordot(stokes, _PAULI_BASIS, axes=2) / 4.0
-
-
-def stokes_of_density(rho4: np.ndarray) -> np.ndarray:
-    """Direct S_ab = Tr[(sigma_a (x) sigma_b) rho] (test oracle)."""
-    rho4 = np.asarray(rho4, dtype=complex)
-    s = np.zeros((4, 4))
-    for ia, a in enumerate(PAULI_LABELS):
-        for ib, b in enumerate(PAULI_LABELS):
-            s[ia, ib] = float(np.real(np.trace(np.kron(PAULIS[a], PAULIS[b]) @ rho4)))
-    return s
 
 
 def _scalar_or_stack(x: np.ndarray):
@@ -340,7 +299,7 @@ def sequence_table(
 
 
 def tomography_pipeline(
-    source,
+    source: ProbabilityTable,
     n_shots_per_axis: int = 0,
     n_groups: int = 5,
     n_resamples: int = 1000,
@@ -350,31 +309,26 @@ def tomography_pipeline(
     """Probabilities -> Stokes -> raw density -> physical projection ->
     fidelity/concurrence with bootstrap confidence intervals.
 
-    `source` is either a ProbabilityTable of exact outcome probabilities or a
-    callable (axis_pair -> outcome quartet). With ``n_shots_per_axis == 0``
-    the exact table is used directly (no randomness); otherwise `n_groups`
-    empirical tables are sampled from counter-based per-group streams and
-    averaged, mirroring the grouped acquisition used for error bars. The
-    bootstrap reconstructs and projects its resamples once, as one stack,
-    and both intervals are read from that stack.
+    `source` is the ProbabilityTable of exact outcome probabilities. With
+    ``n_shots_per_axis == 0`` it is used directly (no randomness); otherwise
+    `n_groups` empirical tables are sampled from counter-based per-group
+    streams and averaged, mirroring the grouped acquisition used for error
+    bars. The bootstrap reconstructs and projects its resamples once, as one
+    stack, and both intervals are read from that stack.
     """
-    if isinstance(source, ProbabilityTable):
-        exact = source
-    else:
-        exact = ProbabilityTable({pair: source(pair) for pair in AXIS_PAIRS})
-    exact.require_complete()
+    source.require_complete()
 
     if n_shots_per_axis > 0:
         groups = [
             sample_table(
-                exact, n_shots_per_axis, np.random.default_rng(np.random.SeedSequence([seed, g]))
+                source, n_shots_per_axis, np.random.default_rng(np.random.SeedSequence([seed, g]))
             )
             for g in range(n_groups)
         ]
         pooled = mean_table(groups)
     else:
         groups = None
-        pooled = exact
+        pooled = source
 
     stokes = stokes_from_probabilities(pooled)
     raw = density_from_stokes(stokes)

@@ -8,12 +8,12 @@ from donorpair.linalg import (
     DimensionError,
     NotPositiveSemidefiniteError,
     hermitian_eig,
+    kron_all,
     nearest_physical_density,
     partial_trace,
     project_to_simplex,
     psd_sqrt,
     require_unitary,
-    tensor,
     unitary_exp,
 )
 
@@ -185,19 +185,15 @@ class TestNearestPhysicalDensity:
 
 class TestTensor:
     def test_identity_product(self):
-        assert np.allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.allclose(kron_all(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_sigma_z_product(self):
-        out = tensor(linalg.SIGMA_Z, linalg.SIGMA_Z)
+        out = kron_all(linalg.SIGMA_Z, linalg.SIGMA_Z)
         assert np.allclose(out, np.diag([1, -1, -1, 1]))
 
     def test_mixed_product_identity(self):
-        lhs = tensor(linalg.SIGMA_X, np.eye(2)) @ tensor(np.eye(2), linalg.SIGMA_X)
-        assert np.allclose(lhs, tensor(linalg.SIGMA_X, linalg.SIGMA_X))
-
-    def test_dimension_cap(self):
-        with pytest.raises(DimensionError):
-            tensor(np.eye(4), np.eye(8))
+        lhs = kron_all(linalg.SIGMA_X, np.eye(2)) @ kron_all(np.eye(2), linalg.SIGMA_X)
+        assert np.allclose(lhs, kron_all(linalg.SIGMA_X, linalg.SIGMA_X))
 
 
 class TestPartialTrace:

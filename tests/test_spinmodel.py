@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from donorpair import pulses as pl
 from donorpair import spinmodel as sm
 from donorpair.linalg import ContractError
 from donorpair.spinmodel import SystemParams
+
+from oracles import bloch_vector
 
 
 @pytest.fixture
@@ -81,126 +84,121 @@ class TestStaticHamiltonian:
             assert np.max(np.abs(h_sec @ z - z @ h_sec)) < 1e-9
 
 
-class TestHybridizationAngle:
-    def test_zero_exchange(self):
-        assert sm.hybridization_angle(0.0, 50.0) == 0.0
+class TestEngineLines:
+    """The engine's secular gaps are the package's only answer to where a
+    resonance line sits; they stay within the dropped hyperfine flip-flop
+    shift (A/2)^2 / f_e of the full Hamiltonian's gaps."""
 
-    def test_antiparallel_detuning(self):
-        assert sm.hybridization_angle(12.0, 112.0) == pytest.approx(0.0534, abs=1e-4)
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, dict(j=0.0), dict(j=40.0), dict(b0=0.5)],
+        ids=["defaults", "j0", "j40", "b0-half"],
+    )
+    def test_engine_lines_match_full_hamiltonian(self, kwargs):
+        p = SystemParams(**kwargs)
+        engine = pl.SequenceEngine(p)
+        w, v = np.linalg.eigh(sm.build_static_hamiltonian(p))
+        # full-Hamiltonian levels by dominant product state, as the engine does
+        level = {int(np.argmax(np.abs(v[:, k]) ** 2)): k for k in range(16)}
+        assert len(level) == 16
+        esr = [
+            engine.electron_transition(e, n1, n2)
+            for e in sm.ELECTRONS
+            for n1 in (0, 1)
+            for n2 in (0, 1)
+        ]
+        nmr = [engine.nuclear_transition(n) for n in sm.NUCLEI]
+        bound = 1.05 * (max(p.a1, p.a2) / 2) ** 2 / engine.f_e_default
+        for tr in esr + nmr:
+            full_gap = w[level[tr.hi_index]] - w[level[tr.lo_index]]
+            assert abs(tr.frequency_mhz - full_gap) <= bound, tr
 
-    def test_parallel_detuning(self):
-        assert sm.hybridization_angle(12.0, 2.0) == pytest.approx(0.7028, abs=1e-4)
-
-    def test_undefined_at_origin(self):
-        with pytest.raises(ContractError):
-            sm.hybridization_angle(0.0, 0.0)
-
-    @given(st.floats(0.01, 100.0), st.floats(0.01, 100.0), st.floats(0.01, 100.0))
-    def test_monotone_in_exchange(self, j, dj, delta):
-        a1 = sm.hybridization_angle(j, delta)
-        a2 = sm.hybridization_angle(j + dj, delta)
-        assert a2 > a1
-        assert a2 < np.pi / 4 + 1e-12
-
-    def test_limit_is_pi_over_4(self):
-        assert sm.hybridization_angle(1e9, 1.0) == pytest.approx(np.pi / 4, abs=1e-6)
+    def test_indistinct_levels_rejected(self):
+        # at j = 1e20 MHz two secular eigenvectors share a dominant product state
+        with pytest.raises(ContractError, match="j = 1e\\+20"):
+            pl.SequenceEngine(SystemParams(j=1e20))
 
 
 class TestEsrSpectrum:
+    """The engine's conditional electron lines (the other electron down)."""
+
     def test_zeeman_only_single_line_per_electron(self):
         p = zeeman_only()
-        lines = sm.esr_spectrum(p)
-        for ch in ("electron-1", "electron-2"):
-            freqs = {round(ln.frequency, 6) for ln in lines if ln.channel == ch}
-            assert len(freqs) == 1
-            (f,) = freqs
-            assert f == pytest.approx(p.mu_b_over_h * p.b0 * p.g1, abs=1e-3)
+        engine = pl.SequenceEngine(p)
+        for e in sm.ELECTRONS:
+            freqs = [
+                engine.electron_transition(e, n1, n2).frequency_mhz
+                for n1 in (0, 1)
+                for n2 in (0, 1)
+            ]
+            # one line: the four nuclear sectors agree to within 1 Hz
+            assert max(freqs) - min(freqs) < 1e-6
+            assert freqs[0] == pytest.approx(p.mu_b_over_h * p.b0 * p.g1, abs=1e-3)
 
     def test_hyperfine_splits_electron_one(self):
-        p = SystemParams(a1=111.0, a2=1e-9, j=0.0)
-        lines = [ln for ln in sm.esr_spectrum(p) if ln.channel == "electron-1"]
-        freqs = sorted({round(ln.frequency, 3) for ln in lines})
+        engine = pl.SequenceEngine(SystemParams(a1=111.0, a2=1e-9, j=0.0))
+        freqs = sorted(
+            {
+                round(engine.electron_transition("e1", n1, n2).frequency_mhz, 3)
+                for n1 in (0, 1)
+                for n2 in (0, 1)
+            }
+        )
         assert len(freqs) == 2
         # split by a1 between the two nuclear orientations of n1
         assert freqs[1] - freqs[0] == pytest.approx(111.0, abs=1e-2)
 
-    def test_reference_params_give_six_electron_one_lines(self, params):
-        lines = [
-            ln for ln in sm.esr_spectrum(params) if ln.channel == "electron-1"
-        ]
-        assert len(lines) == 6
-        anti = [ln for ln in lines if ln.condition[3] != ln.condition[8]]
-        par = [ln for ln in lines if ln.condition[3] == ln.condition[8]]
-        assert len(anti) == 4
-        assert len(par) == 2
-
-    def test_low_threshold_registers_weak_exchange_satellites(self, params):
-        lines = sm.esr_spectrum(params, amplitude_threshold=0.01)
-        weak = [ln for ln in lines if ln.amplitude < 0.05]
-        assert len(weak) == 4  # one satellite pair per parallel nuclear sector
-        assert len([ln for ln in lines if ln.channel == "electron-1"]) == 8
-
     def test_swap_symmetry(self, params):
-        swapped = SystemParams(
-            b0=params.b0,
-            g1=params.g2,
-            g2=params.g1,
-            a1=params.a2,
-            a2=params.a1,
-            j=params.j,
+        p = params
+        engine = pl.SequenceEngine(p)
+        # the same system with the donors' labels exchanged
+        mirror = pl.SequenceEngine(
+            SystemParams(b0=p.b0, g1=p.g2, g2=p.g1, a1=p.a2, a2=p.a1, j=p.j)
         )
-        f1 = sorted(
-            ln.frequency for ln in sm.esr_spectrum(params) if ln.channel == "electron-1"
-        )
-        f2 = sorted(
-            ln.frequency
-            for ln in sm.esr_spectrum(swapped)
-            if ln.channel == "electron-2"
-        )
-        assert np.allclose(f1, f2, atol=1e-9)
+        for n1 in (0, 1):
+            for n2 in (0, 1):
+                a = engine.electron_transition("e1", n1, n2)
+                b = mirror.electron_transition("e2", n2, n1)
+                assert a.frequency_mhz == pytest.approx(b.frequency_mhz, abs=1e-9)
+                assert a.amplitude == pytest.approx(b.amplitude, abs=1e-12)
 
 
 class TestNmrSpectrum:
-    def test_ionized_single_line_at_gamma_b0(self):
-        lines = sm.nmr_spectrum(SystemParams(), neutral=False)
-        assert {ln.channel for ln in lines} == {"nucleus-1", "nucleus-2"}
-        for ln in lines:
-            assert ln.frequency == pytest.approx(17.23, abs=1e-9)
+    """The engine's nuclear lines (every other spin down)."""
 
     def test_neutral_line_electron_down_leading_order(self):
         p = SystemParams(a1=111.0, a2=1e-9, j=0.0)
-        lines = [
-            ln
-            for ln in sm.nmr_spectrum(p)
-            if ln.channel == "nucleus-1" and "e1=d" in ln.condition
-        ]
+        line = pl.SequenceEngine(p).nuclear_transition("n1")
         expected = abs(p.gamma_n * p.b0 - p.a1 / 2)
-        assert any(abs(ln.frequency - expected) < 0.5 for ln in lines)
+        assert abs(abs(line.frequency_mhz) - expected) < 0.5
 
     def test_vanishing_hyperfine_matches_ionized(self):
+        # with no hyperfine coupling both nuclei sit at the bare gamma_n b0
         p = SystemParams(a1=1e-9, a2=1e-9, j=0.0)
-        neutral = sorted(ln.frequency for ln in sm.nmr_spectrum(p))
-        ionized = sorted(ln.frequency for ln in sm.nmr_spectrum(p, neutral=False))
-        assert np.allclose(neutral, ionized, atol=1e-6)
+        engine = pl.SequenceEngine(p)
+        lines = [abs(engine.nuclear_transition(n).frequency_mhz) for n in sm.NUCLEI]
+        assert np.allclose(lines, p.gamma_n * p.b0, atol=1e-6)
 
 
 class TestExpectationAxis:
+    """The Bloch-vector oracle the tomography tests compare against."""
+
     def down_state(self):
-        # |D U | d d>  (n1 down, rest up/down mix); use all-down for clarity
+        # all spins down
         idx = sm.basis_index(1, 1, 1, 1)
         psi = np.zeros(16, dtype=complex)
         psi[idx] = 1.0
         return psi
 
     def test_down_state_z(self):
-        assert sm.expectation_axis(self.down_state(), "n1", "Z") == pytest.approx(0.0)
+        assert bloch_vector(self.down_state(), "n1")[2] == pytest.approx(-1.0)
 
     def test_plus_state_x(self):
         up = sm.basis_index(0, 1, 1, 1)
         dn = sm.basis_index(1, 1, 1, 1)
         psi = np.zeros(16, dtype=complex)
         psi[up] = psi[dn] = 1 / np.sqrt(2)
-        assert sm.expectation_axis(psi, "n1", "X") == pytest.approx(1.0)
+        assert bloch_vector(psi, "n1")[0] == pytest.approx(1.0)
 
     def test_entangled_marginal_has_zero_bloch_norm(self):
         # Bell pair between n1 and n2, electrons down
@@ -208,8 +206,8 @@ class TestExpectationAxis:
         b = sm.basis_index(1, 0, 1, 1)
         psi = np.zeros(16, dtype=complex)
         psi[a] = psi[b] = 1 / np.sqrt(2)
-        assert sm.bloch_norm(psi, "n1") == pytest.approx(0.0, abs=1e-12)
-        assert sm.bloch_norm(psi, "n2") == pytest.approx(0.0, abs=1e-12)
+        assert np.linalg.norm(bloch_vector(psi, "n1")) == pytest.approx(0.0, abs=1e-12)
+        assert np.linalg.norm(bloch_vector(psi, "n2")) == pytest.approx(0.0, abs=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     def test_bloch_norm_bounded(self, seed):
@@ -217,4 +215,4 @@ class TestExpectationAxis:
         psi = rng.normal(size=16) + 1j * rng.normal(size=16)
         psi /= np.linalg.norm(psi)
         for spin in sm.SPINS:
-            assert sm.bloch_norm(psi, spin) <= 1.0 + 1e-9
+            assert np.linalg.norm(bloch_vector(psi, spin)) <= 1.0 + 1e-9

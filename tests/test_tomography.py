@@ -17,6 +17,7 @@ from donorpair.linalg import (
 from donorpair.spinmodel import SystemParams
 
 from conftest import random_density, random_hermitian, random_unitary
+from oracles import bloch_vector, stokes_of_density, table_from_state
 
 PSI_PLUS = tm.PSI_PLUS
 
@@ -41,18 +42,12 @@ class TestProbabilityTable:
         with pytest.raises(ContractError):
             tm.stokes_from_probabilities(t)
 
-    def test_json_round_trip(self):
-        tab = tm.table_from_state(bell_rho())
-        back = tm.ProbabilityTable.from_json(tab.to_json())
-        for key in tm.AXIS_PAIRS:
-            assert np.allclose(back.pairs[key], tab.pairs[key])
-
 
 class TestStokes:
     def test_down_down_product_state(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[3, 3] = 1.0  # both qubits |1> = spin down
-        s = tm.stokes_from_probabilities(tm.table_from_state(rho))
+        s = tm.stokes_from_probabilities(table_from_state(rho))
         labels = tm.PAULI_LABELS
         assert s[labels.index("Z"), labels.index("Z")] == pytest.approx(1.0)
         assert s[labels.index("Z"), labels.index("I")] == pytest.approx(-1.0)
@@ -61,7 +56,7 @@ class TestStokes:
             assert np.allclose(s[labels.index(a), :], [0, 0, 0, 0], atol=1e-12)
 
     def test_bell_state_signature(self):
-        s = tm.stokes_from_probabilities(tm.table_from_state(bell_rho()))
+        s = tm.stokes_from_probabilities(table_from_state(bell_rho()))
         lab = tm.PAULI_LABELS
         assert s[lab.index("X"), lab.index("X")] == pytest.approx(1.0)
         assert s[lab.index("Y"), lab.index("Y")] == pytest.approx(1.0)
@@ -69,7 +64,7 @@ class TestStokes:
         assert s[lab.index("X"), lab.index("I")] == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        s = tm.stokes_from_probabilities(tm.table_from_state(np.eye(4) / 4))
+        s = tm.stokes_from_probabilities(table_from_state(np.eye(4) / 4))
         expect = np.zeros((4, 4))
         expect[0, 0] = 1.0
         assert np.allclose(s, expect, atol=1e-12)
@@ -77,8 +72,8 @@ class TestStokes:
     @given(st.integers(0, 2**32 - 1))
     def test_matches_trace_oracle(self, seed):
         rho = random_density(np.random.default_rng(seed), 4)
-        via_probs = tm.stokes_from_probabilities(tm.table_from_state(rho))
-        direct = tm.stokes_of_density(rho)
+        via_probs = tm.stokes_from_probabilities(table_from_state(rho))
+        direct = stokes_of_density(rho)
         assert np.max(np.abs(via_probs - direct)) < 1e-12
 
 
@@ -89,13 +84,13 @@ class TestDensityFromStokes:
         assert np.allclose(tm.density_from_stokes(s), np.eye(4) / 4)
 
     def test_bell_exact(self):
-        s = tm.stokes_of_density(bell_rho())
+        s = stokes_of_density(bell_rho())
         assert np.max(np.abs(tm.density_from_stokes(s) - bell_rho())) < 1e-12
 
     @given(st.integers(0, 2**32 - 1))
     def test_linear_inversion_round_trip(self, seed):
         rho = random_density(np.random.default_rng(seed), 4)
-        s = tm.stokes_from_probabilities(tm.table_from_state(rho))
+        s = tm.stokes_from_probabilities(table_from_state(rho))
         assert np.max(np.abs(tm.density_from_stokes(s) - rho)) < 1e-12
 
     def test_requires_normalized_identity(self):
@@ -123,8 +118,6 @@ class TestProjectionPulse:
             pl.InitStep(),
             pl.GateStep("n1", theta, phi),
         ]
-        from donorpair.spinmodel import bloch_vector
-
         res = pl.run_sequence(prep, params, mode=pl.GATE_MODEL)
         want = bloch_vector(res.final_state, "n1")
         got = []
@@ -392,7 +385,7 @@ class TestStackedKernels:
         return np.array(mats)
 
     def test_stokes_and_inversion(self, rng, bell_tables):
-        tables = [tm.table_from_state(random_density(rng, 4)) for _ in range(4)] + [bell_tables[0.14]]
+        tables = [table_from_state(random_density(rng, 4)) for _ in range(4)] + [bell_tables[0.14]]
         stack = tm.stokes_from_probabilities(tables)
         assert stack.shape == (5, 4, 4)
         rhos = tm.density_from_stokes(stack)
@@ -453,7 +446,7 @@ class TestStackedKernels:
 
     def test_checks_cover_every_matrix(self, stack):
         phys = nearest_physical_density(stack)
-        bad_stokes = tm.stokes_from_probabilities([tm.table_from_state(bell_rho())] * 3)
+        bad_stokes = tm.stokes_from_probabilities([table_from_state(bell_rho())] * 3)
         bad_stokes[1, 0, 0] = 0.9
         with pytest.raises(ContractError, match="S\\[I, I\\]"):
             tm.density_from_stokes(bad_stokes)
