@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import ContractError
-from .pulses import FULL_DYNAMICS, GATE_MODEL, MODES, NoiseModel, PIRSModel
+from .pulses import FULL_DYNAMICS, GATE_MODEL, MODES, NoiseModel, PIRSModel, engine_for
 from .spam import DETUNING_WHEN_UP_MHZ
 from .spinmodel import SystemParams
 
@@ -198,7 +198,8 @@ def validate_config(doc_or_path, seed=None) -> ExperimentConfig:
     """Parse and invariant-check a configuration document or file path.
 
     `seed`, when given, replaces the document's seed (the command line's
-    --seed) and is checked the same way.
+    --seed) and is checked the same way. A `system` the experiment reads
+    must build its spin engine, which the run then reuses from the cache.
     """
     if isinstance(doc_or_path, (str, Path)):
         path = Path(doc_or_path)
@@ -244,6 +245,11 @@ def validate_config(doc_or_path, seed=None) -> ExperimentConfig:
     # a section the experiment does not read keeps its defaults
     models = {"system": SystemParams(), "noise": NoiseModel(), "pirs": PIRSModel()}
     system, noise, pirs = (chk.model(doc, k, m) if k in sections else m for k, m in models.items())
+    if "system" in sections:
+        try:
+            engine_for(system)  # cached, so the run reuses this engine
+        except (ContractError, np.linalg.LinAlgError) as err:
+            chk.fail("$.system", f"no spin engine for these parameters: {err}")
     if noise.sigma_f_mhz > 0:  # the probability-level runners never draw quasi-static offsets
         chk.fail("$.noise.sigma_f_mhz", "no experiment reads it; use the ramsey option sigma_f_mhz")
     if not pirs.enabled:  # no drift: nothing else in the section is read

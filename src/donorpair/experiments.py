@@ -202,7 +202,7 @@ def run_bell_tomography(config: ExperimentConfig):
         n_resamples=config.options["resamples"],
         seed=config.seed,
     )
-    zz = table.pairs[("Z", "Z")]
+    zz = table[-1]  # the last axis pair of AXIS_PAIRS is ("Z", "Z")
     zz_rows = [(f"{q1}{q2}", zz[2 * q1 + q2]) for q1 in (0, 1) for q2 in (0, 1)]
     return [
         ("bell_density.json", est.to_json().encode() + b"\n"),

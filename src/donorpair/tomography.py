@@ -3,9 +3,9 @@ estimation, linear-inversion density reconstruction, physical projection,
 fidelity, concurrence and nonparametric bootstrap confidence intervals.
 
 Conventions: qubit value 0 is spin up, so <Z> of a spin-down qubit is -1.
-Probability tables are indexed by the qubit pair (q1, q2) -> 2*q1 + q2.
-The module boundary is probabilities; shot sampling lives in the pulse
-engine.
+A probability table is a (9, 4) float array: one row per axis pair in
+`AXIS_PAIRS` order, and in each row the outcome (q1, q2) at column
+2*q1 + q2. A stack of tables is a (..., 9, 4) array.
 """
 
 from __future__ import annotations
@@ -56,52 +56,32 @@ def _stokes_signs() -> np.ndarray:
 _STOKES_SIGNS = _stokes_signs()
 
 
-@dataclass
-class ProbabilityTable:
-    """Outcome probabilities P(q1, q2) for each of the nine axis pairs."""
-
-    pairs: dict
-
-    def __post_init__(self):
-        for key, quartet in self.pairs.items():
-            arr = np.asarray(quartet, dtype=float)
-            if arr.shape != (4,):
-                raise ContractError(f"axis pair {key}: expected four outcomes")
-            if np.any(arr < -1e-9) or np.any(arr > 1 + 1e-9):
-                raise ContractError(f"axis pair {key}: probabilities out of range")
-            if abs(arr.sum() - 1.0) > 1e-9:
-                raise ContractError(f"axis pair {key}: probabilities sum to {arr.sum()}")
-            self.pairs[key] = arr
-
-    def require_complete(self):
-        missing = [p for p in AXIS_PAIRS if p not in self.pairs]
-        if missing:
-            raise ContractError(f"missing axis pairs: {missing}")
+def mean_table(tables) -> np.ndarray:
+    """Pooled (9, 4) table: the mean of a (groups, 9, 4) stack of tables."""
+    return np.mean(tables, axis=0)
 
 
-def mean_table(tables) -> ProbabilityTable:
-    tables = list(tables)
-    pairs = {}
-    for key in tables[0].pairs:
-        pairs[key] = np.mean([t.pairs[key] for t in tables], axis=0)
-    return ProbabilityTable(pairs)
-
-
-def stokes_from_probabilities(table) -> np.ndarray:
+def stokes_from_probabilities(tables) -> np.ndarray:
     """16 Stokes parameters S[a, b], a, b in (I, X, Y, Z), from the signed
-    outcome sums of the designated axis-pair tables (identity reads the Z
-    table with the outcome sign dropped); S[I, I] is one by normalization.
+    outcome sums of the designated axis-pair rows (identity reads the ZZ
+    row with the outcome sign dropped); S[I, I] is one by normalization.
 
-    A ProbabilityTable gives one (4, 4) array; a sequence of tables gives a
-    (tables, 4, 4) stack.
+    One (9, 4) table gives one (4, 4) array; a (..., 9, 4) stack gives a
+    (..., 4, 4) stack. Every row must hold four probabilities in [0, 1]
+    that sum to one, each to 1e-9.
     """
-    single = isinstance(table, ProbabilityTable)
-    tables = [table] if single else list(table)
-    for tab in tables:
-        tab.require_complete()
-    probs = np.array([[tab.pairs[pair] for pair in AXIS_PAIRS] for tab in tables])
-    s = np.tensordot(probs, _STOKES_SIGNS, axes=2)
-    return s[0] if single else s
+    probs = np.asarray(tables, dtype=float)
+    if probs.shape[-2:] != (len(AXIS_PAIRS), 4):
+        raise ContractError(f"expected (..., 9, 4) tables in AXIS_PAIRS order, not shape {probs.shape}")
+    ok = np.all(np.abs(probs - 0.5) <= 0.5 + 1e-9, axis=-1) & (np.abs(probs.sum(axis=-1) - 1.0) <= 1e-9)
+    if not ok.all():
+        *table, pair = bad = np.argwhere(~ok)[0]
+        row, where = probs[tuple(bad)], f"table {tuple(map(int, table))}, " if table else ""
+        raise ContractError(
+            f"{where}axis pair {AXIS_PAIRS[pair]}: "
+            f"probabilities {row.tolist()} must lie in [0, 1] and sum to one (sum {row.sum()})"
+        )
+    return np.tensordot(probs, _STOKES_SIGNS, axes=2)
 
 
 def density_from_stokes(stokes: np.ndarray) -> np.ndarray:
@@ -239,7 +219,6 @@ class DensityEstimate:
     fidelity: float
     concurrence: float
     ci: dict = field(default_factory=dict)
-    stokes: np.ndarray | None = None
 
     def to_json(self) -> str:
         # bounds not computed (no sampled groups) are written as null
@@ -256,14 +235,11 @@ class DensityEstimate:
         return json.dumps(payload, indent=2)
 
 
-def sample_table(exact: ProbabilityTable, n_shots: int, rng) -> ProbabilityTable:
-    """Finite-shot empirical table: multinomial per axis pair."""
-    pairs = {}
-    for key in AXIS_PAIRS:
-        p = np.clip(exact.pairs[key], 0.0, None)
-        counts = rng.multinomial(n_shots, p / p.sum())
-        pairs[key] = counts / n_shots
-    return ProbabilityTable(pairs)
+def sample_table(exact: np.ndarray, n_shots: int, rng) -> np.ndarray:
+    """Finite-shot empirical (9, 4) table: one multinomial draw of `n_shots`
+    per row of the exact (9, 4) table."""
+    p = np.clip(exact, 0.0, None)
+    return rng.multinomial(n_shots, p / p.sum(axis=-1, keepdims=True)) / n_shots
 
 
 def sequence_table(
@@ -272,34 +248,35 @@ def sequence_table(
     mode: str = "GATE_MODEL",
     noise=None,
     engine=None,
-) -> ProbabilityTable:
-    """Exact nine-basis outcome table of a preparation sequence.
+) -> np.ndarray:
+    """Exact (9, 4) outcome table of a preparation sequence.
 
-    Appends the per-nucleus projection pulses and a joint Z readout to the
-    preparation steps and collects the probability-level outcome
-    distribution for every axis pair. Projection pulses are conditional
-    nuclear gates, so initialization errors distort them faithfully.
+    Propagates the preparation once, then for each axis pair applies the
+    projection pulses of n1 and n2 and reads the joint Z populations of the
+    nuclei off the diagonal. Projection pulses are conditional nuclear
+    gates, so initialization errors distort them faithfully.
     """
     from . import pulses  # deferred: tomography is importable standalone
 
-    pairs = {}
-    for a1, a2 in AXIS_PAIRS:
-        steps = list(prep_steps)
-        steps.append(pulses.ProjectStep("n1", a1))
-        steps.append(pulses.ProjectStep("n2", a2))
-        steps.append(pulses.MeasureStep(("n1", "n2")))
-        res = pulses.run_sequence(steps, params, noise=noise, mode=mode, shots=0, engine=engine)
-        quartet = np.zeros(4)
-        for (o1, o2), prob in res.outcome_probabilities.items():
-            q1, q2 = 1 - o1, 1 - o2  # outcome 1 = up = qubit 0
-            quartet[2 * q1 + q2] = max(prob, 0.0)
-        quartet = quartet / quartet.sum()
-        pairs[(a1, a2)] = quartet
-    return ProbabilityTable(pairs)
+    engine = engine or pulses.engine_for(params)
+    rho = pulses.run_sequence(prep_steps, params, noise=noise, mode=mode, engine=engine).final_state
+    tails = {(s, a): engine.step_unitary(pulses.ProjectStep(s, a), mode) for s in ("n1", "n2") for a in AXES}
+    pops = np.empty((len(AXIS_PAIRS), 16))
+    for row, (a1, a2) in enumerate(AXIS_PAIRS):
+        out = rho
+        for u in (tails["n1", a1], tails["n2", a2]):
+            out = u @ out @ u.conj().T
+        pops[row] = np.real(np.diag(out))
+    # index 8*n1 + 4*n2 + 2*e1 + e2 with 0 = up: axis 1 is the outcome
+    # 2*q1 + q2, axis 2 the electrons, summed left to right from zero as
+    # run_sequence's readout sums them, so both give the same bits
+    d = pops.reshape(len(AXIS_PAIRS), 4, 4)
+    table = np.maximum(0.0 + d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3], 0.0)
+    return table / table.sum(axis=-1, keepdims=True)
 
 
 def tomography_pipeline(
-    source: ProbabilityTable,
+    source: np.ndarray,
     n_shots_per_axis: int = 0,
     n_groups: int = 5,
     n_resamples: int = 1000,
@@ -309,15 +286,15 @@ def tomography_pipeline(
     """Probabilities -> Stokes -> raw density -> physical projection ->
     fidelity/concurrence with bootstrap confidence intervals.
 
-    `source` is the ProbabilityTable of exact outcome probabilities. With
+    `source` is the (9, 4) table of exact outcome probabilities. With
     ``n_shots_per_axis == 0`` it is used directly (no randomness); otherwise
-    `n_groups` empirical tables are sampled from counter-based per-group
-    streams and averaged, mirroring the grouped acquisition used for error
-    bars. The bootstrap reconstructs and projects its resamples once, as one
-    stack, and both intervals are read from that stack.
+    `n_groups` empirical (9, 4) tables are sampled from counter-based
+    per-group streams and averaged, mirroring the grouped acquisition used
+    for error bars. The bootstrap reconstructs and projects its resamples
+    once, as one stack, and both intervals are read from that stack.
     """
-    source.require_complete()
-
+    stokes = stokes_from_probabilities(source)  # checks the source before sampling from it
+    groups = None
     if n_shots_per_axis > 0:
         groups = [
             sample_table(
@@ -325,12 +302,7 @@ def tomography_pipeline(
             )
             for g in range(n_groups)
         ]
-        pooled = mean_table(groups)
-    else:
-        groups = None
-        pooled = source
-
-    stokes = stokes_from_probabilities(pooled)
+        stokes = stokes_from_probabilities(mean_table(groups))
     raw = density_from_stokes(stokes)
     physical = nearest_physical_density(raw)
     est = DensityEstimate(
@@ -338,7 +310,6 @@ def tomography_pipeline(
         physical=physical,
         fidelity=fidelity(physical, target),
         concurrence=concurrence(physical),
-        stokes=stokes,
     )
     if groups is not None:
         states = _bootstrap_states(groups, n_resamples, seed)

@@ -1,7 +1,8 @@
 """Reference oracles the tests compare the package against: direct,
 per-element formulas for tomography tables and Bloch vectors, the
-solid-angle law of the geometric phase, and the locations of the phase
-map's paper anchors (the CZ point and the entangling point)."""
+per-axis-pair replay of a tomography sequence, the solid-angle law of the
+geometric phase, and the locations of the phase map's paper anchors (the CZ
+point and the entangling point)."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 from donorpair import pulses as pl
 from donorpair.linalg import PAULIS, ContractError
 from donorpair.spinmodel import pauli_op
-from donorpair.tomography import AXIS_PAIRS, PAULI_LABELS, ProbabilityTable
+from donorpair.tomography import AXIS_PAIRS, PAULI_LABELS
 
 
 def bloch_vector(state: np.ndarray, spin: str) -> tuple[float, float, float]:
@@ -24,9 +25,9 @@ def bloch_vector(state: np.ndarray, spin: str) -> tuple[float, float, float]:
     return tuple(float(np.real(np.trace(pauli_op(spin, ax) @ rho))) for ax in "xyz")
 
 
-def table_from_state(rho4: np.ndarray) -> ProbabilityTable:
-    """Exact outcome probabilities of a two-qubit state in all nine bases
-    (the direct-measurement oracle for the linear-inversion round trip)."""
+def table_from_state(rho4: np.ndarray) -> np.ndarray:
+    """Exact (9, 4) outcome probabilities of a two-qubit state in all nine
+    bases (the direct-measurement oracle for the linear-inversion round trip)."""
     rho4 = np.asarray(rho4, dtype=complex)
     half = 1 / math.sqrt(2.0)
     eigvecs = {
@@ -34,15 +35,30 @@ def table_from_state(rho4: np.ndarray) -> ProbabilityTable:
         "X": (np.array([half, half]), np.array([half, -half])),
         "Y": (np.array([half, 1j * half]), np.array([half, -1j * half])),
     }
-    pairs = {}
-    for a1, a2 in AXIS_PAIRS:
-        quartet = np.zeros(4)
+    table = np.zeros((len(AXIS_PAIRS), 4))
+    for row, (a1, a2) in enumerate(AXIS_PAIRS):
         for q1 in (0, 1):
             for q2 in (0, 1):
                 proj = np.kron(eigvecs[a1][q1], eigvecs[a2][q2])
-                quartet[2 * q1 + q2] = float(np.real(proj.conj() @ rho4 @ proj))
-        pairs[(a1, a2)] = quartet
-    return ProbabilityTable(pairs)
+                table[row, 2 * q1 + q2] = float(np.real(proj.conj() @ rho4 @ proj))
+    return table
+
+
+def replayed_sequence_table(params, prep_steps, mode=pl.GATE_MODEL, noise=None, engine=None) -> np.ndarray:
+    """(9, 4) table of a preparation by nine full replays, one per axis pair:
+    the preparation, the two projection pulses and a joint nuclear readout,
+    with each outcome distribution flipped to qubit order (outcome 1 = up =
+    qubit 0), clipped at zero and normalized."""
+    table = np.zeros((len(AXIS_PAIRS), 4))
+    for row, (a1, a2) in enumerate(AXIS_PAIRS):
+        tail = [pl.ProjectStep("n1", a1), pl.ProjectStep("n2", a2), pl.MeasureStep(("n1", "n2"))]
+        steps = [*prep_steps, *tail]
+        res = pl.run_sequence(steps, params, noise=noise, mode=mode, shots=0, engine=engine)
+        quartet = np.zeros(4)
+        for (o1, o2), prob in res.outcome_probabilities.items():
+            quartet[2 * (1 - o1) + (1 - o2)] = max(prob, 0.0)
+        table[row] = quartet / quartet.sum()
+    return table
 
 
 def geometric_phase_of_drive(delta_f_mhz: float, rabi_mhz: float, n_loops: int) -> float:

@@ -355,6 +355,23 @@ class TestCli:
         assert "$.system.g1: electron g-factors g1, g2 must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "experiment, mode",
+        [("phase_map", "GATE_MODEL"), ("pirs_cz", "GATE_MODEL"), ("bell_tomography", "FULL_DYNAMICS")],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_degenerate_exchange_exit_code(self, tmp_path, capsys, experiment, mode, command):
+        # at j = 1e20 MHz the engine cannot tell two levels apart; this used
+        # to pass validation and fail only in the run (exit 3)
+        doc = {"experiment": experiment, "mode": mode, "system": {"j": 1e20}}
+        args = [command, "--config", str(write_config(tmp_path, doc))]
+        if command == "run":
+            args += ["--out", str(tmp_path / "o")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "$.system: no spin engine for these parameters: exchange j = 1e+20 MHz" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "doc",
         [
             {"experiment": "rabi_spam", "options": {"duration": {"start": 0, "stop": 50, "count": 4}}},

@@ -17,7 +17,7 @@ from donorpair.linalg import (
 from donorpair.spinmodel import SystemParams
 
 from conftest import random_density, random_hermitian, random_unitary
-from oracles import bloch_vector, stokes_of_density, table_from_state
+from oracles import bloch_vector, replayed_sequence_table, stokes_of_density, table_from_state
 
 PSI_PLUS = tm.PSI_PLUS
 
@@ -31,16 +31,37 @@ def params():
     return SystemParams()
 
 
-class TestProbabilityTable:
+class TestTableChecks:
+    """`stokes_from_probabilities` checks every (9, 4) table it is given."""
+
     def test_rejects_bad_sum(self):
-        pairs = {p: np.array([0.5, 0.5, 0.1, 0.0]) for p in tm.AXIS_PAIRS}
-        with pytest.raises(ContractError):
-            tm.ProbabilityTable(pairs)
+        table = np.tile([0.5, 0.5, 0.1, 0.0], (9, 1))
+        with pytest.raises(ContractError, match="sum to one"):
+            tm.stokes_from_probabilities(table)
 
     def test_missing_pair_rejected(self):
-        t = tm.ProbabilityTable({("Z", "Z"): np.array([1.0, 0, 0, 0])})
-        with pytest.raises(ContractError):
-            tm.stokes_from_probabilities(t)
+        zz_only = np.array([[1.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(ContractError, match="shape"):
+            tm.stokes_from_probabilities(zz_only)
+
+    def test_out_of_range_row_rejected(self):
+        table = table_from_state(bell_rho())
+        table[4] = [1.5, -0.5, 0.0, 0.0]  # sums to one, but outside [0, 1]
+        with pytest.raises(ContractError, match="\\('Y', 'Y'\\)"):
+            tm.stokes_from_probabilities(table)
+
+    def test_stack_with_one_bad_table_rejected(self):
+        stack = np.array([table_from_state(bell_rho())] * 4)
+        assert tm.stokes_from_probabilities(stack).shape == (4, 4, 4)
+        stack[2, 0, 0] += 1e-6
+        with pytest.raises(ContractError, match="table \\(2,\\), axis pair \\('X', 'X'\\)"):
+            tm.stokes_from_probabilities(stack)
+
+    def test_pipeline_checks_source_before_sampling(self):
+        table = table_from_state(bell_rho())
+        table[8] = [2.0, 0.0, 0.0, 0.0]  # sampling alone would renormalize it
+        with pytest.raises(ContractError, match="\\('Z', 'Z'\\)"):
+            tm.tomography_pipeline(table, n_shots_per_axis=100, n_resamples=100)
 
 
 class TestStokes:
@@ -254,7 +275,7 @@ def _ref_stokes(table):
     s = np.zeros((4, 4))
     for ia, a in enumerate(tm.PAULI_LABELS):
         for ib, b in enumerate(tm.PAULI_LABELS):
-            quartet = table.pairs[("Z" if a == "I" else a, "Z" if b == "I" else b)]
+            quartet = table[tm.AXIS_PAIRS.index(("Z" if a == "I" else a, "Z" if b == "I" else b))]
             total = 0.0
             for q1 in (0, 1):
                 for q2 in (0, 1):
@@ -466,6 +487,33 @@ class TestStackedKernels:
         not_hermitian[5, 0, 1] += 1e-6
         with pytest.raises(ContractError, match="not Hermitian"):
             psd_sqrt(not_hermitian)
+
+
+@pytest.mark.filterwarnings("ignore:rabi")  # full-dynamics selectivity warnings
+class TestSequenceTable:
+    """The one-pass table against nine full replays of the preparation."""
+
+    @pytest.mark.parametrize("mode", pl.MODES)
+    @pytest.mark.parametrize("spins", [pl.SPINS, ("e1", "e2")], ids=["all_spins", "electrons"])
+    @pytest.mark.parametrize("p_up", [0.0, 0.14])
+    def test_matches_replay_bitwise(self, params, mode, spins, p_up):
+        prep = [pl.InitStep(spins), *pl.bell_prep()[1:]]
+        noise = pl.NoiseModel(p_up=p_up)
+        table = tm.sequence_table(params, prep, mode=mode, noise=noise)
+        assert table.shape == (9, 4)
+        assert np.array_equal(table, replayed_sequence_table(params, prep, mode=mode, noise=noise))
+
+    @pytest.mark.parametrize("mode", pl.MODES)
+    def test_one_run_sequence_per_table(self, params, mode, monkeypatch):
+        original, calls = pl.run_sequence, []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pl, "run_sequence", spy)
+        tm.sequence_table(params, pl.bell_prep(), mode=mode)
+        assert len(calls) == 1
 
 
 class TestPipeline:
