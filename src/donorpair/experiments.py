@@ -87,6 +87,15 @@ def _config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _fresh(path: Path) -> Path:
+    """`path`, with any file there removed. Outputs are written as new files:
+    ext4 flushes a file that was truncated and rewritten when it is closed
+    (its replace-via-truncate heuristic), so a rerun into the same directory
+    waited on the disk once per output."""
+    path.unlink(missing_ok=True)
+    return path
+
+
 def run(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
     """Execute one experiment and write its outputs plus a manifest.
 
@@ -108,7 +117,7 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
     artifacts = runner(config)
     checksums = {}
     for name, blob in artifacts:
-        (out / name).write_bytes(blob)
+        _fresh(out / name).write_bytes(blob)
         checksums[name] = hashlib.sha256(blob).hexdigest()
     manifest = RunManifest(
         experiment=config.experiment,
@@ -118,7 +127,7 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
         outputs=checksums,
         wall_time_s=time.perf_counter() - t0,
     )
-    (out / "manifest.json").write_text(manifest.to_json() + "\n")
+    _fresh(out / "manifest.json").write_text(manifest.to_json() + "\n")
     return manifest
 
 

@@ -72,16 +72,16 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     m = as_matrix(m)
     dev = np.max(np.abs(m - dagger(m)))
-    if dev >= tol:
+    if not dev < tol:  # a NaN deviation fails too
         raise ContractError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
     return m
 
 
 def require_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
     """`u`, or raise ContractError when max |U U^dag - I| over the stack
-    exceeds `tol`."""
+    exceeds `tol` or is not finite."""
     dev = np.max(np.abs(u @ dagger(u) - np.eye(u.shape[-1])), initial=0.0)
-    if dev > tol:
+    if not dev <= tol:
         raise ContractError(f"propagator is not unitary: max |U U^dag - I| = {dev:.3e}")
     return u
 

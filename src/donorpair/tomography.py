@@ -151,23 +151,125 @@ def concurrence(rho: np.ndarray, discriminant_tol: float = 1e-10):
 
 
 def _statistic_fn(statistic, target):
-    """The statistic as a function of a stack of states."""
+    """The statistic of every resample as a function of the distinct states
+    and each resample's index among them (see `_bootstrap_states`).
+
+    Fidelity is read off the expanded stack: it is one vector product per
+    state, and numpy evaluates a one-state stack by another product than a
+    longer one, so expanding keeps its bits those of the full stack.
+    """
     if callable(statistic):
-        return lambda rhos: np.array([statistic(rho) for rho in rhos], dtype=float)
+        return lambda rhos, inverse: np.array([statistic(rho) for rho in rhos], dtype=float)[inverse]
     if statistic == "fidelity":
-        return lambda rhos: fidelity(rhos, target)
+        return lambda rhos, inverse: fidelity(rhos[inverse], target)
     if statistic == "concurrence":
-        return concurrence
+        return lambda rhos, inverse: concurrence(rhos)[inverse]
     raise ContractError(f"unknown statistic {statistic!r}")
 
 
-def _bootstrap_states(groups, n_resamples: int, seed: int) -> np.ndarray:
-    """(n_resamples, 4, 4) physical states, one per resample of the groups.
+# numpy's SeedSequence hash constants and the 128-bit PCG64 multiplier
+_MASK32 = 0xFFFFFFFF
+_HASH_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_consts(const: int, mult: int):
+    """SeedSequence's hash constant before and after each multiply."""
+    while True:
+        yield const, (const := const * mult & _MASK32)
+
+
+def _hashmix(word: np.ndarray, consts) -> np.ndarray:
+    xor, mult = next(consts)
+    word = (word ^ np.uint32(xor)) * np.uint32(mult)
+    return word ^ word >> np.uint32(16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return x ^ x >> np.uint32(16)
+
+
+def _seed_words(seed: int, n_resamples: int) -> list:
+    """SeedSequence([seed, k]).generate_state(4, uint64) for every
+    k < n_resamples: four arrays of Python ints, hashed in uint32
+    arithmetic. The entropy is the seed's little-endian 32-bit words
+    (0 gives [0]) followed by k; the pool holds four words."""
+    seed = int(seed)
+    words = [seed >> b & _MASK32 for b in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(n_resamples, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(n_resamples, dtype=np.uint32))
+    entropy += [np.zeros(n_resamples, dtype=np.uint32)] * (4 - len(entropy))
+    consts = _hash_consts(_HASH_A, _MULT_A)
+    pool = [_hashmix(word, consts) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+    consts = _hash_consts(_HASH_B, _MULT_B)
+    state = [_hashmix(pool[i % 4], consts).astype(np.uint64) for i in range(8)]
+    return [(state[2 * j] | state[2 * j + 1] << np.uint64(32)).astype(object) for j in range(4)]
+
+
+def _lemire_rejected(leftover: np.ndarray, n_groups: int) -> np.ndarray:
+    """Rows of (resamples, groups) Lemire leftovers holding a draw that
+    numpy rejects and redraws: a leftover below 2**32 mod n_groups."""
+    return (leftover < np.uint64((1 << 32) % n_groups)).any(axis=1)
+
+
+def _resample_counts(n_groups: int, n_resamples: int, seed: int) -> np.ndarray:
+    """(n_resamples, n_groups) int counts. Row k is
+    np.bincount(default_rng(SeedSequence([seed, k])).integers(0, n_groups,
+    size=n_groups)), bit for bit, with every k computed at once.
+
+    The steps are numpy's: the SeedSequence pool hash and its
+    generate_state(4, uint64) in uint32 arithmetic; PCG64 seeding (state 0,
+    inc = (initseq << 1) | 1, step, add initstate, step) and its XSL-RR
+    output (O'Neill 2014) in Python ints, each 64-bit output giving its low
+    32 bits first; and Lemire's multiply-shift for the bounded draws (ACM
+    TOMACS 29, 2019). A row in which Lemire would reject a draw (about one
+    in 1e9 for five groups) is redrawn from its own generator.
+    """
+    w = _seed_words(seed, n_resamples)
+    inc = ((w[2] << 64 | w[3]) << 1 | 1) & _MASK128
+    state = ((inc + (w[0] << 64 | w[1])) * _PCG_MULT + inc) & _MASK128
+    draws = []
+    for _ in range((n_groups + 1) // 2):  # two 32-bit draws per 64-bit output
+        state = (state * _PCG_MULT + inc) & _MASK128
+        x = ((state >> 64) ^ (state & (1 << 64) - 1)).astype(np.uint64)
+        rot = (state >> 122).astype(np.uint64)
+        out = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
+        draws += [out & np.uint64(_MASK32), out >> np.uint64(32)]
+    m = np.stack(draws[:n_groups], axis=1) * np.uint64(n_groups)
+    picks = (m >> np.uint64(32)).astype(np.intp) + n_groups * np.arange(n_resamples)[:, None]
+    counts = np.bincount(picks.ravel(), minlength=n_resamples * n_groups).reshape(n_resamples, n_groups)
+    for k in np.flatnonzero(_lemire_rejected(m & np.uint64(_MASK32), n_groups)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, int(k)]))
+        counts[k] = np.bincount(rng.integers(0, n_groups, size=n_groups), minlength=n_groups)
+    return counts
+
+
+def _bootstrap_states(groups, n_resamples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Physical states of the distinct resamples of the groups, and the
+    (n_resamples,) index of each resample's state among them.
 
     Resample k draws len(groups) group indices with replacement from the
-    SeedSequence([seed, k]) stream. Stokes parameters are linear in the
-    tables, so each resample's Stokes array is the count-weighted mean of the
-    per-group arrays; the stack is inverted and projected in one pass.
+    unchanged stream SeedSequence([seed, k]) -> PCG64 -> integers(0, n, n),
+    now computed for every k at once (`_resample_counts`). Stokes parameters
+    are linear in the tables, so each resample's Stokes array is the
+    count-weighted mean of the per-group arrays, formed for the whole stack
+    so that a row's bits do not depend on the other rows. Each distinct count
+    vector (at most C(2n-1, n) of them) is inverted and projected once. The
+    inversion gives a row the same bits in any stack of two or more rows.
+    Inverting only the distinct rows (at most 126 for five groups) also keeps
+    OpenBLAS's complex product on the calling thread: the full 1000-row
+    product wakes a worker thread that keeps spinning after the call returns.
     """
     groups = list(groups)
     if len(groups) < 2:
@@ -175,13 +277,17 @@ def _bootstrap_states(groups, n_resamples: int, seed: int) -> np.ndarray:
     if n_resamples < 100:
         warnings.warn(f"{n_resamples} resamples is too few for stable percentiles")
     n = len(groups)
-    counts = np.zeros((n_resamples, n))
-    for k in range(n_resamples):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-        counts[k] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    counts = _resample_counts(n, n_resamples, seed)
     group_stokes = stokes_from_probabilities(groups).reshape(n, 16)
-    stokes = (counts @ group_stokes).reshape(n_resamples, 4, 4) / n
-    return nearest_physical_density(density_from_stokes(stokes))
+    stokes = (counts.astype(float) @ group_stokes).reshape(n_resamples, 4, 4) / n
+    _, first, inverse = np.unique(counts, axis=0, return_index=True, return_inverse=True)
+    # numpy multiplies a one-row stack by its vector kernel, which rounds
+    # otherwise than the matrix kernel of a taller stack: a lone distinct row
+    # among several resamples is inverted as two rows, as in the full stack
+    rows = first.repeat(2) if len(first) == 1 < n_resamples else first
+    raw = density_from_stokes(stokes[rows])[: len(first)]
+    # numpy 2.0.0 returns the inverse as a column
+    return nearest_physical_density(raw), inverse.reshape(-1)
 
 
 def _percentile_ci(stats: np.ndarray) -> tuple[float, float]:
@@ -198,14 +304,17 @@ def bootstrap_ci(
 ):
     """Nonparametric bootstrap over measurement groups.
 
-    Resamples the group list with replacement, reconstructs the physical
-    state of every resample as one stack (see `_bootstrap_states`), and
-    returns the 2.5 and 97.5 percentiles (linear interpolation) of the
-    statistic plus the resample statistics. `statistic` is "fidelity"
-    (against `target`), "concurrence", or a function of one state.
+    Resamples the group list with replacement, from the unchanged streams
+    SeedSequence([seed, k]) -> PCG64 -> integers(0, n, n) computed for every
+    resample k at once, reconstructs the physical state of each distinct
+    resample once (see `_bootstrap_states`), and returns the 2.5 and 97.5
+    percentiles (linear interpolation) of the statistic plus the
+    `n_resamples` resample statistics. `statistic` is "fidelity" (against
+    `target`), "concurrence", or a function of one state. Concurrence and a
+    function are evaluated once per distinct resample; fidelity, one vector
+    product per state, on the expanded stack (see `_statistic_fn`).
     """
-    fn = _statistic_fn(statistic, target)
-    stats = fn(_bootstrap_states(groups, n_resamples, seed))
+    stats = _statistic_fn(statistic, target)(*_bootstrap_states(groups, n_resamples, seed))
     return (*_percentile_ci(stats), stats)
 
 
@@ -290,8 +399,10 @@ def tomography_pipeline(
     ``n_shots_per_axis == 0`` it is used directly (no randomness); otherwise
     `n_groups` empirical (9, 4) tables are sampled from counter-based
     per-group streams and averaged, mirroring the grouped acquisition used
-    for error bars. The bootstrap reconstructs and projects its resamples
-    once, as one stack, and both intervals are read from that stack.
+    for error bars. The bootstrap draws its resamples from the unchanged
+    streams SeedSequence([seed, k]) -> PCG64 -> integers(0, n, n), computed
+    for every k at once; it reconstructs and projects each distinct resample
+    once, and both intervals are read from those states.
     """
     stokes = stokes_from_probabilities(source)  # checks the source before sampling from it
     groups = None
@@ -314,5 +425,5 @@ def tomography_pipeline(
     if groups is not None:
         states = _bootstrap_states(groups, n_resamples, seed)
         for name in ("fidelity", "concurrence"):
-            est.ci[name] = _percentile_ci(_statistic_fn(name, target)(states))
+            est.ci[name] = _percentile_ci(_statistic_fn(name, target)(*states))
     return est

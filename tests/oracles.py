@@ -1,8 +1,8 @@
 """Reference oracles the tests compare the package against: direct,
 per-element formulas for tomography tables and Bloch vectors, the
-per-axis-pair replay of a tomography sequence, the solid-angle law of the
-geometric phase, and the locations of the phase map's paper anchors (the CZ
-point and the entangling point)."""
+per-axis-pair replay of a tomography sequence, the per-resample bootstrap
+draw, the solid-angle law of the geometric phase, and the locations of the
+phase map's paper anchors (the CZ point and the entangling point)."""
 
 from __future__ import annotations
 
@@ -59,6 +59,17 @@ def replayed_sequence_table(params, prep_steps, mode=pl.GATE_MODEL, noise=None, 
             quartet[2 * (1 - o1) + (1 - o2)] = max(prob, 0.0)
         table[row] = quartet / quartet.sum()
     return table
+
+
+def resample_counts(n_groups: int, n_resamples: int, seed: int) -> np.ndarray:
+    """(n_resamples, n_groups) counts of the group indices each bootstrap
+    resample k draws, one generator per resample:
+    default_rng(SeedSequence([seed, k])).integers(0, n_groups, size=n_groups)."""
+    counts = np.zeros((n_resamples, n_groups), dtype=np.int64)
+    for k in range(n_resamples):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
+        counts[k] = np.bincount(rng.integers(0, n_groups, size=n_groups), minlength=n_groups)
+    return counts
 
 
 def geometric_phase_of_drive(delta_f_mhz: float, rabi_mhz: float, n_loops: int) -> float:

@@ -371,6 +371,20 @@ class TestCli:
         assert "$.system: no spin engine for these parameters: exchange j = 1e+20 MHz" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_overflowing_hamiltonian_exit_code(self, tmp_path, capsys, command):
+        # mu_b_over_h = 1.7e308 overflows the Hamiltonian into NaN entries;
+        # this used to pass validation and fail in the run's eigh (exit 3)
+        doc = {"experiment": "phase_map", "system": {"mu_b_over_h": 1.7e308}}
+        args = [command, "--config", str(write_config(tmp_path, doc))]
+        if command == "run":
+            args += ["--out", str(tmp_path / "o")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "$.system: no spin engine for these parameters: matrix is not Hermitian" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "doc",
         [

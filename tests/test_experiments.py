@@ -207,6 +207,22 @@ class TestDeterminism:
         m2 = run(cfg2, tmp_path / "b")
         assert m1.outputs != m2.outputs
 
+    def test_rerun_writes_new_files(self, tmp_path):
+        # a rerun into the same directory replaces each output with a new
+        # file instead of truncating the old one in place
+        cfg2 = self.make_cfg()
+        cfg2.seed = 6
+        m1 = run(self.make_cfg(), tmp_path / "out")
+        names = [*m1.outputs, "manifest.json"]
+        old = {name: (tmp_path / "out" / name).read_bytes() for name in names}
+        for name in names:
+            (tmp_path / f"old-{name}").hardlink_to(tmp_path / "out" / name)
+        m2 = run(cfg2, tmp_path / "out")
+        assert m2.outputs != m1.outputs
+        for name in names:
+            assert (tmp_path / f"old-{name}").read_bytes() == old[name]
+            assert (tmp_path / "out" / name).stat().st_nlink == 1
+
     def test_phase_map_rerun_checksums_identical(self, tmp_path):
         doc = {
             "experiment": "phase_map",

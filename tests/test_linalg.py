@@ -114,6 +114,27 @@ class TestRequireUnitary:
             require_unitary(stack)
         assert require_unitary(u * (1.0 + 1e-12)) is not None
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, rng, bad):
+        u = unitary_exp(random_hermitian(rng, 4), 2.0)
+        u[1, 2] = bad
+        with pytest.raises(ContractError, match="not unitary"):
+            require_unitary(np.array([u, u]))
+
+
+class TestRequireHermitian:
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, rng, bad):
+        # a NaN deviation compares False against any tolerance
+        m = random_hermitian(rng, 4)
+        m[0, 3] = m[3, 0] = bad
+        with pytest.raises(ContractError, match="not Hermitian"):
+            linalg.require_hermitian(m)
+        with pytest.raises(ContractError, match="not Hermitian"):
+            hermitian_eig(m)
+
 
 class TestPsdSqrt:
     def test_identity(self):

@@ -17,7 +17,7 @@ from donorpair.linalg import (
 from donorpair.spinmodel import SystemParams
 
 from conftest import random_density, random_hermitian, random_unitary
-from oracles import bloch_vector, replayed_sequence_table, stokes_of_density, table_from_state
+from oracles import bloch_vector, replayed_sequence_table, resample_counts, stokes_of_density, table_from_state
 
 PSI_PLUS = tm.PSI_PLUS
 
@@ -369,8 +369,9 @@ class TestStackedBootstrapOracle:
         # eigenvalues are zero up to rounding, the input the oracle test feeds
         # to concurrence's re-projection and discriminant clip
         groups = _oracle_groups(bell_tables, "mixed_p0", 5, 0)
-        states = tm._bootstrap_states(groups, 120, 0)
-        assert np.all(np.linalg.eigvalsh(states)[:, :2] < 1e-10)
+        states, inverse = tm._bootstrap_states(groups, 120, 0)
+        assert inverse.shape == (120,)
+        assert np.all(np.linalg.eigvalsh(states[inverse])[:, :2] < 1e-10)
 
     def test_pipeline_intervals_match_bootstrap_ci(self, bell_tables):
         est = tm.tomography_pipeline(bell_tables[0.14], n_shots_per_axis=1000, n_resamples=150, seed=4)
@@ -387,9 +388,101 @@ class TestStackedBootstrapOracle:
         _, _, stats = tm.bootstrap_ci(groups, 120, lambda rho: float(np.real(rho[1, 2])), seed=1)
         _, _, fid = tm.bootstrap_ci(groups, 120, "fidelity", seed=1)
         # F(psi+) = (rho11 + rho22)/2 + Re rho12
-        states = tm._bootstrap_states(groups, 120, 1)
+        states, inverse = tm._bootstrap_states(groups, 120, 1)
+        states = states[inverse]
         diag = np.real(states[:, 1, 1] + states[:, 2, 2]) / 2
         assert np.max(np.abs(diag + stats - fid)) < 1e-12
+
+
+class TestResampleDraw:
+    """The one-pass draw against one generator per resample."""
+
+    @pytest.mark.parametrize("n_resamples", [1, 2, 1000])
+    @pytest.mark.parametrize("n_groups", [2, 3, 5, 8, 33])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_matches_per_resample_generators(self, seed, n_groups, n_resamples):
+        counts = tm._resample_counts(n_groups, n_resamples, seed)
+        assert counts.shape == (n_resamples, n_groups)
+        assert np.array_equal(counts, resample_counts(n_groups, n_resamples, seed))
+
+    @pytest.mark.parametrize("n_groups", [3, 5])
+    def test_rejected_rows_are_redrawn(self, monkeypatch, n_groups):
+        # a Lemire rejection is about one draw in 1e9, so force some rows
+        flagged = [0, 7, 199]
+        mask = np.zeros(200, dtype=bool)
+        mask[flagged] = True
+        monkeypatch.setattr(tm, "_lemire_rejected", lambda leftover, n: mask)
+        want = resample_counts(n_groups, 200, 11)
+        assert np.array_equal(tm._resample_counts(n_groups, 200, 11), want)
+        # the flagged rows, and only they, come from their own generators:
+        # point those at seed 12 and find seed 12's rows there
+        original, keys = np.random.SeedSequence, []
+
+        def next_seed(entropy):
+            keys.append(entropy[1])
+            return original([entropy[0] + 1, entropy[1]])
+
+        monkeypatch.setattr(np.random, "SeedSequence", next_seed)
+        counts = tm._resample_counts(n_groups, 200, 11)
+        monkeypatch.setattr(np.random, "SeedSequence", original)
+        want[flagged] = resample_counts(n_groups, 200, 12)[flagged]
+        assert keys == flagged
+        assert np.array_equal(counts, want)
+
+    def test_lemire_threshold(self):
+        # numpy rejects a leftover below 2**32 mod n: 1 for five groups
+        leftover = np.array([[5, 1, 9], [2, 3, 0]], dtype=np.uint64)
+        assert tm._lemire_rejected(leftover, 5).tolist() == [False, True]
+        assert not tm._lemire_rejected(leftover, 2).any()
+
+
+class TestDistinctResamples:
+    def test_each_distinct_resample_projected_once(self, bell_tables, monkeypatch):
+        # five groups allow C(9, 4) = 126 distinct count vectors among 1000 resamples
+        seen = {"nearest_physical_density": [], "density_from_stokes": []}
+        for name, rows in seen.items():
+
+            def spy(m, original=getattr(tm, name), rows=rows):
+                rows.append(len(m))
+                return original(m)
+
+            monkeypatch.setattr(tm, name, spy)
+        groups = _oracle_groups(bell_tables, "sampled_p014", 5, 0)
+        states, inverse = tm._bootstrap_states(groups, 1000, 0)
+        # each distinct resample is inverted and projected once
+        assert seen == {name: [len(states)] for name in seen}
+        assert len(states) <= math.comb(9, 4)
+        counts = resample_counts(5, 1000, 0)
+        assert len(states) == len(np.unique(counts, axis=0))
+        assert inverse.shape == (1000,) and set(inverse.tolist()) == set(range(len(states)))
+        # resamples with the same counts share a state
+        for row in range(len(states)):
+            assert len(np.unique(counts[inverse == row], axis=0)) == 1
+
+    @pytest.mark.parametrize("height", [2, 3, 126, 500])
+    def test_inversion_bits_do_not_depend_on_stack_height(self, rng, height):
+        stokes = rng.standard_normal((1000, 4, 4))
+        stokes[:, 0, 0] = 1.0
+        rows = np.sort(rng.choice(1000, size=height, replace=False))
+        full = tm.density_from_stokes(stokes)[rows]
+        assert np.array_equal(full.view(np.uint64), tm.density_from_stokes(stokes[rows]).view(np.uint64))
+
+    @pytest.mark.parametrize("n_resamples", [1, 2, 3])
+    def test_states_are_those_of_the_full_stack(self, bell_tables, n_resamples):
+        # with two groups and few resamples every seed's resamples may share
+        # one count vector; the states keep the bits of the full-stack inversion
+        groups = _oracle_groups(bell_tables, "sampled_p014", 2, 0)
+        group_stokes = tm.stokes_from_probabilities(groups).reshape(2, 16)
+        lone = 0
+        for seed in range(12):
+            with pytest.warns(UserWarning, match="too few"):
+                states, inverse = tm._bootstrap_states(groups, n_resamples, seed)
+            counts = resample_counts(2, n_resamples, seed).astype(float)
+            stokes = (counts @ group_stokes).reshape(n_resamples, 4, 4) / 2
+            full = tm.nearest_physical_density(tm.density_from_stokes(stokes))
+            assert np.array_equal(states[inverse].view(np.uint64), full.view(np.uint64))
+            lone += len(states) == 1
+        assert lone > 0
 
 
 class TestStackedKernels:
