@@ -167,13 +167,14 @@ def _statistic_fn(statistic, target):
     raise ContractError(f"unknown statistic {statistic!r}")
 
 
-# numpy's SeedSequence hash constants and the 128-bit PCG64 multiplier
+# numpy's SeedSequence hash constants, and the 128-bit PCG64 multiplier as
+# (high, low) 64-bit limbs
 _MASK32 = 0xFFFFFFFF
 _HASH_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
+_PCG_MULT = (np.uint64(2549297995355413924), np.uint64(4865540595714422341))
+_LOW32, _U32 = np.uint64(_MASK32), np.uint64(32)
 
 
 def _hash_consts(const: int, mult: int):
@@ -195,9 +196,9 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _seed_words(seed: int, n_resamples: int) -> list:
     """SeedSequence([seed, k]).generate_state(4, uint64) for every
-    k < n_resamples: four arrays of Python ints, hashed in uint32
-    arithmetic. The entropy is the seed's little-endian 32-bit words
-    (0 gives [0]) followed by k; the pool holds four words."""
+    k < n_resamples: four uint64 arrays, hashed in uint32 arithmetic. The
+    entropy is the seed's little-endian 32-bit words (0 gives [0]) followed
+    by k; the pool holds four words."""
     seed = int(seed)
     words = [seed >> b & _MASK32 for b in range(0, max(seed.bit_length(), 1), 32)]
     entropy = [np.full(n_resamples, w, dtype=np.uint32) for w in words]
@@ -214,7 +215,33 @@ def _seed_words(seed: int, n_resamples: int) -> list:
             pool[dst] = _mix(pool[dst], _hashmix(word, consts))
     consts = _hash_consts(_HASH_B, _MULT_B)
     state = [_hashmix(pool[i % 4], consts).astype(np.uint64) for i in range(8)]
-    return [(state[2 * j] | state[2 * j + 1] << np.uint64(32)).astype(object) for j in range(4)]
+    return [state[2 * j] | state[2 * j + 1] << _U32 for j in range(4)]
+
+
+def _mul_wide(a: np.ndarray, b) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) 64-bit limbs of the full 128-bit product of uint64 a and
+    b, from their 32-bit halves."""
+    a_hi, a_lo = a >> _U32, a & _LOW32
+    b_hi, b_lo = b >> _U32, b & _LOW32
+    ll, lh, hl = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    mid = (ll >> _U32) + (lh & _LOW32) + (hl & _LOW32)  # below 3 * 2**32
+    return a_hi * b_hi + (lh >> _U32) + (hl >> _U32) + (mid >> _U32), mid << _U32 | ll & _LOW32
+
+
+def _add_wide(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """a + b mod 2**128 on (high, low) uint64 limbs: the low sum wraps below
+    a's low limb exactly when it carries."""
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < a[1]), lo
+
+
+def _pcg_step(state: tuple, inc: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """One PCG64 step, state * _PCG_MULT + inc mod 2**128, on (high, low)
+    limbs. uint64 products wrap mod 2**64, so of the three products that
+    reach the high limb only low * low needs its carry."""
+    (hi, lo), (m_hi, m_lo) = state, _PCG_MULT
+    p_hi, p_lo = _mul_wide(lo, m_lo)
+    return _add_wide((p_hi + lo * m_hi + hi * m_lo, p_lo), inc)
 
 
 def _lemire_rejected(leftover: np.ndarray, n_groups: int) -> np.ndarray:
@@ -231,28 +258,45 @@ def _resample_counts(n_groups: int, n_resamples: int, seed: int) -> np.ndarray:
     The steps are numpy's: the SeedSequence pool hash and its
     generate_state(4, uint64) in uint32 arithmetic; PCG64 seeding (state 0,
     inc = (initseq << 1) | 1, step, add initstate, step) and its XSL-RR
-    output (O'Neill 2014) in Python ints, each 64-bit output giving its low
-    32 bits first; and Lemire's multiply-shift for the bounded draws (ACM
-    TOMACS 29, 2019). A row in which Lemire would reject a draw (about one
-    in 1e9 for five groups) is redrawn from its own generator.
+    output (O'Neill 2014) on (high, low) uint64 limbs of the 128-bit state,
+    each 64-bit output giving its low 32 bits first; and Lemire's
+    multiply-shift for the bounded draws (ACM TOMACS 29, 2019). A row in
+    which Lemire would reject a draw (about one in 1e9 for five groups) is
+    redrawn from its own generator.
     """
     w = _seed_words(seed, n_resamples)
-    inc = ((w[2] << 64 | w[3]) << 1 | 1) & _MASK128
-    state = ((inc + (w[0] << 64 | w[1])) * _PCG_MULT + inc) & _MASK128
+    inc = (w[2] << np.uint64(1) | w[3] >> np.uint64(63), w[3] << np.uint64(1) | np.uint64(1))
+    state = _pcg_step(_add_wide(inc, (w[0], w[1])), inc)
     draws = []
     for _ in range((n_groups + 1) // 2):  # two 32-bit draws per 64-bit output
-        state = (state * _PCG_MULT + inc) & _MASK128
-        x = ((state >> 64) ^ (state & (1 << 64) - 1)).astype(np.uint64)
-        rot = (state >> 122).astype(np.uint64)
+        state = hi, lo = _pcg_step(state, inc)
+        x, rot = hi ^ lo, hi >> np.uint64(58)
         out = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
-        draws += [out & np.uint64(_MASK32), out >> np.uint64(32)]
+        draws += [out & _LOW32, out >> _U32]
     m = np.stack(draws[:n_groups], axis=1) * np.uint64(n_groups)
-    picks = (m >> np.uint64(32)).astype(np.intp) + n_groups * np.arange(n_resamples)[:, None]
+    picks = (m >> _U32).astype(np.intp) + n_groups * np.arange(n_resamples)[:, None]
     counts = np.bincount(picks.ravel(), minlength=n_resamples * n_groups).reshape(n_resamples, n_groups)
-    for k in np.flatnonzero(_lemire_rejected(m & np.uint64(_MASK32), n_groups)):
+    for k in np.flatnonzero(_lemire_rejected(m & _LOW32, n_groups)):
         rng = np.random.default_rng(np.random.SeedSequence([seed, int(k)]))
         counts[k] = np.bincount(rng.integers(0, n_groups, size=n_groups), minlength=n_groups)
     return counts
+
+
+def _distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of each distinct row's first occurrence, in lexicographic
+    row order, and every row's index among them: the index and inverse of
+    np.unique(counts, axis=0), from one stable lexsort of the columns."""
+    order = np.lexsort(counts.T[::-1])
+    ranked = counts[order]
+    new = np.empty(len(order), dtype=bool)
+    new[:1] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+_INVERT_ROWS = 128  # rows per inversion call, see `_bootstrap_states`
 
 
 def _bootstrap_states(groups, n_resamples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -265,11 +309,13 @@ def _bootstrap_states(groups, n_resamples: int, seed: int) -> tuple[np.ndarray, 
     are linear in the tables, so each resample's Stokes array is the
     count-weighted mean of the per-group arrays, formed for the whole stack
     so that a row's bits do not depend on the other rows. Each distinct count
-    vector (at most C(2n-1, n) of them) is inverted and projected once. The
-    inversion gives a row the same bits in any stack of two or more rows.
-    Inverting only the distinct rows (at most 126 for five groups) also keeps
-    OpenBLAS's complex product on the calling thread: the full 1000-row
-    product wakes a worker thread that keeps spinning after the call returns.
+    vector (at most C(2n-1, n) of them, found by `_distinct_rows`) is
+    inverted and projected once. The inversion gives a row the same bits in
+    any stack of two or more rows, so the distinct rows are inverted in
+    near-equal chunks of at most 128 rows (at most 126 distinct rows for
+    five groups make one chunk). That keeps OpenBLAS's complex product on
+    the calling thread: a product of several hundred rows wakes a worker
+    thread that keeps spinning after the call returns.
     """
     groups = list(groups)
     if len(groups) < 2:
@@ -280,14 +326,15 @@ def _bootstrap_states(groups, n_resamples: int, seed: int) -> tuple[np.ndarray, 
     counts = _resample_counts(n, n_resamples, seed)
     group_stokes = stokes_from_probabilities(groups).reshape(n, 16)
     stokes = (counts.astype(float) @ group_stokes).reshape(n_resamples, 4, 4) / n
-    _, first, inverse = np.unique(counts, axis=0, return_index=True, return_inverse=True)
+    first, inverse = _distinct_rows(counts)
     # numpy multiplies a one-row stack by its vector kernel, which rounds
     # otherwise than the matrix kernel of a taller stack: a lone distinct row
     # among several resamples is inverted as two rows, as in the full stack
     rows = first.repeat(2) if len(first) == 1 < n_resamples else first
-    raw = density_from_stokes(stokes[rows])[: len(first)]
-    # numpy 2.0.0 returns the inverse as a column
-    return nearest_physical_density(raw), inverse.reshape(-1)
+    # near-equal chunks of two or more rows each, unless rows is one row
+    chunks = np.array_split(rows, -(-len(rows) // _INVERT_ROWS))
+    raw = np.concatenate([density_from_stokes(stokes[chunk]) for chunk in chunks])[: len(first)]
+    return nearest_physical_density(raw), inverse
 
 
 def _percentile_ci(stats: np.ndarray) -> tuple[float, float]:
@@ -306,8 +353,9 @@ def bootstrap_ci(
 
     Resamples the group list with replacement, from the unchanged streams
     SeedSequence([seed, k]) -> PCG64 -> integers(0, n, n) computed for every
-    resample k at once, reconstructs the physical state of each distinct
-    resample once (see `_bootstrap_states`), and returns the 2.5 and 97.5
+    resample k at once in uint64 arithmetic (see `_resample_counts`),
+    reconstructs the physical state of each distinct resample once, at most
+    128 at a time (see `_bootstrap_states`), and returns the 2.5 and 97.5
     percentiles (linear interpolation) of the statistic plus the
     `n_resamples` resample statistics. `statistic` is "fidelity" (against
     `target`), "concurrence", or a function of one state. Concurrence and a
@@ -401,8 +449,9 @@ def tomography_pipeline(
     per-group streams and averaged, mirroring the grouped acquisition used
     for error bars. The bootstrap draws its resamples from the unchanged
     streams SeedSequence([seed, k]) -> PCG64 -> integers(0, n, n), computed
-    for every k at once; it reconstructs and projects each distinct resample
-    once, and both intervals are read from those states.
+    for every k at once in uint64 arithmetic; it reconstructs and projects
+    each distinct resample once, at most 128 at a time, and both intervals
+    are read from those states.
     """
     stokes = stokes_from_probabilities(source)  # checks the source before sampling from it
     groups = None

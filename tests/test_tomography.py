@@ -436,6 +436,88 @@ class TestResampleDraw:
         assert not tm._lemire_rejected(leftover, 2).any()
 
 
+EDGE_LIMBS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def _limbs(values):
+    """(high, low) uint64 limb arrays of Python ints below 2**128."""
+    return (
+        np.array([v >> 64 for v in values], dtype=np.uint64),
+        np.array([v & (2**64 - 1) for v in values], dtype=np.uint64),
+    )
+
+
+def _joined(hi, lo):
+    return [(int(h) << 64) + int(l) for h, l in zip(hi, lo)]
+
+
+class TestWideArithmetic:
+    """The 128-bit PCG64 arithmetic on (high, low) uint64 limbs against Python ints."""
+
+    @pytest.fixture
+    def limb_pairs(self, rng):
+        randoms = [int(v) for v in rng.integers(0, 2**64, size=40, dtype=np.uint64)]
+        values = EDGE_LIMBS + randoms
+        a, b = zip(*[(x, y) for x in values for y in values])
+        return list(a), list(b)
+
+    def test_mul_wide(self, limb_pairs):
+        a, b = limb_pairs
+        hi, lo = tm._mul_wide(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64))
+        assert _joined(hi, lo) == [x * y for x, y in zip(a, b)]
+
+    def test_add_wide(self, limb_pairs):
+        # 128-bit values built from the edge and random limbs: sums that
+        # carry out of the low limb, wrap past 2**128, or both
+        a, b = limb_pairs
+        a = [(x << 64) + y for x, y in zip(a, b)]
+        b = a[::-1]
+        hi, lo = tm._add_wide(_limbs(a), _limbs(b))
+        assert _joined(hi, lo) == [(x + y) % 2**128 for x, y in zip(a, b)]
+
+    def test_pcg_step(self, limb_pairs):
+        a, b = limb_pairs
+        state = [(x << 64) + y for x, y in zip(a, b)]
+        inc = [s | 1 for s in state[::-1]]
+        mult = (int(tm._PCG_MULT[0]) << 64) + int(tm._PCG_MULT[1])
+        hi, lo = tm._pcg_step(_limbs(state), _limbs(inc))
+        assert _joined(hi, lo) == [(s * mult + i) % 2**128 for s, i in zip(state, inc)]
+
+    @given(
+        seed=st.integers(0, 2**128 - 1),
+        n_groups=st.integers(2, 40),
+        n_resamples=st.integers(1, 50),
+    )
+    def test_counts_match_per_resample_generators(self, seed, n_groups, n_resamples):
+        counts = tm._resample_counts(n_groups, n_resamples, seed)
+        assert np.array_equal(counts, resample_counts(n_groups, n_resamples, seed))
+
+    def test_draw_holds_no_python_ints(self):
+        assert all(w.dtype == np.uint64 for w in tm._seed_words(2**127 + 3, 10))
+
+
+class TestDistinctRows:
+    """The lexsort dedup against np.unique(axis=0)."""
+
+    @staticmethod
+    def _check(counts):
+        first, inverse = tm._distinct_rows(counts)
+        _, want_first, want_inverse = np.unique(counts, axis=0, return_index=True, return_inverse=True)
+        assert first.tolist() == want_first.tolist()
+        # numpy 2.0.0 returns the inverse as a column
+        assert inverse.tolist() == want_inverse.reshape(-1).tolist()
+
+    @pytest.mark.parametrize("n_cols", [2, 3, 5, 16, 33])
+    @pytest.mark.parametrize("n_rows", [1, 2, 7, 300])
+    def test_random_counts(self, rng, n_rows, n_cols):
+        # few values per column, so that rows repeat
+        self._check(rng.integers(0, 3, size=(n_rows, n_cols)))
+
+    @pytest.mark.parametrize("n_cols", [2, 5, 33])
+    def test_all_rows_equal(self, rng, n_cols):
+        self._check(np.tile(rng.integers(0, n_cols, size=n_cols), (50, 1)))
+
+
 class TestDistinctResamples:
     def test_each_distinct_resample_projected_once(self, bell_tables, monkeypatch):
         # five groups allow C(9, 4) = 126 distinct count vectors among 1000 resamples
@@ -483,6 +565,28 @@ class TestDistinctResamples:
             assert np.array_equal(states[inverse].view(np.uint64), full.view(np.uint64))
             lone += len(states) == 1
         assert lone > 0
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**100 + 1])
+    def test_many_distinct_rows_inverted_in_chunks(self, bell_tables, monkeypatch, seed):
+        # 16 groups x 300 resamples give about 300 distinct count vectors; one
+        # product of 256 or more rows would wake an OpenBLAS worker thread
+        groups = _oracle_groups(bell_tables, "sampled_p014", 16, seed)
+        heights = []
+
+        def spy(m, original=tm.density_from_stokes):
+            heights.append(len(m))
+            return original(m)
+
+        monkeypatch.setattr(tm, "density_from_stokes", spy)
+        states, inverse = tm._bootstrap_states(groups, 300, seed)
+        monkeypatch.undo()
+        assert len(heights) > 1 and sum(heights) == len(states)
+        assert 2 <= min(heights) and max(heights) <= 128
+        # the states keep the bits of the unchunked full-stack inversion
+        group_stokes = tm.stokes_from_probabilities(groups).reshape(16, 16)
+        stokes = (resample_counts(16, 300, seed).astype(float) @ group_stokes).reshape(300, 4, 4) / 16
+        full = tm.nearest_physical_density(tm.density_from_stokes(stokes))
+        assert np.array_equal(states[inverse].view(np.uint64), full.view(np.uint64))
 
 
 class TestStackedKernels:
