@@ -20,8 +20,8 @@ Drive normalization: ``rabi_frequency`` is the on-resonance Rabi frequency of
 a bare (unhybridized) transition, i.e. the two-level reduction of the drive is
 (rabi/2) sigma_x and a 2*pi rotation takes 1/rabi microseconds.
 
-Shot records encode outcomes with 1 = measured spin up, 0 = spin down (the
-up-proportion convention); note computational labels use |0> = up.
+Readout distributions key outcomes with 1 = measured spin up, 0 = spin down
+(the up-proportion convention); note computational labels use |0> = up.
 """
 
 from __future__ import annotations
@@ -127,17 +127,15 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class ShotRecord:
-    shot_index: int
-    outcomes: dict
-
-
-@dataclass(frozen=True)
 class InitStep:
     """Reset the listed spins to spin-down, each erring to spin-up with
     probability p_up (`spam_mixture`); spins not listed are left untouched."""
 
     spins: tuple = SPINS
+
+    def __post_init__(self):
+        if isinstance(self.spins, str) or not set(self.spins) <= set(SPINS):
+            raise ContractError(f"initialized spins must be drawn from {SPINS}, not {self.spins!r}")
 
 
 @dataclass(frozen=True)
@@ -180,22 +178,30 @@ class PulseStep:
 
 
 @dataclass(frozen=True)
-class IdleStep:
-    duration_us: float
-
-
-@dataclass(frozen=True)
 class ProjectStep:
     """Map the X or Y component of one nucleus onto Z before readout:
-    X via a pi/2 rotation about -Y, Y via a pi/2 rotation about +X."""
+    X via a pi/2 rotation about -Y, Y via a pi/2 rotation about +X; the
+    axis is read in either case, and Z means no pulse."""
 
     spin: str
     axis: str
 
+    def __post_init__(self):
+        if self.spin not in NUCLEI:
+            raise ContractError(f"projection target must be one of {NUCLEI}, not {self.spin!r}")
+        if str(self.axis).upper() not in ("X", "Y", "Z"):
+            raise ContractError(f"projection axis must be X, Y or Z, not {self.axis!r}")
+
 
 @dataclass(frozen=True)
 class MeasureStep:
+    """Z-basis readout of the listed nuclei (see `run_sequence`)."""
+
     spins: tuple
+
+    def __post_init__(self):
+        if isinstance(self.spins, str) or not set(self.spins) <= set(NUCLEI):
+            raise ContractError(f"readout is defined on nuclei only: {NUCLEI}, not {self.spins!r}")
 
 
 def projection_gate(spin: str, axis: str) -> GateStep:
@@ -515,8 +521,6 @@ class SequenceEngine:
             return self.pulse_propagator(
                 step.pulse, mode, pirs=pirs if step.apply_pirs else None, offsets=offsets
             )
-        if isinstance(step, IdleStep):
-            return unitary_exp(self.free_hamiltonian(offsets=offsets), step.duration_us)
         raise ContractError(f"cannot build a unitary for step {step!r}")
 
 
@@ -716,8 +720,7 @@ def sliced_propagators(h0, z_shift, durations_us, pirs: PIRSModel | None = None)
 @dataclass
 class RunResult:
     final_state: np.ndarray
-    outcome_probabilities: dict
-    shot_records: list
+    outcome_probabilities: dict  # the last MeasureStep's distribution, or {}
 
 
 def spam_mixture(p_up: float, spins=SPINS) -> np.ndarray:
@@ -754,45 +757,23 @@ def _measure_distribution(rho: np.ndarray, spins) -> dict:
     return probs
 
 
-def _collapse(rho: np.ndarray, spins, outcome) -> np.ndarray:
-    mask = np.ones(16, dtype=bool)
-    for s, o in zip(spins, outcome):
-        mask &= 1 - spin_bits(s) == o
-    proj = np.where(mask, 1.0, 0.0)
-    out = rho * np.outer(proj, proj)
-    p = np.real(np.trace(out))
-    if p <= 0:
-        raise ContractError("measurement outcome has zero probability")
-    return out / p
-
-
-def _shot_rng(seed: int, shot_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, shot_index]))
-
-
 def run_sequence(
     steps,
     params: SystemParams,
     noise: NoiseModel | None = None,
     pirs: PIRSModel | None = None,
     mode: str = GATE_MODEL,
-    seed: int = 0,
-    shots: int = 0,
     initial_state: np.ndarray | None = None,
     engine: SequenceEngine | None = None,
 ) -> RunResult:
-    """Execute a declarative sequence.
+    """Run a declarative sequence once, at the probability level.
 
-    Without `initial_state` the run starts with every spin down, so loading
-    error enters only through `InitStep`s, on the spins they list; the
-    other spins are untouched.
-
-    With ``shots == 0`` the sequence runs once at the probability level (no
-    randomness is consumed) and the outcome distribution of the measure step
-    is returned. With ``shots > 0`` the sequence is repeated; the state
-    persists between shots except where initialize steps reset it, measure
-    steps collapse it, and quasi-static detunings are redrawn per shot from
-    a counter-based stream indexed by (seed, shot).
+    The run starts from `initial_state` (a state vector or density matrix),
+    or else with every spin down, so loading error enters only through
+    `InitStep`s (with the noise model's p_up), on the spins they list. Other
+    steps apply their unitaries; a `PulseStep` with `apply_pirs` drifts
+    under `pirs`. A `MeasureStep` reads its nuclei's Z-basis distribution
+    without collapse; the last one is returned with the final state.
     """
     noise = noise or NoiseModel()
     engine = engine or engine_for(params)
@@ -801,54 +782,25 @@ def run_sequence(
     for step in steps:
         if isinstance(step, MeasureStep) and not seen_init:
             raise ContractError("measure before any initialize step")
-        if isinstance(step, InitStep):
-            seen_init = True
-        if isinstance(step, MeasureStep):
-            for s in step.spins:
-                if s not in NUCLEI:
-                    raise ContractError("readout is defined on nuclei only")
+        seen_init = seen_init or isinstance(step, InitStep)
 
     if initial_state is not None:
-        rho0 = np.asarray(initial_state, dtype=complex)
-        if rho0.ndim == 1:
-            rho0 = np.outer(rho0, rho0.conj())
+        rho = np.asarray(initial_state, dtype=complex)
+        if rho.ndim == 1:
+            rho = np.outer(rho, rho.conj())
     else:
-        rho0 = spam_mixture(0.0)  # all down: loading error enters through InitStep only
+        rho = spam_mixture(0.0)  # all down: loading error enters through InitStep only
 
-    def one_pass(rho, offsets, rng, records, shot_index):
-        probs_out = {}
-        for step in steps:
-            if isinstance(step, InitStep):
-                rho = _reset_spins(rho, step.spins, noise.p_up)
-            elif isinstance(step, MeasureStep):
-                probs_out = _measure_distribution(rho, step.spins)
-                if rng is not None:
-                    keys = sorted(probs_out)
-                    p = np.array([probs_out[k] for k in keys])
-                    p = np.clip(p, 0, None)
-                    choice = keys[rng.choice(len(keys), p=p / p.sum())]
-                    rho = _collapse(rho, step.spins, choice)
-                    records.append(ShotRecord(shot_index, dict(zip(step.spins, choice))))
-            else:
-                u = engine.step_unitary(step, mode, offsets=offsets, pirs=pirs)
-                rho = u @ rho @ u.conj().T
-        return rho, probs_out
-
-    records: list[ShotRecord] = []
-    if shots == 0:
-        rho, probs = one_pass(rho0, None, None, records, 0)
-        return RunResult(rho, probs, records)
-
-    rho = rho0
     probs = {}
-    for shot in range(shots):
-        rng = _shot_rng(seed, shot)
-        offsets = None
-        if noise.sigma_f_mhz > 0:
-            draws = rng.normal(0.0, noise.sigma_f_mhz, size=len(SPINS))
-            offsets = dict(zip(SPINS, draws))
-        rho, probs = one_pass(rho, offsets, rng, records, shot)
-    return RunResult(rho, probs, records)
+    for step in steps:
+        if isinstance(step, InitStep):
+            rho = _reset_spins(rho, step.spins, noise.p_up)
+        elif isinstance(step, MeasureStep):
+            probs = _measure_distribution(rho, step.spins)
+        else:
+            u = engine.step_unitary(step, mode, pirs=pirs)
+            rho = u @ rho @ u.conj().T
+    return RunResult(rho, probs)
 
 
 # ---------------------------------------------------------------------------
@@ -1101,19 +1053,13 @@ def ramsey_trace(
     if sigma_f_mhz < 0:
         raise ContractError("sigma_f must be non-negative")
     waits = np.asarray(wait_grid_us, dtype=float)
-    pup = np.zeros_like(waits)
-    for i, t in enumerate(waits):
-        rng = _shot_rng(seed, i)
-        if sigma_f_mhz == 0:
-            pup[i] = 1.0
-            continue
-        deltas = rng.normal(0.0, sigma_f_mhz, size=n_shots)
-        probs = np.cos(np.pi * deltas * t) ** 2
-        pup[i] = float(np.mean(rng.random(n_shots) < probs))
+    # no spread: the pulse pair always flips, and nothing decays
+    pup, env, t2 = np.ones_like(waits), np.ones_like(waits), math.inf
     if sigma_f_mhz > 0:
+        for i, t in enumerate(waits):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+            deltas = rng.normal(0.0, sigma_f_mhz, size=n_shots)
+            pup[i] = float(np.mean(rng.random(n_shots) < np.cos(np.pi * deltas * t) ** 2))
         t2 = t2_star_from_sigma(sigma_f_mhz)
         env = np.exp(-((waits / t2) ** 2))
-    else:
-        t2 = math.inf
-        env = np.ones_like(waits)
     return RamseyTrace(waits, pup, env, t2)

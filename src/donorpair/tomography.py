@@ -425,8 +425,8 @@ def sequence_table(
             out = u @ out @ u.conj().T
         pops[row] = np.real(np.diag(out))
     # index 8*n1 + 4*n2 + 2*e1 + e2 with 0 = up: axis 1 is the outcome
-    # 2*q1 + q2, axis 2 the electrons, summed left to right from zero as
-    # run_sequence's readout sums them, so both give the same bits
+    # 2*q1 + q2, axis 2 the electrons, summed left to right from zero as a
+    # MeasureStep's readout in run_sequence sums them, so both give the same bits
     d = pops.reshape(len(AXIS_PAIRS), 4, 4)
     table = np.maximum(0.0 + d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3], 0.0)
     return table / table.sum(axis=-1, keepdims=True)

@@ -53,7 +53,7 @@ def replayed_sequence_table(params, prep_steps, mode=pl.GATE_MODEL, noise=None, 
     for row, (a1, a2) in enumerate(AXIS_PAIRS):
         tail = [pl.ProjectStep("n1", a1), pl.ProjectStep("n2", a2), pl.MeasureStep(("n1", "n2"))]
         steps = [*prep_steps, *tail]
-        res = pl.run_sequence(steps, params, noise=noise, mode=mode, shots=0, engine=engine)
+        res = pl.run_sequence(steps, params, noise=noise, mode=mode, engine=engine)
         quartet = np.zeros(4)
         for (o1, o2), prob in res.outcome_probabilities.items():
             quartet[2 * (1 - o1) + (1 - o2)] = max(prob, 0.0)

@@ -1,13 +1,20 @@
-"""Import cost of the package: a cold start loads numpy and the standard
-library only; scipy.optimize loads inside the one fit that needs it."""
+"""Import surface of the package: a cold start loads numpy and the standard
+library only, scipy.optimize loads inside the one fit that needs it, and
+every name the benchmark harness looks up still exists."""
 
+import ast
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import donorpair
+from donorpair import experiments
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 PROBE = """
 import json, sys
@@ -39,3 +46,33 @@ def test_cold_import_leaves_scipy_optimize_unloaded():
     report = fresh_import_report()
     assert report["scipy.optimize"] is False
     assert report["third_party"] == []
+
+
+def benchmark_lookups() -> list[str]:
+    """`pkgutil.resolve_name` targets of every package name the benchmark
+    harness imports with `from donorpair... import`, and of each entry point
+    its tracer wraps (`tracing.ENTRIES`, as (module, attribute path) pairs)."""
+    names = []
+    for source in sorted(BENCHMARKS.rglob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "donorpair":
+                names += [f"{node.module}.{alias.name}" for alias in node.names]
+    tracing = ast.parse((BENCHMARKS / "tracing.py").read_text()).body
+    (entries,) = [
+        n.value for n in tracing if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", "") == "ENTRIES"
+    ]
+    names += [f"donorpair.{module.id}:{path.value}" for module, path in (e.elts for e in entries.elts)]
+    return names
+
+
+def test_benchmark_names_resolve():
+    names = benchmark_lookups()
+    assert {"donorpair.pulses.MeasureStep", "donorpair.pulses:SequenceEngine.step_unitary"} <= set(names)
+    missing = []
+    for name in names:
+        try:
+            pkgutil.resolve_name(name)
+        except (ImportError, AttributeError):
+            missing.append(name)
+    assert missing == []
+    assert "workers" in inspect.signature(experiments.run).parameters

@@ -114,23 +114,48 @@ class TestValidation:
             (pl.CzStep, ("n1", 1, 0)),
             (pl.CzStep, ("e2", 2, 0)),
             (pl.CzStep, ("e2", 1, -1)),
+            (pl.InitStep, (("x",),)),
+            (pl.InitStep, ("n1",)),
+            (pl.ProjectStep, ("e1", "Z")),
+            (pl.ProjectStep, ("bogus", "z")),
+            (pl.ProjectStep, ("n1", "w")),
+            (pl.MeasureStep, (("n1", "e2"),)),
+            (pl.MeasureStep, ("n1",)),
         ],
-        ids=["gate-on-electron", "cz-on-nucleus", "cz-n1-bit", "cz-n2-bit"],
+        ids=[
+            "gate-on-electron", "cz-on-nucleus", "cz-n1-bit", "cz-n2-bit", "init-unknown-spin",
+            "init-spin-string", "project-electron", "project-unknown-spin", "project-axis",
+            "measure-electron", "measure-spin-string",
+        ],
     )
     def test_step_targets_checked_at_construction(self, params, mode, step, args):
-        # unchecked, the gate model ran such a step as the identity and full
-        # dynamics divided by its zero drive amplitude
+        # unchecked, the gate model ran a gate or CZ on a wrong target as the
+        # identity and full dynamics divided by its zero drive amplitude; a
+        # projection of a wrong spin ran as the identity, and initializing an
+        # unknown spin failed with a KeyError only when the sequence ran
         with pytest.raises(ContractError):
-            pl.run_sequence([pl.InitStep(), step(*args), pl.MeasureStep(("n1",))], params, mode=mode)
-        valid = {pl.GateStep: ("n1", math.pi / 2), pl.CzStep: ("e2", 1, 0)}[step]
+            step(*args)
+        valid = {
+            pl.GateStep: ("n1", math.pi / 2),
+            pl.CzStep: ("e2", 1, 0),
+            pl.InitStep: (("e1", "n2"),),
+            pl.ProjectStep: ("n2", "y"),
+            pl.MeasureStep: (("n2", "n1"),),
+        }[step]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # full dynamics' selectivity warning
-            u = pl.engine_for(params).step_unitary(step(*valid), mode)
-        assert np.allclose(u @ u.conj().T, np.eye(16), atol=1e-10)
+            res = pl.run_sequence([pl.InitStep(), step(*valid), pl.MeasureStep(("n1",))], params, mode=mode)
+            if step not in (pl.InitStep, pl.MeasureStep):
+                u = pl.engine_for(params).step_unitary(step(*valid), mode)
+                assert np.allclose(u @ u.conj().T, np.eye(16), atol=1e-10)
+        assert np.trace(res.final_state).real == pytest.approx(1.0, abs=1e-9)
+        assert sum(res.outcome_probabilities.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_measure_before_initialize_rejected(self, params):
         with pytest.raises(ContractError):
             pl.run_sequence([pl.MeasureStep(("n1",))], params)
+        with pytest.raises(ContractError):
+            pl.run_sequence([pl.GateStep("n1", math.pi), pl.MeasureStep(("n1",)), pl.InitStep()], params)
 
     def test_measure_on_electron_rejected(self, params):
         with pytest.raises(ContractError):
@@ -237,19 +262,6 @@ class TestRunSequence:
         res = pl.run_sequence([], params, initial_state=rho0)
         assert np.allclose(res.final_state, rho0)
 
-    def test_fixed_seed_bit_identical(self, params):
-        steps = pl.bell_prep() + [pl.MeasureStep(("n1", "n2"))]
-        noise = pl.NoiseModel(p_up=0.14)
-        a = pl.run_sequence(steps, params, noise=noise, seed=11, shots=64)
-        b = pl.run_sequence(steps, params, noise=noise, seed=11, shots=64)
-        assert [r.outcomes for r in a.shot_records] == [r.outcomes for r in b.shot_records]
-
-    def test_different_seed_differs(self, params):
-        steps = pl.bell_prep() + [pl.MeasureStep(("n1", "n2"))]
-        a = pl.run_sequence(steps, params, seed=1, shots=64)
-        b = pl.run_sequence(steps, params, seed=2, shots=64)
-        assert [r.outcomes for r in a.shot_records] != [r.outcomes for r in b.shot_records]
-
     def test_partial_init_leaves_other_spins_down(self, params):
         # a run starts all down: the nuclei carry no loading error unless an
         # InitStep lists them
@@ -275,14 +287,13 @@ class TestRunSequence:
         assert bloch_xy(psi) == pytest.approx([1.0, 0.0], abs=1e-12 if mode == pl.GATE_MODEL else 1e-11)
         x0, y0 = bloch_xy(psi)
         for t in (0.0, 1.3, 7.9, 25.0):
-            idle = engine.step_unitary(pl.IdleStep(t), mode, offsets={"n1": delta})
+            idle = unitary_exp(engine.free_hamiltonian(offsets={"n1": delta}), t)
             c, s = math.cos(2 * math.pi * delta * t), math.sin(2 * math.pi * delta * t)
             assert bloch_xy(idle @ psi) == pytest.approx([c * x0 - s * y0, s * x0 + c * y0], abs=1e-12)
 
     def test_probability_mode_consumes_no_rng(self, params):
         steps = pl.bell_prep() + [pl.MeasureStep(("n1", "n2"))]
-        res = pl.run_sequence(steps, params, shots=0)
-        assert res.shot_records == []
+        res = pl.run_sequence(steps, params)
         assert res.outcome_probabilities[(0, 1)] == pytest.approx(0.5)
         assert res.outcome_probabilities[(1, 0)] == pytest.approx(0.5)
 
@@ -648,8 +659,8 @@ class TestClosedFormKernels:
     @pytest.mark.parametrize("channel", ["ESR", "NMR"])
     @pytest.mark.parametrize("pirs", [None, FALLBACK_DRIFT], ids=["ideal", "drift"])
     def test_pulse_step_matches_per_slice_loop(self, params, engine, mode, channel, pirs):
-        # one phased pulse through run_sequence, with one shot's quasi-static
-        # offsets; the nuclear pulse's slices do not split by nuclear sector
+        # one phased, drifting pulse step with quasi-static offsets on every
+        # spin; the nuclear pulse's slices do not split by nuclear sector
         if channel == "ESR":
             tr = engine.electron_transition("e2", n1=0, n2=1)
             rabi, duration = engine.rabi["ESR"], 3.1
@@ -657,17 +668,17 @@ class TestClosedFormKernels:
             tr = engine.nuclear_transition("n1")
             rabi, duration = 0.05, 2.3
         pulse = pl.PulseSpec(channel, abs(tr.frequency_mhz), rabi, duration, phase_rad=0.7)
-        noise = pl.NoiseModel(sigma_f_mhz=0.05)
+        step = pl.PulseStep(pulse, apply_pirs=True)
+        offsets = {"n1": 0.031, "n2": -0.047, "e1": 0.062, "e2": -0.018}
+        got = engine.step_unitary(step, mode, offsets=offsets, pirs=pirs)
+        want = reference_pulse_propagator(engine, pulse, mode, pirs, offsets)
+        assert np.max(np.abs(got - want)) < ORACLE_TOL
+        # in a sequence the step drifts under the run's pirs
         psi = np.array([1.0, 1j]) @ np.random.default_rng(4).normal(size=(2, 16))
         psi /= np.linalg.norm(psi)
-        res = pl.run_sequence(
-            [pl.PulseStep(pulse, apply_pirs=True)], params, noise=noise, pirs=pirs,
-            mode=mode, seed=5, shots=1, initial_state=psi,
-        )
-        offsets = dict(zip(SPINS, pl._shot_rng(5, 0).normal(0.0, 0.05, size=len(SPINS))))
-        u = reference_pulse_propagator(engine, pulse, mode, pirs, offsets)
-        want = u @ np.outer(psi, psi.conj()) @ u.conj().T
-        assert np.max(np.abs(res.final_state - want)) < ORACLE_TOL
+        res = pl.run_sequence([step], params, pirs=pirs, mode=mode, initial_state=psi)
+        u = engine.step_unitary(step, mode, pirs=pirs)
+        assert np.array_equal(res.final_state, u @ np.outer(psi, psi.conj()) @ u.conj().T)
 
     @pytest.mark.parametrize("mode", pl.MODES)
     @pytest.mark.parametrize("pirs", [FALLBACK_DRIFT, CEILING_DRIFT], ids=["fallback", "ceiling"])
