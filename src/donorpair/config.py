@@ -12,6 +12,7 @@ dataclass's fields, and the dataclass checks their ranges.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -181,6 +182,27 @@ class _Checker:
             return None
         return val
 
+    def csv_rows(self, sub, path, key, columns):
+        """Rows of the CSV file that option `key` names (see `existing_file`)
+        after its header, as lists of finite floats from the `columns` (header
+        names, or positions); blank lines are skipped. None when the option
+        is absent, or after an error at its path."""
+        file = self.existing_file(sub, path, key)
+        if file is None:
+            return None
+        try:
+            with open(file, newline="") as fh:
+                header, *rows = [row for row in csv.reader(fh) if row] or [[]]
+            cols = [c if isinstance(c, int) else header.index(c) for c in columns]
+            out = [[float(row[c]) for c in cols] for row in rows]
+        except (OSError, UnicodeError, csv.Error, IndexError, ValueError) as err:
+            self.fail(f"{path}.{key}", f"expected a header and rows of numbers in columns {columns}: {err}")
+            return None
+        if not all(map(math.isfinite, sum(out, []))):
+            self.fail(f"{path}.{key}", "every number must be finite")
+            return None
+        return out
+
     def grid(self, sub, path, key, default, lo=None, min_count=1):
         if key not in sub:
             return default
@@ -250,8 +272,6 @@ def validate_config(doc_or_path, seed=None) -> ExperimentConfig:
             engine_for(system)  # cached, so the run reuses this engine
         except (ContractError, np.linalg.LinAlgError) as err:
             chk.fail("$.system", f"no spin engine for these parameters: {err}")
-    if noise.sigma_f_mhz > 0:  # the probability-level runners never draw quasi-static offsets
-        chk.fail("$.noise.sigma_f_mhz", "no experiment reads it; use the ramsey option sigma_f_mhz")
     if not pirs.enabled:  # no drift: nothing else in the section is read
         for key in [f.name for f in fields(pirs) if f.name != "enabled" and f.name in doc["pirs"]]:
             chk.fail(f"$.pirs.{key}", "not read when enabled is false")
@@ -306,7 +326,10 @@ def _validate_options(chk: _Checker, doc, experiment) -> dict:
         out["shots_per_point"] = chk.integer(sub, path, "shots_per_point", 0, lo=0)
     elif experiment == "phase_reversal":
         out["points"] = chk.integer(sub, path, "points", 96, lo=12)
-        out["data_csv"] = chk.existing_file(sub, path, "data_csv")
+        # the file's rows, which the runner reads in place of the file
+        out["data_csv"] = chk.csv_rows(sub, path, "data_csv", ("x_value", "p_up_proportion", "n_shots"))
+        if out["data_csv"] is not None and len(out["data_csv"]) < 12:  # the sine fit's minimum
+            chk.fail(f"{path}.data_csv", "need at least twelve rows to fit")
     elif experiment == "ramsey":
         sigma = chk.number(sub, path, "sigma_f_mhz", None, lo=1e-9)
         t2 = chk.number(sub, path, "t2_star_us", None, lo=1e-9)
@@ -323,26 +346,30 @@ def _validate_options(chk: _Checker, doc, experiment) -> dict:
             chk.fail(f"{path}", "one of points or points_csv is required")
         if pts is not None and sub.get("points_csv") is not None:
             chk.fail(f"{path}", "give points or points_csv, not both")
+        rows = chk.csv_rows(sub, path, "points_csv", (0, 1))
+        # the pairs the runner reads, inline or the file's rows, checked alike
+        where, pts = (f"{path}.points", pts) if rows is None else (f"{path}.points_csv", rows)
         if pts is not None:
             good = isinstance(pts, list) and len(pts) >= 3 and all(
                 isinstance(p, list) and len(p) == 2 for p in pts
             )
             if not good:
-                chk.fail(f"{path}.points", "expected a list of [distance_nm, j_mhz] pairs")
+                chk.fail(where, "expected at least three [distance_nm, j_mhz] pairs")
             else:
                 for i, (d, j) in enumerate(pts):
+                    at = f"{where}[{i}]" if rows is None else where
                     if not _finite(d):
-                        chk.fail(f"{path}.points[{i}]", "distance must be a finite number")
+                        chk.fail(at, f"distance must be a finite number, not {d!r}")
                     if not _finite(j) or j <= 0:
-                        chk.fail(f"{path}.points[{i}]", "exchange strength must be positive")
+                        chk.fail(at, f"exchange strength must be positive, not {j!r}")
                 # a line through one distance, or one strength, has no crossing
                 distances, strengths = zip(*pts)
                 if all(map(_finite, distances + strengths)):
                     if len(set(distances)) == 1:
-                        chk.fail(f"{path}.points", "distances must not all be equal")
+                        chk.fail(where, "distances must not all be equal")
                     if len(set(strengths)) == 1:
-                        chk.fail(f"{path}.points", "exchange strengths must not all be equal")
+                        chk.fail(where, "exchange strengths must not all be equal")
         out["points"] = pts
-        out["points_csv"] = chk.existing_file(sub, path, "points_csv")
+        out["points_csv"] = sub.get("points_csv")
         out["target_j_mhz"] = chk.number(sub, path, "target_j_mhz", 12.0, lo=1e-9)
     return out

@@ -26,7 +26,7 @@ from .pulses import (
     phase_map,
     phase_map_center_frequency,
     ramsey_trace,
-    sigma_from_t2_star,
+    t2_star_from_sigma,
 )
 from .spam import (
     MEASURED_AMPLITUDE_RATIO,
@@ -35,7 +35,6 @@ from .spam import (
     fit_p_up,
     neutral_rabi_forward,
     phase_reversal_curve,
-    read_trace_csv,
     sine_fit,
 )
 from .spinmodel import SPINS
@@ -256,7 +255,7 @@ def run_rabi_spam(config: ExperimentConfig):
     report = {
         "p_up_true": config.noise.p_up,
         "p_up_fit": fit.p_up,
-        "rabi_mhz": fit.rabi_mhz,
+        "rabi_mhz": rabi,
         "residual_rms": fit.residual_rms,
     }
     return [
@@ -280,7 +279,7 @@ def run_phase_reversal(config: ExperimentConfig):
         },
     }
     if config.options["data_csv"]:
-        x, y, _ = read_trace_csv(config.options["data_csv"])
+        x, y, _ = np.transpose(config.options["data_csv"])  # the validated rows
         fit_data = sine_fit(x, y)
         report["data_fit"] = vars(fit_data)
         report["data_vs_simulation"] = compare_fits(fit_sim, fit_data)
@@ -295,9 +294,9 @@ def run_phase_reversal(config: ExperimentConfig):
 
 
 def run_ramsey(config: ExperimentConfig):
-    sigma = config.options["sigma_f_mhz"]
+    sigma, t2 = config.options["sigma_f_mhz"], config.options["t2_star_us"]
     if sigma is None:
-        sigma = sigma_from_t2_star(config.options["t2_star_us"])
+        sigma = t2_star_from_sigma(t2)  # the map is its own inverse
     trace = ramsey_trace(
         config.options["wait"].points(),
         sigma,
@@ -309,7 +308,8 @@ def run_ramsey(config: ExperimentConfig):
         ("ramsey.csv", csv_bytes(("wait_us", "p_up", "envelope"), rows)),
         (
             "ramsey_fit.json",
-            json_bytes({"sigma_f_mhz": sigma, "t2_star_us": trace.t2_star_us}),
+            # a configured T2* is echoed as given: a round trip can move its last digit
+            json_bytes({"sigma_f_mhz": sigma, "t2_star_us": trace.t2_star_us if t2 is None else t2}),
         ),
     ]
 
@@ -330,12 +330,8 @@ def donor_distance_fit(points, target_j_mhz: float):
 
 
 def run_donor_distance(config: ExperimentConfig):
-    points = config.options["points"]
-    if points is None:
-        raw = np.loadtxt(config.options["points_csv"], delimiter=",", skiprows=1)
-        points = raw[:, :2]
     target = config.options["target_j_mhz"]
-    distance, slope, intercept = donor_distance_fit(points, target)
+    distance, slope, intercept = donor_distance_fit(config.options["points"], target)
     return [
         (
             "donor_distance.json",

@@ -3,11 +3,12 @@
 Two simulation modes:
 
 * ``GATE_MODEL`` - labeled gates are exact conditioned SU(2) rotations on
-  product-basis pairs (identity elsewhere); raw swept pulses evolve under the
+  product-basis pairs (`embed_pairs`); raw swept pulses evolve under the
   rotating-frame Hamiltonian truncated to the allowed-transition graph.
-* ``FULL_DYNAMICS`` - every step evolves under the full rotating-frame
-  Hamiltonian (secular static part, frame term, rotating-wave drive), so
-  cross-talk, AC shifts and unintended transitions are included.
+* ``FULL_DYNAMICS`` - every step, a labeled gate as its compiled pulse, evolves
+  under the full rotating-frame Hamiltonian (secular static part, frame term,
+  rotating-wave drive), so cross-talk, AC shifts and unintended transitions
+  are included.
 
 Frame bookkeeping: the engine state lives in a frame co-rotating with each
 nucleus at its electron-down resonance and with the electrons at the active
@@ -20,8 +21,8 @@ Drive normalization: ``rabi_frequency`` is the on-resonance Rabi frequency of
 a bare (unhybridized) transition, i.e. the two-level reduction of the drive is
 (rabi/2) sigma_x and a 2*pi rotation takes 1/rabi microseconds.
 
-Readout distributions key outcomes with 1 = measured spin up, 0 = spin down
-(the up-proportion convention); note computational labels use |0> = up.
+Readout distributions (`nuclear_populations`) key outcomes with 1 = measured
+spin up, 0 = spin down; note computational labels use |0> = up.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .spinmodel import (
     SPINS,
     SPIN_INDEX,
     SystemParams,
-    basis_bits,
     basis_index,
     pauli_op,
     secular_hamiltonian,
@@ -111,17 +111,26 @@ class PIRSModel:
         if self.time_constant_us <= 0:
             raise ContractError("time constant must be positive")
 
+    def detuning_mhz(self, t_us):
+        """Detuning (MHz, vectorised over times in us) of an electron pulse that
+        starts with the drift saturated and the carrier recalibrated onto the
+        shifted line: it sweeps from 0 toward the full amplitude as the shift relaxes."""
+        decay = np.exp(-np.asarray(t_us, dtype=float) / self.time_constant_us)
+        return (self.shift_khz * decay - self.shift_khz) / 1e3
+
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Quasi-static per-spin detuning spread and spin-up loading probability."""
+    """Spin-up loading probability. The quasi-static detuning spread
+    sigma_f_mhz must be 0: the probability-level runners draw no offsets,
+    and `ramsey_trace` takes its own spread."""
 
     sigma_f_mhz: float = 0.0
     p_up: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_f_mhz < 0:
-            raise ContractError("sigma_f must be non-negative")
+        if self.sigma_f_mhz != 0:
+            raise ContractError("no experiment reads it; use the ramsey option sigma_f_mhz")
         if not 0.0 <= self.p_up <= 0.5:
             raise ContractError("p_up must lie in [0, 0.5]")
 
@@ -214,11 +223,16 @@ def projection_gate(spin: str, axis: str) -> GateStep:
     raise ContractError(f"projection pulse undefined for axis {axis!r}")
 
 
-def rot2(theta: float, phase: float) -> np.ndarray:
-    """Two-level rotation in the (up, down) basis."""
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    e = np.exp(1j * phase)
-    return np.array([[c, -1j * e * s], [-1j * np.conj(e) * s, c]])
+def rot2(theta, phase) -> np.ndarray:
+    """Two-level rotation in the (up, down) basis; array angles, broadcast
+    together, give a (..., 2, 2) stack."""
+    c, s = np.cos(np.divide(theta, 2)), np.sin(np.divide(theta, 2))
+    e = np.exp(1j * np.asarray(phase))
+    r = np.empty(np.broadcast(c, e).shape + (2, 2), dtype=complex)
+    r[..., 0, 0] = r[..., 1, 1] = c
+    r[..., 0, 1] = -1j * e * s
+    r[..., 1, 0] = -1j * np.conj(e) * s
+    return r
 
 
 def spin_bits(spin: str) -> np.ndarray:
@@ -226,21 +240,26 @@ def spin_bits(spin: str) -> np.ndarray:
     return (np.arange(16) >> (3 - SPIN_INDEX[spin])) & 1
 
 
-def conditional_rotation(r: np.ndarray, target: str, where: dict) -> np.ndarray:
-    """16x16 unitary applying the 2x2 `r` (in the target's (up, down) basis)
-    to `target` on the basis states whose spins carry the bits in `where`
-    ({spin: bit}), and the identity elsewhere."""
+def embed_pairs(r, first, second) -> np.ndarray:
+    """16x16 unitaries applying the (..., 2, 2) stack `r` to every pair of
+    basis states (first[k], second[k]), in that order, and the identity
+    elsewhere: a (..., 16, 16) stack."""
+    pair = np.array([first, second])  # (2, pairs)
+    u = np.zeros(r.shape[:-2] + (256,), dtype=complex)  # flat: one index per entry
+    u[..., ::17] = 1.0
+    u[..., 16 * pair[:, None] + pair[None, :]] = r[..., None]
+    return u.reshape(r.shape[:-2] + (16, 16))
+
+
+def conditional_rotation(r, target: str, where: dict) -> np.ndarray:
+    """16x16 unitary (or stack) applying the 2x2 `r` (or stack; in the target's
+    (up, down) basis) to `target` on the basis states whose spins carry the
+    bits in `where` ({spin: bit}), and the identity elsewhere."""
     cond = spin_bits(target) == 0  # the pairs' target-up states
     for spin, bit in where.items():
         cond &= spin_bits(spin) == bit
     up = np.flatnonzero(cond)
-    down = up | (1 << (3 - SPIN_INDEX[target]))
-    u = np.eye(16, dtype=complex)
-    u[up, up] = r[0, 0]
-    u[down, down] = r[1, 1]
-    u[up, down] = r[0, 1]
-    u[down, up] = r[1, 0]
-    return u
+    return embed_pairs(r, up, up | (1 << (3 - SPIN_INDEX[target])))
 
 
 def gate_unitary(step: GateStep) -> np.ndarray:
@@ -300,6 +319,8 @@ class SequenceEngine:
         }
 
         v = self.vectors
+        # each spin's Z diagonal in the product basis and in the eigenbasis
+        self._product_z = {spin: np.diag(self._pauli[(spin, "z")]).real for spin in SPINS}
         self._zdiag = {
             spin: np.rint(np.real(np.diag(v.conj().T @ self._pauli[(spin, "z")] @ v)))
             for spin in SPINS
@@ -364,13 +385,21 @@ class SequenceEngine:
             + f_e * (self._zdiag["e1"] + self._zdiag["e2"])
         ) / 2.0
 
+    @staticmethod
+    def _plus_offsets(diag, offsets, zdiag) -> np.ndarray:
+        """`diag` plus delta Z / 2 for each per-spin offset (MHz), spin by
+        spin, with Z's diagonal from `zdiag`."""
+        for spin, delta in (offsets or {}).items():
+            diag = diag + delta * zdiag[spin] / 2.0
+        return diag
+
     def free_hamiltonian(self, f_e: float | None = None, offsets=None, f_n=None) -> np.ndarray:
         """Frame-stripped static Hamiltonian, optionally with per-spin
         quasi-static detuning offsets (MHz, added along each spin's Z)."""
         v = self.vectors
         h = self.h_sec - (v * self._frame_diag(f_e, f_n)) @ v.conj().T
-        for spin, delta in (offsets or {}).items():
-            h = h + delta * self._pauli[(spin, "z")] / 2.0
+        # on the diagonal alone, so that the -0.0 entries elsewhere stay
+        h[np.diag_indices(16)] = self._plus_offsets(np.diag(h), offsets, self._product_z)
         return h
 
     def static_hamiltonian(self, mode: str, f_e=None, f_n=None, offsets=None) -> np.ndarray:
@@ -380,10 +409,7 @@ class SequenceEngine:
         gate model."""
         if mode == FULL_DYNAMICS:
             return self.free_hamiltonian(f_e, offsets, f_n)
-        diag = self.energies - self._frame_diag(f_e, f_n)
-        for spin, delta in (offsets or {}).items():
-            diag = diag + delta * self._zdiag[spin] / 2.0
-        return np.diag(diag)
+        return np.diag(self._plus_offsets(self.energies - self._frame_diag(f_e, f_n), offsets, self._zdiag))
 
     def drive_hamiltonian(self, mode: str, channel: str, rabi_mhz, phase_rad=0.0) -> np.ndarray:
         """Rotating-wave drive rabi (cos(phi) X + sin(phi) Y) of one channel
@@ -415,8 +441,7 @@ class SequenceEngine:
             fn1, fn2 = self.f_n1_ref, self.f_n2_ref
             fe = f
         realign = (
-            (self.f_n1_ref - fn1) * np.diag(self._pauli[("n1", "z")]).real
-            + (self.f_n2_ref - fn2) * np.diag(self._pauli[("n2", "z")]).real
+            (self.f_n1_ref - fn1) * self._product_z["n1"] + (self.f_n2_ref - fn2) * self._product_z["n2"]
         ) / 2.0
         return (fn1, fn2), fe, realign
 
@@ -483,36 +508,22 @@ class SequenceEngine:
 
     # -- labeled-gate compilation to pulses ------------------------------------
 
-    def compile_gate(self, step: GateStep) -> PulseSpec:
-        tr = self.nuclear_transition(step.spin)
-        rabi = self.rabi["NMR"]
-        return PulseSpec(
-            channel="NMR",
-            carrier_mhz=abs(tr.frequency_mhz),
-            rabi_mhz=rabi,
-            duration_us=step.theta / (2 * math.pi * rabi * tr.amplitude),
-            phase_rad=-step.phase,
-        )
-
-    def compile_cz(self, step: CzStep) -> PulseSpec:
-        tr = self.electron_transition(step.electron, step.n1, step.n2)
-        rabi = self.rabi["ESR"]
-        return PulseSpec(
-            channel="ESR",
-            carrier_mhz=abs(tr.frequency_mhz),
-            rabi_mhz=rabi,
-            duration_us=step.turns / (rabi * tr.amplitude),
-        )
+    def compile(self, step) -> PulseSpec:
+        """Resonant pulse, at the engine's Rabi frequency, of a `GateStep` (a
+        nuclear rotation by theta) or a `CzStep` (`turns` electron turns). Each
+        keeps its own duration expression: theta / 2 pi turns rounds otherwise."""
+        if isinstance(step, GateStep):
+            tr, rabi = self.nuclear_transition(step.spin), self.rabi["NMR"]
+            duration = step.theta / (2 * math.pi * rabi * tr.amplitude)
+            return PulseSpec("NMR", abs(tr.frequency_mhz), rabi, duration, phase_rad=-step.phase)
+        tr, rabi = self.electron_transition(step.electron, step.n1, step.n2), self.rabi["ESR"]
+        return PulseSpec("ESR", abs(tr.frequency_mhz), rabi, step.turns / (rabi * tr.amplitude))
 
     def step_unitary(self, step, mode: str, offsets=None, pirs: PIRSModel | None = None):
-        if isinstance(step, GateStep):
+        if isinstance(step, (GateStep, CzStep)):
             if mode == GATE_MODEL:
-                return gate_unitary(step)
-            return self.pulse_propagator(self.compile_gate(step), mode, offsets=offsets)
-        if isinstance(step, CzStep):
-            if mode == GATE_MODEL:
-                return cz_unitary(step)
-            return self.pulse_propagator(self.compile_cz(step), mode, offsets=offsets)
+                return gate_unitary(step) if isinstance(step, GateStep) else cz_unitary(step)
+            return self.pulse_propagator(self.compile(step), mode, offsets=offsets)
         if isinstance(step, ProjectStep):
             if step.axis.upper() == "Z":
                 return np.eye(16, dtype=complex)
@@ -525,29 +536,12 @@ class SequenceEngine:
 
 
 @functools.lru_cache(maxsize=8)
-def engine_for(
-    params: SystemParams,
-    rabi_electron_mhz: float = DEFAULT_RABI_ELECTRON_MHZ,
-    rabi_nuclear_mhz: float = DEFAULT_RABI_NUCLEAR_MHZ,
-) -> SequenceEngine:
-    return SequenceEngine(params, rabi_electron_mhz, rabi_nuclear_mhz)
+def engine_for(params: SystemParams) -> SequenceEngine:
+    return SequenceEngine(params)
 
 
 # ---------------------------------------------------------------------------
 # resonance drift
-
-
-def relaxation_detuning_profile(model: PIRSModel):
-    """Detuning profile (MHz vs us, vectorised over times) of an electron
-    pulse that starts with the drift saturated and the carrier recalibrated
-    onto the shifted line: as the shift relaxes to zero, the effective
-    detuning sweeps from 0 toward the full amplitude."""
-
-    def profile(t_us):
-        decay = np.exp(-np.asarray(t_us, dtype=float) / model.time_constant_us)
-        return (model.shift_khz * decay - model.shift_khz) / 1e3
-
-    return profile
 
 
 def _diagonal_blocks(h0, z_shift):
@@ -630,10 +624,9 @@ def _drifting_blocks(h_blocks, z_blocks, t, pirs: PIRSModel) -> np.ndarray:
     t, inverse = np.unique(t, return_inverse=True)  # ascending slice counts
     n = np.maximum(MIN_SLICES, (t / SLICE_US).astype(int))
     dt = t / n
-    profile = relaxation_detuning_profile(pirs)
     # one node range for the call: eps runs from 0 to 2 * half, its value at
     # the longest duration's last slice midpoint; node x sits at half * (1 + x)
-    half = profile(np.max((n - 0.5) * dt, initial=0.0)) / 2.0
+    half = pirs.detuning_mhz(np.max((n - 0.5) * dt, initial=0.0)) / 2.0
     z_norm = np.abs(z_blocks).sum(axis=-1).max()
     p = _chebyshev_node_count(np.pi * np.max(dt, initial=0.0) * z_norm * abs(half))
     nodes, weights = _chebyshev_points(p)
@@ -641,7 +634,7 @@ def _drifting_blocks(h_blocks, z_blocks, t, pirs: PIRSModel) -> np.ndarray:
     scale = half or 1.0  # no eps range: every node Hamiltonian is h_blocks
 
     def coefficients(times):
-        return _barycentric(profile(times) / scale - 1.0, nodes, weights)
+        return _barycentric(pirs.detuning_mhz(times) / scale - 1.0, nodes, weights)
 
     # real forms (4 floats for each complex entry) of the p node propagators
     # and MIN_SLICES slice steps of one duration
@@ -746,14 +739,21 @@ def _reset_spins(rho: np.ndarray, spins, p_up: float) -> np.ndarray:
     return rho
 
 
+def nuclear_populations(rho) -> np.ndarray:
+    """Joint Z populations of the nuclei of a (..., 16, 16) state, as a
+    (..., 4) stack indexed 2 n1 + n2 (0 = up): the diagonal at product index
+    8 n1 + 4 n2 + 2 e1 + e2, with the electrons summed left to right from
+    zero."""
+    d = np.real(np.diagonal(rho, axis1=-2, axis2=-1)).reshape(np.shape(rho)[:-2] + (4, 4))
+    return 0.0 + d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3]
+
+
 def _measure_distribution(rho: np.ndarray, spins) -> dict:
-    """Z-basis outcome distribution; outcome 1 means spin up."""
+    """Z-basis outcome distribution of the listed nuclei; outcome 1 = spin up."""
     probs: dict[tuple, float] = {}
-    diag = np.real(np.diag(rho))
-    for idx in range(16):
-        bits = basis_bits(idx)
+    for bits, p in np.ndenumerate(nuclear_populations(rho).reshape(2, 2)):
         key = tuple(1 - bits[SPIN_INDEX[s]] for s in spins)
-        probs[key] = probs.get(key, 0.0) + float(diag[idx])
+        probs[key] = probs.get(key, 0.0) + float(p)
     return probs
 
 
@@ -763,34 +763,27 @@ def run_sequence(
     noise: NoiseModel | None = None,
     pirs: PIRSModel | None = None,
     mode: str = GATE_MODEL,
-    initial_state: np.ndarray | None = None,
     engine: SequenceEngine | None = None,
 ) -> RunResult:
     """Run a declarative sequence once, at the probability level.
 
-    The run starts from `initial_state` (a state vector or density matrix),
-    or else with every spin down, so loading error enters only through
-    `InitStep`s (with the noise model's p_up), on the spins they list. Other
-    steps apply their unitaries; a `PulseStep` with `apply_pirs` drifts
-    under `pirs`. A `MeasureStep` reads its nuclei's Z-basis distribution
-    without collapse; the last one is returned with the final state.
+    The run starts with every spin down, so loading error enters only
+    through `InitStep`s (with the noise model's p_up), on the spins they
+    list. Other steps apply their unitaries; a `PulseStep` with `apply_pirs`
+    drifts under `pirs`. A `MeasureStep` reads its nuclei's Z-basis
+    distribution (`nuclear_populations`) without collapse; the last one is
+    returned with the final state.
     """
     noise = noise or NoiseModel()
     engine = engine or engine_for(params)
     steps = list(steps)
-    seen_init = initial_state is not None
+    seen_init = False
     for step in steps:
         if isinstance(step, MeasureStep) and not seen_init:
             raise ContractError("measure before any initialize step")
         seen_init = seen_init or isinstance(step, InitStep)
 
-    if initial_state is not None:
-        rho = np.asarray(initial_state, dtype=complex)
-        if rho.ndim == 1:
-            rho = np.outer(rho, rho.conj())
-    else:
-        rho = spam_mixture(0.0)  # all down: loading error enters through InitStep only
-
+    rho = spam_mixture(0.0)  # all down: loading error enters through InitStep only
     probs = {}
     for step in steps:
         if isinstance(step, InitStep):
@@ -974,10 +967,7 @@ def addressed_pulse_unitary(
     h2 = np.array([[0.0, omega / 2], [omega / 2, 0.0]], dtype=complex)
     t = np.asarray(duration_us, dtype=float)
     u2 = sliced_propagators(h2, np.diag([0.0, 1.0]), t.reshape(-1), pirs)
-    u = np.tile(np.eye(16, dtype=complex), (u2.shape[0], 1, 1))
-    pair = np.array([tr.lo_index, tr.hi_index])
-    u[:, pair[:, None], pair] = u2
-    return u.reshape(t.shape + (16, 16))
+    return embed_pairs(u2.reshape(t.shape + (2, 2)), [tr.lo_index], [tr.hi_index])
 
 
 def cz_flip_curve(
@@ -1031,11 +1021,8 @@ class RamseyTrace:
 
 
 def t2_star_from_sigma(sigma_f_mhz: float) -> float:
+    """T2* = sqrt(2) / (2 pi sigma); being its own inverse, also sigma from T2*."""
     return math.sqrt(2.0) / (2 * math.pi * sigma_f_mhz)
-
-
-def sigma_from_t2_star(t2_star_us: float) -> float:
-    return math.sqrt(2.0) / (2 * math.pi * t2_star_us)
 
 
 def ramsey_trace(

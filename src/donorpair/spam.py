@@ -13,7 +13,6 @@ the drive by roughly the hyperfine coupling.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,14 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ContractError
-from .pulses import (
-    GateStep,
-    NoiseModel,
-    conditional_rotation,
-    gate_unitary,
-    rot2,
-    spam_mixture,
-)
+from .pulses import NoiseModel, conditional_rotation, rot2, spam_mixture
 from .spinmodel import pauli_op
 
 # Golden regression targets: measured-device sine fit against the p_up = 0.14
@@ -68,20 +60,18 @@ def neutral_rabi_forward(
 @dataclass(frozen=True)
 class PupFit:
     p_up: float
-    rabi_mhz: float
     residual_rms: float
 
 
 def fit_p_up(
     durations_us,
     trace,
-    rabi_mhz: float | None = None,
+    rabi_mhz: float,
     detuning_when_up_mhz: float = DETUNING_WHEN_UP_MHZ,
 ) -> PupFit:
-    """Least-squares fit of the loading-error Rabi model to a measured trace.
-
-    Fits p_up alone when the drive rate is known, or (p_up, rabi) jointly.
-    Requires at least eight points spanning a full oscillation.
+    """Least-squares fit of p_up in the loading-error Rabi model to a
+    measured trace driven at the known rate `rabi_mhz`. Requires at least
+    eight points spanning a full oscillation.
     """
     # deferred: scipy.optimize is slow to import, and only this fit needs it
     from scipy.optimize import least_squares
@@ -90,27 +80,17 @@ def fit_p_up(
     y = np.asarray(trace, dtype=float)
     if t.size < 8:
         raise ContractError("need at least eight points to fit")
-    fit_rabi = rabi_mhz is None
-    rabi0 = 1.0 / (2 * (t[np.argmax(y)] + 1e-12)) if fit_rabi else rabi_mhz
-    if fit_rabi:
-        x0, lo, hi = [0.1, rabi0], [0.0, rabi0 / 4], [0.5, rabi0 * 4]
 
-        def resid(x):
-            return neutral_rabi_forward(x[0], t, x[1], detuning_when_up_mhz) - y
+    def resid(x):
+        return neutral_rabi_forward(x[0], t, rabi_mhz, detuning_when_up_mhz) - y
 
-    else:
-        x0, lo, hi = [0.1], [0.0], [0.5]
-
-        def resid(x):
-            return neutral_rabi_forward(x[0], t, rabi0, detuning_when_up_mhz) - y
-
-    sol = least_squares(resid, x0, bounds=(lo, hi))
+    sol = least_squares(resid, [0.1], bounds=([0.0], [0.5]))
     if not sol.success:
         raise ContractError(
             f"loading-error fit did not converge (final cost {sol.cost:.3e})"
         )
     rms = float(np.sqrt(np.mean(sol.fun**2)))
-    return PupFit(float(sol.x[0]), float(sol.x[1]) if fit_rabi else rabi0, rms)
+    return PupFit(float(sol.x[0]), rms)
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +98,9 @@ def fit_p_up(
 
 
 # the controlled rotation of n2: only where n1 is spin-up, and only where e2
-# is spin-down (a spin-up bound electron detunes the drive)
-_N2_CONTROL = {"n1": 0, "e2": 1}
+# is spin-down (a spin-up bound electron detunes the drive); n1 turns only
+# where e1 is spin-down, as a `GateStep` does
+_N1_CONTROL, _N2_CONTROL = {"e1": 1}, {"n1": 0, "e2": 1}
 
 
 def phase_reversal_curve(p_up: float, phi_grid) -> np.ndarray:
@@ -134,21 +115,16 @@ def phase_reversal_curve(p_up: float, phi_grid) -> np.ndarray:
     phis = np.asarray(phi_grid, dtype=float)
 
     NoiseModel(p_up=p_up)  # checks p_up
-    rho0 = spam_mixture(p_up)
-    r1 = gate_unitary(GateStep("n1", math.pi / 2, 0.0))
-    cr2 = conditional_rotation(rot2(math.pi, 0.0), "n2", _N2_CONTROL)
-    prep = cr2 @ r1
-    rho_bell = prep @ rho0 @ prep.conj().T
+    r1 = conditional_rotation(rot2(math.pi / 2, 0.0), "n1", _N1_CONTROL)
+    prep = conditional_rotation(rot2(math.pi, 0.0), "n2", _N2_CONTROL) @ r1
+    rho_bell = prep @ spam_mixture(p_up) @ prep.conj().T
 
-    z1 = pauli_op("n1", "z")
-    out = np.zeros_like(phis)
-    for i, phi in enumerate(phis):
-        rev = gate_unitary(GateStep("n1", math.pi / 2, phi)) @ (
-            conditional_rotation(rot2(math.pi, 3 * phi), "n2", _N2_CONTROL)
-        )
-        rho = rev @ rho_bell @ rev.conj().T
-        out[i] = 0.5 * (1.0 + float(np.real(np.trace(z1 @ rho))))
-    return out
+    # one reversal per phase, as a stack
+    rev = conditional_rotation(rot2(math.pi / 2, phis), "n1", _N1_CONTROL) @ (
+        conditional_rotation(rot2(math.pi, 3 * phis), "n2", _N2_CONTROL)
+    )
+    rho = rev @ rho_bell @ rev.conj().swapaxes(-1, -2)
+    return 0.5 * (1.0 + np.real(np.trace(pauli_op("n1", "z") @ rho, axis1=-2, axis2=-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +174,3 @@ def compare_fits(sim: SineFit, data: SineFit) -> dict:
         "phase_offset_rad": float(wrap_angle(data.phase - sim.phase)),
         "amplitude_ratio": float(data.amplitude / sim.amplitude),
     }
-
-
-def read_trace_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Measured-trace CSV with columns x_value, p_up_proportion, n_shots."""
-    xs, ys, ns = [], [], []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            xs.append(float(row["x_value"]))
-            ys.append(float(row["p_up_proportion"]))
-            ns.append(int(row["n_shots"]))
-    return np.asarray(xs), np.asarray(ys), np.asarray(ns)

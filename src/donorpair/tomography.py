@@ -158,8 +158,6 @@ def _statistic_fn(statistic, target):
     state, and numpy evaluates a one-state stack by another product than a
     longer one, so expanding keeps its bits those of the full stack.
     """
-    if callable(statistic):
-        return lambda rhos, inverse: np.array([statistic(rho) for rho in rhos], dtype=float)[inverse]
     if statistic == "fidelity":
         return lambda rhos, inverse: fidelity(rhos[inverse], target)
     if statistic == "concurrence":
@@ -358,9 +356,9 @@ def bootstrap_ci(
     128 at a time (see `_bootstrap_states`), and returns the 2.5 and 97.5
     percentiles (linear interpolation) of the statistic plus the
     `n_resamples` resample statistics. `statistic` is "fidelity" (against
-    `target`), "concurrence", or a function of one state. Concurrence and a
-    function are evaluated once per distinct resample; fidelity, one vector
-    product per state, on the expanded stack (see `_statistic_fn`).
+    `target`) or "concurrence". Concurrence is evaluated once per distinct
+    resample; fidelity, one vector product per state, on the expanded stack
+    (see `_statistic_fn`).
     """
     stats = _statistic_fn(statistic, target)(*_bootstrap_states(groups, n_resamples, seed))
     return (*_percentile_ci(stats), stats)
@@ -410,25 +408,22 @@ def sequence_table(
 
     Propagates the preparation once, then for each axis pair applies the
     projection pulses of n1 and n2 and reads the joint Z populations of the
-    nuclei off the diagonal. Projection pulses are conditional nuclear
-    gates, so initialization errors distort them faithfully.
+    nuclei as a `MeasureStep` does (`pulses.nuclear_populations`). Projection
+    pulses are conditional nuclear gates, so initialization errors distort
+    them faithfully.
     """
     from . import pulses  # deferred: tomography is importable standalone
 
     engine = engine or pulses.engine_for(params)
     rho = pulses.run_sequence(prep_steps, params, noise=noise, mode=mode, engine=engine).final_state
     tails = {(s, a): engine.step_unitary(pulses.ProjectStep(s, a), mode) for s in ("n1", "n2") for a in AXES}
-    pops = np.empty((len(AXIS_PAIRS), 16))
-    for row, (a1, a2) in enumerate(AXIS_PAIRS):
+    states = []
+    for a1, a2 in AXIS_PAIRS:
         out = rho
         for u in (tails["n1", a1], tails["n2", a2]):
             out = u @ out @ u.conj().T
-        pops[row] = np.real(np.diag(out))
-    # index 8*n1 + 4*n2 + 2*e1 + e2 with 0 = up: axis 1 is the outcome
-    # 2*q1 + q2, axis 2 the electrons, summed left to right from zero as a
-    # MeasureStep's readout in run_sequence sums them, so both give the same bits
-    d = pops.reshape(len(AXIS_PAIRS), 4, 4)
-    table = np.maximum(0.0 + d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3], 0.0)
+        states.append(out)
+    table = np.maximum(pulses.nuclear_populations(np.array(states)), 0.0)
     return table / table.sum(axis=-1, keepdims=True)
 
 

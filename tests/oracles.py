@@ -13,7 +13,7 @@ import numpy as np
 
 from donorpair import pulses as pl
 from donorpair.linalg import PAULIS, ContractError
-from donorpair.spinmodel import pauli_op
+from donorpair.spinmodel import SPIN_INDEX, basis_bits, pauli_op
 from donorpair.tomography import AXIS_PAIRS, PAULI_LABELS
 
 
@@ -44,18 +44,30 @@ def table_from_state(rho4: np.ndarray) -> np.ndarray:
     return table
 
 
+def nuclear_distribution(rho: np.ndarray) -> dict:
+    """Joint Z-basis outcome distribution of the nuclei, {(o1, o2): p} with
+    outcome 1 = up, summed index by index over the 16 diagonal entries."""
+    probs: dict[tuple, float] = {}
+    diag = np.real(np.diag(rho))
+    for idx in range(16):
+        bits = basis_bits(idx)
+        key = (1 - bits[SPIN_INDEX["n1"]], 1 - bits[SPIN_INDEX["n2"]])
+        probs[key] = probs.get(key, 0.0) + float(diag[idx])
+    return probs
+
+
 def replayed_sequence_table(params, prep_steps, mode=pl.GATE_MODEL, noise=None, engine=None) -> np.ndarray:
     """(9, 4) table of a preparation by nine full replays, one per axis pair:
-    the preparation, the two projection pulses and a joint nuclear readout,
-    with each outcome distribution flipped to qubit order (outcome 1 = up =
-    qubit 0), clipped at zero and normalized."""
+    the preparation and the two projection pulses, then a joint nuclear
+    readout of the final state by `nuclear_distribution`, with each outcome
+    distribution flipped to qubit order (outcome 1 = up = qubit 0), clipped
+    at zero and normalized."""
     table = np.zeros((len(AXIS_PAIRS), 4))
     for row, (a1, a2) in enumerate(AXIS_PAIRS):
-        tail = [pl.ProjectStep("n1", a1), pl.ProjectStep("n2", a2), pl.MeasureStep(("n1", "n2"))]
-        steps = [*prep_steps, *tail]
+        steps = [*prep_steps, pl.ProjectStep("n1", a1), pl.ProjectStep("n2", a2)]
         res = pl.run_sequence(steps, params, noise=noise, mode=mode, engine=engine)
         quartet = np.zeros(4)
-        for (o1, o2), prob in res.outcome_probabilities.items():
+        for (o1, o2), prob in nuclear_distribution(res.final_state).items():
             quartet[2 * (1 - o1) + (1 - o2)] = max(prob, 0.0)
         table[row] = quartet / quartet.sum()
     return table

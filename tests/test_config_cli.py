@@ -5,7 +5,7 @@ import pytest
 
 from donorpair.cli import main
 from donorpair.config import ConfigError, EXPERIMENTS, GridSpec, validate_config
-from donorpair.experiments import _config_hash
+from donorpair.experiments import _config_hash, run
 from donorpair.pulses import NoiseModel, PIRSModel
 from donorpair.spinmodel import SystemParams
 
@@ -22,6 +22,10 @@ VALID_OPTIONS = {
     "donor_distance_fit": {"points": [[5.0, 100.0], [10.0, 10.0], [15.0, 1.0]]},
 }
 DONOR_POINTS = VALID_OPTIONS["donor_distance_fit"]
+RABI_FOUR_POINTS = {"experiment": "rabi_spam", "options": {"duration": {"start": 0, "stop": 50, "count": 4}}}
+# the experiments that read a data file; a test fills in the file's path
+DONOR = {"experiment": "donor_distance_fit"}
+REVERSAL = {"experiment": "phase_reversal"}
 
 # (experiment, mode, the sections it reads), written out here and not taken
 # from config.py; a mode of None is the default GATE_MODEL, left unwritten
@@ -302,9 +306,24 @@ class TestValidateConfig:
 
     def test_existing_csv_path_accepted(self, tmp_path):
         path = tmp_path / "points.csv"
-        path.write_text("distance_nm,j_mhz\n10,300\n14,60\n18,5\n")
+        path.write_text("distance_nm,j_mhz\n10,300\n\n14,60\n18,5\n")
         cfg = validate_config({"experiment": "donor_distance_fit", "options": {"points_csv": str(path)}})
         assert cfg.options["points_csv"] == str(path)
+        # the runner reads these rows, not the file; blank lines are skipped
+        assert cfg.options["points"] == [[10.0, 300.0], [14.0, 60.0], [18.0, 5.0]]
+
+    def test_data_csv_rows_read_at_validation(self, tmp_path):
+        # the columns are found by name, in any order
+        rows = "".join(f"{200 + k},{k / 2},0.{k}\n" for k in range(12))
+        (tmp_path / "trace.csv").write_text("n_shots,x_value,p_up_proportion\n" + rows)
+        doc = {"experiment": "phase_reversal", "options": {"data_csv": str(tmp_path / "trace.csv")}}
+        config = validate_config(doc)
+        assert config.options["data_csv"] == [[k / 2, float(f"0.{k}"), 200.0 + k] for k in range(12)]
+        # the run fits those rows, with the file gone
+        (tmp_path / "trace.csv").unlink()
+        run(config, tmp_path / "o")
+        report = json.loads((tmp_path / "o" / "phase_reversal_fits.json").read_text())
+        assert set(report["data_vs_simulation"]) == {"phase_offset_rad", "amplitude_ratio"}
 
     @pytest.mark.parametrize("seed", [-3, 1.5, True])
     def test_bad_seed_rejected(self, seed):
@@ -386,19 +405,51 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
-        "doc",
+        "doc, data, path",
         [
-            {"experiment": "rabi_spam", "options": {"duration": {"start": 0, "stop": 50, "count": 4}}},
-            {"experiment": "donor_distance_fit", "options": {"points": [["a", 1], [2, 2], [3, 3]]}},
-            {"experiment": "donor_distance_fit", "options": {"points": [[1, 1], [1, 2], [1, 3]]}},
+            (RABI_FOUR_POINTS, None, "$.options"),
+            ({**DONOR, "options": {"points": [["a", 1], [2, 2], [3, 3]]}}, None, "$.options"),
+            ({**DONOR, "options": {"points": [[1, 1], [1, 2], [1, 3]]}}, None, "$.options"),
+            # data files: each passed validation and failed only in the run
+            (DONOR, "distance_nm,j_mhz\n10,300\n14,60\n", "$.options.points_csv"),
+            (DONOR, "distance_nm,j_mhz\n10,300\n", "$.options.points_csv"),
+            (DONOR, "distance_nm,j_mhz\n10,300\n14,sixty\n18,5\n", "$.options.points_csv"),
+            (DONOR, "distance_nm,j_mhz\n10,300\n14,-60\n18,5\n", "$.options.points_csv"),
+            (REVERSAL, "x_value,p_up_proportion,n_shots\n0.0,0.5,200\n", "$.options.data_csv"),
+            (REVERSAL, "phi,p_up_proportion,n_shots\n" + "0.5,0.5,200\n" * 12, "$.options.data_csv"),
+            (REVERSAL, "x_value,p_up_proportion,n_shots\n" + "0.5,nan,200\n" * 12, "$.options.data_csv"),
+            (REVERSAL, "x_value,p_up_proportion\n" + "0.5,0.5\n" * 12, "$.options.data_csv"),
+            (REVERSAL, "x_value,p_up_proportion,n_shots\n" + "0.5,0.5,200\n" * 11, "$.options.data_csv"),
+            (REVERSAL, "x_value,p_up_proportion,n_shots\n" + "0.5,0.5\n" * 12, "$.options.data_csv"),
+            (REVERSAL, "", "$.options.data_csv"),
         ],
-        ids=["rabi-four-points", "donor-text-distance", "donor-one-distance"],
+        ids=[
+            "rabi-four-points",
+            "donor-text-distance",
+            "donor-one-distance",
+            "points-two-rows",
+            "points-one-row",
+            "points-text-cell",
+            "points-negative-j",
+            "data-one-row",
+            "data-no-x-value",
+            "data-non-finite",
+            "data-no-n-shots",
+            "data-eleven-rows",
+            "data-short-rows",
+            "data-empty",
+        ],
     )
-    def test_runtime_failures_are_config_errors(self, tmp_path, capsys, doc):
+    def test_runtime_failures_are_config_errors(self, tmp_path, capsys, doc, data, path):
         # each used to fail only in the run (exit 3) or fit a meaningless line
-        path = write_config(tmp_path, doc)
-        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert "$.options" in capsys.readouterr().err
+        if data is not None:
+            (tmp_path / "data.csv").write_text(data)
+            key = path.rsplit(".", 1)[1]
+            doc = {**doc, "options": {key: str(tmp_path / "data.csv")}}
+        config = write_config(tmp_path, doc)
+        assert main(["validate", "--config", str(config)]) == 2
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert f"  {path}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -474,13 +525,8 @@ class TestCli:
         assert "$.options.points_csv" in capsys.readouterr().err
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
-        # the file exists and parses, but two points are too few to fit
-        csv = tmp_path / "points.csv"
-        csv.write_text("distance_nm,j_mhz\n10,300\n14,60\n")
-        doc = {
-            "experiment": "donor_distance_fit",
-            "options": {"points_csv": str(csv), "target_j_mhz": 12.0},
-        }
-        path = write_config(tmp_path, doc)
+        # a valid config whose output directory cannot be made: a file is in the way
+        path = write_config(tmp_path, {"experiment": "donor_distance_fit", "options": DONOR_POINTS})
+        (tmp_path / "o").write_text("")
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "runtime error" in capsys.readouterr().err

@@ -8,7 +8,7 @@ import pytest
 from donorpair import experiments
 from donorpair.config import EXPERIMENTS, validate_config
 from donorpair.experiments import csv_bytes, donor_distance_fit, fmt, run
-from donorpair.pulses import PhaseMapResult
+from donorpair.pulses import PhaseMapResult, t2_star_from_sigma
 
 
 def read_csv(path):
@@ -57,6 +57,13 @@ class TestEmission:
         run(cfg, tmp_path)
         blob = (tmp_path / "ramsey.csv").read_bytes()
         assert b"\r" not in blob
+
+    @pytest.mark.parametrize("t2", [0.1, 3.7, 10.0, 20.0])
+    def test_ramsey_echoes_configured_t2_star(self, tmp_path, t2):
+        # 10 and 20 us come back 1 ulp low from a round trip through sigma
+        run(validate_config({"experiment": "ramsey", "options": {"t2_star_us": t2, "n_shots": 20}}), tmp_path)
+        fit = json.loads((tmp_path / "ramsey_fit.json").read_text())
+        assert fit == {"sigma_f_mhz": t2_star_from_sigma(t2), "t2_star_us": t2}
 
     def test_stable_float_format(self):
         assert fmt(0.1 + 0.2) == fmt(0.30000000000000004)

@@ -19,7 +19,7 @@ from donorpair.spinmodel import (
     pauli_op,
 )
 
-from oracles import calibrate_point, geometric_phase_of_drive, phase_map_anchors
+from oracles import calibrate_point, geometric_phase_of_drive, nuclear_distribution, phase_map_anchors
 
 PSI_PLUS = np.array([0, 1, 1, 0]) / np.sqrt(2)
 
@@ -90,6 +90,9 @@ class TestValidation:
             pl.NoiseModel(p_up=0.7)
         with pytest.raises(ContractError):
             pl.NoiseModel(sigma_f_mhz=-1.0)
+        # no runner draws quasi-static offsets: a spread would be ignored
+        with pytest.raises(ContractError, match="use the ramsey option sigma_f_mhz"):
+            pl.NoiseModel(sigma_f_mhz=0.1)
 
     def test_pirs_bounds(self):
         with pytest.raises(ContractError):
@@ -192,7 +195,7 @@ class TestGateModel:
 
 class TestFullDynamics:
     def test_resonant_full_turn_completes_in_two_us(self, params, engine):
-        spec = engine.compile_cz(pl.CzStep("e2", n1=1, n2=0, turns=1))
+        spec = engine.compile(pl.CzStep("e2", n1=1, n2=0, turns=1))
         assert spec.duration_us == pytest.approx(2.0, abs=0.15)
         # conditional pi phase shows up on the down-down vs down-up coherence
         psi = np.zeros(16, dtype=complex)
@@ -226,7 +229,7 @@ class TestFullDynamics:
         assert fidelity_to(nuclear_state(res), PSI_PLUS) >= 0.999
 
     def test_selectivity_warning(self, params, engine):
-        spec = engine.compile_cz(pl.CzStep("e2", n1=1, n2=0, turns=1))
+        spec = engine.compile(pl.CzStep("e2", n1=1, n2=0, turns=1))
         with pytest.warns(UserWarning, match="splitting"):
             engine.pulse_propagator(spec, pl.FULL_DYNAMICS)
 
@@ -256,12 +259,6 @@ class TestBellPrep:
 
 
 class TestRunSequence:
-    def test_empty_sequence_keeps_input(self, params):
-        rho0 = np.zeros((16, 16), dtype=complex)
-        rho0[3, 3] = 1.0
-        res = pl.run_sequence([], params, initial_state=rho0)
-        assert np.allclose(res.final_state, rho0)
-
     def test_partial_init_leaves_other_spins_down(self, params):
         # a run starts all down: the nuclei carry no loading error unless an
         # InitStep lists them
@@ -270,6 +267,21 @@ class TestRunSequence:
         assert res.outcome_probabilities == {(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0}
         e1 = partial_trace(res.final_state, (2,), 4)
         assert np.allclose(e1, np.diag([0.14, 0.86]))
+
+    @pytest.mark.parametrize("spins", [("n1", "n2"), ("n2", "n1"), ("n1",), ("n2",), ()])
+    def test_measure_step_matches_index_loop(self, params, spins):
+        # a loaded Bell preparation gives every joint outcome some weight
+        steps = [*pl.bell_prep(), pl.ProjectStep("n1", "X"), pl.MeasureStep(spins)]
+        res = pl.run_sequence(steps, params, noise=pl.NoiseModel(p_up=0.14))
+        joint = nuclear_distribution(res.final_state)
+        if spins == ("n1", "n2"):  # the same sums in the same order
+            assert res.outcome_probabilities == joint
+        want = {}
+        for (o1, o2), p in joint.items():
+            key = tuple({"n1": o1, "n2": o2}[s] for s in spins)
+            want[key] = want.get(key, 0.0) + p
+        assert res.outcome_probabilities.keys() == want.keys()
+        assert all(res.outcome_probabilities[k] == pytest.approx(want[k], abs=1e-15) for k in want)
 
     @pytest.mark.parametrize("mode", pl.MODES)
     @pytest.mark.parametrize("delta", [0.0, 0.05, 0.2])
@@ -342,9 +354,8 @@ class TestGeometricPhase:
 class TestPirs:
     def test_recalibrated_profile_sweeps_zero_to_amplitude(self):
         m = pl.PIRSModel(shift_khz=120.0, time_constant_us=3.0, enabled=True)
-        prof = pl.relaxation_detuning_profile(m)
-        assert prof(0.0) == pytest.approx(0.0)
-        assert abs(prof(12.0)) * 1e3 == pytest.approx(120.0, rel=0.05)
+        assert m.detuning_mhz(0.0) == pytest.approx(0.0)
+        assert abs(m.detuning_mhz(12.0)) * 1e3 == pytest.approx(120.0, rel=0.05)
 
     def test_ideal_curve_alternates_and_drift_deviates(self, params):
         eng = pl.engine_for(params)
@@ -394,10 +405,11 @@ class TestRamsey:
         assert np.allclose(tr.p_up, 1.0)
 
     def test_t2_constant_conversion_roundtrip(self):
-        assert pl.t2_star_from_sigma(pl.sigma_from_t2_star(20.0)) == pytest.approx(20.0)
+        # sqrt(2) / (2 pi x) is its own inverse
+        assert pl.t2_star_from_sigma(pl.t2_star_from_sigma(20.0)) == pytest.approx(20.0)
 
     def test_envelope_matches_gaussian(self):
-        sigma = pl.sigma_from_t2_star(20.0)
+        sigma = pl.t2_star_from_sigma(20.0)
         n = 20000
         waits = np.linspace(0.0, 50.0, 11)
         tr = pl.ramsey_trace(waits, sigma, n, seed=5)
@@ -405,7 +417,7 @@ class TestRamsey:
             assert abs(meas - env) <= 3.0 / math.sqrt(n) + 1e-12
 
     def test_one_over_e_point(self):
-        sigma = pl.sigma_from_t2_star(10.0)
+        sigma = pl.t2_star_from_sigma(10.0)
         tr = pl.ramsey_trace([10.0], sigma, 40000, seed=9)
         envelope = 2 * tr.p_up[0] - 1
         assert envelope == pytest.approx(math.exp(-1.0), abs=3.0 / math.sqrt(40000) * 2)
@@ -673,12 +685,11 @@ class TestClosedFormKernels:
         got = engine.step_unitary(step, mode, offsets=offsets, pirs=pirs)
         want = reference_pulse_propagator(engine, pulse, mode, pirs, offsets)
         assert np.max(np.abs(got - want)) < ORACLE_TOL
-        # in a sequence the step drifts under the run's pirs
-        psi = np.array([1.0, 1j]) @ np.random.default_rng(4).normal(size=(2, 16))
-        psi /= np.linalg.norm(psi)
-        res = pl.run_sequence([step], params, pirs=pirs, mode=mode, initial_state=psi)
+        # in a sequence the step drifts under the run's pirs, from all-down
+        res = pl.run_sequence([step], params, pirs=pirs, mode=mode, engine=engine)
         u = engine.step_unitary(step, mode, pirs=pirs)
-        assert np.array_equal(res.final_state, u @ np.outer(psi, psi.conj()) @ u.conj().T)
+        down = pl.spam_mixture(0.0)
+        assert np.array_equal(res.final_state, u @ down @ u.conj().T)
 
     @pytest.mark.parametrize("mode", pl.MODES)
     @pytest.mark.parametrize("pirs", [FALLBACK_DRIFT, CEILING_DRIFT], ids=["fallback", "ceiling"])

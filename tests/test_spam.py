@@ -85,13 +85,6 @@ class TestFitPup:
         fit = spam.fit_p_up(t, y, rabi_mhz=0.01)
         assert fit.p_up == pytest.approx(p, abs=1e-3)
 
-    def test_joint_rabi_fit(self):
-        t = np.linspace(0, 120, 80)
-        y = spam.neutral_rabi_forward(0.14, t, 0.012)
-        fit = spam.fit_p_up(t, y)
-        assert fit.p_up == pytest.approx(0.14, abs=5e-3)
-        assert fit.rabi_mhz == pytest.approx(0.012, rel=1e-3)
-
     def test_binomial_noise_unbiased(self):
         rng = np.random.default_rng(2024)
         t = np.linspace(0, 100, 40)
@@ -197,15 +190,3 @@ class TestCompareFits:
         sim = spam.SineFit(1e-9, 0.0, 0.5, 4, 0.0)
         with pytest.raises(ContractError):
             spam.compare_fits(sim, sim)
-
-
-class TestTraceCsv:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text(
-            "x_value,p_up_proportion,n_shots\n0.0,0.1,200\n1.0,0.9,200\n"
-        )
-        x, y, n = spam.read_trace_csv(path)
-        assert list(x) == [0.0, 1.0]
-        assert list(y) == [0.1, 0.9]
-        assert list(n) == [200, 200]

@@ -383,16 +383,6 @@ class TestStackedBootstrapOracle:
             lo, hi, _ = tm.bootstrap_ci(groups, 150, name, seed=4)
             assert est.ci[name] == (lo, hi)
 
-    def test_callable_statistic_sees_each_state(self, bell_tables):
-        groups = _oracle_groups(bell_tables, "sampled_p014", 5, 1)
-        _, _, stats = tm.bootstrap_ci(groups, 120, lambda rho: float(np.real(rho[1, 2])), seed=1)
-        _, _, fid = tm.bootstrap_ci(groups, 120, "fidelity", seed=1)
-        # F(psi+) = (rho11 + rho22)/2 + Re rho12
-        states, inverse = tm._bootstrap_states(groups, 120, 1)
-        states = states[inverse]
-        diag = np.real(states[:, 1, 1] + states[:, 2, 2]) / 2
-        assert np.max(np.abs(diag + stats - fid)) < 1e-12
-
 
 class TestResampleDraw:
     """The one-pass draw against one generator per resample."""
