@@ -316,14 +316,10 @@ def run_ramsey(config: ExperimentConfig):
 
 def donor_distance_fit(points, target_j_mhz: float):
     """Least-squares line on (distance, log j); inverts to the distance at
-    the target exchange strength."""
+    the target exchange strength. The points are as `validate_config` checks
+    them: at least three, positive strengths, and neither the distances nor
+    the strengths all equal."""
     pts = np.asarray(points, dtype=float)
-    if pts.shape[0] < 3:
-        raise ValueError("need at least three (distance, exchange) points")
-    if np.any(pts[:, 1] <= 0):
-        raise ValueError("exchange strengths must be positive")
-    if np.all(pts == pts[0], axis=0).any():  # no line, or one that never crosses the target
-        raise ValueError("distances and exchange strengths must not all be equal")
     slope, intercept = np.polyfit(pts[:, 0], np.log(pts[:, 1]), 1)
     distance = (np.log(target_j_mhz) - intercept) / slope
     return float(distance), float(slope), float(intercept)

@@ -67,6 +67,8 @@ MIN_SLICES = 16
 # holds for one group of durations
 DRIFT_GROUP_BYTES = 1 << 20
 
+_DIAG = np.arange(16)  # row and column indices of a 16x16 diagonal
+
 
 # ---------------------------------------------------------------------------
 # declarative steps and error-model carriers
@@ -376,8 +378,9 @@ class SequenceEngine:
     def _frame_diag(self, f_e=None, f_n=None) -> np.ndarray:
         """Eigenbasis diagonal of the frame generator: the electrons at f_e,
         by default the bare Zeeman mean, and the nuclei at f_n = (f_n1, f_n2),
-        by default their standing references."""
-        f_e = self.f_e_default if f_e is None else f_e
+        by default their standing references. An array of f_e gives one
+        diagonal per frequency, a (..., 16) stack."""
+        f_e = self.f_e_default if f_e is None else np.asarray(f_e, dtype=float)[..., None]
         f_n1, f_n2 = (self.f_n1_ref, self.f_n2_ref) if f_n is None else f_n
         return (
             f_n1 * self._zdiag["n1"]
@@ -393,23 +396,32 @@ class SequenceEngine:
             diag = diag + delta * zdiag[spin] / 2.0
         return diag
 
-    def free_hamiltonian(self, f_e: float | None = None, offsets=None, f_n=None) -> np.ndarray:
+    def free_hamiltonian(self, f_e=None, offsets=None, f_n=None) -> np.ndarray:
         """Frame-stripped static Hamiltonian, optionally with per-spin
-        quasi-static detuning offsets (MHz, added along each spin's Z)."""
+        quasi-static detuning offsets (MHz, added along each spin's Z); an
+        array of f_e gives a (..., 16, 16) stack."""
         v = self.vectors
-        h = self.h_sec - (v * self._frame_diag(f_e, f_n)) @ v.conj().T
+        h = self.h_sec - (v * self._frame_diag(f_e, f_n)[..., None, :]) @ v.conj().T
         # on the diagonal alone, so that the -0.0 entries elsewhere stay
-        h[np.diag_indices(16)] = self._plus_offsets(np.diag(h), offsets, self._product_z)
+        h[..., _DIAG, _DIAG] = self._plus_offsets(h[..., _DIAG, _DIAG], offsets, self._product_z)
         return h
 
     def static_hamiltonian(self, mode: str, f_e=None, f_n=None, offsets=None) -> np.ndarray:
         """Frame-stripped static Hamiltonian with its offsets (see
         `free_hamiltonian`) in the mode's working basis: the product basis in
         full dynamics, the secular eigenbasis (where it is diagonal) in the
-        gate model."""
+        gate model.
+
+        `f_e` is the electron frame frequency (MHz), by default the bare
+        Zeeman mean. An array of them gives one Hamiltonian per frequency, a
+        (..., 16, 16) stack whose every matrix equals the call at that
+        frequency bit for bit."""
         if mode == FULL_DYNAMICS:
             return self.free_hamiltonian(f_e, offsets, f_n)
-        return np.diag(self._plus_offsets(self.energies - self._frame_diag(f_e, f_n), offsets, self._zdiag))
+        diag = self._plus_offsets(self.energies - self._frame_diag(f_e, f_n), offsets, self._zdiag)
+        h = np.zeros(diag.shape + (16,))  # off the diagonal +0.0, as np.diag gives
+        h[..., _DIAG, _DIAG] = diag
+        return h
 
     def drive_hamiltonian(self, mode: str, channel: str, rabi_mhz, phase_rad=0.0) -> np.ndarray:
         """Rotating-wave drive rabi (cos(phi) X + sin(phi) Y) of one channel
@@ -909,8 +921,22 @@ def phase_map(
 
         Re sum_ij E_ti K_ij conj(E_tj),   K = (B^dag rho B) o (B^dag A B)^T,
 
-    with o the elementwise product: one (values x durations x 16) product and
-    a row sum per frequency.
+    with o the elementwise product.
+
+    Per block: exchange and the drive flip only electrons, so every H of the
+    grid is block-diagonal over the nuclear sectors, and the frequency moves
+    only its diagonal. The blocks come from `_diagonal_blocks` on the nonzero
+    pattern of the drive and of the whole grid's static Hamiltonians: four
+    blocks of four in either mode (eigenlevels [0, 8, 9, 15], [1, 5, 10, 14],
+    [2, 4, 11, 13] and [3, 6, 7, 12] of the gate model's working basis, the
+    contiguous nuclear sectors in full dynamics), or one block of 16 if the
+    pattern does not split evenly. One `hermitian_eig` call decomposes every
+    block at every frequency, and each B (in the working basis) holds its
+    blocks' eigenvectors at their indices, with zeros elsewhere; the gate
+    model's A and rho are taken into the working basis once. Per frequency,
+    two products of B with every A and rho stacked together give all
+    B^dag X B, and one product with conj(E) and one row dot with E give every
+    value at every duration.
     """
     noise = noise or NoiseModel()
     engine = engine or engine_for(params)
@@ -929,21 +955,32 @@ def phase_map(
         paulis = np.array([pauli_op(s, ax) for s in SPINS for ax in "xyz"])
         starts = np.concatenate([starts, np.broadcast_to(nominal, paulis.shape)])
         ops = np.concatenate([ops, paulis])
+    n_values = ops.shape[0]
+    stacked = np.concatenate([ops, starts])
+    if mode == GATE_MODEL:  # into the working basis, where the blocks are
+        stacked = engine.vectors.conj().T @ stacked @ engine.vectors
+    stacked = stacked.reshape(-1, 16)  # rows (value, i)
 
     drive = engine.drive_hamiltonian(mode, "ESR", engine.rabi["ESR"])
+    static = engine.static_hamiltonian(mode, freqs)  # (frequencies, 16, 16)
+    rows, cols = _diagonal_blocks(np.any(static != 0, axis=0), drive)
+    w_blocks, b_blocks = hermitian_eig((static + drive)[:, rows, cols])
+    w = np.empty((freqs.size, 16))
+    w[:, rows[..., 0]] = w_blocks
+    bases = np.zeros((freqs.size, 16, 16), dtype=complex)
+    bases[:, rows, cols] = b_blocks
+
     phase = -2j * np.pi * durs[:, None]
     grid = (freqs.size, durs.size)
-    vals = np.zeros((starts.shape[0], *grid))  # every recorded value at every point
-    for fi, f in enumerate(freqs):
-        # one eigendecomposition per frequency, shared across all durations
-        w, basis = np.linalg.eigh(engine.static_hamiltonian(mode, float(f)) + drive)
-        if mode == GATE_MODEL:
-            basis = engine.vectors @ basis  # back to the product basis
-        bdag = basis.conj().T
-        # kt = K^T, so that the sum over j runs along a matrix product
-        kt = (bdag @ ops @ basis) * (bdag @ starts @ basis).transpose(0, 2, 1)
-        e = np.exp(phase * w)  # (durations, 16)
-        vals[:, fi] = np.real(np.sum((e.conj() @ kt) * e, axis=-1))
+    vals = np.zeros((n_values, *grid))  # every recorded value at every point
+    for fi, basis in enumerate(bases):
+        xb = (stacked @ basis).reshape(-1, 16, 16).swapaxes(0, 1).reshape(16, -1)
+        bxb = (basis.conj().T @ xb).reshape(16, -1, 16)  # [i, value, j] = (B^dag X B)_ij
+        # kt[i, k, j] = K_ji, so that the sum over j runs along a matrix product
+        kt = bxb[:, :n_values] * bxb[:, n_values:].transpose(2, 1, 0)
+        e = np.exp(phase * w[fi])  # (durations, 16)
+        ekt = (e.conj() @ kt.reshape(16, -1)).reshape(durs.size, n_values, 16)
+        vals[:, fi] = np.real(ekt @ e[:, :, None])[..., 0].T
 
     pf = _stationary_flip_rate(weights, vals[: 2 * n_spectator].reshape(n_spectator, 2, *grid))
     obs = {}

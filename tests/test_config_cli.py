@@ -208,6 +208,9 @@ class TestValidateConfig:
             ([["a", 1.0], [2.0, 2.0], [3.0, 3.0]], "$.options.points[0]"),
             ([[1.0, 1.0], [None, 2.0], [3.0, 3.0]], "$.options.points[1]"),
             ([[1.0, 1.0], [2.0, float("nan")], [3.0, 3.0]], "$.options.points[1]"),
+            ([[1.0, 1.0], [2.0, 0.0], [3.0, 1.0]], "$.options.points[1]"),
+            ([[1.0, 1.0], [2.0, 0.5]], "$.options.points"),
+            # one distance fits a meaningless line; one strength divides by a zero slope
             ([[1, 1], [1, 2], [1, 3]], "$.options.points"),
             ([[1, 2], [2, 2], [3, 2]], "$.options.points"),
         ],

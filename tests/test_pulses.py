@@ -597,6 +597,33 @@ def reference_cz_flip_curve(params, durs, pirs, mode, p_up):
 
 
 ORACLE_TOL = 1e-12
+
+
+def workload_axes(params, n_freq, n_dur):
+    """Phase-map axes over the workloads' ranges: n_freq frequencies across
+    +-10 MHz around the centre (the centre alone for one) and n_dur
+    durations across 0 to 10 us (5 us alone for one)."""
+    center = pl.phase_map_center_frequency(pl.engine_for(params))
+    freqs = center + (np.linspace(-10.0, 10.0, n_freq) if n_freq > 1 else np.zeros(1))
+    durs = np.linspace(0.0, 10.0, n_dur) if n_dur > 1 else np.array([5.0])
+    return freqs, durs
+
+
+def phase_map_tolerance(params, mode, freqs, durs):
+    """Largest phase-map difference that eigenvalue rounding explains. An
+    eigenvalue w rounds by about eps |w|, which the phase 2 pi w t turns into
+    2 pi t |w| eps; each value depends on differences of two such phases, and
+    both sides of a comparison round on their own: 4 2 pi t_max max|w| eps,
+    about 1e-11 over the workloads' ranges. The blocks' eigenvalues round
+    differently from the same eigenvalues of the whole matrix, so the kernel
+    and the dense per-point oracle differ by about this much, and not by
+    ORACLE_TOL, once t |w| grows."""
+    engine = pl.engine_for(params)
+    drive = engine.drive_hamiltonian(mode, "ESR", engine.rabi["ESR"])
+    w_max = max(np.abs(np.linalg.eigvalsh(engine.static_hamiltonian(mode, float(f)) + drive)).max() for f in freqs)
+    return 4 * 2 * math.pi * np.max(durs) * w_max * np.finfo(float).eps
+
+
 FALLBACK_DRIFT = pl.PIRSModel(shift_khz=120.0, time_constant_us=3.0, enabled=True)
 CEILING_DRIFT = pl.PIRSModel(shift_khz=pl.MAX_SHIFT_KHZ, time_constant_us=0.3, enabled=True)
 # interpolated drift steps against the per-slice exponentials: flip curves,
@@ -657,6 +684,96 @@ class TestClosedFormKernels:
         want, _ = reference_phase_map(params, freqs, durs, pl.GATE_MODEL, 0.14, False)
         assert got.observables == {}
         assert np.max(np.abs(got.p_flip - want)) < ORACLE_TOL
+
+    @pytest.mark.parametrize("mode", pl.MODES)
+    @pytest.mark.parametrize("p_up", [0.0, 0.14])
+    def test_phase_map_matches_per_point_loop_at_workload_scale(self, params, mode, p_up):
+        # the workloads' ranges: +-10 MHz around the centre, 0 to 10 us
+        freqs, durs = workload_axes(params, 11, 11)
+        got = pl.phase_map(
+            params, freqs, durs, mode=mode, noise=pl.NoiseModel(p_up=p_up), observables=True
+        )
+        want_pf, want_obs = reference_phase_map(params, freqs, durs, mode, p_up, True)
+        tol = phase_map_tolerance(params, mode, freqs, durs)
+        assert np.max(np.abs(got.p_flip - want_pf)) < tol
+        for s in SPINS:
+            for k in ("x", "y", "norm"):
+                assert np.max(np.abs(got.observables[s][k] - want_obs[s][k])) < tol
+
+    @pytest.mark.parametrize("mode", pl.MODES)
+    def test_phase_map_splits_nuclear_sectors(self, params, mode, monkeypatch):
+        # one stacked eigendecomposition of four 4x4 blocks per frequency:
+        # the gate model's working basis pairs eigenlevels across sectors
+        sectors = {
+            pl.GATE_MODEL: [[0, 8, 9, 15], [1, 5, 10, 14], [2, 4, 11, 13], [3, 6, 7, 12]],
+            pl.FULL_DYNAMICS: [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]],
+        }
+        blocks, eigs = [], []
+
+        def record_blocks(h0, z_shift):
+            rows, cols = diagonal_blocks(h0, z_shift)
+            blocks.append(rows[..., 0].tolist())
+            return rows, cols
+
+        def record_eig(m):
+            eigs.append(np.shape(m))
+            return hermitian_eig(m)
+
+        diagonal_blocks, hermitian_eig = pl._diagonal_blocks, pl.hermitian_eig
+        monkeypatch.setattr(pl, "_diagonal_blocks", record_blocks)
+        monkeypatch.setattr(pl, "hermitian_eig", record_eig)
+        freqs, durs = workload_axes(params, 5, 4)
+        pl.phase_map(params, freqs, durs, mode=mode, noise=pl.NoiseModel(p_up=0.14))
+        assert blocks == [sectors[mode]]
+        assert eigs == [(5, 4, 4, 4)]
+
+    @pytest.mark.parametrize("mode", pl.MODES)
+    def test_phase_map_whole_matrix_fallback(self, params, mode, monkeypatch):
+        freqs, durs = workload_axes(params, 5, 4)
+        noise = pl.NoiseModel(p_up=0.14)
+        split = pl.phase_map(params, freqs, durs, mode=mode, noise=noise, observables=True)
+        whole = np.arange(16)[None]
+        monkeypatch.setattr(pl, "_diagonal_blocks", lambda h0, z_shift: (whole[:, :, None], whole[:, None, :]))
+        dense = pl.phase_map(params, freqs, durs, mode=mode, noise=noise, observables=True)
+        tol = phase_map_tolerance(params, mode, freqs, durs)
+        assert np.max(np.abs(split.p_flip - dense.p_flip)) < tol
+        for s in SPINS:
+            for k in ("x", "y", "norm"):
+                assert np.max(np.abs(split.observables[s][k] - dense.observables[s][k])) < tol
+
+    @pytest.mark.parametrize("mode", pl.MODES)
+    @pytest.mark.parametrize("offsets", [None, {"n1": 0.031, "n2": -0.047, "e1": 0.062, "e2": -0.018}])
+    def test_static_hamiltonian_stack_matches_scalar_calls(self, engine, mode, offsets):
+        freqs = pl.phase_map_center_frequency(engine) + np.linspace(-10.0, 10.0, 9)
+        stack = engine.static_hamiltonian(mode, freqs, offsets=offsets)
+        each = np.array([engine.static_hamiltonian(mode, float(f), offsets=offsets) for f in freqs])
+        assert np.array_equal(stack, each)
+        # signed zeros too: they reach the CSVs through the readout
+        assert np.array_equal(np.signbit(stack.real), np.signbit(each.real))
+        assert np.array_equal(np.signbit(np.imag(stack)), np.signbit(np.imag(each)))
+        if mode == pl.GATE_MODEL:  # off the diagonal +0.0, as np.diag gives
+            assert not np.signbit(stack[:, ~np.eye(16, dtype=bool)]).any()
+
+    @pytest.mark.parametrize("mode", pl.MODES)
+    @pytest.mark.parametrize(
+        "n_freq, n_dur, p_up, observables",
+        [(1, 6, 0.14, True), (7, 1, 0.14, True), (4, 5, 0.0, True), (4, 5, 0.14, False)],
+        ids=["one-frequency", "one-duration", "one-spectator", "no-observables"],
+    )
+    def test_phase_map_call_shapes(self, params, mode, n_freq, n_dur, p_up, observables):
+        freqs, durs = workload_axes(params, n_freq, n_dur)
+        got = pl.phase_map(
+            params, freqs, durs, mode=mode, noise=pl.NoiseModel(p_up=p_up), observables=observables
+        )
+        want_pf, want_obs = reference_phase_map(params, freqs, durs, mode, p_up, observables)
+        tol = phase_map_tolerance(params, mode, freqs, durs)
+        assert got.p_flip.shape == (n_freq, n_dur)
+        assert np.max(np.abs(got.p_flip - want_pf)) < tol
+        assert set(got.observables) == (set(SPINS) if observables else set())
+        for s, values in got.observables.items():
+            for k in ("x", "y", "norm"):
+                assert values[k].shape == (n_freq, n_dur)
+                assert np.max(np.abs(values[k] - want_obs[s][k])) < tol
 
     @pytest.mark.parametrize("mode", pl.MODES)
     @pytest.mark.parametrize("pirs", [None, FALLBACK_DRIFT], ids=["ideal", "drift"])
