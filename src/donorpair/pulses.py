@@ -595,9 +595,14 @@ def _barycentric(x, nodes, weights) -> np.ndarray:
     """Coefficients c[..., j] of the interpolant through the nodes at each x,
     so that f(x) ~ sum_j c[..., j] f(nodes[j]) (the second barycentric form;
     Berrut and Trefethen, SIAM Review 46, 501, 2004). An x on a node takes
-    that node's value."""
+    that node's value: only when some x is, the node differences are
+    guarded against division by zero and the hit rows replaced by unit rows.
+    Without a hit the unguarded formula gives the same values bit for bit."""
     diff = x[..., None] - nodes
     hit = diff == 0
+    if not hit.any():
+        terms = weights / diff
+        return terms / terms.sum(axis=-1, keepdims=True)
     terms = weights / np.where(hit, 1.0, diff)
     c = terms / terms.sum(axis=-1, keepdims=True)
     return np.where(hit.any(axis=-1, keepdims=True), hit, c)
@@ -609,25 +614,32 @@ def _drifting_group(node_eig, n, dt, coefficients) -> np.ndarray:
     the shift at each slice midpoint time; one product of those weights with
     the node propagators forms the steps of MIN_SLICES slices."""
     at_nodes = unitary_exp(node_eig, dt[:, None, None])  # (durations, p, blocks, b, b)
-    # real forms: each acts on [Re x; Im x] as its complex block acts on x
-    at_nodes = np.block([[at_nodes.real, -at_nodes.imag], [at_nodes.imag, at_nodes.real]])
     d, p = at_nodes.shape[:2]
-    steps = np.empty((MIN_SLICES, d) + at_nodes.shape[2:])
+    b = at_nodes.shape[-1]
+    # real forms: each acts on [Re x; Im x] as its complex block acts on x
+    real = np.empty(at_nodes.shape[:-2] + (2 * b, 2 * b))
+    real[..., :b, :b] = real[..., b:, b:] = at_nodes.real
+    real[..., b:, :b] = at_nodes.imag
+    np.negative(at_nodes.imag, out=real[..., :b, b:])
+    steps = np.empty((MIN_SLICES, d) + real.shape[2:])
     # each duration's blocks flattened, for the combination product
-    flat_nodes, flat_steps = at_nodes.reshape(d, p, -1), steps.reshape(MIN_SLICES, d, -1)
-    b = steps.shape[-1] // 2
+    flat_nodes, flat_steps = real.reshape(d, p, -1), steps.reshape(MIN_SLICES, d, -1)
     u = np.zeros(steps.shape[1:-1] + (b,))
     u[..., :b, :] = np.eye(b)  # [Re u; Im u] of the identity
-    # durations from first[k] on have a slice k
-    first = np.searchsorted(n, np.arange(n[-1]), side="right").tolist()
+    spare, done = np.empty_like(u), np.empty_like(u)
+    # durations from first[k] on have a slice k; those before first[k + 1] end with it
+    first = np.searchsorted(n, np.arange(n[-1] + 1), side="right").tolist()
     for k0 in range(0, n[-1], MIN_SLICES):
         s = first[k0]
         c = coefficients((k0 + 0.5 + np.arange(MIN_SLICES)) * dt[s:, None])
         np.matmul(c, flat_nodes[s:], out=flat_steps[:, s:].swapaxes(0, 1))
         for k in range(k0, min(k0 + MIN_SLICES, n[-1])):
-            a = first[k]
-            u[a:] = steps[k - k0, a:] @ u[a:]
-    return u[..., :b, :] + 1j * u[..., b:, :]
+            a, end = first[k], first[k + 1]
+            np.matmul(steps[k - k0, a:], u[a:], out=spare[a:])
+            u, spare = spare, u
+            if end > a:
+                done[a:end] = u[a:end]
+    return done[..., :b, :] + 1j * done[..., b:, :]
 
 
 def _drifting_blocks(h_blocks, z_blocks, t, pirs: PIRSModel) -> np.ndarray:
@@ -694,14 +706,18 @@ def sliced_propagators(h0, z_shift, durations_us, pirs: PIRSModel | None = None)
     The steps and the running product are real: a complex block U is held
     as its real form [[Re U, -Im U], [Im U, Re U]] and the product as
     [Re u; Im u], which the stacked real matrix product multiplies several
-    times faster than the complex one. The combination coefficients and
-    their product with the node propagators are formed MIN_SLICES slices at
-    a time. Durations are sorted once, with repeats computed once, and taken
-    in groups whose node propagators and steps fit in `DRIFT_GROUP_BYTES`,
-    so the working set is flat in the number of durations for every block
-    layout. Within a group the durations that still have a slice k are a
-    contiguous tail, and each step works on views. The products must stay
-    unitary to `linalg.UNITARITY_TOL`.
+    times faster than the complex one; the real forms are written into one
+    preallocated array. The combination coefficients and their product with
+    the node propagators are formed MIN_SLICES slices at a time. Durations
+    are sorted once, with repeats computed once, and taken in groups whose
+    node propagators and steps fit in `DRIFT_GROUP_BYTES`, so the working
+    set is flat in the number of durations for every block layout. Within a
+    group the durations that still have a slice k are a contiguous tail.
+    Each step multiplies that tail of the running product into the same
+    rows of a second buffer, and the two buffers swap roles, so no slice
+    allocates or copies the product; a duration's product is copied out
+    once, after its last slice. The products must stay unitary to
+    `linalg.UNITARITY_TOL`.
     """
     t = np.asarray(durations_us, dtype=float)
     drift = pirs is not None and pirs.enabled
@@ -857,30 +873,42 @@ def _duration_grid(durations_us) -> np.ndarray:
 
 def _flip_readout(engine: SequenceEngine, target: str, mode: str, p_up: float):
     """Consecutive-shot flip readout of one nucleus between two identical
-    pi/2 pulses O, as (weights, starts, projectors).
+    pi/2 pulses O, in factored form: (O, weights, flips, loads).
 
     The other (spectator) nucleus persists between shots in its loaded state
     s, up (s = 0) with weight p_up; a state of zero weight is left out. The
-    electrons are reloaded every shot. starts[s, b] = O (|nuclei><nuclei| x
-    rho_e) O^dag for target state b, and projectors[b] = O^dag M_b O is the
-    projector onto the outcome that is a flip from b, pulled back through
-    the closing pulse.
+    electrons are reloaded every shot. Both the start states and the readout
+    projectors are diagonal in the product basis before O is applied:
+    loads[s, b] (s, 2, 16) holds the populations of the loaded state with
+    target state b, whose start is O diag(loads[s, b]) O^dag, and flips[b]
+    (2, 16) masks the outcome that is a flip from b, whose projector pulled
+    back through the closing pulse is O^dag diag(flips[b]) O. So a drive U
+    flips with
+
+        q[s, b] = sum_rc flips[b, r] |(O U O)_rc|^2 loads[s, b, c].
+
+    `cz_flip_curve` contracts in this form; `phase_map` takes the dense
+    starts and projectors of `_dense_flip_readout`.
     """
     pulse = engine.step_unitary(GateStep(target, math.pi / 2, math.pi / 2), mode)
     q = SPIN_INDEX[target]
-    e_load = spam_mixture(p_up, ELECTRONS)[12:, 12:]  # the nuclei-down block
+    e_load = np.diag(spam_mixture(p_up, ELECTRONS))[12:].real  # the nuclei-down block
     spectators = [(s, w) for s, w in ((0, p_up), (1, 1.0 - p_up)) if w != 0.0]
-    starts = np.zeros((len(spectators), 2, 16, 16), dtype=complex)
+    loads = np.zeros((len(spectators), 2, 4, 4))  # [s, b, nuclear index 2 n1 + n2, electrons]
     for i, (s, _) in enumerate(spectators):
         for b in (0, 1):
-            k = 2 * b + s if q == 0 else 2 * s + b  # nuclear index 2 n1 + n2
-            nuc = np.zeros((4, 4), dtype=complex)
-            nuc[k, k] = 1.0
-            starts[i, b] = pulse @ np.kron(nuc, e_load) @ pulse.conj().T
+            loads[i, b, 2 * b + s if q == 0 else 2 * s + b] = e_load
     # outcome 1 = up; a flip from target state b (outcome 1 - b) lands on b
     outcome = 1 - spin_bits(target)
-    projectors = np.array([pulse.conj().T @ ((outcome == b)[:, None] * pulse) for b in (0, 1)])
-    return np.array([w for _, w in spectators]), starts, projectors
+    flips = np.array([outcome == b for b in (0, 1)], dtype=float)
+    return pulse, np.array([w for _, w in spectators]), flips, loads.reshape(-1, 2, 16)
+
+
+def _dense_flip_readout(pulse, flips, loads):
+    """(starts, projectors) of a factored `_flip_readout`: the (s, 2, 16, 16)
+    starts O diag(loads[s, b]) O^dag and the (2, 16, 16) projectors
+    O^dag diag(flips[b]) O."""
+    return (pulse * loads[..., None, :]) @ pulse.conj().T, pulse.conj().T @ (flips[:, :, None] * pulse)
 
 
 def _stationary_flip_rate(weights: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -945,7 +973,8 @@ def phase_map(
     if freqs.size == 0 or durs.size == 0:
         raise ContractError("frequency and duration grids must be non-empty")
 
-    weights, readout_starts, projectors = _flip_readout(engine, "n2", mode, noise.p_up)
+    pulse, weights, flips, loads = _flip_readout(engine, "n2", mode, noise.p_up)
+    readout_starts, projectors = _dense_flip_readout(pulse, flips, loads)
     n_spectator = weights.size
     starts = readout_starts.reshape(-1, 16, 16)
     ops = np.tile(projectors, (n_spectator, 1, 1))
@@ -1021,27 +1050,35 @@ def cz_flip_curve(
     The electron pulse runs on the up-down nuclear sector resonance; with a
     drift model the carrier is taken as recalibrated onto the saturated line,
     so the effective detuning relaxes away from zero during the pulse.
+
+    Every duration is read out at once in the factored form of
+    `_flip_readout`: the drive stack becomes O U O in place, its squared
+    magnitudes go into the buffer of the intermediate O U, and two matrix
+    products with the flip masks and the loaded populations give each
+    flip probability. The working set stays two (durations, 16, 16)
+    complex stacks.
     """
     noise = noise or NoiseModel()
     engine = engine or engine_for(params)
     durs = _duration_grid(durations_us)
     tr = engine.electron_transition("e2", n1=0, n2=1)
 
-    weights, starts, projectors = _flip_readout(engine, "n1", mode, noise.p_up)
+    pulse, weights, flips, loads = _flip_readout(engine, "n1", mode, noise.p_up)
     if mode == GATE_MODEL:
         drives = addressed_pulse_unitary(engine, tr, durs, pirs=pirs)
     else:
-        pulse = PulseSpec(
+        spec = PulseSpec(
             channel="ESR", carrier_mhz=abs(tr.frequency_mhz), rabi_mhz=engine.rabi["ESR"], duration_us=0.0
         )
-        drives = engine.pulse_propagator(pulse, mode, pirs=pirs, durations_us=durs)
-    q = np.zeros((weights.size, 2, durs.size))
-    # the readout runs one duration at a time, keeping the working set to
-    # the propagator stack
-    for di, u_drive in enumerate(drives):
-        evolved = u_drive @ starts @ u_drive.conj().T
-        # q[s, b] = Tr(projector_b rho_sb)
-        q[..., di] = np.einsum("bij,sbji->sb", projectors, evolved).real
+        drives = engine.pulse_propagator(spec, mode, pirs=pirs, durations_us=durs)
+    # O U O over the whole stack, and its squared magnitude in the buffer of O U
+    left = np.matmul(pulse, drives)
+    np.matmul(left, pulse, out=drives)
+    squared = np.abs(drives, out=left.real)
+    np.square(squared, out=squared)
+    # q[s, b] = sum_c (flips @ |O U O|^2)[b, c] loads[s, b, c]
+    flipped = (flips @ squared).transpose(1, 0, 2)  # (2, durations, 16)
+    q = (flipped @ loads.transpose(1, 2, 0)).transpose(2, 0, 1)  # (s, 2, durations)
     return _stationary_flip_rate(weights, q)
 
 

@@ -1,8 +1,10 @@
 """Reference oracles the tests compare the package against: direct,
 per-element formulas for tomography tables and Bloch vectors, the
 per-axis-pair replay of a tomography sequence, the per-resample bootstrap
-draw, the solid-angle law of the geometric phase, and the locations of the
-phase map's paper anchors (the CZ point and the entangling point)."""
+draw, the solid-angle law of the geometric phase, the guarded barycentric
+interpolation formula, the dense flip-readout states and projectors, and
+the locations of the phase map's paper anchors (the CZ point and the
+entangling point)."""
 
 from __future__ import annotations
 
@@ -91,6 +93,36 @@ def geometric_phase_of_drive(delta_f_mhz: float, rabi_mhz: float, n_loops: int) 
         raise ContractError("rabi frequency must be positive")
     omega = math.hypot(rabi_mhz, delta_f_mhz)
     return -n_loops * math.pi * (1.0 - abs(delta_f_mhz) / omega)
+
+
+def barycentric(x, nodes, weights) -> np.ndarray:
+    """Second-form barycentric coefficients with every node difference
+    guarded against zero, and unit rows for an x on a node."""
+    diff = x[..., None] - nodes
+    hit = diff == 0
+    terms = weights / np.where(hit, 1.0, diff)
+    c = terms / terms.sum(axis=-1, keepdims=True)
+    return np.where(hit.any(axis=-1, keepdims=True), hit, c)
+
+
+def dense_flip_readout(engine: pl.SequenceEngine, target: str, mode: str, p_up: float):
+    """(starts, projectors) of the consecutive-shot flip readout, matrix by
+    matrix: starts[s, b] = O (|nuclei><nuclei| x rho_e) O^dag for each
+    spectator state s of nonzero weight and target state b, and
+    projectors[b] = O^dag M_b O for the outcome M_b that is a flip from b."""
+    pulse = engine.step_unitary(pl.GateStep(target, math.pi / 2, math.pi / 2), mode)
+    e_load = pl.spam_mixture(p_up, ("e1", "e2"))[12:, 12:]
+    spectators = [s for s, w in ((0, p_up), (1, 1.0 - p_up)) if w != 0.0]
+    starts = np.zeros((len(spectators), 2, 16, 16), dtype=complex)
+    for i, s in enumerate(spectators):
+        for b in (0, 1):
+            k = 2 * b + s if target == "n1" else 2 * s + b  # nuclear index 2 n1 + n2
+            nuc = np.zeros((4, 4), dtype=complex)
+            nuc[k, k] = 1.0
+            starts[i, b] = pulse @ np.kron(nuc, e_load) @ pulse.conj().T
+    outcome = 1 - pl.spin_bits(target)
+    projectors = np.array([pulse.conj().T @ ((outcome == b)[:, None] * pulse) for b in (0, 1)])
+    return starts, projectors
 
 
 def stokes_of_density(rho4: np.ndarray) -> np.ndarray:

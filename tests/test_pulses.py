@@ -19,7 +19,14 @@ from donorpair.spinmodel import (
     pauli_op,
 )
 
-from oracles import calibrate_point, geometric_phase_of_drive, nuclear_distribution, phase_map_anchors
+from oracles import (
+    barycentric,
+    calibrate_point,
+    dense_flip_readout,
+    geometric_phase_of_drive,
+    nuclear_distribution,
+    phase_map_anchors,
+)
 
 PSI_PLUS = np.array([0, 1, 1, 0]) / np.sqrt(2)
 
@@ -777,12 +784,40 @@ class TestClosedFormKernels:
 
     @pytest.mark.parametrize("mode", pl.MODES)
     @pytest.mark.parametrize("pirs", [None, FALLBACK_DRIFT], ids=["ideal", "drift"])
-    def test_cz_flip_curve_matches_per_point_loop(self, params, mode, pirs):
+    @pytest.mark.parametrize("p_up", [0.0, 0.14, 0.5])
+    def test_cz_flip_curve_matches_per_point_loop(self, params, mode, pirs, p_up):
+        # p_up = 0 leaves out the spectator-up branch; 0.5 is the model's bound
         durs = np.linspace(0.0, 6.0, 7)
-        noise = pl.NoiseModel(p_up=0.14)
+        noise = pl.NoiseModel(p_up=p_up)
         got = pl.cz_flip_curve(params, durs, pirs=pirs, mode=mode, noise=noise)
-        want = reference_cz_flip_curve(params, durs, pirs, mode, 0.14)
+        want = reference_cz_flip_curve(params, durs, pirs, mode, p_up)
         assert np.max(np.abs(got - want)) < ORACLE_TOL
+
+    @pytest.mark.parametrize("mode", pl.MODES)
+    @pytest.mark.parametrize("p_up", [0.0, 0.14, 0.5])
+    def test_phase_map_readout_matches_dense_construction(self, params, engine, monkeypatch, mode, p_up):
+        # the dense starts and projectors that phase_map builds from the
+        # factored readout equal O (|nuclei><nuclei| x rho_e) O^dag and
+        # O^dag M_b O formed matrix by matrix, bit for bit
+        seen = []
+
+        def spy(*args):
+            seen.append(dense(*args))
+            return seen[-1]
+
+        dense = pl._dense_flip_readout
+        monkeypatch.setattr(pl, "_dense_flip_readout", spy)
+        pl.phase_map(params, [28000.0], [0.0, 1.0], mode=mode, noise=pl.NoiseModel(p_up=p_up), engine=engine)
+        (starts, projectors), = seen
+        want_starts, want_projectors = dense_flip_readout(engine, "n2", mode, p_up)
+        assert starts.shape == ((1 if p_up == 0 else 2), 2, 16, 16)
+        assert np.array_equal(starts, want_starts)
+        assert np.array_equal(projectors, want_projectors)
+        # and for the curve's target, n1
+        pulse, weights, flips, loads = pl._flip_readout(engine, "n1", mode, p_up)
+        assert weights.shape == loads.shape[:1] and flips.shape == (2, 16)
+        for got, want in zip(dense(pulse, flips, loads), dense_flip_readout(engine, "n1", mode, p_up)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("mode", pl.MODES)
     @pytest.mark.parametrize("channel", ["ESR", "NMR"])
@@ -864,6 +899,44 @@ class TestClosedFormKernels:
             want = reference_sliced_exp(h0, z_shift, t, pirs)
             assert np.max(np.abs(u - want)) < DRIFT_PROPAGATOR_TOL
 
+    @pytest.mark.parametrize("layout", ["esr", "addressed", "nmr"])
+    @pytest.mark.parametrize("pirs", [FALLBACK_DRIFT, CEILING_DRIFT], ids=["fallback", "ceiling"])
+    @pytest.mark.parametrize("group_bytes", [pl.DRIFT_GROUP_BYTES, 1], ids=["one_group", "one_each"])
+    def test_drift_products_end_at_every_chunk_offset(self, engine, monkeypatch, layout, pirs, group_bytes):
+        # slice counts 16-33, two durations of each: every duration's last
+        # slice falls at each offset 0-15 of a MIN_SLICES chunk, and its
+        # product is taken from the buffer that holds it after that slice;
+        # one_each puts every duration in a group of its own
+        monkeypatch.setattr(pl, "DRIFT_GROUP_BYTES", group_bytes)
+        n = np.arange(16, 34)
+        durs = pl.SLICE_US * np.concatenate([n + 0.5, n + 0.1])
+        assert set((np.maximum(16, (durs / pl.SLICE_US).astype(int)) - 1) % 16) == set(range(16))
+        h0, z_shift = drift_layout(engine, layout)
+        got = pl.sliced_propagators(h0, z_shift, durs, pirs)
+        for t, u in zip(durs, got):
+            want = reference_sliced_exp(h0, z_shift, t, pirs)
+            assert np.max(np.abs(u - want)) < DRIFT_PROPAGATOR_TOL
+
+    @pytest.mark.parametrize("mode", pl.MODES)
+    @pytest.mark.parametrize("pirs", [None, FALLBACK_DRIFT], ids=["ideal", "drift"])
+    def test_cz_flip_curve_working_set_is_bounded(self, params, engine, mode, pirs):
+        # the whole curve over the 12-turn, 193-point pirs_cz grid: the
+        # propagator stack and O U (0.79 MB each) and the drift kernel's
+        # group; a readout holding (193, 2, 16, 16) stacks would exceed it
+        tr = engine.electron_transition("e2", 0, 1)
+        durs = np.linspace(0.0, 12 / (engine.rabi["ESR"] * tr.amplitude), 193)
+        noise = pl.NoiseModel(p_up=0.14)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pl.cz_flip_curve(params, durs, pirs=pirs, mode=mode, noise=noise, engine=engine)
+            tracemalloc.start()
+            try:
+                pl.cz_flip_curve(params, durs, pirs=pirs, mode=mode, noise=noise, engine=engine)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2.0e6
+
     def test_drift_working_set_is_bounded(self, engine):
         # one drifting electron pulse over the 12-turn, 193-point pirs_cz grid
         # in full dynamics: the (193, 16, 16) result is 0.79 MB of the peak
@@ -893,6 +966,31 @@ class TestClosedFormKernels:
         # a point on a node takes the node's value exactly
         c = pl._barycentric(nodes[[3]], nodes, weights)
         assert np.array_equal(c, np.eye(12)[[3]])
+
+    @pytest.mark.parametrize("p", [1, 7, 14])
+    def test_barycentric_without_hits_is_the_guarded_formula(self, p):
+        # the unguarded branch gives the guarded formula's bits, signs included
+        nodes, weights = pl._chebyshev_points(p)
+        rng = np.random.default_rng(p)
+        for shape in [(5,), (22, 16), (3, 4, 16)]:
+            x = rng.uniform(-1.0, 1.0, shape)
+            assert not np.any(x[..., None] == nodes)
+            got, want = pl._barycentric(x, nodes, weights), barycentric(x, nodes, weights)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_barycentric_mixes_node_hits_and_interpolants(self):
+        # rows on a node are unit rows; every other row is its interpolant,
+        # the same as when it is computed without the hits around it
+        nodes, weights = pl._chebyshev_points(7)
+        x = np.random.default_rng(1).uniform(-1.0, 1.0, (6, 16))
+        on = np.zeros(x.shape, dtype=bool)
+        on[0, 3], on[2, 0], on[5, 15] = True, True, True
+        x[on] = nodes[[2, 6, 0]]
+        got = pl._barycentric(x, nodes, weights)
+        assert np.array_equal(got[on], np.eye(7)[[2, 6, 0]])
+        assert np.array_equal(got[~on], pl._barycentric(x[~on], nodes, weights))
+        assert np.array_equal(got, barycentric(x, nodes, weights))
+        assert np.allclose(got.sum(axis=-1), 1.0, rtol=0.0, atol=1e-15)
 
     def test_node_count_is_the_fewest_under_rounding(self):
         bound = lambda rho, p: 2.0 * rho**p / math.factorial(p)
