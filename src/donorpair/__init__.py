@@ -15,14 +15,12 @@ from .linalg import (
     NotPositiveSemidefiniteError,
     hermitian_eig,
     nearest_physical_density,
-    partial_trace,
     psd_sqrt,
     unitary_exp,
 )
 from .spinmodel import (
     SystemParams,
     basis_index,
-    build_static_hamiltonian,
     secular_hamiltonian,
 )
 
@@ -33,10 +31,8 @@ __all__ = [
     "NotPositiveSemidefiniteError",
     "SystemParams",
     "basis_index",
-    "build_static_hamiltonian",
     "hermitian_eig",
     "nearest_physical_density",
-    "partial_trace",
     "psd_sqrt",
     "secular_hamiltonian",
     "unitary_exp",

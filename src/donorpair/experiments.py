@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .pulses import (
+    CURVE_CZ,
     InitStep,
     bell_prep,
     cz_flip_curve,
@@ -77,9 +78,6 @@ class RunManifest:
     outputs: dict
     wall_time_s: float
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
 
 def _config_hash(config: ExperimentConfig) -> str:
     blob = json.dumps(asdict(config), sort_keys=True, default=str)
@@ -126,7 +124,7 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
         outputs=checksums,
         wall_time_s=time.perf_counter() - t0,
     )
-    _fresh(out / "manifest.json").write_text(manifest.to_json() + "\n")
+    _fresh(out / "manifest.json").write_bytes(json_bytes(asdict(manifest)))
     return manifest
 
 
@@ -134,7 +132,7 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
 # phase maps
 
 
-def _phase_map_result(config: ExperimentConfig, observables: bool):
+def _phase_map_result(config: ExperimentConfig):
     center = config.options["center_mhz"]
     if center == "auto":
         center = phase_map_center_frequency(engine_for(config.system))
@@ -144,7 +142,7 @@ def _phase_map_result(config: ExperimentConfig, observables: bool):
         config.options["duration"].points(),
         mode=config.mode,
         noise=config.noise,
-        observables=observables,
+        observables=config.options["observables"],  # validation sets it for full_phase_sim
     )
 
 
@@ -181,7 +179,7 @@ def _observable_csv(res):
 
 
 def run_phase_map(config: ExperimentConfig):
-    res = _phase_map_result(config, config.options["observables"])
+    res = _phase_map_result(config)
     arts = [_phase_map_csv(res)]
     if res.observables:
         arts.append(_observable_csv(res))
@@ -189,7 +187,7 @@ def run_phase_map(config: ExperimentConfig):
 
 
 def run_full_phase_sim(config: ExperimentConfig):
-    res = _phase_map_result(config, observables=True)
+    res = _phase_map_result(config)
     return [_observable_csv(res), _phase_map_csv(res)]
 
 
@@ -223,9 +221,7 @@ def run_bell_tomography(config: ExperimentConfig):
 
 
 def run_pirs_cz(config: ExperimentConfig):
-    engine = engine_for(config.system)
-    tr = engine.electron_transition("e2", 0, 1)
-    turn = 1.0 / (engine.rabi["ESR"] * tr.amplitude)
+    turn = engine_for(config.system).compile(CURVE_CZ).duration_us
     n = config.options["max_turns"] * config.options["points_per_turn"] + 1
     durations = np.linspace(0.0, config.options["max_turns"] * turn, n)
     ideal = cz_flip_curve(config.system, durations, pirs=None, mode=config.mode, noise=config.noise)

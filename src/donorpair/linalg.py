@@ -69,19 +69,20 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m.swapaxes(-1, -2))
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(m: np.ndarray) -> np.ndarray:
+    """`m`, or raise ContractError unless max |M - M^dag| < HERMITICITY_TOL."""
     m = as_matrix(m)
     dev = np.max(np.abs(m - dagger(m)))
-    if not dev < tol:  # a NaN deviation fails too
+    if not dev < HERMITICITY_TOL:  # a NaN deviation fails too
         raise ContractError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
     return m
 
 
-def require_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
+def require_unitary(u: np.ndarray) -> np.ndarray:
     """`u`, or raise ContractError when max |U U^dag - I| over the stack
-    exceeds `tol` or is not finite."""
+    exceeds UNITARITY_TOL or is not finite."""
     dev = np.max(np.abs(u @ dagger(u) - np.eye(u.shape[-1])), initial=0.0)
-    if not dev <= tol:
+    if not dev <= UNITARITY_TOL:
         raise ContractError(f"propagator is not unitary: max |U U^dag - I| = {dev:.3e}")
     return u
 
@@ -173,15 +174,3 @@ def kron_all(*ops) -> np.ndarray:
     for op in ops[1:]:
         out = np.kron(out, op)
     return out
-
-
-def partial_trace(rho: np.ndarray, keep: tuple[int, ...], n_qubits: int) -> np.ndarray:
-    """Trace a 2^n x 2^n matrix down to the qubits in `keep` (order preserved)."""
-    rho = np.asarray(rho, dtype=complex)
-    dims = (2,) * n_qubits
-    t = rho.reshape(dims + dims)
-    drop = [q for q in range(n_qubits) if q not in keep]
-    for q in sorted(drop, reverse=True):
-        t = np.trace(t, axis1=q, axis2=q + t.ndim // 2)
-    d = 2 ** len(keep)
-    return t.reshape(d, d)

@@ -21,8 +21,9 @@ Drive normalization: ``rabi_frequency`` is the on-resonance Rabi frequency of
 a bare (unhybridized) transition, i.e. the two-level reduction of the drive is
 (rabi/2) sigma_x and a 2*pi rotation takes 1/rabi microseconds.
 
-Readout distributions (`nuclear_populations`) key outcomes with 1 = measured
-spin up, 0 = spin down; note computational labels use |0> = up.
+Nuclear populations (`nuclear_populations`) are indexed 2 n1 + n2 with
+0 = up, as the computational labels are (|0> = up); only a `MeasureStep`'s
+outcome distribution keys its outcomes with 1 = measured spin up.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ class PulseSpec:
     carrier_mhz: float
     rabi_mhz: float
     duration_us: float
-    detuning_mhz: float = 0.0
     phase_rad: float = 0.0
 
     def __post_init__(self):
@@ -124,7 +124,7 @@ class PIRSModel:
 @dataclass(frozen=True)
 class NoiseModel:
     """Spin-up loading probability. The quasi-static detuning spread
-    sigma_f_mhz must be 0: the probability-level runners draw no offsets,
+    sigma_f_mhz must be 0: the probability-level runners draw no detuning,
     and `ramsey_trace` takes its own spread."""
 
     sigma_f_mhz: float = 0.0
@@ -388,37 +388,24 @@ class SequenceEngine:
             + f_e * (self._zdiag["e1"] + self._zdiag["e2"])
         ) / 2.0
 
-    @staticmethod
-    def _plus_offsets(diag, offsets, zdiag) -> np.ndarray:
-        """`diag` plus delta Z / 2 for each per-spin offset (MHz), spin by
-        spin, with Z's diagonal from `zdiag`."""
-        for spin, delta in (offsets or {}).items():
-            diag = diag + delta * zdiag[spin] / 2.0
-        return diag
-
-    def free_hamiltonian(self, f_e=None, offsets=None, f_n=None) -> np.ndarray:
-        """Frame-stripped static Hamiltonian, optionally with per-spin
-        quasi-static detuning offsets (MHz, added along each spin's Z); an
-        array of f_e gives a (..., 16, 16) stack."""
+    def free_hamiltonian(self, f_e=None, f_n=None) -> np.ndarray:
+        """Secular Hamiltonian minus the frame generator (see `_frame_diag`),
+        in the product basis; an array of f_e gives a (..., 16, 16) stack."""
         v = self.vectors
-        h = self.h_sec - (v * self._frame_diag(f_e, f_n)[..., None, :]) @ v.conj().T
-        # on the diagonal alone, so that the -0.0 entries elsewhere stay
-        h[..., _DIAG, _DIAG] = self._plus_offsets(h[..., _DIAG, _DIAG], offsets, self._product_z)
-        return h
+        return self.h_sec - (v * self._frame_diag(f_e, f_n)[..., None, :]) @ v.conj().T
 
-    def static_hamiltonian(self, mode: str, f_e=None, f_n=None, offsets=None) -> np.ndarray:
-        """Frame-stripped static Hamiltonian with its offsets (see
-        `free_hamiltonian`) in the mode's working basis: the product basis in
-        full dynamics, the secular eigenbasis (where it is diagonal) in the
-        gate model.
+    def static_hamiltonian(self, mode: str, f_e=None, f_n=None) -> np.ndarray:
+        """Frame-stripped static Hamiltonian (see `free_hamiltonian`) in the
+        mode's working basis: the product basis in full dynamics, the secular
+        eigenbasis (where it is diagonal) in the gate model.
 
         `f_e` is the electron frame frequency (MHz), by default the bare
         Zeeman mean. An array of them gives one Hamiltonian per frequency, a
         (..., 16, 16) stack whose every matrix equals the call at that
         frequency bit for bit."""
         if mode == FULL_DYNAMICS:
-            return self.free_hamiltonian(f_e, offsets, f_n)
-        diag = self._plus_offsets(self.energies - self._frame_diag(f_e, f_n), offsets, self._zdiag)
+            return self.free_hamiltonian(f_e, f_n)
+        diag = self.energies - self._frame_diag(f_e, f_n)
         h = np.zeros(diag.shape + (16,))  # off the diagonal +0.0, as np.diag gives
         h[..., _DIAG, _DIAG] = diag
         return h
@@ -444,7 +431,7 @@ class SequenceEngine:
         afterwards. Electron transverse phases are reported in the active
         carrier frame (no protocol carries electron coherence across pulses).
         """
-        f = pulse.carrier_mhz + pulse.detuning_mhz
+        f = pulse.carrier_mhz
         if pulse.channel == "NMR":
             s = -1.0 if self.f_n1_ref < 0 else 1.0
             fn1 = fn2 = s * f
@@ -462,7 +449,6 @@ class SequenceEngine:
         pulse: PulseSpec,
         mode: str,
         pirs: PIRSModel | None = None,
-        offsets=None,
         durations_us=None,
     ) -> np.ndarray:
         """Unitary of one rectangular pulse, in the product basis and the
@@ -479,7 +465,7 @@ class SequenceEngine:
         self._check_selectivity(pulse, mode)
         f_n, fe, realign = self._pulse_frame(pulse)
 
-        h0 = self.static_hamiltonian(mode, fe, f_n, offsets) + self.drive_hamiltonian(
+        h0 = self.static_hamiltonian(mode, fe, f_n) + self.drive_hamiltonian(
             mode, pulse.channel, pulse.rabi_mhz, pulse.phase_rad
         )
         # the drift runs along the driven species' summed Z
@@ -501,7 +487,7 @@ class SequenceEngine:
     def _check_selectivity(self, pulse: PulseSpec, mode: str) -> None:
         if mode != FULL_DYNAMICS:
             return
-        f = abs(pulse.carrier_mhz + pulse.detuning_mhz)
+        f = abs(pulse.carrier_mhz)
         e = self.energies
         gaps = np.abs(np.abs(e[None, :] - e[:, None]) - f)  # [i, j]: ||E_j - E_i| - f|
         # driven pairs i < j, with the drive element taken as x[j, i]
@@ -531,19 +517,19 @@ class SequenceEngine:
         tr, rabi = self.electron_transition(step.electron, step.n1, step.n2), self.rabi["ESR"]
         return PulseSpec("ESR", abs(tr.frequency_mhz), rabi, step.turns / (rabi * tr.amplitude))
 
-    def step_unitary(self, step, mode: str, offsets=None, pirs: PIRSModel | None = None):
+    def step_unitary(self, step, mode: str, pirs: PIRSModel | None = None):
+        """Unitary of one step: a labeled gate's exact rotation (gate model) or
+        compiled pulse; a `PulseStep` with `apply_pirs` drifts under `pirs`."""
         if isinstance(step, (GateStep, CzStep)):
             if mode == GATE_MODEL:
                 return gate_unitary(step) if isinstance(step, GateStep) else cz_unitary(step)
-            return self.pulse_propagator(self.compile(step), mode, offsets=offsets)
+            return self.pulse_propagator(self.compile(step), mode)
         if isinstance(step, ProjectStep):
             if step.axis.upper() == "Z":
                 return np.eye(16, dtype=complex)
-            return self.step_unitary(projection_gate(step.spin, step.axis), mode, offsets)
+            return self.step_unitary(projection_gate(step.spin, step.axis), mode)
         if isinstance(step, PulseStep):
-            return self.pulse_propagator(
-                step.pulse, mode, pirs=pirs if step.apply_pirs else None, offsets=offsets
-            )
+            return self.pulse_propagator(step.pulse, mode, pirs=pirs if step.apply_pirs else None)
         raise ContractError(f"cannot build a unitary for step {step!r}")
 
 
@@ -746,12 +732,11 @@ class RunResult:
 
 def spam_mixture(p_up: float, spins=SPINS) -> np.ndarray:
     """Product initialization state: each listed spin down, erring up w.p.
-    p_up; the other spins exactly down."""
-    diag = np.ones(1)
-    for s in SPINS:
-        p = p_up if s in spins else 0.0
-        diag = np.kron(diag, np.array([p, 1.0 - p]))  # (up, down) populations
-    return np.diag(diag.astype(complex))
+    p_up; the other spins exactly down. It is `_reset_spins` of the listed
+    spins, taken in SPINS order, applied to every spin down."""
+    down = np.zeros((16, 16), dtype=complex)
+    down[-1, -1] = 1.0
+    return _reset_spins(down, [s for s in SPINS if s in spins], p_up)
 
 
 def _reset_spins(rho: np.ndarray, spins, p_up: float) -> np.ndarray:
@@ -811,7 +796,7 @@ def run_sequence(
             raise ContractError("measure before any initialize step")
         seen_init = seen_init or isinstance(step, InitStep)
 
-    rho = spam_mixture(0.0)  # all down: loading error enters through InitStep only
+    rho = spam_mixture(0.0, ())  # all down: loading error enters through InitStep only
     probs = {}
     for step in steps:
         if isinstance(step, InitStep):
@@ -1036,6 +1021,10 @@ def addressed_pulse_unitary(
     return embed_pairs(u2.reshape(t.shape + (2, 2)), [tr.lo_index], [tr.hi_index])
 
 
+# the single-turn CZ whose electron drive `cz_flip_curve` sweeps
+CURVE_CZ = CzStep("e2", n1=0, n2=1)
+
+
 def cz_flip_curve(
     params: SystemParams,
     durations_us,
@@ -1047,9 +1036,11 @@ def cz_flip_curve(
     """Flip probability of n1 for a conditional electron-2 drive of swept
     duration between two pi/2 pulses on n1 (the conditional-phase sequence).
 
-    The electron pulse runs on the up-down nuclear sector resonance; with a
-    drift model the carrier is taken as recalibrated onto the saturated line,
-    so the effective detuning relaxes away from zero during the pulse.
+    The electron pulse is the compiled `CURVE_CZ`, on the up-down nuclear
+    sector resonance, at each duration; the gate model drives its addressed
+    pair alone (`addressed_pulse_unitary`). With a drift model the carrier
+    is taken as recalibrated onto the saturated line, so the effective
+    detuning relaxes away from zero during the pulse.
 
     Every duration is read out at once in the factored form of
     `_flip_readout`: the drive stack becomes O U O in place, its squared
@@ -1061,16 +1052,13 @@ def cz_flip_curve(
     noise = noise or NoiseModel()
     engine = engine or engine_for(params)
     durs = _duration_grid(durations_us)
-    tr = engine.electron_transition("e2", n1=0, n2=1)
 
     pulse, weights, flips, loads = _flip_readout(engine, "n1", mode, noise.p_up)
     if mode == GATE_MODEL:
+        tr = engine.electron_transition(CURVE_CZ.electron, CURVE_CZ.n1, CURVE_CZ.n2)
         drives = addressed_pulse_unitary(engine, tr, durs, pirs=pirs)
     else:
-        spec = PulseSpec(
-            channel="ESR", carrier_mhz=abs(tr.frequency_mhz), rabi_mhz=engine.rabi["ESR"], duration_us=0.0
-        )
-        drives = engine.pulse_propagator(spec, mode, pirs=pirs, durations_us=durs)
+        drives = engine.pulse_propagator(engine.compile(CURVE_CZ), mode, pirs=pirs, durations_us=durs)
     # O U O over the whole stack, and its squared magnitude in the buffer of O U
     left = np.matmul(pulse, drives)
     np.matmul(left, pulse, out=drives)

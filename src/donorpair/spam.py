@@ -31,6 +31,9 @@ MEASURED_AMPLITUDE_RATIO = 0.61
 # drive detuning of a nucleus whose electron loaded spin-up: about a2
 DETUNING_WHEN_UP_MHZ = 113.0
 
+# periods of the phase-reversal curve over one turn of phi: (1 - cos(4 phi)) / 2
+FIXED_PERIODS = 4
+
 
 def neutral_rabi_forward(
     p_up: float,
@@ -142,13 +145,13 @@ class SineFit:
     residual_rms: float
 
 
-def sine_fit(phi_grid, values, fixed_periods: int = 4) -> SineFit:
-    """Exact linear least squares for the fixed-frequency cosine model."""
+def sine_fit(phi_grid, values) -> SineFit:
+    """Exact linear least squares for the cosine model, k = FIXED_PERIODS."""
     phis = np.asarray(phi_grid, dtype=float)
     y = np.asarray(values, dtype=float)
     if phis.size < 12:
         raise ContractError("need at least twelve points for a sine fit")
-    k = fixed_periods
+    k = FIXED_PERIODS
     design = np.stack([np.ones_like(phis), np.cos(k * phis), np.sin(k * phis)], axis=1)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     offset, a, b = coef

@@ -71,10 +71,6 @@ def basis_index(n1: int, n2: int, e1: int, e2: int) -> int:
     return 8 * n1 + 4 * n2 + 2 * e1 + e2
 
 
-def basis_bits(index: int) -> tuple[int, int, int, int]:
-    return ((index >> 3) & 1, (index >> 2) & 1, (index >> 1) & 1, index & 1)
-
-
 def spin_half_op(spin: str, axis: str) -> np.ndarray:
     """Spin-1/2 operator (sigma/2) of one spin embedded in the 16-dim space."""
     ops = [SIGMA_I] * 4
@@ -97,19 +93,6 @@ def _zeeman_terms(p: SystemParams) -> np.ndarray:
         p.g1 * spin_half_op("e1", "z") + p.g2 * spin_half_op("e2", "z")
     )
     h += p.gamma_n * p.b0 * (spin_half_op("n1", "z") + spin_half_op("n2", "z"))
-    return h
-
-
-def build_static_hamiltonian(p: SystemParams) -> np.ndarray:
-    """Full 16x16 static Hamiltonian in MHz.
-
-    Zeeman terms for both species, isotropic hyperfine contact terms
-    a1 S1.I1 + a2 S2.I2 and the Heisenberg exchange j S1.S2.
-    """
-    h = _zeeman_terms(p)
-    h += p.a1 * _dot_coupling("e1", "n1")
-    h += p.a2 * _dot_coupling("e2", "n2")
-    h += p.j * _dot_coupling("e1", "e2")
     return h
 
 

@@ -31,6 +31,9 @@ PAULI_LABELS = ("I", "X", "Y", "Z")
 
 PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
 
+# concurrence clips discriminants below this to zero before the square root
+DISCRIMINANT_TOL = 1e-10
+
 _SIGMA_YY = np.kron(PAULIS["Y"], PAULIS["Y"])
 
 # sigma_a (x) sigma_b for a, b in PAULI_LABELS
@@ -119,13 +122,13 @@ def spin_flip(rho: np.ndarray) -> np.ndarray:
     return _SIGMA_YY @ rho.conj() @ _SIGMA_YY
 
 
-def concurrence(rho: np.ndarray, discriminant_tol: float = 1e-10):
+def concurrence(rho: np.ndarray):
     """Entanglement monotone max(0, l1 - l2 - l3 - l4) with l_i the ordered
     eigenvalues of R = sqrt(sqrt(rho) rho_tilde sqrt(rho)): a float for one
     state, an array for a stack of states along leading axes.
 
-    Discriminants (eigenvalues under the square root) within the tolerance of
-    zero are clipped before the root: the square root otherwise amplifies
+    Discriminants (eigenvalues under the square root) below DISCRIMINANT_TOL
+    are clipped to zero before the root: the square root otherwise amplifies
     double-precision noise on rank-deficient states to the 1e-8 scale.
     """
     rho = np.asarray(rho, dtype=complex)
@@ -144,25 +147,10 @@ def concurrence(rho: np.ndarray, discriminant_tol: float = 1e-10):
     root = psd_sqrt(rho)
     inner = root @ spin_flip(rho) @ root
     disc = np.linalg.eigvalsh((inner + dagger(inner)) / 2.0)
-    disc = np.where(disc < discriminant_tol, 0.0, disc)
+    disc = np.where(disc < DISCRIMINANT_TOL, 0.0, disc)
     lam = np.sort(np.sqrt(disc), axis=-1)  # ascending
     c = lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0]
     return _scalar_or_stack(np.maximum(0.0, c))
-
-
-def _statistic_fn(statistic, target):
-    """The statistic of every resample as a function of the distinct states
-    and each resample's index among them (see `_bootstrap_states`).
-
-    Fidelity is read off the expanded stack: it is one vector product per
-    state, and numpy evaluates a one-state stack by another product than a
-    longer one, so expanding keeps its bits those of the full stack.
-    """
-    if statistic == "fidelity":
-        return lambda rhos, inverse: fidelity(rhos[inverse], target)
-    if statistic == "concurrence":
-        return lambda rhos, inverse: concurrence(rhos)[inverse]
-    raise ContractError(f"unknown statistic {statistic!r}")
 
 
 # numpy's SeedSequence hash constants, and the 128-bit PCG64 multiplier as
@@ -299,7 +287,9 @@ _INVERT_ROWS = 128  # rows per inversion call, see `_bootstrap_states`
 
 def _bootstrap_states(groups, n_resamples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Physical states of the distinct resamples of the groups, and the
-    (n_resamples,) index of each resample's state among them.
+    (n_resamples,) index of each resample's state among them. A statistic of
+    the states, expanded by that index, has the bits of the statistic of the
+    expanded stack.
 
     Resample k draws len(groups) group indices with replacement from the
     unchanged stream SeedSequence([seed, k]) -> PCG64 -> integers(0, n, n),
@@ -308,12 +298,14 @@ def _bootstrap_states(groups, n_resamples: int, seed: int) -> tuple[np.ndarray, 
     count-weighted mean of the per-group arrays, formed for the whole stack
     so that a row's bits do not depend on the other rows. Each distinct count
     vector (at most C(2n-1, n) of them, found by `_distinct_rows`) is
-    inverted and projected once. The inversion gives a row the same bits in
-    any stack of two or more rows, so the distinct rows are inverted in
-    near-equal chunks of at most 128 rows (at most 126 distinct rows for
-    five groups make one chunk). That keeps OpenBLAS's complex product on
-    the calling thread: a product of several hundred rows wakes a worker
-    thread that keeps spinning after the call returns.
+    inverted and projected once. The inversion and the fidelity's vector
+    product give a row the same bits in any stack of two or more rows, so a
+    lone distinct row among several resamples is kept as two, and the
+    distinct rows are inverted in near-equal chunks of at most 128 rows (at
+    most 126 distinct rows for five groups make one chunk). That keeps
+    OpenBLAS's complex product on the calling thread: a product of several
+    hundred rows wakes a worker thread that keeps spinning after the call
+    returns.
     """
     groups = list(groups)
     if len(groups) < 2:
@@ -326,12 +318,11 @@ def _bootstrap_states(groups, n_resamples: int, seed: int) -> tuple[np.ndarray, 
     stokes = (counts.astype(float) @ group_stokes).reshape(n_resamples, 4, 4) / n
     first, inverse = _distinct_rows(counts)
     # numpy multiplies a one-row stack by its vector kernel, which rounds
-    # otherwise than the matrix kernel of a taller stack: a lone distinct row
-    # among several resamples is inverted as two rows, as in the full stack
+    # otherwise than the matrix kernel of a taller stack
     rows = first.repeat(2) if len(first) == 1 < n_resamples else first
     # near-equal chunks of two or more rows each, unless rows is one row
     chunks = np.array_split(rows, -(-len(rows) // _INVERT_ROWS))
-    raw = np.concatenate([density_from_stokes(stokes[chunk]) for chunk in chunks])[: len(first)]
+    raw = np.concatenate([density_from_stokes(stokes[chunk]) for chunk in chunks])
     return nearest_physical_density(raw), inverse
 
 
@@ -340,13 +331,7 @@ def _percentile_ci(stats: np.ndarray) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def bootstrap_ci(
-    groups,
-    n_resamples: int,
-    statistic="fidelity",
-    seed: int = 0,
-    target: np.ndarray = PSI_PLUS,
-):
+def bootstrap_ci(groups, n_resamples: int, statistic="fidelity", seed: int = 0):
     """Nonparametric bootstrap over measurement groups.
 
     Resamples the group list with replacement, from the unchanged streams
@@ -356,11 +341,13 @@ def bootstrap_ci(
     128 at a time (see `_bootstrap_states`), and returns the 2.5 and 97.5
     percentiles (linear interpolation) of the statistic plus the
     `n_resamples` resample statistics. `statistic` is "fidelity" (against
-    `target`) or "concurrence". Concurrence is evaluated once per distinct
-    resample; fidelity, one vector product per state, on the expanded stack
-    (see `_statistic_fn`).
+    PSI_PLUS) or "concurrence"; only that one is evaluated, once per
+    distinct resample.
     """
-    stats = _statistic_fn(statistic, target)(*_bootstrap_states(groups, n_resamples, seed))
+    if statistic not in ("fidelity", "concurrence"):
+        raise ContractError(f"unknown statistic {statistic!r}")
+    rhos, inverse = _bootstrap_states(groups, n_resamples, seed)
+    stats = (fidelity(rhos, PSI_PLUS) if statistic == "fidelity" else concurrence(rhos))[inverse]
     return (*_percentile_ci(stats), stats)
 
 
@@ -433,10 +420,10 @@ def tomography_pipeline(
     n_groups: int = 5,
     n_resamples: int = 1000,
     seed: int = 0,
-    target: np.ndarray = PSI_PLUS,
 ) -> DensityEstimate:
     """Probabilities -> Stokes -> raw density -> physical projection ->
-    fidelity/concurrence with bootstrap confidence intervals.
+    fidelity (against PSI_PLUS) and concurrence, with bootstrap confidence
+    intervals.
 
     `source` is the (9, 4) table of exact outcome probabilities. With
     ``n_shots_per_axis == 0`` it is used directly (no randomness); otherwise
@@ -445,8 +432,8 @@ def tomography_pipeline(
     for error bars. The bootstrap draws its resamples from the unchanged
     streams SeedSequence([seed, k]) -> PCG64 -> integers(0, n, n), computed
     for every k at once in uint64 arithmetic; it reconstructs and projects
-    each distinct resample once, at most 128 at a time, and both intervals
-    are read from those states.
+    each distinct resample once, at most 128 at a time, and evaluates both
+    statistics once per distinct resample.
     """
     stokes = stokes_from_probabilities(source)  # checks the source before sampling from it
     groups = None
@@ -463,11 +450,11 @@ def tomography_pipeline(
     est = DensityEstimate(
         raw=raw,
         physical=physical,
-        fidelity=fidelity(physical, target),
+        fidelity=fidelity(physical, PSI_PLUS),
         concurrence=concurrence(physical),
     )
     if groups is not None:
-        states = _bootstrap_states(groups, n_resamples, seed)
-        for name in ("fidelity", "concurrence"):
-            est.ci[name] = _percentile_ci(_statistic_fn(name, target)(*states))
+        rhos, inverse = _bootstrap_states(groups, n_resamples, seed)
+        est.ci["fidelity"] = _percentile_ci(fidelity(rhos, PSI_PLUS)[inverse])
+        est.ci["concurrence"] = _percentile_ci(concurrence(rhos)[inverse])
     return est

@@ -4,7 +4,12 @@ per-axis-pair replay of a tomography sequence, the per-resample bootstrap
 draw, the solid-angle law of the geometric phase, the guarded barycentric
 interpolation formula, the dense flip-readout states and projectors, and
 the locations of the phase map's paper anchors (the CZ point and the
-entangling point)."""
+entangling point).
+
+Also helpers that only tests use: the bits of a product-basis index
+(`basis_bits`), the partial trace (`partial_trace`), the full non-secular
+static Hamiltonian (`build_static_hamiltonian`) and the loading state as a
+kron of per-spin populations (`loading_state`)."""
 
 from __future__ import annotations
 
@@ -15,8 +20,53 @@ import numpy as np
 
 from donorpair import pulses as pl
 from donorpair.linalg import PAULIS, ContractError
-from donorpair.spinmodel import SPIN_INDEX, basis_bits, pauli_op
+from donorpair.spinmodel import SPIN_INDEX, SPINS, pauli_op, spin_half_op
 from donorpair.tomography import AXIS_PAIRS, PAULI_LABELS
+
+
+def basis_bits(index: int) -> tuple[int, int, int, int]:
+    """(n1, n2, e1, e2) bits of a product-basis index, 0 = up."""
+    return ((index >> 3) & 1, (index >> 2) & 1, (index >> 1) & 1, index & 1)
+
+
+def partial_trace(rho: np.ndarray, keep: tuple[int, ...], n_qubits: int) -> np.ndarray:
+    """Trace a 2^n x 2^n matrix down to the qubits in `keep` (order preserved)."""
+    rho = np.asarray(rho, dtype=complex)
+    dims = (2,) * n_qubits
+    t = rho.reshape(dims + dims)
+    drop = [q for q in range(n_qubits) if q not in keep]
+    for q in sorted(drop, reverse=True):
+        t = np.trace(t, axis1=q, axis2=q + t.ndim // 2)
+    d = 2 ** len(keep)
+    return t.reshape(d, d)
+
+
+def build_static_hamiltonian(p) -> np.ndarray:
+    """Full 16x16 static Hamiltonian in MHz, the reference that
+    `spinmodel.secular_hamiltonian` truncates: Zeeman terms for both
+    species, isotropic hyperfine contact terms a1 S1.I1 + a2 S2.I2 and the
+    Heisenberg exchange j S1.S2."""
+
+    def dot(a, b):
+        return sum(spin_half_op(a, ax) @ spin_half_op(b, ax) for ax in "xyz")
+
+    h = p.mu_b_over_h * p.b0 * (p.g1 * spin_half_op("e1", "z") + p.g2 * spin_half_op("e2", "z"))
+    h += p.gamma_n * p.b0 * (spin_half_op("n1", "z") + spin_half_op("n2", "z"))
+    h += p.a1 * dot("e1", "n1")
+    h += p.a2 * dot("e2", "n2")
+    h += p.j * dot("e1", "e2")
+    return h
+
+
+def loading_state(p_up: float, spins=SPINS) -> np.ndarray:
+    """Loading state from its diagonal: the kron, in SPINS order, of each
+    spin's (up, down) populations, (p_up, 1 - p_up) for a listed spin and
+    (0, 1) for any other."""
+    diag = np.ones(1)
+    for s in SPINS:
+        p = p_up if s in spins else 0.0
+        diag = np.kron(diag, np.array([p, 1.0 - p]))
+    return np.diag(diag.astype(complex))
 
 
 def bloch_vector(state: np.ndarray, spin: str) -> tuple[float, float, float]:

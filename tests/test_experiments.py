@@ -8,7 +8,8 @@ import pytest
 from donorpair import experiments
 from donorpair.config import EXPERIMENTS, validate_config
 from donorpair.experiments import csv_bytes, donor_distance_fit, fmt, run
-from donorpair.pulses import PhaseMapResult, t2_star_from_sigma
+from donorpair.pulses import DEFAULT_RABI_ELECTRON_MHZ, PhaseMapResult, engine_for, t2_star_from_sigma
+from donorpair.spinmodel import SystemParams
 
 
 def read_csv(path):
@@ -353,6 +354,15 @@ class TestPirsExperiment:
     def test_default_section_is_the_stated_drift(self, tmp_path):
         stated = {"shift_khz": 120.0, "time_constant_us": 3.0, "enabled": True}
         assert self.run_pirs(tmp_path, "default") == self.run_pirs(tmp_path, "stated", stated)
+
+    @pytest.mark.parametrize("max_turns", [1, 3, 12])
+    def test_last_duration_is_max_turns_full_turns(self, tmp_path, max_turns):
+        # a full e2 turn on the up-down sector line takes 1 / (rabi amplitude)
+        amplitude = engine_for(SystemParams()).electron_transition("e2", n1=0, n2=1).amplitude
+        doc = {"experiment": "pirs_cz", "options": {"max_turns": max_turns, "points_per_turn": 2}}
+        run(validate_config(doc), tmp_path)
+        _, rows = read_csv(tmp_path / "pirs_cz.csv")
+        assert rows[-1][0] == fmt(max_turns / (DEFAULT_RABI_ELECTRON_MHZ * amplitude))
 
     def test_disabled_drift_is_no_drift(self, tmp_path):
         rows = self.run_pirs(tmp_path, "off", {"enabled": False})

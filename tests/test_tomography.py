@@ -265,6 +265,23 @@ class TestBootstrap:
         with pytest.raises(ContractError):
             tm.bootstrap_ci(self.make_groups(params, n=1), 200, "fidelity")
 
+    def test_unknown_statistic(self, params):
+        with pytest.raises(ContractError, match="unknown statistic"):
+            tm.bootstrap_ci(self.make_groups(params), 200, "purity")
+
+    @pytest.mark.parametrize("statistic, other", [("fidelity", "concurrence"), ("concurrence", "fidelity")])
+    def test_evaluates_only_the_statistic_asked_for(self, params, monkeypatch, statistic, other):
+        calls = {statistic: 0, other: 0}
+        for name in calls:
+
+            def spy(*args, original=getattr(tm, name), name=name):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(tm, name, spy)
+        tm.bootstrap_ci(self.make_groups(params), 200, statistic)
+        assert calls == {statistic: 1, other: 0}
+
 
 # Reference for the stacked bootstrap: the per-resample loop and the
 # single-matrix kernels it ran on (mean table -> Stokes sums -> 16 Kronecker
@@ -382,6 +399,59 @@ class TestStackedBootstrapOracle:
         for name in ("fidelity", "concurrence"):
             lo, hi, _ = tm.bootstrap_ci(groups, 150, name, seed=4)
             assert est.ci[name] == (lo, hi)
+
+
+def pipeline_groups(source, n_shots, n_groups, seed):
+    """The groups `tomography_pipeline` samples: one stream per group."""
+    return [
+        tm.sample_table(source, n_shots, np.random.default_rng(np.random.SeedSequence([seed, g])))
+        for g in range(n_groups)
+    ]
+
+
+def expanded_stack_intervals(groups, n_resamples, seed):
+    """2.5 and 97.5 percentiles of fidelity and concurrence over the expanded
+    stack: every resample's state reconstructed as its own row, and each
+    statistic evaluated once on the whole stack."""
+    n = len(groups)
+    group_stokes = tm.stokes_from_probabilities(groups).reshape(n, 16)
+    stokes = (resample_counts(n, n_resamples, seed).astype(float) @ group_stokes).reshape(-1, 4, 4) / n
+    states = tm.nearest_physical_density(tm.density_from_stokes(stokes))
+    stats = {"fidelity": tm.fidelity(states, PSI_PLUS), "concurrence": tm.concurrence(states)}
+    return {name: tuple(float(x) for x in np.percentile(v, [2.5, 97.5])) for name, v in stats.items()}
+
+
+class TestPipelineIntervalsOracle:
+    """Both pipeline intervals, from statistics evaluated once per distinct
+    resample, against the expanded-stack formula, bit for bit."""
+
+    @pytest.mark.parametrize("n_groups", [2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 3])
+    def test_match_expanded_stack_percentiles(self, bell_tables, n_groups, seed):
+        source = bell_tables[0.14]
+        est = tm.tomography_pipeline(source, n_shots_per_axis=500, n_groups=n_groups, n_resamples=200, seed=seed)
+        assert est.ci == expanded_stack_intervals(pipeline_groups(source, 500, n_groups, seed), 200, seed)
+
+    def test_identical_groups(self):
+        # one-hot rows sample to themselves: every group is the source table
+        source = np.zeros((9, 4))
+        source[:, 0] = 1.0
+        groups = pipeline_groups(source, 100, 5, 2)
+        assert all(np.array_equal(g, source) for g in groups)
+        est = tm.tomography_pipeline(source, n_shots_per_axis=100, n_groups=5, n_resamples=150, seed=2)
+        assert est.ci == expanded_stack_intervals(groups, 150, 2)
+
+    @pytest.mark.parametrize("n_resamples", [2, 3])
+    def test_one_distinct_resample(self, bell_tables, n_resamples):
+        # with two groups and two or three resamples some seeds draw one
+        # count vector for every resample
+        source, lone = bell_tables[0.14], 0
+        for seed in range(12):
+            with pytest.warns(UserWarning, match="too few"):
+                est = tm.tomography_pipeline(source, 500, n_groups=2, n_resamples=n_resamples, seed=seed)
+            assert est.ci == expanded_stack_intervals(pipeline_groups(source, 500, 2, seed), n_resamples, seed)
+            lone += len(np.unique(resample_counts(2, n_resamples, seed), axis=0)) == 1
+        assert lone > 0
 
 
 class TestResampleDraw:
@@ -553,7 +623,9 @@ class TestDistinctResamples:
             stokes = (counts @ group_stokes).reshape(n_resamples, 4, 4) / 2
             full = tm.nearest_physical_density(tm.density_from_stokes(stokes))
             assert np.array_equal(states[inverse].view(np.uint64), full.view(np.uint64))
-            lone += len(states) == 1
+            if inverse.max() == 0:  # one count vector, kept as two rows among several resamples
+                lone += 1
+                assert len(states) == min(n_resamples, 2)
         assert lone > 0
 
     @pytest.mark.parametrize("seed", [0, 5, 2**100 + 1])
