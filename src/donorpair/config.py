@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -22,8 +23,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import ContractError
-from .pulses import FULL_DYNAMICS, GATE_MODEL, MODES, NoiseModel, PIRSModel, engine_for
-from .spam import DETUNING_WHEN_UP_MHZ
+from .pulses import (
+    FULL_DYNAMICS,
+    GATE_MODEL,
+    MODES,
+    NoiseModel,
+    PIRSModel,
+    engine_for,
+    phase_map_center_frequency,
+    phase_map_eig,
+)
+from .spam import DETUNING_WHEN_UP_MHZ, donor_distance_fit
 from .spinmodel import SystemParams
 
 
@@ -267,23 +277,52 @@ def validate_config(doc_or_path, seed=None) -> ExperimentConfig:
     # a section the experiment does not read keeps its defaults
     models = {"system": SystemParams(), "noise": NoiseModel(), "pirs": PIRSModel()}
     system, noise, pirs = (chk.model(doc, k, m) if k in sections else m for k, m in models.items())
+    engine = None
     if "system" in sections:
         try:
-            engine_for(system)  # cached, so the run reuses this engine
+            engine = engine_for(system)  # cached, so the run reuses this engine
         except (ContractError, np.linalg.LinAlgError) as err:
             chk.fail("$.system", f"no spin engine for these parameters: {err}")
     if not pirs.enabled:  # no drift: nothing else in the section is read
         for key in [f.name for f in fields(pirs) if f.name != "enabled" and f.name in doc["pirs"]]:
             chk.fail(f"$.pirs.{key}", "not read when enabled is false")
 
-    options = _validate_options(chk, doc, experiment)
+    options = _validate_options(chk, doc, experiment, engine, mode)
 
     if chk.errors:
         raise ConfigError(chk.errors)
     return ExperimentConfig(experiment, system, noise, pirs, mode, seed, options)
 
 
-def _validate_options(chk: _Checker, doc, experiment) -> dict:
+def phase_map_axes(options: dict, engine) -> tuple:
+    """(frequencies, durations) of a phase map's validated options: the
+    offsets around `center_mhz`, or around the engine's
+    `phase_map_center_frequency` for "auto"."""
+    center = options["center_mhz"]
+    if center == "auto":
+        center = phase_map_center_frequency(engine)
+    return center + options["freq_offset"].points(), options["duration"].points()
+
+
+def _check_phase_map_grid(chk: _Checker, path, options, engine, mode):
+    """Fail where the phase map's grid overflows its run: at `freq_offset`
+    when the drive Hamiltonian does not decompose, at `duration` when the
+    largest phase 2 pi max|w| max t is not finite. The largest |eigenvalue|
+    of static + f drive is convex in f, so it sits at an end of the grid, and
+    only the two end frequencies are decomposed."""
+    with np.errstate(all="ignore"):  # an overflowing grid is reported below
+        freqs, durs = phase_map_axes(options, engine)
+        try:
+            w, _ = phase_map_eig(engine, mode, freqs[[0, -1]])
+        except (ContractError, np.linalg.LinAlgError) as err:
+            chk.fail(f"{path}.freq_offset", f"the drive Hamiltonian does not decompose at these frequencies: {err}")
+            return
+        phase = 2 * np.pi * np.abs(w).max() * durs.max()
+    if not math.isfinite(phase):
+        chk.fail(f"{path}.duration", f"the largest drive phase 2 pi max|w| max t = {phase} is not finite")
+
+
+def _validate_options(chk: _Checker, doc, experiment, engine, mode) -> dict:
     sub = chk.section(doc, "$", "options", READS[experiment].options)
     path = "$.options"
     out = {}
@@ -300,6 +339,8 @@ def _validate_options(chk: _Checker, doc, experiment) -> dict:
             chk.fail(f"{path}.observables", "expected a boolean")
             obs = False
         out["observables"] = obs or experiment == "full_phase_sim"
+        if engine is not None and min(out["freq_offset"].count, out["duration"].count) >= 1:
+            _check_phase_map_grid(chk, path, out, engine, mode)
     elif experiment == "bell_tomography":
         out["shots_per_axis"] = chk.integer(sub, path, "shots_per_axis", 0, lo=0)
         out["groups"] = chk.integer(sub, path, "groups", 5, lo=2)
@@ -349,6 +390,7 @@ def _validate_options(chk: _Checker, doc, experiment) -> dict:
         rows = chk.csv_rows(sub, path, "points_csv", (0, 1))
         # the pairs the runner reads, inline or the file's rows, checked alike
         where, pts = (f"{path}.points", pts) if rows is None else (f"{path}.points_csv", rows)
+        before = len(chk.errors)
         if pts is not None:
             good = isinstance(pts, list) and len(pts) >= 3 and all(
                 isinstance(p, list) and len(p) == 2 for p in pts
@@ -372,4 +414,10 @@ def _validate_options(chk: _Checker, doc, experiment) -> dict:
         out["points"] = pts
         out["points_csv"] = sub.get("points_csv")
         out["target_j_mhz"] = chk.number(sub, path, "target_j_mhz", 12.0, lo=1e-9)
+        if pts is not None and len(chk.errors) == before:  # the fit the run writes
+            with warnings.catch_warnings(), np.errstate(all="ignore"):  # reported below
+                warnings.simplefilter("ignore")
+                fit = donor_distance_fit(pts, out["target_j_mhz"])
+            if not all(map(math.isfinite, fit)):
+                chk.fail(where, f"the fit (distance, slope, intercept) = {fit} is not finite")
     return out

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
+from .config import ExperimentConfig, phase_map_axes
 from .pulses import (
     CURVE_CZ,
     InitStep,
@@ -25,7 +25,6 @@ from .pulses import (
     cz_flip_curve,
     engine_for,
     phase_map,
-    phase_map_center_frequency,
     ramsey_trace,
     t2_star_from_sigma,
 )
@@ -33,6 +32,7 @@ from .spam import (
     MEASURED_AMPLITUDE_RATIO,
     MEASURED_PHASE_OFFSET_RAD,
     compare_fits,
+    donor_distance_fit,
     fit_p_up,
     neutral_rabi_forward,
     phase_reversal_curve,
@@ -133,13 +133,11 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
 
 
 def _phase_map_result(config: ExperimentConfig):
-    center = config.options["center_mhz"]
-    if center == "auto":
-        center = phase_map_center_frequency(engine_for(config.system))
+    freqs, durs = phase_map_axes(config.options, engine_for(config.system))
     return phase_map(
         config.system,
-        center + config.options["freq_offset"].points(),
-        config.options["duration"].points(),
+        freqs,
+        durs,
         mode=config.mode,
         noise=config.noise,
         observables=config.options["observables"],  # validation sets it for full_phase_sim
@@ -308,17 +306,6 @@ def run_ramsey(config: ExperimentConfig):
             json_bytes({"sigma_f_mhz": sigma, "t2_star_us": trace.t2_star_us if t2 is None else t2}),
         ),
     ]
-
-
-def donor_distance_fit(points, target_j_mhz: float):
-    """Least-squares line on (distance, log j); inverts to the distance at
-    the target exchange strength. The points are as `validate_config` checks
-    them: at least three, positive strengths, and neither the distances nor
-    the strengths all equal."""
-    pts = np.asarray(points, dtype=float)
-    slope, intercept = np.polyfit(pts[:, 0], np.log(pts[:, 1]), 1)
-    distance = (np.log(target_j_mhz) - intercept) / slope
-    return float(distance), float(slope), float(intercept)
 
 
 def run_donor_distance(config: ExperimentConfig):

@@ -907,6 +907,48 @@ def _stationary_flip_rate(weights: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.tensordot(weights, rate, axes=1)
 
 
+def phase_map_eig(engine: SequenceEngine, mode: str, freqs: np.ndarray):
+    """Eigenvalues w (F, 16) and eigenvector bases B (F, 16, 16) of the
+    phase map's drive Hamiltonian H = static + drive at each electron
+    frequency, in the working basis of `mode`.
+
+    Exchange and the drive flip only electrons, so every H of the grid is
+    block-diagonal over the nuclear sectors, and the frequency moves only its
+    diagonal. The blocks come from `_diagonal_blocks` on the nonzero pattern
+    of the drive and of the whole grid's static Hamiltonians: four blocks of
+    four in either mode (eigenlevels [0, 8, 9, 15], [1, 5, 10, 14],
+    [2, 4, 11, 13] and [3, 6, 7, 12] of the gate model's working basis, the
+    contiguous nuclear sectors in full dynamics), or one block of 16 if the
+    pattern does not split evenly. One `hermitian_eig` call decomposes every
+    block at every frequency (and raises ContractError on a grid whose
+    Hamiltonians overflow), and each B holds its blocks' eigenvectors at
+    their indices, with zeros elsewhere.
+    """
+    drive = engine.drive_hamiltonian(mode, "ESR", engine.rabi["ESR"])
+    static = engine.static_hamiltonian(mode, freqs)  # (frequencies, 16, 16)
+    rows, cols = _diagonal_blocks(np.any(static != 0, axis=0), drive)
+    w_blocks, b_blocks = hermitian_eig((static + drive)[:, rows, cols])
+    w = np.empty((freqs.size, 16))
+    w[:, rows[..., 0]] = w_blocks
+    bases = np.zeros((freqs.size, 16, 16), dtype=complex)
+    bases[:, rows, cols] = b_blocks
+    return w, bases
+
+
+def _phase_factors(durs: np.ndarray, w: np.ndarray):
+    """Yield, per row of eigenvalues w (F, 16), the (durations, 16) phase
+    factors exp(-2 pi i w t) as giant-step x baby-step products (see
+    `phase_map`)."""
+    d = durs.size
+    m = math.isqrt(d - 1) + 1 if np.array_equal(durs, np.linspace(durs[0], durs[-1], d)) else 1
+    step = (durs[-1] - durs[0]) / (d - 1) if m > 1 else 0.0
+    phase = -2j * np.pi
+    giants = np.exp(phase * durs[::m, None, None] * w)  # (G, F, 16)
+    babies = np.exp(phase * (np.arange(m) * step)[:, None, None] * w)  # (m, F, 16)
+    for fi in range(w.shape[0]):
+        yield (giants[:, fi, None] * babies[:, fi]).reshape(-1, 16)[:d]
+
+
 def phase_map(
     params: SystemParams,
     freqs_mhz,
@@ -936,20 +978,23 @@ def phase_map(
 
     with o the elementwise product.
 
-    Per block: exchange and the drive flip only electrons, so every H of the
-    grid is block-diagonal over the nuclear sectors, and the frequency moves
-    only its diagonal. The blocks come from `_diagonal_blocks` on the nonzero
-    pattern of the drive and of the whole grid's static Hamiltonians: four
-    blocks of four in either mode (eigenlevels [0, 8, 9, 15], [1, 5, 10, 14],
-    [2, 4, 11, 13] and [3, 6, 7, 12] of the gate model's working basis, the
-    contiguous nuclear sectors in full dynamics), or one block of 16 if the
-    pattern does not split evenly. One `hermitian_eig` call decomposes every
-    block at every frequency, and each B (in the working basis) holds its
-    blocks' eigenvectors at their indices, with zeros elsewhere; the gate
-    model's A and rho are taken into the working basis once. Per frequency,
-    two products of B with every A and rho stacked together give all
-    B^dag X B, and one product with conj(E) and one row dot with E give every
-    value at every duration.
+    `phase_map_eig` decomposes the whole grid by nuclear-sector blocks in one
+    call; the gate model's A and rho are taken into its working basis once.
+    Per frequency, two products of B with every A and rho stacked together
+    give all B^dag X B, and one product with conj(E) and one row dot with E
+    give every value at every duration.
+
+    E_t from products: with m = ceil(sqrt(D)) when the D durations equal
+    np.linspace(t[0], t[-1], D) bit for bit, and m = 1 otherwise, duration
+    k = b m + a is t[b m] + a step, step = (t[-1] - t[0]) / (D - 1), so
+    E_t = exp(-2 pi i w t[b m]) exp(-2 pi i w a step). One `np.exp` over
+    every frequency for the giants t[::m] and one for the m babies give
+    about 2 sqrt(D) exponentials per frequency in place of D; their outer
+    product, cut to D rows, is E. With m = 1 the only baby is exp(0) = 1 and
+    the giants are the grid itself, so a non-uniform grid gets
+    exp(-2 pi i w t) exactly. On a linspace grid, t[b m] + a step differs
+    from linspace's point by a few eps t_max, so E moves by a few
+    2 pi t_max max|w| eps, the size of the eigenvalue rounding.
     """
     noise = noise or NoiseModel()
     engine = engine or engine_for(params)
@@ -975,24 +1020,14 @@ def phase_map(
         stacked = engine.vectors.conj().T @ stacked @ engine.vectors
     stacked = stacked.reshape(-1, 16)  # rows (value, i)
 
-    drive = engine.drive_hamiltonian(mode, "ESR", engine.rabi["ESR"])
-    static = engine.static_hamiltonian(mode, freqs)  # (frequencies, 16, 16)
-    rows, cols = _diagonal_blocks(np.any(static != 0, axis=0), drive)
-    w_blocks, b_blocks = hermitian_eig((static + drive)[:, rows, cols])
-    w = np.empty((freqs.size, 16))
-    w[:, rows[..., 0]] = w_blocks
-    bases = np.zeros((freqs.size, 16, 16), dtype=complex)
-    bases[:, rows, cols] = b_blocks
-
-    phase = -2j * np.pi * durs[:, None]
+    w, bases = phase_map_eig(engine, mode, freqs)
     grid = (freqs.size, durs.size)
     vals = np.zeros((n_values, *grid))  # every recorded value at every point
-    for fi, basis in enumerate(bases):
+    for fi, (basis, e) in enumerate(zip(bases, _phase_factors(durs, w))):
         xb = (stacked @ basis).reshape(-1, 16, 16).swapaxes(0, 1).reshape(16, -1)
         bxb = (basis.conj().T @ xb).reshape(16, -1, 16)  # [i, value, j] = (B^dag X B)_ij
         # kt[i, k, j] = K_ji, so that the sum over j runs along a matrix product
         kt = bxb[:, :n_values] * bxb[:, n_values:].transpose(2, 1, 0)
-        e = np.exp(phase * w[fi])  # (durations, 16)
         ekt = (e.conj() @ kt.reshape(16, -1)).reshape(durs.size, n_values, 16)
         vals[:, fi] = np.real(ekt @ e[:, :, None])[..., 0].T
 

@@ -1,6 +1,7 @@
 """Initialization-error calibration: the spin-up loading model, p_up
 extraction from the neutral nuclear Rabi amplitude, and phase-reversal
-tomography with fixed-period sine-fit comparison.
+tomography with fixed-period sine-fit comparison, and the donor-distance
+fit of exchange strength against distance.
 
 The loading model is `pulses.spam_mixture`: every loaded spin is spin-down,
 erring to spin-up with the same probability p_up (the initialization projects
@@ -177,3 +178,18 @@ def compare_fits(sim: SineFit, data: SineFit) -> dict:
         "phase_offset_rad": float(wrap_angle(data.phase - sim.phase)),
         "amplitude_ratio": float(data.amplitude / sim.amplitude),
     }
+
+
+# ---------------------------------------------------------------------------
+# donor distance from exchange strength
+
+
+def donor_distance_fit(points, target_j_mhz: float):
+    """Least-squares line on (distance, log j); inverts to the distance at
+    the target exchange strength. The points are as `validate_config` checks
+    them: at least three, positive strengths, and neither the distances nor
+    the strengths all equal, with a finite fit."""
+    pts = np.asarray(points, dtype=float)
+    slope, intercept = np.polyfit(pts[:, 0], np.log(pts[:, 1]), 1)
+    distance = (np.log(target_j_mhz) - intercept) / slope
+    return float(distance), float(slope), float(intercept)

@@ -27,6 +27,19 @@ RABI_FOUR_POINTS = {"experiment": "rabi_spam", "options": {"duration": {"start":
 DONOR = {"experiment": "donor_distance_fit"}
 REVERSAL = {"experiment": "phase_reversal"}
 
+
+def grid(start, stop, count):
+    return {"start": start, "stop": stop, "count": count}
+
+
+# finite inputs whose run overflows: the grid's end frequencies overflow the
+# drive Hamiltonian into NaN entries (exit 3 in the run); 2 pi max|w| max t
+# overflows, so the phases go NaN and read as p_flip 0; and the fitted
+# distance is infinite, written as Infinity
+FREQ_OVERFLOW = {"experiment": "phase_map", "options": {"freq_offset": grid(-1e308, 1e308, 5)}}
+PHASE_OVERFLOW = {"experiment": "phase_map", "options": {"duration": grid(0, 1e306, 3)}}
+FIT_OVERFLOW = {**DONOR, "options": {"points": [[-1e155, 300], [0, 60], [1e155, 5]]}}
+
 # (experiment, mode, the sections it reads), written out here and not taken
 # from config.py; a mode of None is the default GATE_MODEL, left unwritten
 SECTIONS_READ = [
@@ -213,12 +226,43 @@ class TestValidateConfig:
             # one distance fits a meaningless line; one strength divides by a zero slope
             ([[1, 1], [1, 2], [1, 3]], "$.options.points"),
             ([[1, 2], [2, 2], [3, 2]], "$.options.points"),
+            (FIT_OVERFLOW["options"]["points"], "$.options.points"),
         ],
     )
     def test_donor_points_rejected(self, points, path):
         with pytest.raises(ConfigError) as err:
             validate_config({"experiment": "donor_distance_fit", "options": {"points": points}})
         assert [p for p, _ in err.value.errors] == [path]
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            (FREQ_OVERFLOW, "$.options.freq_offset"),
+            ({**FREQ_OVERFLOW, "mode": "FULL_DYNAMICS"}, "$.options.freq_offset"),
+            # either end alone
+            ({"experiment": "phase_map", "options": {"freq_offset": grid(-1e308, 0, 3)}}, "$.options.freq_offset"),
+            ({"experiment": "phase_map", "options": {"freq_offset": grid(0, 1e308, 3)}}, "$.options.freq_offset"),
+            (PHASE_OVERFLOW, "$.options.duration"),
+            ({"experiment": "full_phase_sim", "options": {"duration": grid(1e306, 0, 3)}}, "$.options.duration"),
+        ],
+        ids=[
+            "freq-offset",
+            "freq-offset-full",
+            "freq-offset-lower-end",
+            "freq-offset-upper-end",
+            "duration",
+            "duration-full-descending",
+        ],
+    )
+    def test_overflowing_phase_map_grid_rejected(self, doc, path):
+        with pytest.raises(ConfigError) as err:
+            validate_config(doc)
+        assert [p for p, _ in err.value.errors] == [path]
+
+    def test_largest_workable_grid_accepted(self):
+        # the largest phase is finite well past any useful duration
+        doc = {"experiment": "phase_map", "options": {"duration": grid(0, 1e300, 3)}}
+        assert validate_config(doc).options["duration"].stop == 1e300
 
     def test_ramsey_width_must_be_positive(self):
         # a zero width would write an infinite T2* into ramsey_fit.json
@@ -425,6 +469,11 @@ class TestCli:
             (REVERSAL, "x_value,p_up_proportion,n_shots\n" + "0.5,0.5,200\n" * 11, "$.options.data_csv"),
             (REVERSAL, "x_value,p_up_proportion,n_shots\n" + "0.5,0.5\n" * 12, "$.options.data_csv"),
             (REVERSAL, "", "$.options.data_csv"),
+            # runs that overflowed: exit 3, or NaN and Infinity written as numbers
+            (FREQ_OVERFLOW, None, "$.options.freq_offset"),
+            (PHASE_OVERFLOW, None, "$.options.duration"),
+            (FIT_OVERFLOW, None, "$.options.points"),
+            (DONOR, "distance_nm,j_mhz\n-1e155,300\n0,60\n1e155,5\n", "$.options.points_csv"),
         ],
         ids=[
             "rabi-four-points",
@@ -441,6 +490,10 @@ class TestCli:
             "data-eleven-rows",
             "data-short-rows",
             "data-empty",
+            "phase-map-frequency-overflow",
+            "phase-map-phase-overflow",
+            "donor-fit-overflow",
+            "points-fit-overflow",
         ],
     )
     def test_runtime_failures_are_config_errors(self, tmp_path, capsys, doc, data, path):

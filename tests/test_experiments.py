@@ -7,8 +7,9 @@ import pytest
 
 from donorpair import experiments
 from donorpair.config import EXPERIMENTS, validate_config
-from donorpair.experiments import csv_bytes, donor_distance_fit, fmt, run
+from donorpair.experiments import csv_bytes, fmt, run
 from donorpair.pulses import DEFAULT_RABI_ELECTRON_MHZ, PhaseMapResult, engine_for, t2_star_from_sigma
+from donorpair.spam import donor_distance_fit
 from donorpair.spinmodel import SystemParams
 
 

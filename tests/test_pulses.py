@@ -611,14 +611,17 @@ def workload_axes(params, n_freq, n_dur):
 
 
 def phase_map_tolerance(params, mode, freqs, durs):
-    """Largest phase-map difference that eigenvalue rounding explains. An
-    eigenvalue w rounds by about eps |w|, which the phase 2 pi w t turns into
-    2 pi t |w| eps; each value depends on differences of two such phases, and
-    both sides of a comparison round on their own: 4 2 pi t_max max|w| eps,
-    about 1e-11 over the workloads' ranges. The blocks' eigenvalues round
-    differently from the same eigenvalues of the whole matrix, so the kernel
-    and the dense per-point oracle differ by about this much, and not by
-    ORACLE_TOL, once t |w| grows."""
+    """Largest phase-map difference that eigenvalue and time rounding
+    explain. An eigenvalue w rounds by about eps |w|, which the phase 2 pi w t
+    turns into 2 pi t |w| eps; the kernel's phase factors on a linspace grid
+    take t as a giant-step time plus a baby-step multiple, which rounds t by
+    about eps t and moves the phase by the same 2 pi t |w| eps. Each value
+    depends on differences of two such phases, and both sides of a comparison
+    round on their own: 4 2 pi t_max max|w| eps, about 1e-11 over the
+    workloads' ranges. The blocks' eigenvalues round differently from the
+    same eigenvalues of the whole matrix, so the kernel and the dense
+    per-point oracle differ by about this much, and not by ORACLE_TOL, once
+    t |w| grows."""
     engine = pl.engine_for(params)
     drive = engine.drive_hamiltonian(mode, "ESR", engine.rabi["ESR"])
     w_max = max(np.abs(np.linalg.eigvalsh(engine.static_hamiltonian(mode, float(f)) + drive)).max() for f in freqs)
@@ -741,6 +744,42 @@ class TestClosedFormKernels:
         for s in SPINS:
             for k in ("x", "y", "norm"):
                 assert np.max(np.abs(split.observables[s][k] - dense.observables[s][k])) < tol
+
+    @pytest.mark.parametrize("mode", pl.MODES)
+    def test_phase_factors_on_a_non_uniform_grid_are_the_exponential(self, params, mode):
+        # m = 1: the baby table is exp(0) = 1 and the giants are every duration
+        freqs, _ = workload_axes(params, 5, 1)
+        w, _ = pl.phase_map_eig(pl.engine_for(params), mode, freqs)
+        t = np.array([0.0, 0.3, 1.1, 2.0, 7.5, 10.0])
+        got = list(pl._phase_factors(t, w))
+        assert len(got) == freqs.size
+        for e, row in zip(got, w):
+            assert np.array_equal(e, np.exp(-2j * np.pi * t[:, None] * row))
+
+    @pytest.mark.parametrize("mode", pl.MODES)
+    @pytest.mark.parametrize("n_dur", [1, 2, 3, 16, 17, 101])
+    def test_phase_factors_on_a_linspace_grid(self, params, mode, n_dur, monkeypatch):
+        # a perfect square, a prime and a cut last giant row among the sizes
+        freqs, _ = workload_axes(params, 5, 1)
+        w, _ = pl.phase_map_eig(pl.engine_for(params), mode, freqs)
+        t = np.linspace(0.0, 10.0, n_dur)
+        sizes = []
+
+        def counting_exp(x):
+            sizes.append(np.size(x))
+            return exp(x)
+
+        exp = np.exp
+        monkeypatch.setattr(pl.np, "exp", counting_exp)
+        got = list(pl._phase_factors(t, w))
+        monkeypatch.undo()
+        m = math.ceil(math.sqrt(n_dur))
+        # one table of giants t[::m] and one of m babies, over every frequency
+        assert sizes == [len(t[::m]) * w.size, m * w.size]
+        tol = 4 * 2 * math.pi * t.max() * np.abs(w).max() * np.finfo(float).eps
+        for e, row in zip(got, w):
+            assert e.shape == (n_dur, 16)
+            assert np.max(np.abs(e - np.exp(-2j * np.pi * t[:, None] * row))) <= tol
 
     @pytest.mark.parametrize("mode", pl.MODES)
     def test_static_hamiltonian_stack_matches_scalar_calls(self, engine, mode):
