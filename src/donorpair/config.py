@@ -32,6 +32,7 @@ from .pulses import (
     engine_for,
     phase_map_center_frequency,
     phase_map_eig,
+    t2_star_from_sigma,
 )
 from .spam import DETUNING_WHEN_UP_MHZ, donor_distance_fit
 from .spinmodel import SystemParams
@@ -97,6 +98,10 @@ class ExperimentConfig:
     mode: str
     seed: int
     options: dict
+
+
+# the largest swept phase (rad) whose rounding, eps per radian, stays within 1e-6 rad
+MAX_PHASE_RAD = 1e-6 / np.finfo(float).eps
 
 
 def _finite(val) -> bool:
@@ -178,6 +183,13 @@ class _Checker:
         if lo is not None and val < lo:
             self.fail(f"{path}.{key}", f"must be >= {lo}")
         return val
+
+    def phase(self, path, what, phase):
+        """Fail at `path` unless the largest swept phase `what` is at most
+        MAX_PHASE_RAD (an infinite or NaN phase fails too)."""
+        if not phase <= MAX_PHASE_RAD:
+            self.fail(path, f"the largest phase {what} must be at most {MAX_PHASE_RAD:.6g} rad, "
+                      f"so that it rounds by at most 1e-6 rad, not {phase:.6g} rad")
 
     def existing_file(self, sub, path, key):
         """An optional path string that must name an existing file."""
@@ -307,9 +319,9 @@ def phase_map_axes(options: dict, engine) -> tuple:
 def _check_phase_map_grid(chk: _Checker, path, options, engine, mode):
     """Fail where the phase map's grid overflows its run: at `freq_offset`
     when the drive Hamiltonian does not decompose, at `duration` when the
-    largest phase 2 pi max|w| max t is not finite. The largest |eigenvalue|
-    of static + f drive is convex in f, so it sits at an end of the grid, and
-    only the two end frequencies are decomposed."""
+    largest phase 2 pi max|w| max t exceeds MAX_PHASE_RAD. The largest
+    |eigenvalue| of free + f drive is convex in f, so it sits at an end of
+    the grid, and only the two end frequencies are decomposed."""
     with np.errstate(all="ignore"):  # an overflowing grid is reported below
         freqs, durs = phase_map_axes(options, engine)
         try:
@@ -317,9 +329,7 @@ def _check_phase_map_grid(chk: _Checker, path, options, engine, mode):
         except (ContractError, np.linalg.LinAlgError) as err:
             chk.fail(f"{path}.freq_offset", f"the drive Hamiltonian does not decompose at these frequencies: {err}")
             return
-        phase = 2 * np.pi * np.abs(w).max() * durs.max()
-    if not math.isfinite(phase):
-        chk.fail(f"{path}.duration", f"the largest drive phase 2 pi max|w| max t = {phase} is not finite")
+        chk.phase(f"{path}.duration", "2 pi max|w| max t", 2 * np.pi * np.abs(w).max() * durs.max())
 
 
 def _validate_options(chk: _Checker, doc, experiment, engine, mode) -> dict:
@@ -357,6 +367,7 @@ def _validate_options(chk: _Checker, doc, experiment, engine, mode) -> dict:
         out["max_turns"] = chk.integer(sub, path, "max_turns", 6, lo=1)
         out["points_per_turn"] = chk.integer(sub, path, "points_per_turn", 8, lo=2)
     elif experiment == "rabi_spam":
+        before = len(chk.errors)
         out["rabi_mhz"] = chk.number(sub, path, "rabi_mhz", 0.01, lo=1e-6)
         detuning = chk.number(sub, path, "detuning_when_up_mhz", DETUNING_WHEN_UP_MHZ)
         out["detuning_when_up_mhz"] = detuning
@@ -364,6 +375,10 @@ def _validate_options(chk: _Checker, doc, experiment, engine, mode) -> dict:
         out["duration"] = chk.grid(
             sub, path, "duration", GridSpec(0.0, 100.0, 64), lo=0.0, min_count=8
         )
+        if len(chk.errors) == before:  # the detuned branch turns fastest
+            t_max = max(out["duration"].start, out["duration"].stop)
+            phase = math.pi * math.hypot(out["rabi_mhz"], detuning) * t_max
+            chk.phase(f"{path}.duration", "pi hypot(rabi_mhz, detuning_when_up_mhz) max t", phase)
         out["shots_per_point"] = chk.integer(sub, path, "shots_per_point", 0, lo=0)
     elif experiment == "phase_reversal":
         out["points"] = chk.integer(sub, path, "points", 96, lo=12)
@@ -378,6 +393,12 @@ def _validate_options(chk: _Checker, doc, experiment, engine, mode) -> dict:
             chk.fail(f"{path}", "one of sigma_f_mhz or t2_star_us is required")
         if sigma is not None and t2 is not None:
             chk.fail(f"{path}", "give sigma_f_mhz or t2_star_us, not both")
+        # each maps to the other through t2_star_from_sigma, whose 2 pi sigma
+        # overflows near the top of the float range, giving 0
+        for key, val, image in (("sigma_f_mhz", sigma, "T2*"), ("t2_star_us", t2, "sigma_f")):
+            if val is not None and val > 0 and not 0 < t2_star_from_sigma(val) < math.inf:
+                msg = f"{image} = sqrt(2) / (2 pi {key}) = {t2_star_from_sigma(val)} is not positive and finite"
+                chk.fail(f"{path}.{key}", msg)
         out["sigma_f_mhz"], out["t2_star_us"] = sigma, t2
         out["wait"] = chk.grid(sub, path, "wait", GridSpec(0.0, 60.0, 21), lo=0.0)
         out["n_shots"] = chk.integer(sub, path, "n_shots", 10_000, lo=1)

@@ -1,21 +1,23 @@
 """Rotating-frame pulse-sequence engine for the four-spin system.
 
-Two simulation modes:
+Two simulation modes, with one working basis: every Hamiltonian and
+propagator is a 16x16 matrix in the product basis, and both modes evolve a
+pulse under the same frame-stripped secular Hamiltonian (`free_hamiltonian`).
 
 * ``GATE_MODEL`` - labeled gates are exact conditioned SU(2) rotations on
-  product-basis pairs (`embed_pairs`); raw swept pulses evolve under the
-  rotating-frame Hamiltonian truncated to the allowed-transition graph.
-* ``FULL_DYNAMICS`` - every step, a labeled gate as its compiled pulse, evolves
-  under the full rotating-frame Hamiltonian (secular static part, frame term,
-  rotating-wave drive), so cross-talk, AC shifts and unintended transitions
-  are included.
+  product-basis pairs (`embed_pairs`); raw swept pulses see the rotating-wave
+  drive truncated to the allowed-transition graph of the secular eigenlevels.
+* ``FULL_DYNAMICS`` - every step, a labeled gate as its compiled pulse, sees
+  the whole rotating-wave drive, so cross-talk, AC shifts and unintended
+  transitions are included.
 
 Frame bookkeeping: the engine state lives in a frame co-rotating with each
 nucleus at its electron-down resonance and with the electrons at the active
-microwave carrier. Those generators commute with the secular Hamiltonian, so
-the frame change is exact. Nuclear pulses must run on their reference carrier
-(all sequences here do); the electron carrier is free per pulse because the
-protocols never carry electron coherence between pulses.
+microwave carrier. Those generators are sums of Z operators, diagonal in the
+product basis, and commute with the secular Hamiltonian, so the frame change
+is exact. Nuclear pulses must run on their reference carrier (all sequences
+here do); the electron carrier is free per pulse because the protocols never
+carry electron coherence between pulses.
 
 Drive normalization: ``rabi_frequency`` is the on-resonance Rabi frequency of
 a bare (unhybridized) transition, i.e. the two-level reduction of the drive is
@@ -67,9 +69,6 @@ MIN_SLICES = 16
 # bytes of real-form node propagators and slice steps that `sliced_propagators`
 # holds for one group of durations
 DRIFT_GROUP_BYTES = 1 << 20
-
-_DIAG = np.arange(16)  # row and column indices of a 16x16 diagonal
-
 
 # ---------------------------------------------------------------------------
 # declarative steps and error-model carriers
@@ -294,7 +293,10 @@ class Transition:
 
 
 class SequenceEngine:
-    """Eigenstructure cache and propagator factory for one parameter set."""
+    """Eigenstructure cache and propagator factory for one parameter set.
+    Its Hamiltonians and propagators are in the product basis in either
+    mode; the secular eigenbasis serves the level bookkeeping and the gate
+    model's drive truncation."""
 
     def __init__(
         self,
@@ -321,12 +323,8 @@ class SequenceEngine:
         }
 
         v = self.vectors
-        # each spin's Z diagonal in the product basis and in the eigenbasis
+        # each spin's Z diagonal in the product basis
         self._product_z = {spin: np.diag(self._pauli[(spin, "z")]).real for spin in SPINS}
-        self._zdiag = {
-            spin: np.rint(np.real(np.diag(v.conj().T @ self._pauli[(spin, "z")] @ v)))
-            for spin in SPINS
-        }
         # eigenlevel lookup by dominant product component
         self._level_of = {
             int(np.argmax(np.abs(v[:, k]) ** 2)): k for k in range(16)
@@ -376,50 +374,33 @@ class SequenceEngine:
     # -- pulse propagators -----------------------------------------------------
 
     def _frame_diag(self, f_e=None, f_n=None) -> np.ndarray:
-        """Eigenbasis diagonal of the frame generator: the electrons at f_e,
-        by default the bare Zeeman mean, and the nuclei at f_n = (f_n1, f_n2),
-        by default their standing references. An array of f_e gives one
-        diagonal per frequency, a (..., 16) stack."""
+        """Product-basis diagonal of the frame generator, a sum of Z
+        operators: the electrons at f_e, by default the bare Zeeman mean, and
+        the nuclei at f_n = (f_n1, f_n2), by default their standing
+        references. An array of f_e gives one diagonal per frequency, a
+        (..., 16) stack."""
         f_e = self.f_e_default if f_e is None else np.asarray(f_e, dtype=float)[..., None]
         f_n1, f_n2 = (self.f_n1_ref, self.f_n2_ref) if f_n is None else f_n
-        return (
-            f_n1 * self._zdiag["n1"]
-            + f_n2 * self._zdiag["n2"]
-            + f_e * (self._zdiag["e1"] + self._zdiag["e2"])
-        ) / 2.0
+        z = self._product_z
+        return (f_n1 * z["n1"] + f_n2 * z["n2"] + f_e * (z["e1"] + z["e2"])) / 2.0
 
     def free_hamiltonian(self, f_e=None, f_n=None) -> np.ndarray:
         """Secular Hamiltonian minus the frame generator (see `_frame_diag`),
-        in the product basis; an array of f_e gives a (..., 16, 16) stack."""
-        v = self.vectors
-        return self.h_sec - (v * self._frame_diag(f_e, f_n)[..., None, :]) @ v.conj().T
-
-    def static_hamiltonian(self, mode: str, f_e=None, f_n=None) -> np.ndarray:
-        """Frame-stripped static Hamiltonian (see `free_hamiltonian`) in the
-        mode's working basis: the product basis in full dynamics, the secular
-        eigenbasis (where it is diagonal) in the gate model.
-
-        `f_e` is the electron frame frequency (MHz), by default the bare
-        Zeeman mean. An array of them gives one Hamiltonian per frequency, a
-        (..., 16, 16) stack whose every matrix equals the call at that
-        frequency bit for bit."""
-        if mode == FULL_DYNAMICS:
-            return self.free_hamiltonian(f_e, f_n)
-        diag = self.energies - self._frame_diag(f_e, f_n)
-        h = np.zeros(diag.shape + (16,))  # off the diagonal +0.0, as np.diag gives
-        h[..., _DIAG, _DIAG] = diag
-        return h
+        in the product basis; both modes evolve under it. An array of f_e
+        gives a (..., 16, 16) stack whose every matrix equals the call at
+        that frequency bit for bit."""
+        return self.h_sec - self._frame_diag(f_e, f_n)[..., None] * np.eye(16)
 
     def drive_hamiltonian(self, mode: str, channel: str, rabi_mhz, phase_rad=0.0) -> np.ndarray:
-        """Rotating-wave drive rabi (cos(phi) X + sin(phi) Y) of one channel
-        in the mode's working basis; the gate model keeps only the pairs of
-        the allowed-transition graph."""
+        """Rotating-wave drive rabi (cos(phi) X + sin(phi) Y) of one channel,
+        in the product basis. The gate model keeps only the pairs of secular
+        eigenlevels on the allowed-transition graph: v (mask o v^dag D v) v^dag."""
         _, x_op, y_op = self.channel_ops[channel]
         drive = rabi_mhz * (math.cos(phase_rad) * x_op + math.sin(phase_rad) * y_op)
         if mode == FULL_DYNAMICS:
             return drive
         v = self.vectors
-        return np.where(self._gate_mask[channel], v.conj().T @ drive @ v, 0.0)
+        return v @ np.where(self._gate_mask[channel], v.conj().T @ drive @ v, 0.0) @ v.conj().T
 
     def _pulse_frame(self, pulse: PulseSpec):
         """Per-pulse frame frequencies ((f_n1, f_n2), f_e, signed) plus the
@@ -452,7 +433,8 @@ class SequenceEngine:
         durations_us=None,
     ) -> np.ndarray:
         """Unitary of one rectangular pulse, in the product basis and the
-        standing frame.
+        standing frame: the propagator of `free_hamiltonian` at the pulse's
+        frame plus the mode's `drive_hamiltonian`.
 
         With an enabled `pirs` the resonance drifts along the driven species'
         Z axis with the model's relaxation profile (see `sliced_propagators`).
@@ -465,21 +447,12 @@ class SequenceEngine:
         self._check_selectivity(pulse, mode)
         f_n, fe, realign = self._pulse_frame(pulse)
 
-        h0 = self.static_hamiltonian(mode, fe, f_n) + self.drive_hamiltonian(
+        h0 = self.free_hamiltonian(fe, f_n) + self.drive_hamiltonian(
             mode, pulse.channel, pulse.rabi_mhz, pulse.phase_rad
         )
-        # the drift runs along the driven species' summed Z
-        if mode == FULL_DYNAMICS:
-            z_shift = self.channel_ops[pulse.channel][0]
-        else:
-            a, b = NUCLEI if pulse.channel == "NMR" else ELECTRONS
-            z_shift = np.diag(self._zdiag[a] + self._zdiag[b]) / 2.0
-
         t = np.atleast_1d(pulse.duration_us if durations_us is None else durations_us)
-        u = sliced_propagators(h0, z_shift, t, pirs)
-        if mode == GATE_MODEL:
-            v = self.vectors
-            u = v @ u @ v.conj().T
+        # the drift runs along the driven species' summed Z
+        u = sliced_propagators(h0, self.channel_ops[pulse.channel][0], t, pirs)
         if np.any(realign):
             u = np.exp(2j * np.pi * realign * t[:, None])[..., None] * u
         return u[0] if durations_us is None else u
@@ -665,7 +638,7 @@ def sliced_propagators(h0, z_shift, durations_us, pirs: PIRSModel | None = None)
     The Hamiltonians are cut into the diagonal blocks of the joint nonzero
     pattern of h0 and z_shift, found for each call, so the kernel
     exponentiates blocks (four 4x4 nuclear sectors for an electron pulse in
-    full dynamics) rather than whole matrices. Without drift every duration
+    either mode) rather than whole matrices. Without drift every duration
     comes from one eigendecomposition of each block, or of h0 for a single
     duration.
 
@@ -908,26 +881,24 @@ def _stationary_flip_rate(weights: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def phase_map_eig(engine: SequenceEngine, mode: str, freqs: np.ndarray):
-    """Eigenvalues w (F, 16) and eigenvector bases B (F, 16, 16) of the
-    phase map's drive Hamiltonian H = static + drive at each electron
-    frequency, in the working basis of `mode`.
+    """Eigenvalues w (F, 16) and product-basis eigenvector bases B (F, 16, 16)
+    of the phase map's drive Hamiltonian H = `free_hamiltonian` + the mode's
+    electron drive at each electron frequency.
 
     Exchange and the drive flip only electrons, so every H of the grid is
     block-diagonal over the nuclear sectors, and the frequency moves only its
     diagonal. The blocks come from `_diagonal_blocks` on the nonzero pattern
-    of the drive and of the whole grid's static Hamiltonians: four blocks of
-    four in either mode (eigenlevels [0, 8, 9, 15], [1, 5, 10, 14],
-    [2, 4, 11, 13] and [3, 6, 7, 12] of the gate model's working basis, the
-    contiguous nuclear sectors in full dynamics), or one block of 16 if the
+    of the drive and of the whole grid's free Hamiltonians: the four
+    contiguous nuclear sectors in either mode, or one block of 16 if the
     pattern does not split evenly. One `hermitian_eig` call decomposes every
     block at every frequency (and raises ContractError on a grid whose
     Hamiltonians overflow), and each B holds its blocks' eigenvectors at
     their indices, with zeros elsewhere.
     """
     drive = engine.drive_hamiltonian(mode, "ESR", engine.rabi["ESR"])
-    static = engine.static_hamiltonian(mode, freqs)  # (frequencies, 16, 16)
-    rows, cols = _diagonal_blocks(np.any(static != 0, axis=0), drive)
-    w_blocks, b_blocks = hermitian_eig((static + drive)[:, rows, cols])
+    free = engine.free_hamiltonian(freqs)  # (frequencies, 16, 16)
+    rows, cols = _diagonal_blocks(np.any(free != 0, axis=0), drive)
+    w_blocks, b_blocks = hermitian_eig((free + drive)[:, rows, cols])
     w = np.empty((freqs.size, 16))
     w[:, rows[..., 0]] = w_blocks
     bases = np.zeros((freqs.size, 16, 16), dtype=complex)
@@ -979,10 +950,9 @@ def phase_map(
     with o the elementwise product.
 
     `phase_map_eig` decomposes the whole grid by nuclear-sector blocks in one
-    call; the gate model's A and rho are taken into its working basis once.
-    Per frequency, two products of B with every A and rho stacked together
-    give all B^dag X B, and one product with conj(E) and one row dot with E
-    give every value at every duration.
+    call. Per frequency, two products of B with every A and rho stacked
+    together give all B^dag X B, and one product with conj(E) and one row dot
+    with E give every value at every duration.
 
     E_t from products: with m = ceil(sqrt(D)) when the D durations equal
     np.linspace(t[0], t[-1], D) bit for bit, and m = 1 otherwise, duration
@@ -1015,10 +985,7 @@ def phase_map(
         starts = np.concatenate([starts, np.broadcast_to(nominal, paulis.shape)])
         ops = np.concatenate([ops, paulis])
     n_values = ops.shape[0]
-    stacked = np.concatenate([ops, starts])
-    if mode == GATE_MODEL:  # into the working basis, where the blocks are
-        stacked = engine.vectors.conj().T @ stacked @ engine.vectors
-    stacked = stacked.reshape(-1, 16)  # rows (value, i)
+    stacked = np.concatenate([ops, starts]).reshape(-1, 16)  # rows (value, i)
 
     w, bases = phase_map_eig(engine, mode, freqs)
     grid = (freqs.size, durs.size)

@@ -1,12 +1,15 @@
 import json
+import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from donorpair.cli import main
-from donorpair.config import ConfigError, EXPERIMENTS, GridSpec, validate_config
+from donorpair.config import MAX_PHASE_RAD, ConfigError, EXPERIMENTS, GridSpec, validate_config
 from donorpair.experiments import _config_hash, run
-from donorpair.pulses import NoiseModel, PIRSModel
+from donorpair.pulses import MODES, NoiseModel, PIRSModel, engine_for, phase_map_center_frequency
+from donorpair.spam import DETUNING_WHEN_UP_MHZ
 from donorpair.spinmodel import SystemParams
 
 
@@ -39,6 +42,12 @@ def grid(start, stop, count):
 FREQ_OVERFLOW = {"experiment": "phase_map", "options": {"freq_offset": grid(-1e308, 1e308, 5)}}
 PHASE_OVERFLOW = {"experiment": "phase_map", "options": {"duration": grid(0, 1e306, 3)}}
 FIT_OVERFLOW = {**DONOR, "options": {"points": [[-1e155, 300], [0, 60], [1e155, 5]]}}
+# finite phases too large to keep a digit (the map writes p_flip 1 at every
+# duration), a Rabi rate whose phase overflows (exit 3 in the fit), and a
+# Ramsey width whose T2* underflows to 0 (a NaN envelope cell)
+PHASE_ROUNDED_AWAY = {"experiment": "phase_map", "options": {"freq_offset": grid(1e300, 1e300, 1)}}
+RABI_OVERFLOW = {"experiment": "rabi_spam", "options": {"rabi_mhz": 1e308}}
+RAMSEY_OVERFLOW = {"experiment": "ramsey", "options": {"sigma_f_mhz": 1e308}}
 
 # (experiment, mode, the sections it reads), written out here and not taken
 # from config.py; a mode of None is the default GATE_MODEL, left unwritten
@@ -259,10 +268,73 @@ class TestValidateConfig:
             validate_config(doc)
         assert [p for p, _ in err.value.errors] == [path]
 
-    def test_largest_workable_grid_accepted(self):
-        # the largest phase is finite well past any useful duration
-        doc = {"experiment": "phase_map", "options": {"duration": grid(0, 1e300, 3)}}
-        assert validate_config(doc).options["duration"].stop == 1e300
+    def test_phase_bound_is_a_micro_radian_of_rounding(self):
+        assert MAX_PHASE_RAD == 1e-6 / np.finfo(float).eps
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_phase_map_durations_up_to_the_phase_bound(self, tmp_path, capsys, mode):
+        # the largest phase 2 pi max|w| max t, with w the eigenvalues of the
+        # drive Hamiltonian at the grid's end frequencies
+        engine = engine_for(SystemParams())
+        drive = engine.drive_hamiltonian(mode, "ESR", engine.rabi["ESR"])
+        center = phase_map_center_frequency(engine)
+        ends = [engine.free_hamiltonian(center + f) + drive for f in (-10, 10)]
+        stop = MAX_PHASE_RAD / (2 * math.pi * max(np.abs(np.linalg.eigvalsh(h)).max() for h in ends))
+        doc = {"experiment": "phase_map", "mode": mode, "options": {"freq_offset": grid(-10, 10, 3)}}
+        under = {**doc, "options": {**doc["options"], "duration": grid(0, stop * (1 - 1e-9), 3)}}
+        assert validate_config(under).options["duration"].stop == stop * (1 - 1e-9)
+        over = {**doc, "options": {**doc["options"], "duration": grid(0, stop * (1 + 1e-9), 3)}}
+        assert main(["validate", "--config", str(write_config(tmp_path, over))]) == 2
+        assert "  $.options.duration: the largest phase 2 pi max|w| max t" in capsys.readouterr().err
+
+    def test_rabi_durations_up_to_the_phase_bound(self, tmp_path, capsys):
+        # the detuned branch turns at hypot(rabi, detuning): phase pi hypot t
+        stop = MAX_PHASE_RAD / (math.pi * math.hypot(0.01, DETUNING_WHEN_UP_MHZ))
+        under = {"experiment": "rabi_spam", "options": {"duration": grid(0, stop * (1 - 1e-9), 8)}}
+        assert validate_config(under).options["duration"].stop == stop * (1 - 1e-9)
+        over = {"experiment": "rabi_spam", "options": {"duration": grid(stop * (1 + 1e-9), 0, 8)}}
+        assert main(["validate", "--config", str(write_config(tmp_path, over))]) == 2
+        err = capsys.readouterr().err
+        assert "  $.options.duration: the largest phase pi hypot(rabi_mhz, detuning_when_up_mhz)" in err
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"rabi_mhz": 1e308},
+            {"detuning_when_up_mhz": 1e308},
+            {"detuning_when_up_mhz": -1e308},
+            {"duration": grid(0, 1e308, 8)},
+            # pi hypot overflows and meets t = 0: a NaN phase
+            {"rabi_mhz": 1e308, "duration": grid(0, 0, 8)},
+        ],
+        ids=["rabi", "detuning", "negative-detuning", "duration", "nan-phase"],
+    )
+    def test_rabi_phase_overflow_rejected(self, options):
+        with pytest.raises(ConfigError) as err:
+            validate_config({"experiment": "rabi_spam", "options": options})
+        assert [p for p, _ in err.value.errors] == ["$.options.duration"]
+        assert "rabi_mhz" in err.value.errors[0][1] and "detuning_when_up_mhz" in err.value.errors[0][1]
+
+    def test_invalid_rabi_rate_is_reported_alone(self):
+        # a rate that fails its own check is not also read into the phase
+        options = {"rabi_mhz": 0, "duration": grid(0, 1e308, 8)}
+        with pytest.raises(ConfigError) as err:
+            validate_config({"experiment": "rabi_spam", "options": options})
+        assert [p for p, _ in err.value.errors] == ["$.options.rabi_mhz"]
+
+    @pytest.mark.parametrize("key", ["sigma_f_mhz", "t2_star_us"])
+    @pytest.mark.parametrize("value", [2.9e307, 1e308])
+    def test_ramsey_width_whose_image_underflows_rejected(self, key, value):
+        # 2 pi value overflows, so T2* (or sigma) = sqrt(2) / (2 pi value) is 0
+        with pytest.raises(ConfigError) as err:
+            validate_config({"experiment": "ramsey", "options": {key: value}})
+        assert [p for p, _ in err.value.errors] == [f"$.options.{key}"]
+        assert "not positive and finite" in err.value.errors[0][1]
+
+    @pytest.mark.parametrize("key", ["sigma_f_mhz", "t2_star_us"])
+    def test_widest_ramsey_width_accepted(self, key):
+        # its image is subnormal, but positive
+        assert validate_config({"experiment": "ramsey", "options": {key: 2.8e307}}).options[key] == 2.8e307
 
     def test_ramsey_width_must_be_positive(self):
         # a zero width would write an infinite T2* into ramsey_fit.json
@@ -474,6 +546,9 @@ class TestCli:
             (PHASE_OVERFLOW, None, "$.options.duration"),
             (FIT_OVERFLOW, None, "$.options.points"),
             (DONOR, "distance_nm,j_mhz\n-1e155,300\n0,60\n1e155,5\n", "$.options.points_csv"),
+            (PHASE_ROUNDED_AWAY, None, "$.options.duration"),
+            (RABI_OVERFLOW, None, "$.options.duration"),
+            (RAMSEY_OVERFLOW, None, "$.options.sigma_f_mhz"),
         ],
         ids=[
             "rabi-four-points",
@@ -494,6 +569,9 @@ class TestCli:
             "phase-map-phase-overflow",
             "donor-fit-overflow",
             "points-fit-overflow",
+            "phase-map-phase-rounded-away",
+            "rabi-phase-overflow",
+            "ramsey-width-overflow",
         ],
     )
     def test_runtime_failures_are_config_errors(self, tmp_path, capsys, doc, data, path):

@@ -30,6 +30,7 @@ from oracles import (
 )
 
 PSI_PLUS = np.array([0, 1, 1, 0]) / np.sqrt(2)
+CHANNEL_SPINS = {"ESR": ("e1", "e2"), "NMR": ("n1", "n2")}
 
 
 @pytest.fixture(scope="module")
@@ -50,12 +51,49 @@ def fidelity_to(rho, psi):
     return float(np.real(psi.conj() @ rho @ psi))
 
 
+def frame_operator(f_e, f_n):
+    """The frame generator in the product basis: the electrons at f_e and
+    the nuclei at f_n = (f_n1, f_n2)."""
+    electrons = pauli_op("e1", "z") + pauli_op("e2", "z")
+    return (f_n[0] * pauli_op("n1", "z") + f_n[1] * pauli_op("n2", "z") + f_e * electrons) / 2
+
+
+def eigenbasis_frame(engine, f_e, f_n=None):
+    """Diagonal of the frame generator in the secular eigenbasis, where each
+    spin's Z (read from `pauli_op`) is diagonal with entries +-1."""
+    v = engine.vectors
+    zd = {s: np.rint(np.real(np.diag(v.conj().T @ pauli_op(s, "z") @ v))) for s in SPINS}
+    f_n1, f_n2 = (engine.f_n1_ref, engine.f_n2_ref) if f_n is None else f_n
+    return (f_n1 * zd["n1"] + f_n2 * zd["n2"] + f_e * (zd["e1"] + zd["e2"])) / 2.0
+
+
+def channel_drive(channel, rabi_mhz, phase_rad=0.0):
+    """Rotating-wave drive rabi (cos(phi) X + sin(phi) Y) of one channel, with
+    X and Y the summed spin operators of its two spins."""
+    x_op, y_op = (sum(pauli_op(s, ax) for s in CHANNEL_SPINS[channel]) / 2 for ax in "xy")
+    return rabi_mhz * (math.cos(phase_rad) * x_op + math.sin(phase_rad) * y_op)
+
+
+def gate_eigenbasis_drive(engine, channel, rabi_mhz, phase_rad=0.0):
+    """Gate-model drive in the secular eigenbasis, built from `engine.vectors`
+    alone: the rotating-wave drive kept on the pairs whose
+    |<f| sum sigma_x |i>| exceeds GATE_PAIR_THRESHOLD."""
+    v = engine.vectors
+    allowed = np.abs(v.conj().T @ channel_drive(channel, 2.0) @ v) > pl.GATE_PAIR_THRESHOLD
+    return np.where(allowed, v.conj().T @ channel_drive(channel, rabi_mhz, phase_rad) @ v, 0.0)
+
+
+def gate_eigenbasis_hamiltonian(engine, channel, f_e, rabi_mhz, phase_rad=0.0, f_n=None):
+    """Gate-model pulse Hamiltonian in the secular eigenbasis: the level
+    energies minus the frame, plus `gate_eigenbasis_drive`."""
+    frame = eigenbasis_frame(engine, f_e, f_n)
+    return np.diag(engine.energies - frame) + gate_eigenbasis_drive(engine, channel, rabi_mhz, phase_rad)
+
+
 def addressed_block(engine, tr, carrier_mhz, rabi_mhz, phase_rad=0.0):
     """Gate-model rotating-frame Hamiltonian of one ESR pulse restricted to
     the addressed pair of eigenlevels (lower level first)."""
-    h = engine.static_hamiltonian(pl.GATE_MODEL, carrier_mhz) + engine.drive_hamiltonian(
-        pl.GATE_MODEL, "ESR", rabi_mhz, phase_rad
-    )
+    h = gate_eigenbasis_hamiltonian(engine, "ESR", carrier_mhz, rabi_mhz, phase_rad)
     levels = [engine._level_of[tr.lo_index], engine._level_of[tr.hi_index]]
     return h[np.ix_(levels, levels)]
 
@@ -67,13 +105,69 @@ class TestRotatingFrame:
     def test_no_drive_is_frame_shifted_static(self, engine):
         # moving the electron carrier from 100 to 40 MHz adds 60 MHz along
         # the summed electron Z, and a zero-amplitude drive adds nothing
-        z = {
-            pl.FULL_DYNAMICS: engine.channel_ops["ESR"][0],
-            pl.GATE_MODEL: np.diag(engine._zdiag["e1"] + engine._zdiag["e2"]) / 2.0,
-        }
+        z = (pauli_op("e1", "z") + pauli_op("e2", "z")) / 2
         for mode in pl.MODES:
-            out = engine.static_hamiltonian(mode, 40.0) + engine.drive_hamiltonian(mode, "ESR", 0.0)
-            assert np.allclose(out, engine.static_hamiltonian(mode, 100.0) + 60.0 * z[mode])
+            out = engine.free_hamiltonian(40.0) + engine.drive_hamiltonian(mode, "ESR", 0.0)
+            assert np.allclose(out, engine.free_hamiltonian(100.0) + 60.0 * z)
+
+    def test_free_hamiltonian_is_secular_minus_frame(self, engine):
+        # the frame generator is diagonal in the product basis: only the
+        # diagonal moves, and it moves by the frame's Z operators
+        f_e, f_n = 27940.0, (62.0, -49.0)
+        got = engine.free_hamiltonian(f_e, f_n)
+        off = ~np.eye(16, dtype=bool)
+        assert np.array_equal(got[off], engine.h_sec[off])
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(got - (engine.h_sec - frame_operator(f_e, f_n)))) <= eps * f_e
+        # in the eigenbasis it is the gate model's level energies minus the
+        # frame, up to the backward error of the secular eigendecomposition
+        v = engine.vectors
+        eig = np.diag(engine.energies - eigenbasis_frame(engine, f_e, f_n))
+        assert np.max(np.abs(v.conj().T @ got @ v - eig)) <= 4 * eps * np.abs(engine.energies).max()
+
+    @pytest.mark.parametrize("j", [12.0, 50.0])
+    @pytest.mark.parametrize("channel", ["ESR", "NMR"])
+    @pytest.mark.parametrize("phase", [0.0, 0.7, -math.pi / 2])
+    def test_gate_drive_is_truncated_in_the_eigenbasis(self, j, channel, phase):
+        # v (mask o v^dag D v) v^dag: the drive with the pairs off the
+        # allowed-transition graph removed, in the product basis
+        engine = pl.engine_for(SystemParams(j=j))
+        v = engine.vectors
+        got = engine.drive_hamiltonian(pl.GATE_MODEL, channel, 0.3, phase)
+        want = v @ gate_eigenbasis_drive(engine, channel, 0.3, phase) @ v.conj().T
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert np.max(np.abs(got - got.conj().T)) <= 1e-15
+        full = engine.drive_hamiltonian(pl.FULL_DYNAMICS, channel, 0.3, phase)
+        assert np.array_equal(full, channel_drive(channel, 0.3, phase))
+        # at j = 50 MHz the electron drive has lines weaker than
+        # GATE_PAIR_THRESHOLD, which the gate model cuts; elsewhere the
+        # lines it cuts are zero up to rounding
+        assert (np.max(np.abs(full - got)) > 1e-3) == (j == 50.0 and channel == "ESR")
+
+    @pytest.mark.parametrize("channel", ["ESR", "NMR"])
+    def test_modes_share_free_hamiltonian(self, engine, channel, monkeypatch):
+        # a pulse evolves under free + drive in either mode, and drifts along
+        # its species' summed Z; the modes differ only in the drive
+        if channel == "ESR":
+            carrier, rabi = abs(engine.electron_transition("e2", 0, 1).frequency_mhz), 0.05
+        else:
+            carrier, rabi = abs(engine.nuclear_transition("n1").frequency_mhz), 0.01
+        pulse = pl.PulseSpec(channel, carrier + 0.02, rabi, 1.3, phase_rad=0.4)
+        seen = []
+
+        def record(h0, z_shift, durations_us, pirs=None):
+            seen.append((h0, z_shift))
+            return sliced(h0, z_shift, durations_us, pirs)
+
+        sliced = pl.sliced_propagators
+        monkeypatch.setattr(pl, "sliced_propagators", record)
+        f_n, f_e, _ = engine._pulse_frame(pulse)
+        free = engine.free_hamiltonian(f_e, f_n)
+        for mode in pl.MODES:
+            engine.pulse_propagator(pulse, mode, pirs=FALLBACK_DRIFT)
+            h0, z_shift = seen.pop()
+            assert np.array_equal(h0, free + engine.drive_hamiltonian(mode, channel, rabi, 0.4))
+            assert np.array_equal(z_shift, engine.channel_ops[channel][0])
 
     def test_on_resonance_reduction(self, engine):
         tr = engine.electron_transition("e1", 1, 0)
@@ -468,10 +562,7 @@ def reference_phase_map(params, freqs, durs, mode, p_up, observables):
     drive_op = engine.rabi["ESR"] * engine.channel_ops["ESR"][1]
     for fi, f in enumerate(freqs):
         if mode == pl.GATE_MODEL:
-            diag = engine.energies - engine._frame_diag(float(f))
-            d_eig = engine.vectors.conj().T @ drive_op @ engine.vectors
-            d_eig = np.where(engine._gate_mask["ESR"], d_eig, 0.0)
-            w, q = np.linalg.eigh(np.diag(diag) + d_eig)
+            w, q = np.linalg.eigh(gate_eigenbasis_hamiltonian(engine, "ESR", float(f), engine.rabi["ESR"]))
             basis = engine.vectors @ q
         else:
             w, basis = np.linalg.eigh(engine.free_hamiltonian(f_e=float(f)) + drive_op)
@@ -514,32 +605,26 @@ def reference_sliced_exp(h0, z_shift, t, pirs):
 
 
 def reference_pulse_propagator(engine, pulse, mode, pirs=None):
-    """Unitary of one rectangular pulse, built matrix by matrix: the pulse
-    frame, the rotating-wave Hamiltonian in the product basis (full
-    dynamics) or truncated in the eigenbasis (gate model), the drift along
-    the driven species' Z, and the re-alignment to the standing frame."""
+    """Unitary of one rectangular pulse, built matrix by matrix in the
+    product basis: the pulse frame, the secular Hamiltonian minus the frame's
+    Z operators, the rotating-wave drive (in the gate model
+    `gate_eigenbasis_drive`, taken back from the eigenbasis), the
+    drift along the driven species' Z, and the re-alignment to the standing
+    frame."""
     f = pulse.carrier_mhz
     if pulse.channel == "NMR":
         fn1 = fn2 = (-1.0 if engine.f_n1_ref < 0 else 1.0) * f
         fe = engine.f_e_default
     else:
         fn1, fn2, fe = engine.f_n1_ref, engine.f_n2_ref, f
-    zd = engine._zdiag
-    frame = (fn1 * zd["n1"] + fn2 * zd["n2"] + fe * (zd["e1"] + zd["e2"])) / 2.0
-    z_op, x_op, y_op = engine.channel_ops[pulse.channel]
-    drive = pulse.rabi_mhz * (math.cos(pulse.phase_rad) * x_op + math.sin(pulse.phase_rad) * y_op)
-    v = engine.vectors
     if mode == pl.FULL_DYNAMICS:
-        h0 = engine.h_sec - (v * frame) @ v.conj().T + drive
-        z_shift = z_op
+        drive = channel_drive(pulse.channel, pulse.rabi_mhz, pulse.phase_rad)
     else:
-        d_eig = np.where(engine._gate_mask[pulse.channel], v.conj().T @ drive @ v, 0.0)
-        h0 = np.diag(engine.energies - frame) + d_eig
-        species = ("n1", "n2") if pulse.channel == "NMR" else ("e1", "e2")
-        z_shift = np.diag(zd[species[0]] + zd[species[1]]) / 2.0
+        v = engine.vectors
+        drive = v @ gate_eigenbasis_drive(engine, pulse.channel, pulse.rabi_mhz, pulse.phase_rad) @ v.conj().T
+    z_shift = sum(pauli_op(s, "z") for s in CHANNEL_SPINS[pulse.channel]) / 2
+    h0 = engine.h_sec - frame_operator(fe, (fn1, fn2)) + drive
     u = reference_sliced_exp(h0, z_shift, pulse.duration_us, pirs)
-    if mode == pl.GATE_MODEL:
-        u = v @ u @ v.conj().T
     realign = (
         (engine.f_n1_ref - fn1) * np.diag(pauli_op("n1", "z")).real
         + (engine.f_n2_ref - fn2) * np.diag(pauli_op("n2", "z")).real
@@ -624,7 +709,7 @@ def phase_map_tolerance(params, mode, freqs, durs):
     t |w| grows."""
     engine = pl.engine_for(params)
     drive = engine.drive_hamiltonian(mode, "ESR", engine.rabi["ESR"])
-    w_max = max(np.abs(np.linalg.eigvalsh(engine.static_hamiltonian(mode, float(f)) + drive)).max() for f in freqs)
+    w_max = max(np.abs(np.linalg.eigvalsh(engine.free_hamiltonian(float(f)) + drive)).max() for f in freqs)
     return 4 * 2 * math.pi * np.max(durs) * w_max * np.finfo(float).eps
 
 
@@ -681,6 +766,24 @@ class TestClosedFormKernels:
             for k in ("x", "y", "norm"):
                 assert np.max(np.abs(got.observables[s][k] - want_obs[s][k])) < ORACLE_TOL
 
+    def test_phase_map_matches_per_point_loop_where_the_gate_model_cuts_lines(self):
+        # at j = 50 MHz the gate model drops electron lines weaker than
+        # GATE_PAIR_THRESHOLD, so its map differs from the full dynamics
+        params = SystemParams(j=50.0)
+        center = pl.phase_map_center_frequency(pl.engine_for(params))
+        freqs, durs = center + np.linspace(-40.0, 40.0, 9), np.array([0.0, 0.7, 3.3, 6.5])
+        maps = {}
+        for mode in pl.MODES:
+            got = pl.phase_map(params, freqs, durs, mode=mode, noise=pl.NoiseModel(p_up=0.14), observables=True)
+            want_pf, want_obs = reference_phase_map(params, freqs, durs, mode, 0.14, True)
+            tol = phase_map_tolerance(params, mode, freqs, durs)
+            assert np.max(np.abs(got.p_flip - want_pf)) < tol
+            for s in SPINS:
+                for k in ("x", "y", "norm"):
+                    assert np.max(np.abs(got.observables[s][k] - want_obs[s][k])) < tol
+            maps[mode] = got.p_flip
+        assert np.max(np.abs(maps[pl.GATE_MODEL] - maps[pl.FULL_DYNAMICS])) > 0.05
+
     def test_phase_map_without_observables(self, params):
         center = pl.phase_map_center_frequency(pl.engine_for(params))
         freqs, durs = [center - 1.0, center + 2.0], [0.0, 1.5, 3.0]
@@ -707,11 +810,8 @@ class TestClosedFormKernels:
     @pytest.mark.parametrize("mode", pl.MODES)
     def test_phase_map_splits_nuclear_sectors(self, params, mode, monkeypatch):
         # one stacked eigendecomposition of four 4x4 blocks per frequency:
-        # the gate model's working basis pairs eigenlevels across sectors
-        sectors = {
-            pl.GATE_MODEL: [[0, 8, 9, 15], [1, 5, 10, 14], [2, 4, 11, 13], [3, 6, 7, 12]],
-            pl.FULL_DYNAMICS: [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]],
-        }
+        # the contiguous nuclear sectors of the product basis, in either mode
+        sectors = [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]]
         blocks, eigs = [], []
 
         def record_blocks(h0, z_shift):
@@ -720,7 +820,7 @@ class TestClosedFormKernels:
             return rows, cols
 
         def record_eig(m):
-            eigs.append(np.shape(m))
+            eigs.append(m)
             return hermitian_eig(m)
 
         diagonal_blocks, hermitian_eig = pl._diagonal_blocks, pl.hermitian_eig
@@ -728,8 +828,13 @@ class TestClosedFormKernels:
         monkeypatch.setattr(pl, "hermitian_eig", record_eig)
         freqs, durs = workload_axes(params, 5, 4)
         pl.phase_map(params, freqs, durs, mode=mode, noise=pl.NoiseModel(p_up=0.14))
-        assert blocks == [sectors[mode]]
-        assert eigs == [(5, 4, 4, 4)]
+        assert blocks == [sectors]
+        # the blocks of free_hamiltonian + the mode's drive, the same free
+        # Hamiltonian in both modes
+        engine = pl.engine_for(params)
+        h = engine.free_hamiltonian(freqs) + engine.drive_hamiltonian(mode, "ESR", engine.rabi["ESR"])
+        idx = np.array(sectors)
+        assert len(eigs) == 1 and np.array_equal(eigs[0], h[:, idx[:, :, None], idx[:, None, :]])
 
     @pytest.mark.parametrize("mode", pl.MODES)
     def test_phase_map_whole_matrix_fallback(self, params, mode, monkeypatch):
@@ -781,17 +886,14 @@ class TestClosedFormKernels:
             assert e.shape == (n_dur, 16)
             assert np.max(np.abs(e - np.exp(-2j * np.pi * t[:, None] * row))) <= tol
 
-    @pytest.mark.parametrize("mode", pl.MODES)
-    def test_static_hamiltonian_stack_matches_scalar_calls(self, engine, mode):
+    def test_free_hamiltonian_stack_matches_scalar_calls(self, engine):
         freqs = pl.phase_map_center_frequency(engine) + np.linspace(-10.0, 10.0, 9)
-        stack = engine.static_hamiltonian(mode, freqs)
-        each = np.array([engine.static_hamiltonian(mode, float(f)) for f in freqs])
+        stack = engine.free_hamiltonian(freqs)
+        each = np.array([engine.free_hamiltonian(float(f)) for f in freqs])
         assert np.array_equal(stack, each)
         # signed zeros too: they reach the CSVs through the readout
         assert np.array_equal(np.signbit(stack.real), np.signbit(each.real))
         assert np.array_equal(np.signbit(np.imag(stack)), np.signbit(np.imag(each)))
-        if mode == pl.GATE_MODEL:  # off the diagonal +0.0, as np.diag gives
-            assert not np.signbit(stack[:, ~np.eye(16, dtype=bool)]).any()
 
     @pytest.mark.parametrize("mode", pl.MODES)
     @pytest.mark.parametrize(
