@@ -981,7 +981,7 @@ def phase_map(
     if observables:
         # the spectator-down branch always has weight 1 - p_up > 0
         nominal = readout_starts[-1, 1]
-        paulis = np.array([pauli_op(s, ax) for s in SPINS for ax in "xyz"])
+        paulis = np.array([engine._pauli[(s, ax)] for s in SPINS for ax in "xyz"])
         starts = np.concatenate([starts, np.broadcast_to(nominal, paulis.shape)])
         ops = np.concatenate([ops, paulis])
     n_values = ops.shape[0]

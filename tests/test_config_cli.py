@@ -8,7 +8,14 @@ import pytest
 from donorpair.cli import main
 from donorpair.config import MAX_PHASE_RAD, ConfigError, EXPERIMENTS, GridSpec, validate_config
 from donorpair.experiments import _config_hash, run
-from donorpair.pulses import MODES, NoiseModel, PIRSModel, engine_for, phase_map_center_frequency
+from donorpair.pulses import (
+    MODES,
+    NoiseModel,
+    PIRSModel,
+    engine_for,
+    phase_map_center_frequency,
+    t2_star_from_sigma,
+)
 from donorpair.spam import DETUNING_WHEN_UP_MHZ
 from donorpair.spinmodel import SystemParams
 
@@ -48,6 +55,10 @@ FIT_OVERFLOW = {**DONOR, "options": {"points": [[-1e155, 300], [0, 60], [1e155, 
 PHASE_ROUNDED_AWAY = {"experiment": "phase_map", "options": {"freq_offset": grid(1e300, 1e300, 1)}}
 RABI_OVERFLOW = {"experiment": "rabi_spam", "options": {"rabi_mhz": 1e308}}
 RAMSEY_OVERFLOW = {"experiment": "ramsey", "options": {"sigma_f_mhz": 1e308}}
+# Ramsey widths whose per-shot phase pi delta t overflows (a biased p_up), or
+# stays finite but exceeds MAX_PHASE_RAD at the default 60 us wait
+RAMSEY_PHASE_OVERFLOW = {"experiment": "ramsey", "options": {"sigma_f_mhz": 1e307}}
+RAMSEY_PHASE_TOO_LARGE = {"experiment": "ramsey", "options": {"sigma_f_mhz": 1e6}}
 
 # (experiment, mode, the sections it reads), written out here and not taken
 # from config.py; a mode of None is the default GATE_MODEL, left unwritten
@@ -331,10 +342,33 @@ class TestValidateConfig:
         assert [p for p, _ in err.value.errors] == [f"$.options.{key}"]
         assert "not positive and finite" in err.value.errors[0][1]
 
-    @pytest.mark.parametrize("key", ["sigma_f_mhz", "t2_star_us"])
+    @pytest.mark.parametrize("key", ["t2_star_us"])
     def test_widest_ramsey_width_accepted(self, key):
-        # its image is subnormal, but positive
+        # its image sigma is subnormal, but positive
         assert validate_config({"experiment": "ramsey", "options": {key: 2.8e307}}).options[key] == 2.8e307
+
+    @pytest.mark.parametrize("t_max", [60.0, 3.0])
+    @pytest.mark.parametrize("key", ["sigma_f_mhz", "t2_star_us"])
+    def test_ramsey_phase_bound(self, key, t_max):
+        # the widest sigma whose phase pi 40 sigma max t stays within MAX_PHASE_RAD
+        sigma = MAX_PHASE_RAD / (math.pi * 40 * t_max)
+
+        def doc(scale):  # a wider sigma is a shorter T2*
+            value = sigma * scale if key == "sigma_f_mhz" else t2_star_from_sigma(sigma * scale)
+            return {"experiment": "ramsey", "options": {key: value, "wait": grid(0.0, t_max, 3)}}
+
+        validate_config(doc(1 - 1e-9))
+        with pytest.raises(ConfigError) as err:
+            validate_config(doc(1 + 1e-9))
+        assert [p for p, _ in err.value.errors] == ["$.options.wait"]
+        assert "pi 40 sigma_f max t" in err.value.errors[0][1]
+
+    @pytest.mark.parametrize("wait", [grid(0, 0, 1), grid(5, 0, 3)])
+    def test_overflowing_ramsey_phase_rejected(self, wait):
+        # pi 40 sigma overflows: the phase is NaN at a zero wait and infinite otherwise
+        with pytest.raises(ConfigError) as err:
+            validate_config({"experiment": "ramsey", "options": {"sigma_f_mhz": 1e307, "wait": wait}})
+        assert [p for p, _ in err.value.errors] == ["$.options.wait"]
 
     def test_ramsey_width_must_be_positive(self):
         # a zero width would write an infinite T2* into ramsey_fit.json
@@ -549,6 +583,8 @@ class TestCli:
             (PHASE_ROUNDED_AWAY, None, "$.options.duration"),
             (RABI_OVERFLOW, None, "$.options.duration"),
             (RAMSEY_OVERFLOW, None, "$.options.sigma_f_mhz"),
+            (RAMSEY_PHASE_OVERFLOW, None, "$.options.wait"),
+            (RAMSEY_PHASE_TOO_LARGE, None, "$.options.wait"),
         ],
         ids=[
             "rabi-four-points",
@@ -572,6 +608,8 @@ class TestCli:
             "phase-map-phase-rounded-away",
             "rabi-phase-overflow",
             "ramsey-width-overflow",
+            "ramsey-phase-overflow",
+            "ramsey-phase-too-large",
         ],
     )
     def test_runtime_failures_are_config_errors(self, tmp_path, capsys, doc, data, path):

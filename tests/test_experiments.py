@@ -91,6 +91,13 @@ class TestEmission:
         rows = [(v, "00", np.int64(5), np.float64(v)) for v in values]
         assert csv_bytes(("a", "b", "c", "d"), rows) == old_csv(("a", "b", "c", "d"), rows)
 
+    def test_text_among_numbers_and_ragged_rows_are_errors(self):
+        # only a column of text cells is written as it is
+        with pytest.raises(TypeError):
+            csv_bytes(("a", "b"), [("00", 1.0), (2.0, 3.0)])
+        with pytest.raises(ValueError):
+            csv_bytes(("a", "b"), [(1.0, 2.0), (3.0,)])
+
 
 def reference_grid_csv(name, res, columns):
     """The float-table grid writer: meshgrid, one row list, csv_bytes."""
@@ -130,22 +137,54 @@ class TestGridCsv:
         got = experiments._grid_csv("g.csv", res, {"v": values, "w": values.T})
         assert got == reference_grid_csv("g.csv", res, {"v": values, "w": values.T})
 
-    def test_every_number_goes_through_fmt(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(experiments, "fmt", lambda x: "NUM")
+    def test_real_phase_sim_grid_matches_float_table_writer(self):
+        # the phase_sim_full grid: 51 x 101 points, p_flip and 12 observables
         cfg = validate_config(
             {
                 "experiment": "full_phase_sim",
+                "mode": "FULL_DYNAMICS",
+                "noise": {"p_up": 0.14},
                 "options": {
-                    "freq_offset": {"start": -1.0, "stop": 1.0, "count": 3},
-                    "duration": {"start": 0.0, "stop": 2.0, "count": 2},
+                    "freq_offset": {"start": -10.0, "stop": 10.0, "count": 51},
+                    "duration": {"start": 0.0, "stop": 10.0, "count": 101},
                 },
             }
         )
-        run(cfg, tmp_path)
-        for name, n_cols in (("phase_map.csv", 3), ("spin_observables.csv", 14)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # full dynamics' selectivity warning
+            res = experiments._phase_map_result(cfg)
+        columns = {"p_flip": res.p_flip}
+        for s, obs in res.observables.items():
+            columns.update({f"{s}_{k}": v for k, v in obs.items()})
+        assert len(columns) == 13 and res.p_flip.shape == (51, 101)
+        got = experiments._grid_csv("g.csv", res, columns)
+        assert got == reference_grid_csv("g.csv", res, columns)
+
+    @pytest.mark.parametrize(
+        "experiment, names",
+        [
+            ("phase_map", ["phase_map.csv"]),
+            ("full_phase_sim", ["phase_map.csv", "spin_observables.csv"]),
+            ("pirs_cz", ["pirs_cz.csv"]),
+            ("rabi_spam", ["rabi_trace.csv"]),
+            ("phase_reversal", ["phase_reversal.csv"]),
+            ("ramsey", ["ramsey.csv"]),
+            ("bell_tomography", ["zz_probabilities.csv"]),
+        ],
+    )
+    def test_every_number_goes_through_fmt(self, tmp_path, monkeypatch, experiment, names):
+        monkeypatch.setattr(experiments, "fmt", lambda x: "NUM")
+        doc = {"experiment": experiment, "options": SMALL_CONFIGS[experiment]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # pirs_cz's selectivity warning
+            manifest = run(validate_config(doc), tmp_path)
+        assert sorted(n for n in manifest.outputs if n.endswith(".csv")) == names
+        for name in names:
             header, rows = read_csv(tmp_path / name)
-            assert header[:2] == ["freq_mhz", "duration_us"] and len(header) == n_cols
-            assert rows == [["NUM"] * n_cols] * 6
+            if header[0] == "state":  # the one text column, written as it is
+                assert [row.pop(0) for row in rows] == ["00", "01", "10", "11"]
+                header = header[1:]
+            assert rows and rows == [["NUM"] * len(header)] * len(rows)
 
 
 def _raise_on_constant(name):
