@@ -12,7 +12,6 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -42,25 +41,21 @@ from .spam import (
 from .spinmodel import SPINS
 from .tomography import sequence_table, tomography_pipeline
 
-# The text of one numeric CSV cell, a stable 12-significant-digit float, in one
-# C-level call. Every numeric cell of every CSV this module writes passes
-# through `fmt`, looked up as the module attribute at call time, so replacing
-# `experiments.fmt` changes every number written; text cells never reach it.
+# One numeric CSV cell: a stable 12-significant-digit float, in one C-level call.
+# Every number in every CSV written here passes through `fmt`, looked up at call
+# time, so replacing `experiments.fmt` changes every number; text never reaches it.
 fmt = "%.12g".__mod__
 
 
-def _csv_columns(header, columns) -> bytes:
-    """CSV of `columns` under `header`, LF-terminated UTF-8: a column whose
-    cells are all `str` is written as it is, and every cell of every other
-    column is a number formatted by `fmt`."""
-    texts = [c if all(map(isinstance, c, repeat(str))) else map(fmt, c) for c in columns]
-    return ("\n".join([",".join(header), *map(",".join, zip(*texts))]) + "\n").encode("utf-8")
+def _csv_lines(header, lines) -> bytes:
+    """The header, then the already formatted lines; LF-terminated UTF-8."""
+    return ("\n".join([",".join(header), *lines]) + "\n").encode("utf-8")
 
 
 def csv_bytes(header, rows) -> bytes:
-    """CSV of `rows` under `header`: a text column (the Bell `state` column)
-    as it is, and every other cell through `fmt`."""
-    return _csv_columns(header, zip(*rows, strict=True))
+    """CSV of `rows` under `header`: `str` cells as they are, numbers through `fmt`."""
+    cells = ([x if isinstance(x, str) else fmt(x) for x in row] for row in rows)
+    return _csv_lines(header, map(",".join, cells))
 
 
 def json_bytes(payload) -> bytes:
@@ -145,17 +140,20 @@ def _phase_map_result(config: ExperimentConfig):
 def _grid_csv(name, res, columns: dict):
     """One row per (frequency, duration) point, frequency-major.
 
-    Each grid axis value is formatted once by `fmt` and its text repeated
-    down the rows; each value column is formatted by `fmt` in one pass over
-    its flattened (frequency, duration) array. The bytes equal those of
-    `csv_bytes` on the float table.
+    Built column by column: each grid axis value (frequency or duration) is
+    formatted once by `fmt` and its text repeated down the rows, and each
+    value column is formatted by `fmt` in one pass over its flattened
+    (frequency, duration) array. Every numeric cell thus goes through `fmt`,
+    and the bytes equal those of `csv_bytes` on the float table.
     """
     freqs = np.asarray(res.freqs_mhz, dtype=float).tolist()
     durs = np.asarray(res.durations_us, dtype=float).tolist()
     freq_col = [text for text in map(fmt, freqs) for _ in durs]
     dur_col = list(map(fmt, durs)) * len(freqs)
-    values = [np.asarray(v, dtype=float).reshape(len(freq_col)).tolist() for v in columns.values()]
-    return (name, _csv_columns(["freq_mhz", "duration_us", *columns], [freq_col, dur_col, *values]))
+    n = len(freq_col)
+    values = [map(fmt, np.asarray(v, dtype=float).reshape(n).tolist()) for v in columns.values()]
+    lines = map(",".join, zip(freq_col, dur_col, *values))
+    return (name, _csv_lines(["freq_mhz", "duration_us", *columns], lines))
 
 
 def _phase_map_csv(res):
@@ -221,10 +219,11 @@ def run_pirs_cz(config: ExperimentConfig):
     drift = cz_flip_curve(
         config.system, durations, pirs=config.pirs, mode=config.mode, noise=config.noise
     )
+    rows = list(zip(durations, ideal, drift))
     return [
         (
             "pirs_cz.csv",
-            csv_bytes(("duration_us", "p_flip_ideal", "p_flip_drift"), zip(durations, ideal, drift)),
+            csv_bytes(("duration_us", "p_flip_ideal", "p_flip_drift"), rows),
         )
     ]
 
@@ -239,6 +238,7 @@ def run_rabi_spam(config: ExperimentConfig):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
         trace = rng.binomial(shots, np.clip(trace, 0, 1)) / shots
     fit = fit_p_up(durations, trace, rabi_mhz=rabi, detuning_when_up_mhz=detuning)
+    rows = list(zip(durations, trace))
     report = {
         "p_up_true": config.noise.p_up,
         "p_up_fit": fit.p_up,
@@ -246,7 +246,7 @@ def run_rabi_spam(config: ExperimentConfig):
         "residual_rms": fit.residual_rms,
     }
     return [
-        ("rabi_trace.csv", csv_bytes(("duration_us", "p_up_proportion"), zip(durations, trace))),
+        ("rabi_trace.csv", csv_bytes(("duration_us", "p_up_proportion"), rows)),
         ("rabi_fit.json", json_bytes(report)),
     ]
 
@@ -270,10 +270,11 @@ def run_phase_reversal(config: ExperimentConfig):
         fit_data = sine_fit(x, y)
         report["data_fit"] = vars(fit_data)
         report["data_vs_simulation"] = compare_fits(fit_sim, fit_data)
+    rows = list(zip(phis, ideal, distorted))
     return [
         (
             "phase_reversal.csv",
-            csv_bytes(("phi_rad", "p_up_ideal", "p_up_error_model"), zip(phis, ideal, distorted)),
+            csv_bytes(("phi_rad", "p_up_ideal", "p_up_error_model"), rows),
         ),
         ("phase_reversal_fits.json", json_bytes(report)),
     ]
@@ -289,7 +290,7 @@ def run_ramsey(config: ExperimentConfig):
         config.options["n_shots"],
         seed=config.seed,
     )
-    rows = zip(trace.wait_us, trace.p_up, trace.envelope)
+    rows = list(zip(trace.wait_us, trace.p_up, trace.envelope))
     return [
         ("ramsey.csv", csv_bytes(("wait_us", "p_up", "envelope"), rows)),
         (

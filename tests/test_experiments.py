@@ -91,13 +91,6 @@ class TestEmission:
         rows = [(v, "00", np.int64(5), np.float64(v)) for v in values]
         assert csv_bytes(("a", "b", "c", "d"), rows) == old_csv(("a", "b", "c", "d"), rows)
 
-    def test_text_among_numbers_and_ragged_rows_are_errors(self):
-        # only a column of text cells is written as it is
-        with pytest.raises(TypeError):
-            csv_bytes(("a", "b"), [("00", 1.0), (2.0, 3.0)])
-        with pytest.raises(ValueError):
-            csv_bytes(("a", "b"), [(1.0, 2.0), (3.0,)])
-
 
 def reference_grid_csv(name, res, columns):
     """The float-table grid writer: meshgrid, one row list, csv_bytes."""
@@ -107,14 +100,46 @@ def reference_grid_csv(name, res, columns):
     return (name, csv_bytes(header, table.reshape(-1, len(header)).tolist()))
 
 
+def phase_sim_full_grid():
+    """The phase_sim_full workload's full-dynamics phase map (51 x 101 points)
+    and its 13 value columns: p_flip and the 12 Bloch observables."""
+    cfg = validate_config(
+        {
+            "experiment": "full_phase_sim",
+            "mode": "FULL_DYNAMICS",
+            "noise": {"p_up": 0.14},
+            "options": {
+                "freq_offset": {"start": -10.0, "stop": 10.0, "count": 51},
+                "duration": {"start": 0.0, "stop": 10.0, "count": 101},
+            },
+        }
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # full dynamics' selectivity warning
+        res = experiments._phase_map_result(cfg)
+    columns = {"p_flip": res.p_flip}
+    for s, obs in res.observables.items():
+        columns.update({f"{s}_{k}": v for k, v in obs.items()})
+    return res, columns
+
+
 SPECIAL_VALUES = [
     0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308, 1e16, -1e16,
 ]
 
 
 class TestGridCsv:
-    @pytest.mark.parametrize("n_freq, n_dur", [(3, 5), (5, 3), (1, 7), (7, 1), (1, 1)])
+    @pytest.mark.parametrize(
+        "n_freq, n_dur",
+        [(3, 5), (5, 3), (1, 7), (7, 1), (1, 1), pytest.param(51, 101, id="phase_sim_full")],
+    )
     def test_matches_float_table_writer(self, n_freq, n_dur):
+        if (n_freq, n_dur) == (51, 101):  # a real full-dynamics phase map: p_flip, 12 observables
+            res, columns = phase_sim_full_grid()
+            assert res.p_flip.shape == (51, 101) and len(columns) == 13
+            got = experiments._grid_csv("g.csv", res, columns)
+            assert got == reference_grid_csv("g.csv", res, columns)
+            return
         rng = np.random.default_rng(n_freq * 10 + n_dur)
         freqs = 27900.0 + rng.standard_normal(n_freq)
         freqs[0] = -0.0
@@ -137,54 +162,39 @@ class TestGridCsv:
         got = experiments._grid_csv("g.csv", res, {"v": values, "w": values.T})
         assert got == reference_grid_csv("g.csv", res, {"v": values, "w": values.T})
 
-    def test_real_phase_sim_grid_matches_float_table_writer(self):
-        # the phase_sim_full grid: 51 x 101 points, p_flip and 12 observables
-        cfg = validate_config(
-            {
-                "experiment": "full_phase_sim",
-                "mode": "FULL_DYNAMICS",
-                "noise": {"p_up": 0.14},
-                "options": {
-                    "freq_offset": {"start": -10.0, "stop": 10.0, "count": 51},
-                    "duration": {"start": 0.0, "stop": 10.0, "count": 101},
-                },
-            }
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # full dynamics' selectivity warning
-            res = experiments._phase_map_result(cfg)
-        columns = {"p_flip": res.p_flip}
-        for s, obs in res.observables.items():
-            columns.update({f"{s}_{k}": v for k, v in obs.items()})
-        assert len(columns) == 13 and res.p_flip.shape == (51, 101)
-        got = experiments._grid_csv("g.csv", res, columns)
-        assert got == reference_grid_csv("g.csv", res, columns)
-
     @pytest.mark.parametrize(
-        "experiment, names",
-        [
-            ("phase_map", ["phase_map.csv"]),
-            ("full_phase_sim", ["phase_map.csv", "spin_observables.csv"]),
-            ("pirs_cz", ["pirs_cz.csv"]),
-            ("rabi_spam", ["rabi_trace.csv"]),
-            ("phase_reversal", ["phase_reversal.csv"]),
-            ("ramsey", ["ramsey.csv"]),
-            ("bell_tomography", ["zz_probabilities.csv"]),
+        "experiment, shapes",
+        [  # each CSV's header prefix, number of columns and number of rows
+            ("phase_map", {"phase_map.csv": (["freq_mhz", "duration_us"], 3, 6)}),
+            (
+                "full_phase_sim",
+                {
+                    "phase_map.csv": (["freq_mhz", "duration_us"], 3, 4),
+                    "spin_observables.csv": (["freq_mhz", "duration_us"], 14, 4),
+                },
+            ),
+            ("pirs_cz", {"pirs_cz.csv": (["duration_us"], 3, 3)}),
+            ("rabi_spam", {"rabi_trace.csv": (["duration_us"], 2, 24)}),
+            ("phase_reversal", {"phase_reversal.csv": (["phi_rad"], 3, 12)}),
+            ("ramsey", {"ramsey.csv": (["wait_us"], 3, 3)}),
+            ("bell_tomography", {"zz_probabilities.csv": (["state"], 2, 4)}),
         ],
     )
-    def test_every_number_goes_through_fmt(self, tmp_path, monkeypatch, experiment, names):
+    def test_every_number_goes_through_fmt(self, tmp_path, monkeypatch, experiment, shapes):
         monkeypatch.setattr(experiments, "fmt", lambda x: "NUM")
         doc = {"experiment": experiment, "options": SMALL_CONFIGS[experiment]}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # pirs_cz's selectivity warning
             manifest = run(validate_config(doc), tmp_path)
-        assert sorted(n for n in manifest.outputs if n.endswith(".csv")) == names
-        for name in names:
+        assert sorted(n for n in manifest.outputs if n.endswith(".csv")) == sorted(shapes)
+        for name, (prefix, n_cols, n_rows) in shapes.items():
             header, rows = read_csv(tmp_path / name)
+            assert header[: len(prefix)] == prefix and len(header) == n_cols
+            assert len(rows) == n_rows
             if header[0] == "state":  # the one text column, written as it is
                 assert [row.pop(0) for row in rows] == ["00", "01", "10", "11"]
-                header = header[1:]
-            assert rows and rows == [["NUM"] * len(header)] * len(rows)
+                n_cols -= 1
+            assert rows == [["NUM"] * n_cols] * n_rows
 
 
 def _raise_on_constant(name):
