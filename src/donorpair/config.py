@@ -102,6 +102,8 @@ class ExperimentConfig:
 
 # the largest swept phase (rad) whose rounding, eps per radian, stays within 1e-6 rad
 MAX_PHASE_RAD = 1e-6 / np.finfo(float).eps
+# the most shots a sampled run takes: numpy's samplers take them as int64
+MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
 def _finite(val) -> bool:
@@ -173,7 +175,7 @@ class _Checker:
             self.fail(f"{path}.{key}", f"must be >= {lo}")
         return float(val)
 
-    def integer(self, sub, path, key, default=None, lo=None):
+    def integer(self, sub, path, key, default=None, lo=None, hi=None):
         if key not in sub:
             return default
         val = sub[key]
@@ -182,6 +184,8 @@ class _Checker:
             return default
         if lo is not None and val < lo:
             self.fail(f"{path}.{key}", f"must be >= {lo}")
+        if hi is not None and val > hi:
+            self.fail(f"{path}.{key}", f"must be <= {hi}")
         return val
 
     def phase(self, path, what, phase):
@@ -352,7 +356,7 @@ def _validate_options(chk: _Checker, doc, experiment, engine, mode) -> dict:
         if engine is not None and min(out["freq_offset"].count, out["duration"].count) >= 1:
             _check_phase_map_grid(chk, path, out, engine, mode)
     elif experiment == "bell_tomography":
-        out["shots_per_axis"] = chk.integer(sub, path, "shots_per_axis", 0, lo=0)
+        out["shots_per_axis"] = chk.integer(sub, path, "shots_per_axis", 0, lo=0, hi=MAX_SHOTS)
         out["groups"] = chk.integer(sub, path, "groups", 5, lo=2)
         out["resamples"] = chk.integer(sub, path, "resamples", 1000, lo=1)
         if out["shots_per_axis"] == 0:  # exact tables: no bootstrap runs
@@ -379,7 +383,7 @@ def _validate_options(chk: _Checker, doc, experiment, engine, mode) -> dict:
             t_max = max(out["duration"].start, out["duration"].stop)
             phase = math.pi * math.hypot(out["rabi_mhz"], detuning) * t_max
             chk.phase(f"{path}.duration", "pi hypot(rabi_mhz, detuning_when_up_mhz) max t", phase)
-        out["shots_per_point"] = chk.integer(sub, path, "shots_per_point", 0, lo=0)
+        out["shots_per_point"] = chk.integer(sub, path, "shots_per_point", 0, lo=0, hi=MAX_SHOTS)
     elif experiment == "phase_reversal":
         out["points"] = chk.integer(sub, path, "points", 96, lo=12)
         # the file's rows, which the runner reads in place of the file

@@ -1,7 +1,7 @@
-"""Initialization-error calibration: the spin-up loading model, p_up
-extraction from the neutral nuclear Rabi amplitude, and phase-reversal
-tomography with fixed-period sine-fit comparison, and the donor-distance
-fit of exchange strength against distance.
+"""Initialization-error calibration: the spin-up loading model, p_up from an
+exact least-squares fit of the neutral nuclear Rabi trace, phase-reversal
+tomography with fixed-period sine-fit comparison, and the donor-distance fit
+of exchange strength against distance.
 
 The loading model is `pulses.spam_mixture`: every loaded spin is spin-down,
 erring to spin-up with the same probability p_up (the initialization projects
@@ -36,6 +36,16 @@ DETUNING_WHEN_UP_MHZ = 113.0
 FIXED_PERIODS = 4
 
 
+def _flip_probabilities(durations_us, rabi_mhz: float, detuning_when_up_mhz: float):
+    """Resonant (electron down) and detuned (electron up) nuclear flip
+    probabilities after each drive duration."""
+    if rabi_mhz <= 0:
+        raise ContractError("rabi frequency must be positive")
+    t = np.asarray(durations_us, dtype=float)
+    omega = math.hypot(rabi_mhz, detuning_when_up_mhz)
+    return np.sin(np.pi * rabi_mhz * t) ** 2, (rabi_mhz / omega) ** 2 * np.sin(np.pi * omega * t) ** 2
+
+
 def neutral_rabi_forward(
     p_up: float,
     durations_us,
@@ -48,13 +58,8 @@ def neutral_rabi_forward(
     (electron up, drive detuned by about the hyperfine coupling) and accounts
     for the nucleus starting in the wrong state with the same probability.
     """
-    if rabi_mhz <= 0:
-        raise ContractError("rabi frequency must be positive")
+    flip_res, flip_det = _flip_probabilities(durations_us, rabi_mhz, detuning_when_up_mhz)
     NoiseModel(p_up=p_up)  # checks p_up
-    t = np.asarray(durations_us, dtype=float)
-    flip_res = np.sin(np.pi * rabi_mhz * t) ** 2
-    omega = math.hypot(rabi_mhz, detuning_when_up_mhz)
-    flip_det = (rabi_mhz / omega) ** 2 * np.sin(np.pi * omega * t) ** 2
     p = p_up
     branch_down = (1 - p) * flip_res + p * (1 - flip_res)
     branch_up = (1 - p) * flip_det + p * (1 - flip_det)
@@ -67,34 +72,28 @@ class PupFit:
     residual_rms: float
 
 
-def fit_p_up(
-    durations_us,
-    trace,
-    rabi_mhz: float,
-    detuning_when_up_mhz: float = DETUNING_WHEN_UP_MHZ,
-) -> PupFit:
-    """Least-squares fit of p_up in the loading-error Rabi model to a
-    measured trace driven at the known rate `rabi_mhz`. Requires at least
-    eight points spanning a full oscillation.
+def fit_p_up(durations_us, trace, rabi_mhz: float, detuning_when_up_mhz: float = DETUNING_WHEN_UP_MHZ) -> PupFit:
+    """Exact least-squares p_up in [0, 0.5] for a trace of at least eight
+    points driven at the known rate `rabi_mhz`. With flip probabilities f_r
+    (resonant) and f_d (detuned) the model is f_r + p (1 - 3 f_r + f_d) +
+    2 p^2 (f_r - f_d), so the cost is a quartic in p whose minimum lies at 0,
+    at 0.5 or at a real root of its cubic derivative (real part clipped into
+    [0, 0.5]); of these candidates the least cost wins, on a tie the first, 0.
     """
-    # deferred: scipy.optimize is slow to import, and only this fit needs it
-    from scipy.optimize import least_squares
-
     t = np.asarray(durations_us, dtype=float)
-    y = np.asarray(trace, dtype=float)
     if t.size < 8:
         raise ContractError("need at least eight points to fit")
-
-    def resid(x):
-        return neutral_rabi_forward(x[0], t, rabi_mhz, detuning_when_up_mhz) - y
-
-    sol = least_squares(resid, [0.1], bounds=([0.0], [0.5]))
-    if not sol.success:
-        raise ContractError(
-            f"loading-error fit did not converge (final cost {sol.cost:.3e})"
-        )
-    rms = float(np.sqrt(np.mean(sol.fun**2)))
-    return PupFit(float(sol.x[0]), rms)
+    flip_res, flip_det = _flip_probabilities(t, rabi_mhz, detuning_when_up_mhz)
+    # residual a + b p + c p^2, one row per coefficient; half the cost's
+    # derivative is sum (a + b p + c p^2)(b + 2 c p)
+    y = np.asarray(trace, dtype=float)
+    coef = np.stack([flip_res - y, 1 - 3 * flip_res + flip_det, 2 * (flip_res - flip_det)])
+    gram = coef @ coef.T
+    cubic = [2 * gram[2, 2], 3 * gram[1, 2], gram[1, 1] + 2 * gram[0, 2], gram[0, 1]]
+    candidates = np.concatenate([[0.0, 0.5], np.clip(np.roots(cubic).real, 0.0, 0.5)])
+    mean_square = np.mean((np.vander(candidates, 3, increasing=True) @ coef) ** 2, axis=1)
+    best = int(np.argmin(mean_square))
+    return PupFit(float(candidates[best]), float(np.sqrt(mean_square[best])))
 
 
 # ---------------------------------------------------------------------------

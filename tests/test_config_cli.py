@@ -59,6 +59,11 @@ RAMSEY_OVERFLOW = {"experiment": "ramsey", "options": {"sigma_f_mhz": 1e308}}
 # stays finite but exceeds MAX_PHASE_RAD at the default 60 us wait
 RAMSEY_PHASE_OVERFLOW = {"experiment": "ramsey", "options": {"sigma_f_mhz": 1e307}}
 RAMSEY_PHASE_TOO_LARGE = {"experiment": "ramsey", "options": {"sigma_f_mhz": 1e6}}
+# shot counts past int64, which numpy's samplers reject in the run (exit 3)
+SHOTS_PAST_INT64 = [
+    ({"experiment": "bell_tomography", "options": {"shots_per_axis": 2**63}}, "shots_per_axis"),
+    ({"experiment": "rabi_spam", "options": {"shots_per_point": 2**63}}, "shots_per_point"),
+]
 
 # (experiment, mode, the sections it reads), written out here and not taken
 # from config.py; a mode of None is the default GATE_MODEL, left unwritten
@@ -224,6 +229,14 @@ class TestValidateConfig:
         with pytest.raises(ConfigError) as err:
             validate_config({"experiment": "donor_distance_fit", "options": options})
         assert err.value.errors == [("$.options", "give points or points_csv, not both")]
+
+    @pytest.mark.parametrize("doc, key", SHOTS_PAST_INT64, ids=["bell_tomography", "rabi_spam"])
+    def test_shot_counts_bounded_by_int64(self, doc, key):
+        largest = {**doc, "options": {key: 2**63 - 1}}
+        assert validate_config(largest).options[key] == 2**63 - 1
+        with pytest.raises(ConfigError) as err:
+            validate_config(doc)
+        assert err.value.errors == [(f"$.options.{key}", "must be <= 9223372036854775807")]
 
     @pytest.mark.parametrize("count, ok", [(7, False), (8, True)])
     def test_rabi_spam_needs_eight_durations(self, count, ok):
@@ -585,6 +598,7 @@ class TestCli:
             (RAMSEY_OVERFLOW, None, "$.options.sigma_f_mhz"),
             (RAMSEY_PHASE_OVERFLOW, None, "$.options.wait"),
             (RAMSEY_PHASE_TOO_LARGE, None, "$.options.wait"),
+            *[(doc, None, f"$.options.{key}") for doc, key in SHOTS_PAST_INT64],
         ],
         ids=[
             "rabi-four-points",
@@ -610,6 +624,8 @@ class TestCli:
             "ramsey-width-overflow",
             "ramsey-phase-overflow",
             "ramsey-phase-too-large",
+            "bell-shots-past-int64",
+            "rabi-shots-past-int64",
         ],
     )
     def test_runtime_failures_are_config_errors(self, tmp_path, capsys, doc, data, path):

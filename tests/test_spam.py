@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from donorpair import spam
 from donorpair.linalg import ContractError
@@ -93,13 +94,57 @@ class TestNeutralRabiForward:
             spam.neutral_rabi_forward(0.1, [0, 1], 0.0)
 
 
+def mixture_cost(p, t, y, rabi_mhz, detuning_mhz):
+    """Sum of squared residuals of the loading-error Rabi model at each p,
+    written as the mixture over the four loading outcomes of electron and
+    nucleus: a nucleus loaded up reads up unless it flips."""
+    p = np.asarray(p, dtype=float)[..., None]
+    omega = math.hypot(rabi_mhz, detuning_mhz)
+    flip_res = np.sin(np.pi * rabi_mhz * t) ** 2
+    flip_det = (rabi_mhz / omega) ** 2 * np.sin(np.pi * omega * t) ** 2
+    up = (
+        (1 - p) ** 2 * flip_res
+        + (1 - p) * p * (1 - flip_res)
+        + p * (1 - p) * flip_det
+        + p**2 * (1 - flip_det)
+    )
+    return np.sum((up - y) ** 2, axis=-1)
+
+
 class TestFitPup:
-    @pytest.mark.parametrize("p", [0.0, 0.05, 0.14, 0.2, 0.3])
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.14, 0.2, 0.3, 0.5])
     def test_noiseless_round_trip(self, p):
         t = np.linspace(0, 100, 60)
         y = spam.neutral_rabi_forward(p, t, 0.01)
         fit = spam.fit_p_up(t, y, rabi_mhz=0.01)
-        assert fit.p_up == pytest.approx(p, abs=1e-3)
+        assert fit.p_up == pytest.approx(p, abs=1e-9)
+        assert fit.residual_rms < 1e-12
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_cost_at_most_grid_minimum(self, seed):
+        # random durations, rates and traces: noiseless, noisy and unrelated
+        # to the model, so that the minimum falls inside and at either end
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(0, 200, rng.integers(8, 40))
+        rabi, detuning = rng.uniform(0.001, 0.1), rng.choice([0.0, 0.05, 113.0])
+        p_true = rng.uniform(0, 0.5)
+        sigma = rng.choice([0.0, 0.02, 1.0])
+        model = spam.neutral_rabi_forward(p_true, t, rabi, detuning)
+        y = model + sigma * rng.standard_normal(t.size)
+        fit = spam.fit_p_up(t, y, rabi_mhz=rabi, detuning_when_up_mhz=detuning)
+        assert 0.0 <= fit.p_up <= 0.5
+        grid_min = mixture_cost(np.linspace(0, 0.5, 10_001), t, y, rabi, detuning).min()
+        # the fitted cost, up to rounding of the sums
+        assert mixture_cost(fit.p_up, t, y, rabi, detuning) <= grid_min * (1 + 1e-12) + 1e-15
+        assert fit.residual_rms == pytest.approx(math.sqrt(mixture_cost(fit.p_up, t, y, rabi, detuning) / t.size))
+
+    @pytest.mark.parametrize("shift", [-0.4, 0.0, 0.2, 0.6])
+    def test_zero_durations_fit_the_clipped_mean(self, shift):
+        # at t = 0 nothing flips, so the model is p itself
+        y = shift + np.array([0.1, 0.3, 0.05, 0.2, 0.0, 0.15, 0.25, 0.12])
+        fit = spam.fit_p_up(np.zeros(8), y, rabi_mhz=0.01)
+        assert fit.p_up == pytest.approx(np.clip(np.mean(y), 0.0, 0.5), abs=1e-15)
 
     def test_binomial_noise_unbiased(self):
         rng = np.random.default_rng(2024)
@@ -117,6 +162,11 @@ class TestFitPup:
     def test_too_few_points(self):
         with pytest.raises(ContractError):
             spam.fit_p_up([0, 1, 2], [0, 1, 0], rabi_mhz=0.01)
+
+    @pytest.mark.parametrize("rabi", [0.0, -0.01])
+    def test_requires_positive_rabi(self, rabi):
+        with pytest.raises(ContractError, match="rabi frequency must be positive"):
+            spam.fit_p_up(np.linspace(0, 100, 8), np.zeros(8), rabi_mhz=rabi)
 
 
 class TestPhaseReversal:
