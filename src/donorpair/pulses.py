@@ -907,17 +907,19 @@ def phase_map_eig(engine: SequenceEngine, mode: str, freqs: np.ndarray):
 
 
 def _phase_factors(durs: np.ndarray, w: np.ndarray):
-    """Yield, per row of eigenvalues w (F, 16), the (durations, 16) phase
-    factors exp(-2 pi i w t) as giant-step x baby-step products (see
+    """Yield, per frequency of eigenvalues w (F, ..., n), the (..., durations,
+    n) phase factors exp(-2 pi i w t) as giant-step x baby-step products (see
     `phase_map`)."""
     d = durs.size
     m = math.isqrt(d - 1) + 1 if np.array_equal(durs, np.linspace(durs[0], durs[-1], d)) else 1
     step = (durs[-1] - durs[0]) / (d - 1) if m > 1 else 0.0
     phase = -2j * np.pi
-    giants = np.exp(phase * durs[::m, None, None] * w)  # (G, F, 16)
-    babies = np.exp(phase * (np.arange(m) * step)[:, None, None] * w)  # (m, F, 16)
-    for fi in range(w.shape[0]):
-        yield (giants[:, fi, None] * babies[:, fi]).reshape(-1, 16)[:d]
+    w = w[..., None, :]
+    giants = np.exp(phase * durs[::m, None] * w)  # (F, ..., G, n)
+    babies = np.exp(phase * (np.arange(m) * step)[:, None] * w)  # (F, ..., m, n)
+    for giant, baby in zip(giants, babies):
+        e = giant[..., None, :] * baby[..., None, :, :]  # (..., G, m, n)
+        yield e.reshape(*e.shape[:-3], -1, e.shape[-1])[..., :d, :]
 
 
 def phase_map(
@@ -950,9 +952,19 @@ def phase_map(
     with o the elementwise product.
 
     `phase_map_eig` decomposes the whole grid by nuclear-sector blocks in one
-    call. Per frequency, two products of B with every A and rho stacked
-    together give all B^dag X B, and one product with conj(E) and one row dot
-    with E give every value at every duration.
+    call. The values then run in blocks of their own, from `_diagonal_blocks`
+    on the nonzero pattern of the grid's bases and of the start states: every
+    B keeps each such block, so B^dag rho B, and with it K, vanishes outside
+    the block that holds rho, whatever A is. The gate model conserves the
+    spectator n1, so with 0 < p_up its starts fill the two n1 halves: two
+    blocks of 8, where each K has 64 terms in place of 256. The full
+    dynamics' opening pulse mixes n1, and at p_up = 0 the starts fill one
+    half while the other splits into two sectors of 4; either way
+    `_diagonal_blocks` falls back to one block of 16. Each value takes a slot
+    in its block, and the blocks pad to the fullest one. Per frequency, two
+    products of each block of B with every A and rho of its slots give all
+    B^dag X B, and one product with conj(E) and one row dot with E give every
+    value at every duration, each stacked over the blocks.
 
     E_t from products: with m = ceil(sqrt(D)) when the D durations equal
     np.linspace(t[0], t[-1], D) bit for bit, and m = 1 otherwise, duration
@@ -985,18 +997,33 @@ def phase_map(
         starts = np.concatenate([starts, np.broadcast_to(nominal, paulis.shape)])
         ops = np.concatenate([ops, paulis])
     n_values = ops.shape[0]
-    stacked = np.concatenate([ops, starts]).reshape(-1, 16)  # rows (value, i)
 
     w, bases = phase_map_eig(engine, mode, freqs)
+    rows, cols = _diagonal_blocks(np.any(bases != 0, axis=0), np.any(starts != 0, axis=0))
+    n_blocks, size = rows.shape[:2]
+    # each value runs in the block that holds its start, at slot `rank` among
+    # that block's values; unused slots repeat value 0
+    home = np.argmax(np.any(starts[:, rows, cols] != 0, axis=(2, 3)), axis=1)
+    in_block = home[:, None] == np.arange(n_blocks)
+    rank = np.cumsum(in_block, axis=0)[in_block] - 1
+    n_slots = rank.max() + 1
+    slots = np.zeros((n_blocks, n_slots), dtype=int)
+    slots[home, rank] = np.arange(n_values)
+    take = np.concatenate([slots, slots + n_values], axis=1)[:, :, None, None]
+    stacked = np.concatenate([ops, starts])[take, rows[:, None], cols[:, None]]
+    stacked = stacked.reshape(n_blocks, -1, size)  # rows (slot, i) of each block
+    bases, w = bases[:, rows, cols], w[:, rows[..., 0]]  # (F, blocks, size, size), (F, blocks, size)
+
     grid = (freqs.size, durs.size)
     vals = np.zeros((n_values, *grid))  # every recorded value at every point
     for fi, (basis, e) in enumerate(zip(bases, _phase_factors(durs, w))):
-        xb = (stacked @ basis).reshape(-1, 16, 16).swapaxes(0, 1).reshape(16, -1)
-        bxb = (basis.conj().T @ xb).reshape(16, -1, 16)  # [i, value, j] = (B^dag X B)_ij
-        # kt[i, k, j] = K_ji, so that the sum over j runs along a matrix product
-        kt = bxb[:, :n_values] * bxb[:, n_values:].transpose(2, 1, 0)
-        ekt = (e.conj() @ kt.reshape(16, -1)).reshape(durs.size, n_values, 16)
-        vals[:, fi] = np.real(ekt @ e[:, :, None])[..., 0].T
+        xb = (stacked @ basis).reshape(n_blocks, -1, size, size).swapaxes(1, 2).reshape(n_blocks, size, -1)
+        # bxb[b, i, slot, j] = (B^dag X B)_ij
+        bxb = (basis.conj().swapaxes(1, 2) @ xb).reshape(n_blocks, size, -1, size)
+        # kt[b, i, k, j] = K_ji, so that the sum over j runs along a matrix product
+        kt = bxb[:, :, :n_slots] * bxb[:, :, n_slots:].transpose(0, 3, 2, 1)
+        ekt = (e.conj() @ kt.reshape(n_blocks, size, -1)).reshape(n_blocks, durs.size, n_slots, size)
+        vals[:, fi] = np.real(ekt @ e[..., None])[home, :, rank, 0]
 
     pf = _stationary_flip_rate(weights, vals[: 2 * n_spectator].reshape(n_spectator, 2, *grid))
     obs = {}
@@ -1043,6 +1070,12 @@ def cz_flip_curve(
     pair alone (`addressed_pulse_unitary`). With a drift model the carrier
     is taken as recalibrated onto the saturated line, so the effective
     detuning relaxes away from zero during the pulse.
+
+    The modes agree at whole turns, to a gap that falls as the square of the
+    ESR drive. Mid-turn they do not, at any drive: there the electron is left
+    partly excited when the closing pi/2 pulse on n1 acts, which the gate
+    model's readout does not see. At half a turn the gate model reads 0.5
+    and the full dynamics 0.375.
 
     Every duration is read out at once in the factored form of
     `_flip_readout`: the drive stack becomes O U O in place, its squared

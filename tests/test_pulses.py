@@ -164,7 +164,7 @@ class TestRotatingFrame:
         f_n, f_e, _ = engine._pulse_frame(pulse)
         free = engine.free_hamiltonian(f_e, f_n)
         for mode in pl.MODES:
-            engine.pulse_propagator(pulse, mode, pirs=FALLBACK_DRIFT)
+            engine.pulse_propagator(pulse, mode, pirs=pl.PIRSModel())
             h0, z_shift = seen.pop()
             assert np.array_equal(h0, free + engine.drive_hamiltonian(mode, channel, rabi, 0.4))
             assert np.array_equal(z_shift, engine.channel_ops[channel][0])
@@ -472,6 +472,24 @@ class TestPirs:
         assert abs(drift[1] - ideal[1]) < 0.05  # first turn still a clean phase
         assert abs(drift[-1] - ideal[-1]) > 0.1
 
+    @pytest.mark.filterwarnings("ignore:rabi")
+    def test_modes_agree_at_whole_turns_as_the_drive_squared(self, params):
+        # the selective-drive limit: at two whole turns the gate-versus-full
+        # gap falls about 4x per halving of the ESR drive; at half a turn the
+        # modes read 0.5 and 0.375 at every drive, since the electron is left
+        # partly excited when the readout pulse acts
+        gaps = []
+        for rabi in (0.1, 0.05, 0.025, 0.0125):
+            engine = pl.SequenceEngine(params, rabi_electron_mhz=rabi)
+            turn = engine.compile(pl.CURVE_CZ).duration_us
+            durs = [0.5 * turn, 2 * turn]
+            gate, full = (pl.cz_flip_curve(params, durs, mode=m, engine=engine) for m in pl.MODES)
+            assert gate[0] == pytest.approx(0.5, abs=1e-9)
+            assert full[0] == pytest.approx(0.375, abs=1e-4)
+            gaps.append(abs(gate[1] - full[1]))
+        ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+        assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
+
 
 class TestPhaseMap:
     def test_zero_duration_column_flips(self, params):
@@ -713,7 +731,6 @@ def phase_map_tolerance(params, mode, freqs, durs):
     return 4 * 2 * math.pi * np.max(durs) * w_max * np.finfo(float).eps
 
 
-FALLBACK_DRIFT = pl.PIRSModel(shift_khz=120.0, time_constant_us=3.0, enabled=True)
 CEILING_DRIFT = pl.PIRSModel(shift_khz=pl.MAX_SHIFT_KHZ, time_constant_us=0.3, enabled=True)
 # interpolated drift steps against the per-slice exponentials: flip curves,
 # and the propagators themselves, which carry the rounding of up to 500 slice
@@ -807,12 +824,23 @@ class TestClosedFormKernels:
             for k in ("x", "y", "norm"):
                 assert np.max(np.abs(got.observables[s][k] - want_obs[s][k])) < tol
 
-    @pytest.mark.parametrize("mode", pl.MODES)
-    def test_phase_map_splits_nuclear_sectors(self, params, mode, monkeypatch):
+    @pytest.mark.parametrize(
+        "mode, p_up, value_blocks",
+        [
+            (pl.GATE_MODEL, 0.14, [list(range(8)), list(range(8, 16))]),
+            (pl.GATE_MODEL, 0.0, [list(range(16))]),
+            (pl.FULL_DYNAMICS, 0.14, [list(range(16))]),
+        ],
+        ids=["GATE_MODEL", "GATE_MODEL-p_up0", "FULL_DYNAMICS"],
+    )
+    def test_phase_map_splits_nuclear_sectors(self, params, mode, p_up, value_blocks, monkeypatch):
         # one stacked eigendecomposition of four 4x4 blocks per frequency:
-        # the contiguous nuclear sectors of the product basis, in either mode
+        # the contiguous nuclear sectors of the product basis, in either mode;
+        # then the values run in the blocks of their starts: the n1 halves
+        # when the gate model loads both, else the whole space
         sectors = [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]]
         blocks, eigs = [], []
+        engine = pl.engine_for(params)  # built before the spies, whatever ran first
 
         def record_blocks(h0, z_shift):
             rows, cols = diagonal_blocks(h0, z_shift)
@@ -827,11 +855,10 @@ class TestClosedFormKernels:
         monkeypatch.setattr(pl, "_diagonal_blocks", record_blocks)
         monkeypatch.setattr(pl, "hermitian_eig", record_eig)
         freqs, durs = workload_axes(params, 5, 4)
-        pl.phase_map(params, freqs, durs, mode=mode, noise=pl.NoiseModel(p_up=0.14))
-        assert blocks == [sectors]
+        pl.phase_map(params, freqs, durs, mode=mode, noise=pl.NoiseModel(p_up=p_up), observables=True)
+        assert blocks == [sectors, value_blocks]
         # the blocks of free_hamiltonian + the mode's drive, the same free
         # Hamiltonian in both modes
-        engine = pl.engine_for(params)
         h = engine.free_hamiltonian(freqs) + engine.drive_hamiltonian(mode, "ESR", engine.rabi["ESR"])
         idx = np.array(sectors)
         assert len(eigs) == 1 and np.array_equal(eigs[0], h[:, idx[:, :, None], idx[:, None, :]])
@@ -886,6 +913,16 @@ class TestClosedFormKernels:
             assert e.shape == (n_dur, 16)
             assert np.max(np.abs(e - np.exp(-2j * np.pi * t[:, None] * row))) <= tol
 
+    @pytest.mark.parametrize("n_dur", [1, 17])
+    def test_phase_factors_of_blocks_are_the_columns_of_the_whole(self, params, n_dur):
+        # eigenvalues grouped (F, blocks, size) give each block's columns of
+        # the (durations, 16) factors, bit for bit
+        freqs, _ = workload_axes(params, 5, 1)
+        w, _ = pl.phase_map_eig(pl.engine_for(params), pl.GATE_MODEL, freqs)
+        t = np.linspace(0.0, 10.0, n_dur)
+        for e_blocks, e in zip(pl._phase_factors(t, w.reshape(-1, 2, 8)), pl._phase_factors(t, w)):
+            assert np.array_equal(e_blocks, e.reshape(n_dur, 2, 8).swapaxes(0, 1))
+
     def test_free_hamiltonian_stack_matches_scalar_calls(self, engine):
         freqs = pl.phase_map_center_frequency(engine) + np.linspace(-10.0, 10.0, 9)
         stack = engine.free_hamiltonian(freqs)
@@ -917,7 +954,7 @@ class TestClosedFormKernels:
                 assert np.max(np.abs(values[k] - want_obs[s][k])) < tol
 
     @pytest.mark.parametrize("mode", pl.MODES)
-    @pytest.mark.parametrize("pirs", [None, FALLBACK_DRIFT], ids=["ideal", "drift"])
+    @pytest.mark.parametrize("pirs", [None, pl.PIRSModel()], ids=["ideal", "drift"])
     @pytest.mark.parametrize("p_up", [0.0, 0.14, 0.5])
     def test_cz_flip_curve_matches_per_point_loop(self, params, mode, pirs, p_up):
         # p_up = 0 leaves out the spectator-up branch; 0.5 is the model's bound
@@ -955,7 +992,7 @@ class TestClosedFormKernels:
 
     @pytest.mark.parametrize("mode", pl.MODES)
     @pytest.mark.parametrize("channel", ["ESR", "NMR"])
-    @pytest.mark.parametrize("pirs", [None, FALLBACK_DRIFT], ids=["ideal", "drift"])
+    @pytest.mark.parametrize("pirs", [None, pl.PIRSModel()], ids=["ideal", "drift"])
     def test_pulse_step_matches_per_slice_loop(self, params, engine, mode, channel, pirs):
         # one phased, drifting pulse step at a carrier 0.031 MHz off its
         # line, so that the static part stays asymmetric; the nuclear
@@ -978,7 +1015,7 @@ class TestClosedFormKernels:
         assert np.array_equal(res.final_state, u @ down @ u.conj().T)
 
     @pytest.mark.parametrize("mode", pl.MODES)
-    @pytest.mark.parametrize("pirs", [FALLBACK_DRIFT, CEILING_DRIFT], ids=["fallback", "ceiling"])
+    @pytest.mark.parametrize("pirs", [pl.PIRSModel(), CEILING_DRIFT], ids=["fallback", "ceiling"])
     def test_interpolated_drift_matches_per_slice_loop(self, params, engine, mode, pirs):
         # unsorted, one duration repeated, t = 0, the widest slices (just
         # under 0.85 us: 16 slices of 0.053 us) and 500 slices at 25 us
@@ -994,7 +1031,7 @@ class TestClosedFormKernels:
             assert np.max(np.abs(u - want)) < DRIFT_PROPAGATOR_TOL
 
     @pytest.mark.parametrize(
-        "pirs, nodes", [(FALLBACK_DRIFT, 7), (CEILING_DRIFT, 14)], ids=["fallback", "ceiling"]
+        "pirs, nodes", [(pl.PIRSModel(), 7), (CEILING_DRIFT, 14)], ids=["fallback", "ceiling"]
     )
     def test_drift_decomposes_each_block_once_per_node(self, engine, monkeypatch, pirs, nodes):
         # one node set serves every duration of a call: nodes x blocks
@@ -1034,7 +1071,7 @@ class TestClosedFormKernels:
             assert np.max(np.abs(u - want)) < DRIFT_PROPAGATOR_TOL
 
     @pytest.mark.parametrize("layout", ["esr", "addressed", "nmr"])
-    @pytest.mark.parametrize("pirs", [FALLBACK_DRIFT, CEILING_DRIFT], ids=["fallback", "ceiling"])
+    @pytest.mark.parametrize("pirs", [pl.PIRSModel(), CEILING_DRIFT], ids=["fallback", "ceiling"])
     @pytest.mark.parametrize("group_bytes", [pl.DRIFT_GROUP_BYTES, 1], ids=["one_group", "one_each"])
     def test_drift_products_end_at_every_chunk_offset(self, engine, monkeypatch, layout, pirs, group_bytes):
         # slice counts 16-33, two durations of each: every duration's last
@@ -1052,7 +1089,7 @@ class TestClosedFormKernels:
             assert np.max(np.abs(u - want)) < DRIFT_PROPAGATOR_TOL
 
     @pytest.mark.parametrize("mode", pl.MODES)
-    @pytest.mark.parametrize("pirs", [None, FALLBACK_DRIFT], ids=["ideal", "drift"])
+    @pytest.mark.parametrize("pirs", [None, pl.PIRSModel()], ids=["ideal", "drift"])
     def test_cz_flip_curve_working_set_is_bounded(self, params, engine, mode, pirs):
         # the whole curve over the 12-turn, 193-point pirs_cz grid: the
         # propagator stack and O U (0.79 MB each) and the drift kernel's
@@ -1078,10 +1115,10 @@ class TestClosedFormKernels:
         turn = 1.0 / (engine.rabi["ESR"] * tr.amplitude)
         pulse = pl.PulseSpec("ESR", abs(tr.frequency_mhz), engine.rabi["ESR"], 0.0)
         durs = np.linspace(0.0, 12 * turn, 193)
-        engine.pulse_propagator(pulse, pl.FULL_DYNAMICS, pirs=FALLBACK_DRIFT, durations_us=durs)
+        engine.pulse_propagator(pulse, pl.FULL_DYNAMICS, pirs=pl.PIRSModel(), durations_us=durs)
         tracemalloc.start()
         try:
-            engine.pulse_propagator(pulse, pl.FULL_DYNAMICS, pirs=FALLBACK_DRIFT, durations_us=durs)
+            engine.pulse_propagator(pulse, pl.FULL_DYNAMICS, pirs=pl.PIRSModel(), durations_us=durs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1139,7 +1176,7 @@ class TestClosedFormKernels:
         tr = engine.electron_transition("e2", n1=0, n2=1)
         pulse = pl.PulseSpec("ESR", abs(tr.frequency_mhz), engine.rabi["ESR"], 2.0)
         with pytest.raises(ContractError, match="not unitary"):
-            engine.pulse_propagator(pulse, pl.FULL_DYNAMICS, pirs=FALLBACK_DRIFT)
+            engine.pulse_propagator(pulse, pl.FULL_DYNAMICS, pirs=pl.PIRSModel())
 
     def test_block_split_follows_the_nonzero_pattern(self, engine):
         def sizes(*ops):
@@ -1159,7 +1196,7 @@ class TestClosedFormKernels:
             pl.phase_map(params, [28000.0], [0.0, -1.0])
 
     @pytest.mark.parametrize("mode", pl.MODES)
-    @pytest.mark.parametrize("pirs", [None, FALLBACK_DRIFT], ids=["ideal", "drift"])
+    @pytest.mark.parametrize("pirs", [None, pl.PIRSModel()], ids=["ideal", "drift"])
     def test_cz_flip_curve_rejects_negative_duration(self, params, mode, pirs):
         with pytest.raises(ContractError, match="negative duration -1.0 us"):
             pl.cz_flip_curve(params, [0.0, -1.0], pirs=pirs, mode=mode)
@@ -1171,7 +1208,7 @@ class TestClosedFormKernels:
         assert want is not None and "1.000 MHz splitting" in want
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            pl.cz_flip_curve(params, np.linspace(0.0, 6.0, 7), pirs=FALLBACK_DRIFT, mode=pl.FULL_DYNAMICS)
+            pl.cz_flip_curve(params, np.linspace(0.0, 6.0, 7), pirs=pl.PIRSModel(), mode=pl.FULL_DYNAMICS)
         assert [str(w.message) for w in caught] == [want]
 
     @pytest.mark.parametrize(
