@@ -10,9 +10,11 @@ set of decomposed Hamiltonians, multiplied in real arithmetic (see
 `pulses.sliced_propagators`), and `require_unitary` checks them to
 UNITARITY_TOL.
 The eigendecomposition kernels (`hermitian_eig`, `unitary_exp`, `psd_sqrt`,
-`project_to_simplex`, `nearest_physical_density`) also take a stack along
-leading axes and apply their checks to the whole stack; a single matrix goes
-through the same code.
+`project_to_simplex`, `physical_eig`, `nearest_physical_density`) also take a
+stack along leading axes and apply their checks to the whole stack; a single
+matrix goes through the same code. `unitary_exp` and `psd_sqrt` also take an
+`EigenSystem`, such as the one `physical_eig` returns, so that a caller
+holding a decomposition does not pay for another.
 """
 
 from __future__ import annotations
@@ -119,12 +121,13 @@ def unitary_exp(h, t_us) -> np.ndarray:
 
 
 def psd_sqrt(m) -> np.ndarray:
-    """Principal square root of a positive-semidefinite Hermitian matrix.
+    """Principal square root of a positive-semidefinite Hermitian matrix,
+    or of the matrix an `EigenSystem` describes (no decomposition then).
 
     Eigenvalues in [-PSD_CLIP_TOL, 0) are clipped to zero; anything lower,
     in any matrix of a stack, raises NotPositiveSemidefiniteError.
     """
-    w, v = hermitian_eig(m)
+    w, v = m if isinstance(m, EigenSystem) else hermitian_eig(m)
     low = w[..., 0].min()
     if low < -PSD_CLIP_TOL:
         raise NotPositiveSemidefiniteError(f"minimum eigenvalue {low:.3e}")
@@ -150,23 +153,33 @@ def project_to_simplex(vals: np.ndarray) -> np.ndarray:
     return np.clip(vals - shifts.max(axis=-1, keepdims=True), 0.0, None)
 
 
-def nearest_physical_density(m) -> np.ndarray:
-    """Frobenius-nearest density matrix (PSD, Hermitian, trace one).
+def physical_eig(m) -> EigenSystem:
+    """Eigensystem of the Frobenius-nearest density matrix (PSD, Hermitian,
+    trace one): the eigenvectors of M and its eigenvalues projected onto the
+    probability simplex, still ascending.
 
-    The input is hermitized as (M + M^dag)/2 and trace-normalized first; the
-    eigenvalues are then projected onto the probability simplex. A stack is
-    projected with one batched eigendecomposition (Smolin, Gambetta and
-    Smith, PRL 108, 070502, 2012).
+    The input is hermitized as (M + M^dag)/2 and trace-normalized first. A
+    stack is projected with one batched eigendecomposition (Smolin, Gambetta
+    and Smith, PRL 108, 070502, 2012).
     """
     m = as_matrix(m)
     m = (m + dagger(m)) / 2.0
     tr = np.trace(m, axis1=-2, axis2=-1).real
     if np.abs(tr).min() < 1e-12:
         raise ContractError("matrix has (near-)zero trace; cannot normalize")
-    m = m / tr[..., None, None]
-    w, v = np.linalg.eigh(m)
-    w_proj = project_to_simplex(w)
-    return (v * w_proj[..., None, :]) @ dagger(v)
+    w, v = np.linalg.eigh(m / tr[..., None, None])
+    return EigenSystem(project_to_simplex(w), v)
+
+
+def compose(es: EigenSystem) -> np.ndarray:
+    """The matrix V diag(w) V^dag of an eigensystem, or a stack of them."""
+    w, v = es
+    return (v * w[..., None, :]) @ dagger(v)
+
+
+def nearest_physical_density(m) -> np.ndarray:
+    """Frobenius-nearest density matrix: `physical_eig` composed."""
+    return compose(physical_eig(m))
 
 
 def kron_all(*ops) -> np.ndarray:

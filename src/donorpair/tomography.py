@@ -19,9 +19,13 @@ import numpy as np
 
 from .linalg import (
     ContractError,
+    EigenSystem,
     PAULIS,
+    compose,
     dagger,
+    hermitian_eig,
     nearest_physical_density,
+    physical_eig,
     psd_sqrt,
 )
 
@@ -122,19 +126,27 @@ def spin_flip(rho: np.ndarray) -> np.ndarray:
     return _SIGMA_YY @ rho.conj() @ _SIGMA_YY
 
 
-def concurrence(rho: np.ndarray):
+def concurrence(rho):
     """Entanglement monotone max(0, l1 - l2 - l3 - l4) with l_i the ordered
     eigenvalues of R = sqrt(sqrt(rho) rho_tilde sqrt(rho)): a float for one
     state, an array for a stack of states along leading axes.
 
-    Discriminants (eigenvalues under the square root) below DISCRIMINANT_TOL
-    are clipped to zero before the root: the square root otherwise amplifies
-    double-precision noise on rank-deficient states to the 1e-8 scale.
+    `rho` may also be the `EigenSystem` of the state or stack, such as
+    `physical_eig` returns; the root then takes no decomposition. A matrix is
+    decomposed once, for both the positivity check and the root. A state with
+    a negative eigenvalue (rounding, down to -1e-3) is re-projected
+    (`nearest_physical_density`), and the projection is decomposed for its
+    root. Discriminants (eigenvalues under the square root) below
+    DISCRIMINANT_TOL are clipped to zero before the root: the square root
+    otherwise amplifies double-precision noise on rank-deficient states to
+    the 1e-8 scale.
     """
-    rho = np.asarray(rho, dtype=complex)
+    es = rho if isinstance(rho, EigenSystem) else None
+    rho = np.asarray(rho, dtype=complex) if es is None else compose(es)
     if rho.shape[-2:] != (4, 4):
         raise ContractError("concurrence is defined for two-qubit states")
-    low = np.linalg.eigvalsh((rho + dagger(rho)) / 2.0)[..., 0]
+    w, v = hermitian_eig(rho) if es is None else es
+    low = w[..., 0]
     lowest = low.min()
     if lowest < -1e-3:
         raise ContractError(f"input violates positivity beyond rounding: {lowest:.2e}")
@@ -142,9 +154,13 @@ def concurrence(rho: np.ndarray):
         # reconstructed matrices arrive with rounding-level negative
         # eigenvalues; project those onto the physical set first
         negative = low < 0
-        rho = rho.copy()
+        rho, w, v = rho.copy(), w.copy(), v.copy()
         rho[negative] = nearest_physical_density(rho[negative])
-    root = psd_sqrt(rho)
+        # the root comes from decomposing the composed projection, as in the
+        # per-matrix reference; the projection's own eigensystem moves a
+        # near-pure state's concurrence by up to ~3e-12
+        w[negative], v[negative] = hermitian_eig(rho[negative])
+    root = psd_sqrt(EigenSystem(w, v))
     inner = root @ spin_flip(rho) @ root
     disc = np.linalg.eigvalsh((inner + dagger(inner)) / 2.0)
     disc = np.where(disc < DISCRIMINANT_TOL, 0.0, disc)
@@ -285,11 +301,11 @@ def _distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _INVERT_ROWS = 128  # rows per inversion call, see `_bootstrap_states`
 
 
-def _bootstrap_states(groups, n_resamples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Physical states of the distinct resamples of the groups, and the
-    (n_resamples,) index of each resample's state among them. A statistic of
-    the states, expanded by that index, has the bits of the statistic of the
-    expanded stack.
+def _bootstrap_states(groups, n_resamples: int, seed: int) -> tuple[EigenSystem, np.ndarray]:
+    """Eigensystems of the physical states of the distinct resamples of the
+    groups (`physical_eig`), and the (n_resamples,) index of each resample's
+    state among them. A statistic of the states, expanded by that index, has
+    the bits of the statistic of the expanded stack.
 
     Resample k draws len(groups) group indices with replacement from the
     unchanged stream SeedSequence([seed, k]) -> PCG64 -> integers(0, n, n),
@@ -298,14 +314,17 @@ def _bootstrap_states(groups, n_resamples: int, seed: int) -> tuple[np.ndarray, 
     count-weighted mean of the per-group arrays, formed for the whole stack
     so that a row's bits do not depend on the other rows. Each distinct count
     vector (at most C(2n-1, n) of them, found by `_distinct_rows`) is
-    inverted and projected once. The inversion and the fidelity's vector
-    product give a row the same bits in any stack of two or more rows, so a
-    lone distinct row among several resamples is kept as two, and the
-    distinct rows are inverted in near-equal chunks of at most 128 rows (at
-    most 126 distinct rows for five groups make one chunk). That keeps
-    OpenBLAS's complex product on the calling thread: a product of several
-    hundred rows wakes a worker thread that keeps spinning after the call
-    returns.
+    inverted and projected once. The projection's eigensystem is returned
+    rather than the composed states, so that `concurrence` takes its root
+    from it: a distinct resample costs two 4x4 decompositions, the
+    projection and the Wootters eigenvalues. The inversion and the
+    fidelity's vector product give a row the same bits in any stack of two
+    or more rows, so a lone distinct row among several resamples is kept as
+    two, and the distinct rows are inverted in near-equal chunks of at most
+    128 rows (at most 126 distinct rows for five groups make one chunk). That
+    keeps OpenBLAS's complex product on the calling thread: a product of
+    several hundred rows wakes a worker thread that keeps spinning after the
+    call returns.
     """
     groups = list(groups)
     if len(groups) < 2:
@@ -323,7 +342,7 @@ def _bootstrap_states(groups, n_resamples: int, seed: int) -> tuple[np.ndarray, 
     # near-equal chunks of two or more rows each, unless rows is one row
     chunks = np.array_split(rows, -(-len(rows) // _INVERT_ROWS))
     raw = np.concatenate([density_from_stokes(stokes[chunk]) for chunk in chunks])
-    return nearest_physical_density(raw), inverse
+    return physical_eig(raw), inverse
 
 
 def _percentile_ci(stats: np.ndarray) -> tuple[float, float]:
@@ -342,12 +361,14 @@ def bootstrap_ci(groups, n_resamples: int, statistic="fidelity", seed: int = 0):
     percentiles (linear interpolation) of the statistic plus the
     `n_resamples` resample statistics. `statistic` is "fidelity" (against
     PSI_PLUS) or "concurrence"; only that one is evaluated, once per
-    distinct resample.
+    distinct resample. The fidelity reads the states composed from their
+    eigensystems; the concurrence takes the eigensystems themselves, so a
+    distinct resample costs at most two 4x4 decompositions.
     """
     if statistic not in ("fidelity", "concurrence"):
         raise ContractError(f"unknown statistic {statistic!r}")
-    rhos, inverse = _bootstrap_states(groups, n_resamples, seed)
-    stats = (fidelity(rhos, PSI_PLUS) if statistic == "fidelity" else concurrence(rhos))[inverse]
+    states, inverse = _bootstrap_states(groups, n_resamples, seed)
+    stats = (fidelity(compose(states), PSI_PLUS) if statistic == "fidelity" else concurrence(states))[inverse]
     return (*_percentile_ci(stats), stats)
 
 
@@ -403,14 +424,12 @@ def sequence_table(
 
     engine = engine or pulses.engine_for(params)
     rho = pulses.run_sequence(prep_steps, params, noise=noise, mode=mode, engine=engine).final_state
-    tails = {(s, a): engine.step_unitary(pulses.ProjectStep(s, a), mode) for s in ("n1", "n2") for a in AXES}
-    states = []
-    for a1, a2 in AXIS_PAIRS:
-        out = rho
-        for u in (tails["n1", a1], tails["n2", a2]):
-            out = u @ out @ u.conj().T
-        states.append(out)
-    table = np.maximum(pulses.nuclear_populations(np.array(states)), 0.0)
+    t1, t2 = (np.array([engine.step_unitary(pulses.ProjectStep(s, a), mode) for a in AXES]) for s in ("n1", "n2"))
+    # n1's tail on every axis, then n2's on every axis: the (3, 3) pairs in
+    # AXIS_PAIRS order, each product associated as in a replay of the steps
+    after_n1 = t1 @ rho @ dagger(t1)
+    states = t2 @ after_n1[:, None] @ dagger(t2)
+    table = np.maximum(pulses.nuclear_populations(states.reshape(len(AXIS_PAIRS), *rho.shape)), 0.0)
     return table / table.sum(axis=-1, keepdims=True)
 
 
@@ -433,7 +452,10 @@ def tomography_pipeline(
     streams SeedSequence([seed, k]) -> PCG64 -> integers(0, n, n), computed
     for every k at once in uint64 arithmetic; it reconstructs and projects
     each distinct resample once, at most 128 at a time, and evaluates both
-    statistics once per distinct resample.
+    statistics once per distinct resample. The pooled state and each distinct
+    resample take two 4x4 decompositions: the projection (`physical_eig`),
+    whose eigensystem also gives the concurrence its root, and the Wootters
+    eigenvalues.
     """
     stokes = stokes_from_probabilities(source)  # checks the source before sampling from it
     groups = None
@@ -446,15 +468,16 @@ def tomography_pipeline(
         ]
         stokes = stokes_from_probabilities(mean_table(groups))
     raw = density_from_stokes(stokes)
-    physical = nearest_physical_density(raw)
+    pooled = physical_eig(raw)
+    physical = compose(pooled)
     est = DensityEstimate(
         raw=raw,
         physical=physical,
         fidelity=fidelity(physical, PSI_PLUS),
-        concurrence=concurrence(physical),
+        concurrence=concurrence(pooled),
     )
     if groups is not None:
-        rhos, inverse = _bootstrap_states(groups, n_resamples, seed)
-        est.ci["fidelity"] = _percentile_ci(fidelity(rhos, PSI_PLUS)[inverse])
-        est.ci["concurrence"] = _percentile_ci(concurrence(rhos)[inverse])
+        states, inverse = _bootstrap_states(groups, n_resamples, seed)
+        est.ci["fidelity"] = _percentile_ci(fidelity(compose(states), PSI_PLUS)[inverse])
+        est.ci["concurrence"] = _percentile_ci(concurrence(states)[inverse])
     return est

@@ -4,8 +4,10 @@ from hypothesis import given, strategies as st
 
 from donorpair import linalg
 from donorpair.linalg import (
+    PSD_CLIP_TOL,
     ContractError,
     DimensionError,
+    EigenSystem,
     NotPositiveSemidefiniteError,
     hermitian_eig,
     kron_all,
@@ -151,10 +153,17 @@ class TestPsdSqrt:
         s = psd_sqrt(m)
         assert np.max(np.abs(s @ s - m)) < 1e-9
         assert np.max(np.abs(s - s.conj().T)) < 1e-10
+        # an eigensystem gives the root without another decomposition
+        assert np.max(np.abs(psd_sqrt(hermitian_eig(m)) - s)) < 1e-12
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(NotPositiveSemidefiniteError):
             psd_sqrt(np.diag([1.0, -0.5]))
+        # an eigensystem is held to the same clip: below -PSD_CLIP_TOL raises
+        v = np.eye(2, dtype=complex)
+        assert np.array_equal(psd_sqrt(EigenSystem(np.array([-PSD_CLIP_TOL, 1.0]), v)), np.diag([0.0, 1.0]))
+        with pytest.raises(NotPositiveSemidefiniteError):
+            psd_sqrt(EigenSystem(np.array([-2 * PSD_CLIP_TOL, 1.0]), v))
 
 
 class TestSimplexProjection:

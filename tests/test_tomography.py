@@ -9,8 +9,11 @@ from donorpair import tomography as tm
 from donorpair.linalg import (
     PAULIS,
     ContractError,
+    EigenSystem,
     NotPositiveSemidefiniteError,
+    compose,
     nearest_physical_density,
+    physical_eig,
     project_to_simplex,
     psd_sqrt,
 )
@@ -388,7 +391,7 @@ class TestStackedBootstrapOracle:
         groups = _oracle_groups(bell_tables, "mixed_p0", 5, 0)
         states, inverse = tm._bootstrap_states(groups, 120, 0)
         assert inverse.shape == (120,)
-        assert np.all(np.linalg.eigvalsh(states[inverse])[:, :2] < 1e-10)
+        assert np.all(np.linalg.eigvalsh(compose(states)[inverse])[:, :2] < 1e-10)
 
     def test_pipeline_intervals_match_bootstrap_ci(self, bell_tables):
         est = tm.tomography_pipeline(bell_tables[0.14], n_shots_per_axis=1000, n_resamples=150, seed=4)
@@ -416,8 +419,8 @@ def expanded_stack_intervals(groups, n_resamples, seed):
     n = len(groups)
     group_stokes = tm.stokes_from_probabilities(groups).reshape(n, 16)
     stokes = (resample_counts(n, n_resamples, seed).astype(float) @ group_stokes).reshape(-1, 4, 4) / n
-    states = tm.nearest_physical_density(tm.density_from_stokes(stokes))
-    stats = {"fidelity": tm.fidelity(states, PSI_PLUS), "concurrence": tm.concurrence(states)}
+    states = physical_eig(tm.density_from_stokes(stokes))
+    stats = {"fidelity": tm.fidelity(compose(states), PSI_PLUS), "concurrence": tm.concurrence(states)}
     return {name: tuple(float(x) for x in np.percentile(v, [2.5, 97.5])) for name, v in stats.items()}
 
 
@@ -578,10 +581,20 @@ class TestDistinctRows:
         self._check(np.tile(rng.integers(0, n_cols, size=n_cols), (50, 1)))
 
 
+def assert_same_states(states, inverse, raw):
+    """The distinct states' eigensystems, expanded by `inverse`, have the
+    bits of the projection of the full stack `raw`, and so do the composed
+    states."""
+    for got, want in zip(states, physical_eig(raw)):
+        assert np.array_equal(got[inverse].view(np.uint64), want.view(np.uint64))
+    full = nearest_physical_density(raw)
+    assert np.array_equal(compose(states)[inverse].view(np.uint64), full.view(np.uint64))
+
+
 class TestDistinctResamples:
     def test_each_distinct_resample_projected_once(self, bell_tables, monkeypatch):
         # five groups allow C(9, 4) = 126 distinct count vectors among 1000 resamples
-        seen = {"nearest_physical_density": [], "density_from_stokes": []}
+        seen = {"physical_eig": [], "density_from_stokes": []}
         for name, rows in seen.items():
 
             def spy(m, original=getattr(tm, name), rows=rows):
@@ -590,15 +603,16 @@ class TestDistinctResamples:
 
             monkeypatch.setattr(tm, name, spy)
         groups = _oracle_groups(bell_tables, "sampled_p014", 5, 0)
-        states, inverse = tm._bootstrap_states(groups, 1000, 0)
+        (w, v), inverse = tm._bootstrap_states(groups, 1000, 0)
+        assert w.shape == (len(w), 4) and v.shape == (len(w), 4, 4)
         # each distinct resample is inverted and projected once
-        assert seen == {name: [len(states)] for name in seen}
-        assert len(states) <= math.comb(9, 4)
+        assert seen == {name: [len(w)] for name in seen}
+        assert len(w) <= math.comb(9, 4)
         counts = resample_counts(5, 1000, 0)
-        assert len(states) == len(np.unique(counts, axis=0))
-        assert inverse.shape == (1000,) and set(inverse.tolist()) == set(range(len(states)))
+        assert len(w) == len(np.unique(counts, axis=0))
+        assert inverse.shape == (1000,) and set(inverse.tolist()) == set(range(len(w)))
         # resamples with the same counts share a state
-        for row in range(len(states)):
+        for row in range(len(w)):
             assert len(np.unique(counts[inverse == row], axis=0)) == 1
 
     @pytest.mark.parametrize("height", [2, 3, 126, 500])
@@ -621,11 +635,10 @@ class TestDistinctResamples:
                 states, inverse = tm._bootstrap_states(groups, n_resamples, seed)
             counts = resample_counts(2, n_resamples, seed).astype(float)
             stokes = (counts @ group_stokes).reshape(n_resamples, 4, 4) / 2
-            full = tm.nearest_physical_density(tm.density_from_stokes(stokes))
-            assert np.array_equal(states[inverse].view(np.uint64), full.view(np.uint64))
+            assert_same_states(states, inverse, tm.density_from_stokes(stokes))
             if inverse.max() == 0:  # one count vector, kept as two rows among several resamples
                 lone += 1
-                assert len(states) == min(n_resamples, 2)
+                assert len(states.eigenvalues) == min(n_resamples, 2)
         assert lone > 0
 
     @pytest.mark.parametrize("seed", [0, 5, 2**100 + 1])
@@ -642,13 +655,12 @@ class TestDistinctResamples:
         monkeypatch.setattr(tm, "density_from_stokes", spy)
         states, inverse = tm._bootstrap_states(groups, 300, seed)
         monkeypatch.undo()
-        assert len(heights) > 1 and sum(heights) == len(states)
+        assert len(heights) > 1 and sum(heights) == len(states.eigenvalues)
         assert 2 <= min(heights) and max(heights) <= 128
         # the states keep the bits of the unchunked full-stack inversion
         group_stokes = tm.stokes_from_probabilities(groups).reshape(16, 16)
         stokes = (resample_counts(16, 300, seed).astype(float) @ group_stokes).reshape(300, 4, 4) / 16
-        full = tm.nearest_physical_density(tm.density_from_stokes(stokes))
-        assert np.array_equal(states[inverse].view(np.uint64), full.view(np.uint64))
+        assert_same_states(states, inverse, tm.density_from_stokes(stokes))
 
 
 class TestStackedKernels:
@@ -689,16 +701,21 @@ class TestStackedKernels:
     def test_physical_projection_and_concurrence(self, stack):
         phys = nearest_physical_density(stack)
         conc = tm.concurrence(phys)
+        # the projection's own eigensystem: the root needs no decomposition
+        conc_eig = tm.concurrence(physical_eig(stack))
         fid = tm.fidelity(phys, PSI_PLUS)
-        assert phys.shape == stack.shape and conc.shape == fid.shape == (len(stack),)
-        for m, p, c, f in zip(stack, phys, conc, fid):
+        assert phys.shape == stack.shape and conc.shape == conc_eig.shape == fid.shape == (len(stack),)
+        for m, p, c, ce, f in zip(stack, phys, conc, conc_eig, fid):
             single = nearest_physical_density(m)
             assert np.max(np.abs(single - p)) < 1e-15
             assert np.max(np.abs(single - _ref_physical(m))) < 1e-12
             assert abs(tm.concurrence(single) - c) < 1e-12
             assert abs(_ref_concurrence(single) - c) < 1e-12
+            assert abs(tm.concurrence(physical_eig(m)) - ce) < 1e-12
+            assert abs(_ref_concurrence(single) - ce) < 1e-12
             assert abs(tm.fidelity(single, PSI_PLUS) - f) < 1e-15
         assert isinstance(tm.concurrence(phys[0]), float)
+        assert isinstance(tm.concurrence(physical_eig(stack[0])), float)
         assert isinstance(tm.fidelity(phys[0], PSI_PLUS), float)
 
     def test_concurrence_reprojects_slightly_negative_states(self, rng):
@@ -723,6 +740,9 @@ class TestStackedKernels:
         for p, r in zip(phys, roots):
             assert np.max(np.abs(psd_sqrt(p) - r)) < 1e-14
             assert np.max(np.abs(r @ r - p)) < 1e-12
+        # from the projection's eigensystem, without a decomposition
+        for p, r in zip(phys, psd_sqrt(physical_eig(stack))):
+            assert np.max(np.abs(r @ r - p)) < 1e-12
 
     def test_checks_cover_every_matrix(self, stack):
         phys = nearest_physical_density(stack)
@@ -742,6 +762,8 @@ class TestStackedKernels:
         not_psd[4] = np.diag([1.0, 1e-3, 0.0, -1e-3])
         with pytest.raises(NotPositiveSemidefiniteError):
             psd_sqrt(not_psd)
+        with pytest.raises(NotPositiveSemidefiniteError):
+            psd_sqrt(EigenSystem(*np.linalg.eigh(not_psd)))
         not_hermitian = phys.copy()
         not_hermitian[5, 0, 1] += 1e-6
         with pytest.raises(ContractError, match="not Hermitian"):
@@ -808,6 +830,24 @@ class TestPipeline:
         # loading errors on all four spins; see the acceptance notes on the
         # narrower electron-only reading
         assert 0.55 <= est.fidelity <= 0.85
+
+    def test_two_decompositions_per_state_stack(self, params, monkeypatch):
+        # at the benchmark's Bell options the pooled state, then the stack of
+        # distinct resamples, take the projection's eigh and the Wootters
+        # eigvalsh each: the concurrence's root comes from the projection
+        source = tm.sequence_table(params, pl.bell_prep(), noise=pl.NoiseModel(p_up=0.14))
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+
+            def spy(m, *args, original=getattr(np.linalg, name), name=name):
+                calls.append((name, np.shape(m)[:-2]))
+                return original(m, *args)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        tm.tomography_pipeline(source, n_shots_per_axis=1000, n_groups=5, n_resamples=1000, seed=0)
+        monkeypatch.undo()
+        n = len(np.unique(resample_counts(5, 1000, 0), axis=0))
+        assert calls == [("eigh", ()), ("eigvalsh", ()), ("eigh", (n,)), ("eigvalsh", (n,))]
 
     def test_json_emission(self, params):
         tab = tm.sequence_table(params, pl.bell_prep(), noise=pl.NoiseModel(p_up=0.0))
