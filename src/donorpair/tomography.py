@@ -24,8 +24,8 @@ from .linalg import (
     compose,
     dagger,
     hermitian_eig,
-    nearest_physical_density,
     physical_eig,
+    project_to_simplex,
     psd_sqrt,
 )
 
@@ -34,9 +34,6 @@ AXIS_PAIRS = tuple((a, b) for a in AXES for b in AXES)
 PAULI_LABELS = ("I", "X", "Y", "Z")
 
 PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
-
-# concurrence clips discriminants below this to zero before the square root
-DISCRIMINANT_TOL = 1e-10
 
 _SIGMA_YY = np.kron(PAULIS["Y"], PAULIS["Y"])
 
@@ -117,56 +114,40 @@ def fidelity(rho: np.ndarray, psi: np.ndarray):
     return _scalar_or_stack(np.real(psi.conj() @ rho @ psi))
 
 
-def spin_flip(rho: np.ndarray) -> np.ndarray:
-    """(sigma_y (x) sigma_y) conj(rho) (sigma_y (x) sigma_y), with the
-    elementwise complex conjugate; stacks map matrix by matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (4, 4):
-        raise ContractError("spin flip is defined for two-qubit states")
-    return _SIGMA_YY @ rho.conj() @ _SIGMA_YY
-
-
 def concurrence(rho):
-    """Entanglement monotone max(0, l1 - l2 - l3 - l4) with l_i the ordered
-    eigenvalues of R = sqrt(sqrt(rho) rho_tilde sqrt(rho)): a float for one
-    state, an array for a stack of states along leading axes.
+    """Wootters' entanglement monotone max(0, l1 - l2 - l3 - l4) (PRL 80,
+    2245, 1998): a float for one state, an array for a stack of states along
+    leading axes. The l_i, descending, are the square roots of the
+    eigenvalues of R rho~ R, with R = sqrt(rho) and the spin flip
+    rho~ = S rho* S, S = sigma_y (x) sigma_y. S is real and R* R* = rho*, so
+    R rho~ R = X X^dag with X = R S R*: the l_i are the singular values of X.
 
     `rho` may also be the `EigenSystem` of the state or stack, such as
-    `physical_eig` returns; the root then takes no decomposition. A matrix is
-    decomposed once, for both the positivity check and the root. A state with
-    a negative eigenvalue (rounding, down to -1e-3) is re-projected
-    (`nearest_physical_density`), and the projection is decomposed for its
-    root. Discriminants (eigenvalues under the square root) below
-    DISCRIMINANT_TOL are clipped to zero before the root: the square root
-    otherwise amplifies double-precision noise on rank-deficient states to
-    the 1e-8 scale.
+    `physical_eig` returns; a matrix is decomposed once. A state with a
+    negative eigenvalue (rounding, down to -1e-3) has its eigenvalues
+    re-projected onto the probability simplex, on the same eigenvectors.
     """
-    es = rho if isinstance(rho, EigenSystem) else None
-    rho = np.asarray(rho, dtype=complex) if es is None else compose(es)
-    if rho.shape[-2:] != (4, 4):
+    w, v = rho if isinstance(rho, EigenSystem) else hermitian_eig(rho)
+    if v.shape[-2:] != (4, 4):
         raise ContractError("concurrence is defined for two-qubit states")
-    w, v = hermitian_eig(rho) if es is None else es
-    low = w[..., 0]
-    lowest = low.min()
+    lowest = w[..., 0].min()
     if lowest < -1e-3:
         raise ContractError(f"input violates positivity beyond rounding: {lowest:.2e}")
     if lowest < 0:
-        # reconstructed matrices arrive with rounding-level negative
-        # eigenvalues; project those onto the physical set first
-        negative = low < 0
-        rho, w, v = rho.copy(), w.copy(), v.copy()
-        rho[negative] = nearest_physical_density(rho[negative])
-        # the root comes from decomposing the composed projection, as in the
-        # per-matrix reference; the projection's own eigensystem moves a
-        # near-pure state's concurrence by up to ~3e-12
-        w[negative], v[negative] = hermitian_eig(rho[negative])
+        negative = w[..., 0] < 0
+        w = w.copy()
+        w[negative] = project_to_simplex(w[negative] / w[negative].sum(axis=-1, keepdims=True))
     root = psd_sqrt(EigenSystem(w, v))
-    inner = root @ spin_flip(rho) @ root
-    disc = np.linalg.eigvalsh((inner + dagger(inner)) / 2.0)
-    disc = np.where(disc < DISCRIMINANT_TOL, 0.0, disc)
-    lam = np.sort(np.sqrt(disc), axis=-1)  # ascending
-    c = lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0]
-    return _scalar_or_stack(np.maximum(0.0, c))
+    lam = np.linalg.svd(root @ _SIGMA_YY @ root.conj(), compute_uv=False)  # descending
+    return _scalar_or_stack(np.maximum(0.0, lam[..., 0] - lam[..., 1:].sum(axis=-1)))
+
+
+# statistics of an eigensystem or stack; each looks its function up when
+# called, so a wrapper put on the module attribute (benchmarks/tracing.py) runs
+_STATISTICS = {
+    "fidelity": lambda states: fidelity(compose(states), PSI_PLUS),
+    "concurrence": lambda states: concurrence(states),
+}
 
 
 # numpy's SeedSequence hash constants, and the 128-bit PCG64 multiplier as
@@ -316,8 +297,8 @@ def _bootstrap_states(groups, n_resamples: int, seed: int) -> tuple[EigenSystem,
     vector (at most C(2n-1, n) of them, found by `_distinct_rows`) is
     inverted and projected once. The projection's eigensystem is returned
     rather than the composed states, so that `concurrence` takes its root
-    from it: a distinct resample costs two 4x4 decompositions, the
-    projection and the Wootters eigenvalues. The inversion and the
+    from it: a distinct resample costs one 4x4 eigendecomposition, the
+    projection, and the concurrence's one 4x4 SVD. The inversion and the
     fidelity's vector product give a row the same bits in any stack of two
     or more rows, so a lone distinct row among several resamples is kept as
     two, and the distinct rows are inverted in near-equal chunks of at most
@@ -359,16 +340,15 @@ def bootstrap_ci(groups, n_resamples: int, statistic="fidelity", seed: int = 0):
     reconstructs the physical state of each distinct resample once, at most
     128 at a time (see `_bootstrap_states`), and returns the 2.5 and 97.5
     percentiles (linear interpolation) of the statistic plus the
-    `n_resamples` resample statistics. `statistic` is "fidelity" (against
-    PSI_PLUS) or "concurrence"; only that one is evaluated, once per
-    distinct resample. The fidelity reads the states composed from their
-    eigensystems; the concurrence takes the eigensystems themselves, so a
-    distinct resample costs at most two 4x4 decompositions.
+    `n_resamples` resample statistics. `statistic` is a key of
+    `_STATISTICS`, "fidelity" (against PSI_PLUS) or "concurrence"; only that
+    one is evaluated, on the eigensystems, once per distinct resample. A
+    distinct resample costs one 4x4 eigh and, for the concurrence, one SVD.
     """
-    if statistic not in ("fidelity", "concurrence"):
+    if statistic not in _STATISTICS:
         raise ContractError(f"unknown statistic {statistic!r}")
     states, inverse = _bootstrap_states(groups, n_resamples, seed)
-    stats = (fidelity(compose(states), PSI_PLUS) if statistic == "fidelity" else concurrence(states))[inverse]
+    stats = _STATISTICS[statistic](states)[inverse]
     return (*_percentile_ci(stats), stats)
 
 
@@ -452,10 +432,10 @@ def tomography_pipeline(
     streams SeedSequence([seed, k]) -> PCG64 -> integers(0, n, n), computed
     for every k at once in uint64 arithmetic; it reconstructs and projects
     each distinct resample once, at most 128 at a time, and evaluates both
-    statistics once per distinct resample. The pooled state and each distinct
-    resample take two 4x4 decompositions: the projection (`physical_eig`),
-    whose eigensystem also gives the concurrence its root, and the Wootters
-    eigenvalues.
+    `_STATISTICS` once per distinct resample. The pooled state and each
+    distinct resample take one 4x4 eigh, the projection (`physical_eig`),
+    whose eigensystem also gives the concurrence its root, and one 4x4 SVD,
+    the concurrence's singular values.
     """
     stokes = stokes_from_probabilities(source)  # checks the source before sampling from it
     groups = None
@@ -470,14 +450,9 @@ def tomography_pipeline(
     raw = density_from_stokes(stokes)
     pooled = physical_eig(raw)
     physical = compose(pooled)
-    est = DensityEstimate(
-        raw=raw,
-        physical=physical,
-        fidelity=fidelity(physical, PSI_PLUS),
-        concurrence=concurrence(pooled),
-    )
+    est = DensityEstimate(raw, physical, fidelity(physical, PSI_PLUS), concurrence(pooled))
     if groups is not None:
         states, inverse = _bootstrap_states(groups, n_resamples, seed)
-        est.ci["fidelity"] = _percentile_ci(fidelity(compose(states), PSI_PLUS)[inverse])
-        est.ci["concurrence"] = _percentile_ci(concurrence(states)[inverse])
+        for name, stat in _STATISTICS.items():
+            est.ci[name] = _percentile_ci(stat(states)[inverse])
     return est

@@ -173,23 +173,6 @@ class TestFidelity:
             tm.fidelity(np.eye(4) / 4, np.array([1.0, 0.0]))
 
 
-class TestSpinFlip:
-    def test_up_up_maps_to_down_down(self):
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = 1.0
-        out = tm.spin_flip(rho)
-        assert out[3, 3] == pytest.approx(1.0)
-
-    def test_bell_states_invariant(self):
-        for vec in ([0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, 1], [1, 0, 0, -1]):
-            psi = np.array(vec) / math.sqrt(2)
-            rho = np.outer(psi, psi.conj())
-            assert np.max(np.abs(tm.spin_flip(rho) - rho)) < 1e-12
-
-    def test_maximally_mixed_invariant(self):
-        assert np.allclose(tm.spin_flip(np.eye(4) / 4), np.eye(4) / 4)
-
-
 class TestConcurrence:
     def test_bell_states_unity(self):
         for vec in ([0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, -1]):
@@ -208,6 +191,17 @@ class TestConcurrence:
         for p in (0.2, 0.4, 0.6, 0.9):
             rho = p * np.outer(psi, psi.conj()) + (1 - p) * np.eye(4) / 4
             assert tm.concurrence(rho) == pytest.approx(max(0.0, (3 * p - 1) / 2), abs=1e-12)
+
+    @pytest.mark.parametrize("corner", [1e-6, 5e-6, 1e-4])
+    def test_x_state_closed_form(self, corner):
+        # X state: C = 2 max(0, |rho23| - sqrt(rho11 rho44), |rho14| - sqrt(rho22 rho33))
+        # (Yu and Eberly, QIC 7, 459, 2007); Wootters eigenvalues below 1e-5 count
+        rho = np.diag([corner, 0.5 - corner, 0.5 - corner, corner]).astype(complex)
+        rho[1, 2] = rho[2, 1] = 0.4
+        exact = 2 * max(0.0, 0.4 - math.sqrt(corner * corner), 0.0 - math.sqrt((0.5 - corner) ** 2))
+        assert abs(tm.concurrence(rho) - exact) < 1e-12
+        assert abs(tm.concurrence(physical_eig(rho)) - exact) < 1e-12
+        assert abs(_ref_concurrence(rho) - exact) < 1e-12
 
     def test_published_matrix_value(self, published_bell_matrix):
         # standard Wootters form on the published (rounded) reconstruction
@@ -328,16 +322,19 @@ def _ref_physical(m):
     return (v * _ref_simplex(w)) @ v.conj().T
 
 
+def _ref_sqrt(rho):
+    w, v = np.linalg.eigh(rho)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
 def _ref_concurrence(rho):
+    # Uhlmann's form: the Wootters eigenvalues are the singular values of
+    # sqrt(rho) sqrt(rho~), each root from its own eigh, with no clip
     rho = (rho + rho.conj().T) / 2.0
     if np.min(np.linalg.eigvalsh(rho)) < 0:
         rho = _ref_physical(rho)
-    w, v = np.linalg.eigh(rho)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     yy = np.kron(PAULIS["Y"], PAULIS["Y"])
-    inner = root @ yy @ rho.conj() @ yy @ root
-    disc = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-    lam = np.sort(np.sqrt(np.where(disc < 1e-10, 0.0, disc)))[::-1]
+    lam = np.linalg.svd(_ref_sqrt(rho) @ _ref_sqrt(yy @ rho.conj() @ yy), compute_uv=False)
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
 
 
@@ -387,7 +384,7 @@ class TestStackedBootstrapOracle:
     def test_rank_deficient_groups_project_to_low_rank(self, bell_tables):
         # the exact p_up = 0 groups project to states whose two smallest
         # eigenvalues are zero up to rounding, the input the oracle test feeds
-        # to concurrence's re-projection and discriminant clip
+        # to concurrence's root and singular values
         groups = _oracle_groups(bell_tables, "mixed_p0", 5, 0)
         states, inverse = tm._bootstrap_states(groups, 120, 0)
         assert inverse.shape == (120,)
@@ -834,20 +831,20 @@ class TestPipeline:
     def test_two_decompositions_per_state_stack(self, params, monkeypatch):
         # at the benchmark's Bell options the pooled state, then the stack of
         # distinct resamples, take the projection's eigh and the Wootters
-        # eigvalsh each: the concurrence's root comes from the projection
+        # svd each: the concurrence's root comes from the projection
         source = tm.sequence_table(params, pl.bell_prep(), noise=pl.NoiseModel(p_up=0.14))
         calls = []
-        for name in ("eigh", "eigvalsh"):
+        for name in ("eigh", "svd"):
 
-            def spy(m, *args, original=getattr(np.linalg, name), name=name):
+            def spy(m, *args, original=getattr(np.linalg, name), name=name, **kwargs):
                 calls.append((name, np.shape(m)[:-2]))
-                return original(m, *args)
+                return original(m, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, spy)
         tm.tomography_pipeline(source, n_shots_per_axis=1000, n_groups=5, n_resamples=1000, seed=0)
         monkeypatch.undo()
         n = len(np.unique(resample_counts(5, 1000, 0), axis=0))
-        assert calls == [("eigh", ()), ("eigvalsh", ()), ("eigh", (n,)), ("eigvalsh", (n,))]
+        assert calls == [("eigh", ()), ("svd", ()), ("eigh", (n,)), ("svd", (n,))]
 
     def test_json_emission(self, params):
         tab = tm.sequence_table(params, pl.bell_prep(), noise=pl.NoiseModel(p_up=0.0))
