@@ -213,9 +213,10 @@ def run_bell_tomography(config: ExperimentConfig):
 
 def run_pirs_cz(config: ExperimentConfig):
     """`cz_flip_curve` without and with drift over `max_turns` turns of
-    `CURVE_CZ`. Only the whole-turn rows compare the modes' selectivity: the
-    mid-turn rows are read out with the electron partly excited, which the
-    gate model does not see, so there the modes differ at any drive."""
+    `CURVE_CZ`. Only the whole-turn rows compare the modes' selectivity. The
+    mid-turn rows differ at any drive, because of the pi/2 readout pulses on
+    n1, not the drive: they act with the electron partly excited, which the
+    gate model's readout does not see."""
     turn = engine_for(config.system).compile(CURVE_CZ).duration_us
     n = config.options["max_turns"] * config.options["points_per_turn"] + 1
     durations = np.linspace(0.0, config.options["max_turns"] * turn, n)

@@ -1072,10 +1072,12 @@ def cz_flip_curve(
     detuning relaxes away from zero during the pulse.
 
     The modes agree at whole turns, to a gap that falls as the square of the
-    ESR drive. Mid-turn they do not, at any drive: there the electron is left
-    partly excited when the closing pi/2 pulse on n1 acts, which the gate
-    model's readout does not see. At half a turn the gate model reads 0.5
-    and the full dynamics 0.375.
+    ESR drive. Mid-turn they differ at any drive, through the pi/2 readout
+    pulses on n1 and not the drive (read out with the full-dynamics pulses,
+    the gate model's drive tracks full dynamics as the drive squared): the
+    pulses act with the electron partly excited, which the gate model's
+    readout does not see. At half a turn the gate model reads 0.5 and the
+    full dynamics 0.375.
 
     Every duration is read out at once in the factored form of
     `_flip_readout`: the drive stack becomes O U O in place, its squared

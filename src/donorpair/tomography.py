@@ -37,9 +37,10 @@ PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
 
 _SIGMA_YY = np.kron(PAULIS["Y"], PAULIS["Y"])
 
-# sigma_a (x) sigma_b for a, b in PAULI_LABELS
-_PAULI_BASIS = np.array(
-    [[np.kron(PAULIS[a], PAULIS[b]) for b in PAULI_LABELS] for a in PAULI_LABELS]
+# sigma_a (x) sigma_b for a, b in PAULI_LABELS: C-contiguous real, imaginary parts
+_PAULI_RE, _PAULI_IM = (
+    np.ascontiguousarray(part([[np.kron(PAULIS[a], PAULIS[b]) for b in PAULI_LABELS] for a in PAULI_LABELS]))
+    for part in (np.real, np.imag)
 )
 
 
@@ -92,12 +93,15 @@ def density_from_stokes(stokes: np.ndarray) -> np.ndarray:
     """Linear inversion rho = (1/4) sum_ab S_ab sigma_a (x) sigma_b, for one
     (4, 4) Stokes array or a stack of them along leading axes.
 
-    Hermitian with unit trace; not necessarily positive semidefinite.
+    Hermitian with unit trace; not necessarily positive semidefinite. The
+    sums run in numpy's own einsum loop, so a row's result has the same bits
+    whether it is given alone or in a stack of any height.
     """
     stokes = np.asarray(stokes, dtype=float)
     if np.abs(stokes[..., 0, 0] - 1.0).max() > 1e-9:
         raise ContractError("S[I, I] must equal one")
-    return np.tensordot(stokes, _PAULI_BASIS, axes=2) / 4.0
+    re, im = (np.einsum("...ab,abij->...ij", stokes, part) for part in (_PAULI_RE, _PAULI_IM))
+    return (re + 1j * im) / 4.0
 
 
 def _scalar_or_stack(x: np.ndarray):
@@ -106,12 +110,14 @@ def _scalar_or_stack(x: np.ndarray):
 
 def fidelity(rho: np.ndarray, psi: np.ndarray):
     """State fidelity <psi| rho |psi> against a pure target: a float for one
-    state, an array for a stack of states along leading axes."""
+    state, an array for a stack of states along leading axes. The sum runs in
+    numpy's own einsum loop, so a state's fidelity has the same bits whether
+    it is given alone or in a stack of any height."""
     rho = np.asarray(rho, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
     if rho.shape[-1] != psi.shape[0]:
         raise ContractError("dimension mismatch between state and target")
-    return _scalar_or_stack(np.real(psi.conj() @ rho @ psi))
+    return _scalar_or_stack(np.real(np.einsum("i,...ij,j->...", psi.conj(), rho, psi)))
 
 
 def concurrence(rho):
@@ -265,47 +271,22 @@ def _resample_counts(n_groups: int, n_resamples: int, seed: int) -> np.ndarray:
     return counts
 
 
-def _distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index of each distinct row's first occurrence, in lexicographic
-    row order, and every row's index among them: the index and inverse of
-    np.unique(counts, axis=0), from one stable lexsort of the columns."""
-    order = np.lexsort(counts.T[::-1])
-    ranked = counts[order]
-    new = np.empty(len(order), dtype=bool)
-    new[:1] = True
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
-
-
-_INVERT_ROWS = 128  # rows per inversion call, see `_bootstrap_states`
-
-
 def _bootstrap_states(groups, n_resamples: int, seed: int) -> tuple[EigenSystem, np.ndarray]:
-    """Eigensystems of the physical states of the distinct resamples of the
-    groups (`physical_eig`), and the (n_resamples,) index of each resample's
+    """Eigensystems (`physical_eig`) of the physical states of the distinct
+    resamples of the groups, and the (n_resamples,) index of each resample's
     state among them. A statistic of the states, expanded by that index, has
     the bits of the statistic of the expanded stack.
 
     Resample k draws len(groups) group indices with replacement from the
     unchanged stream SeedSequence([seed, k]) -> PCG64 -> integers(0, n, n),
-    now computed for every k at once (`_resample_counts`). Stokes parameters
-    are linear in the tables, so each resample's Stokes array is the
+    computed for every k at once (`_resample_counts`). Stokes parameters are
+    linear in the tables, so each resample's Stokes array is the
     count-weighted mean of the per-group arrays, formed for the whole stack
-    so that a row's bits do not depend on the other rows. Each distinct count
-    vector (at most C(2n-1, n) of them, found by `_distinct_rows`) is
-    inverted and projected once. The projection's eigensystem is returned
-    rather than the composed states, so that `concurrence` takes its root
-    from it: a distinct resample costs one 4x4 eigendecomposition, the
-    projection, and the concurrence's one 4x4 SVD. The inversion and the
-    fidelity's vector product give a row the same bits in any stack of two
-    or more rows, so a lone distinct row among several resamples is kept as
-    two, and the distinct rows are inverted in near-equal chunks of at most
-    128 rows (at most 126 distinct rows for five groups make one chunk). That
-    keeps OpenBLAS's complex product on the calling thread: a product of
-    several hundred rows wakes a worker thread that keeps spinning after the
-    call returns.
+    so that a row's bits do not depend on the other rows. One `np.unique`
+    over the count rows, each read as one raw-byte value, finds the distinct
+    count vectors (at most C(2n-1, n)); their rows take one inversion call
+    and one projection call. The eigensystems, not the composed states, are
+    returned, so that `concurrence` takes its root from them.
     """
     groups = list(groups)
     if len(groups) < 2:
@@ -314,16 +295,12 @@ def _bootstrap_states(groups, n_resamples: int, seed: int) -> tuple[EigenSystem,
         warnings.warn(f"{n_resamples} resamples is too few for stable percentiles")
     n = len(groups)
     counts = _resample_counts(n, n_resamples, seed)
+    # each count row as one void scalar, so that equal rows are equal keys
+    keys = counts.view(np.dtype((np.void, counts.itemsize * n))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     group_stokes = stokes_from_probabilities(groups).reshape(n, 16)
     stokes = (counts.astype(float) @ group_stokes).reshape(n_resamples, 4, 4) / n
-    first, inverse = _distinct_rows(counts)
-    # numpy multiplies a one-row stack by its vector kernel, which rounds
-    # otherwise than the matrix kernel of a taller stack
-    rows = first.repeat(2) if len(first) == 1 < n_resamples else first
-    # near-equal chunks of two or more rows each, unless rows is one row
-    chunks = np.array_split(rows, -(-len(rows) // _INVERT_ROWS))
-    raw = np.concatenate([density_from_stokes(stokes[chunk]) for chunk in chunks])
-    return physical_eig(raw), inverse
+    return physical_eig(density_from_stokes(stokes[first])), inverse
 
 
 def _percentile_ci(stats: np.ndarray) -> tuple[float, float]:
@@ -337,13 +314,13 @@ def bootstrap_ci(groups, n_resamples: int, statistic="fidelity", seed: int = 0):
     Resamples the group list with replacement, from the unchanged streams
     SeedSequence([seed, k]) -> PCG64 -> integers(0, n, n) computed for every
     resample k at once in uint64 arithmetic (see `_resample_counts`),
-    reconstructs the physical state of each distinct resample once, at most
-    128 at a time (see `_bootstrap_states`), and returns the 2.5 and 97.5
-    percentiles (linear interpolation) of the statistic plus the
-    `n_resamples` resample statistics. `statistic` is a key of
-    `_STATISTICS`, "fidelity" (against PSI_PLUS) or "concurrence"; only that
-    one is evaluated, on the eigensystems, once per distinct resample. A
-    distinct resample costs one 4x4 eigh and, for the concurrence, one SVD.
+    reconstructs the physical state of each distinct resample once (see
+    `_bootstrap_states`), and returns the 2.5 and 97.5 percentiles (linear
+    interpolation) of the statistic plus the `n_resamples` resample
+    statistics. `statistic` is a key of `_STATISTICS`, "fidelity" (against
+    PSI_PLUS) or "concurrence"; only that one is evaluated, on the
+    eigensystems, once per distinct resample. A distinct resample costs one
+    4x4 eigh and, for the concurrence, one SVD.
     """
     if statistic not in _STATISTICS:
         raise ContractError(f"unknown statistic {statistic!r}")
@@ -431,11 +408,11 @@ def tomography_pipeline(
     for error bars. The bootstrap draws its resamples from the unchanged
     streams SeedSequence([seed, k]) -> PCG64 -> integers(0, n, n), computed
     for every k at once in uint64 arithmetic; it reconstructs and projects
-    each distinct resample once, at most 128 at a time, and evaluates both
-    `_STATISTICS` once per distinct resample. The pooled state and each
-    distinct resample take one 4x4 eigh, the projection (`physical_eig`),
-    whose eigensystem also gives the concurrence its root, and one 4x4 SVD,
-    the concurrence's singular values.
+    each distinct resample once, and evaluates both `_STATISTICS` once per
+    distinct resample. The pooled state and each distinct resample take one
+    4x4 eigh, the projection (`physical_eig`), whose eigensystem also gives
+    the concurrence its root, and one 4x4 SVD, the concurrence's singular
+    values.
     """
     stokes = stokes_from_probabilities(source)  # checks the source before sampling from it
     groups = None

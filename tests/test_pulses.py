@@ -490,6 +490,37 @@ class TestPirs:
         ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
         assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
 
+    @pytest.mark.filterwarnings("ignore:rabi")
+    def test_mid_turn_gap_is_the_readout_pulses(self, params):
+        # the gate model's addressed drive, read out with the full-dynamics
+        # pi/2 pulses on n1, tracks full dynamics over two turns to a gap
+        # that falls as the drive squared, and reads 0.375 at half a turn:
+        # the modes' mid-turn gap comes from the readout, not the drive
+        def read_out(readout, drives):
+            pulse, weights, flips, loads = readout
+            q = np.einsum("br,drc,sbc->sbd", flips, np.abs(pulse @ drives @ pulse) ** 2, loads)
+            return pl._stationary_flip_rate(weights, q)
+
+        gaps, half = [], []
+        for rabi in (0.1, 0.05, 0.025):
+            engine = pl.SequenceEngine(params, rabi_electron_mhz=rabi)
+            durs = np.linspace(0.0, 2 * engine.compile(pl.CURVE_CZ).duration_us, 33)
+            tr = engine.electron_transition(pl.CURVE_CZ.electron, pl.CURVE_CZ.n1, pl.CURVE_CZ.n2)
+            drives = pl.addressed_pulse_unitary(engine, tr, durs)
+            for p_up in (0.14, 0.0):
+                noise = pl.NoiseModel(p_up=p_up)
+                gate, full = (pl.cz_flip_curve(params, durs, mode=m, noise=noise, engine=engine) for m in pl.MODES)
+                readouts = {m: pl._flip_readout(engine, "n1", m, p_up) for m in pl.MODES}
+                assert np.max(np.abs(read_out(readouts[pl.GATE_MODEL], drives) - gate)) < 1e-12
+                hybrid = read_out(readouts[pl.FULL_DYNAMICS], drives)
+                if p_up:
+                    gaps.append(np.max(np.abs(hybrid - full)))
+                else:
+                    half.append(hybrid[8])
+        ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+        assert gaps[0] < 5e-3 and np.all((3.5 <= ratios) & (ratios <= 4.5)), gaps
+        assert half == pytest.approx([0.375] * 3, abs=1e-6)
+
 
 class TestPhaseMap:
     def test_zero_duration_column_flips(self, params):

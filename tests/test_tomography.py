@@ -556,28 +556,6 @@ class TestWideArithmetic:
         assert all(w.dtype == np.uint64 for w in tm._seed_words(2**127 + 3, 10))
 
 
-class TestDistinctRows:
-    """The lexsort dedup against np.unique(axis=0)."""
-
-    @staticmethod
-    def _check(counts):
-        first, inverse = tm._distinct_rows(counts)
-        _, want_first, want_inverse = np.unique(counts, axis=0, return_index=True, return_inverse=True)
-        assert first.tolist() == want_first.tolist()
-        # numpy 2.0.0 returns the inverse as a column
-        assert inverse.tolist() == want_inverse.reshape(-1).tolist()
-
-    @pytest.mark.parametrize("n_cols", [2, 3, 5, 16, 33])
-    @pytest.mark.parametrize("n_rows", [1, 2, 7, 300])
-    def test_random_counts(self, rng, n_rows, n_cols):
-        # few values per column, so that rows repeat
-        self._check(rng.integers(0, 3, size=(n_rows, n_cols)))
-
-    @pytest.mark.parametrize("n_cols", [2, 5, 33])
-    def test_all_rows_equal(self, rng, n_cols):
-        self._check(np.tile(rng.integers(0, n_cols, size=n_cols), (50, 1)))
-
-
 def assert_same_states(states, inverse, raw):
     """The distinct states' eigensystems, expanded by `inverse`, have the
     bits of the projection of the full stack `raw`, and so do the composed
@@ -588,17 +566,71 @@ def assert_same_states(states, inverse, raw):
     assert np.array_equal(compose(states)[inverse].view(np.uint64), full.view(np.uint64))
 
 
+class TestDistinctRows:
+    """The dedup of `_bootstrap_states` against np.unique(axis=0), on count
+    matrices put in place of the resample draw."""
+
+    @staticmethod
+    def _check(bell_tables, monkeypatch, counts):
+        n_rows, n = counts.shape
+        groups = _oracle_groups(bell_tables, "sampled_p014", n, 0)
+        monkeypatch.setattr(tm, "_resample_counts", lambda *_: counts)
+        if n_rows < 100:
+            with pytest.warns(UserWarning, match="too few"):
+                states, inverse = tm._bootstrap_states(groups, n_rows, 0)
+        else:
+            states, inverse = tm._bootstrap_states(groups, n_rows, 0)
+        _, want_first, want_inverse = np.unique(counts, axis=0, return_index=True, return_inverse=True)
+        # numpy 2.0.0 returns the inverse as a column
+        want_inverse = want_inverse.reshape(-1)
+        # one state per distinct row, and the same grouping of the rows
+        assert len(states.eigenvalues) == len(want_first) and inverse.shape == (n_rows,)
+        assert len(set(zip(inverse.tolist(), want_inverse.tolist()))) == len(want_first)
+        group_stokes = tm.stokes_from_probabilities(groups).reshape(n, 16)
+        stokes = (counts.astype(float) @ group_stokes).reshape(n_rows, 4, 4) / n
+        assert_same_states(states, inverse, tm.density_from_stokes(stokes))
+
+    @pytest.mark.parametrize("n_cols", [2, 3, 5, 16, 33])
+    @pytest.mark.parametrize("n_rows", [1, 2, 7, 300])
+    def test_random_counts(self, bell_tables, monkeypatch, rng, n_rows, n_cols):
+        # rows picked from a pool of half as many count vectors, so that rows repeat
+        pool = rng.multinomial(n_cols, np.full(n_cols, 1 / n_cols), size=max(1, n_rows // 2))
+        self._check(bell_tables, monkeypatch, pool[rng.integers(0, len(pool), size=n_rows)])
+
+    @pytest.mark.parametrize("n_cols", [2, 5, 33])
+    def test_all_rows_equal(self, bell_tables, monkeypatch, rng, n_cols):
+        row = rng.multinomial(n_cols, np.full(n_cols, 1 / n_cols))
+        self._check(bell_tables, monkeypatch, np.tile(row, (50, 1)))
+
+
+def stack_pieces(rng, n, height):
+    """Indices into a stack of n rows: one sorted piece of `height` rows, or
+    for height 1 (a one-row stack) and None (one row as a matrix) 50 lone
+    rows, since a kernel that treats a lone row otherwise changes the bits of
+    only some rows."""
+    if height in (1, None):
+        return [rows if height else rows[0] for rows in rng.choice(n, size=(50, 1), replace=False)]
+    return [np.sort(rng.choice(n, size=height, replace=False))]
+
+
+def spy_row_counts(monkeypatch):
+    """The row count of every `physical_eig` and `density_from_stokes` call
+    that tomography makes, by name."""
+    seen = {"physical_eig": [], "density_from_stokes": []}
+    for name, rows in seen.items():
+
+        def spy(m, original=getattr(tm, name), rows=rows):
+            rows.append(len(m))
+            return original(m)
+
+        monkeypatch.setattr(tm, name, spy)
+    return seen
+
+
 class TestDistinctResamples:
     def test_each_distinct_resample_projected_once(self, bell_tables, monkeypatch):
         # five groups allow C(9, 4) = 126 distinct count vectors among 1000 resamples
-        seen = {"physical_eig": [], "density_from_stokes": []}
-        for name, rows in seen.items():
-
-            def spy(m, original=getattr(tm, name), rows=rows):
-                rows.append(len(m))
-                return original(m)
-
-            monkeypatch.setattr(tm, name, spy)
+        seen = spy_row_counts(monkeypatch)
         groups = _oracle_groups(bell_tables, "sampled_p014", 5, 0)
         (w, v), inverse = tm._bootstrap_states(groups, 1000, 0)
         assert w.shape == (len(w), 4) and v.shape == (len(w), 4, 4)
@@ -612,13 +644,21 @@ class TestDistinctResamples:
         for row in range(len(w)):
             assert len(np.unique(counts[inverse == row], axis=0)) == 1
 
-    @pytest.mark.parametrize("height", [2, 3, 126, 500])
+    @pytest.mark.parametrize("height", [1, 2, 3, 126, 500, None])
     def test_inversion_bits_do_not_depend_on_stack_height(self, rng, height):
         stokes = rng.standard_normal((1000, 4, 4))
         stokes[:, 0, 0] = 1.0
-        rows = np.sort(rng.choice(1000, size=height, replace=False))
-        full = tm.density_from_stokes(stokes)[rows]
-        assert np.array_equal(full.view(np.uint64), tm.density_from_stokes(stokes[rows]).view(np.uint64))
+        full = tm.density_from_stokes(stokes)
+        for rows in stack_pieces(rng, 1000, height):
+            assert np.array_equal(full[rows].view(np.uint64), tm.density_from_stokes(stokes[rows]).view(np.uint64))
+
+    @pytest.mark.parametrize("height", [1, 2, 3, 126, 500, None])
+    def test_fidelity_bits_do_not_depend_on_stack_height(self, rng, height):
+        states = compose(physical_eig(rng.standard_normal((1000, 4, 4)) + 1j * rng.standard_normal((1000, 4, 4))))
+        full = tm.fidelity(states, PSI_PLUS)
+        for rows in stack_pieces(rng, 1000, height):
+            got = np.float64(tm.fidelity(states[rows], PSI_PLUS))
+            assert np.array_equal(full[rows].view(np.uint64), got.view(np.uint64))
 
     @pytest.mark.parametrize("n_resamples", [1, 2, 3])
     def test_states_are_those_of_the_full_stack(self, bell_tables, n_resamples):
@@ -633,28 +673,22 @@ class TestDistinctResamples:
             counts = resample_counts(2, n_resamples, seed).astype(float)
             stokes = (counts @ group_stokes).reshape(n_resamples, 4, 4) / 2
             assert_same_states(states, inverse, tm.density_from_stokes(stokes))
-            if inverse.max() == 0:  # one count vector, kept as two rows among several resamples
+            if inverse.max() == 0:  # one count vector: one state for every resample
                 lone += 1
-                assert len(states.eigenvalues) == min(n_resamples, 2)
+                assert len(states.eigenvalues) == 1
         assert lone > 0
 
     @pytest.mark.parametrize("seed", [0, 5, 2**100 + 1])
-    def test_many_distinct_rows_inverted_in_chunks(self, bell_tables, monkeypatch, seed):
-        # 16 groups x 300 resamples give about 300 distinct count vectors; one
-        # product of 256 or more rows would wake an OpenBLAS worker thread
+    def test_many_distinct_rows_inverted_in_one_call(self, bell_tables, monkeypatch, seed):
+        # 16 groups x 300 resamples give about 300 distinct count vectors,
+        # all inverted by one call and projected by one call
         groups = _oracle_groups(bell_tables, "sampled_p014", 16, seed)
-        heights = []
-
-        def spy(m, original=tm.density_from_stokes):
-            heights.append(len(m))
-            return original(m)
-
-        monkeypatch.setattr(tm, "density_from_stokes", spy)
+        seen = spy_row_counts(monkeypatch)
         states, inverse = tm._bootstrap_states(groups, 300, seed)
         monkeypatch.undo()
-        assert len(heights) > 1 and sum(heights) == len(states.eigenvalues)
-        assert 2 <= min(heights) and max(heights) <= 128
-        # the states keep the bits of the unchunked full-stack inversion
+        assert seen == {name: [len(states.eigenvalues)] for name in seen}
+        assert len(states.eigenvalues) > 256
+        # the states keep the bits of the full-stack inversion
         group_stokes = tm.stokes_from_probabilities(groups).reshape(16, 16)
         stokes = (resample_counts(16, 300, seed).astype(float) @ group_stokes).reshape(300, 4, 4) / 16
         assert_same_states(states, inverse, tm.density_from_stokes(stokes))
