@@ -906,6 +906,26 @@ def phase_map_eig(engine: SequenceEngine, mode: str, freqs: np.ndarray):
     return w, bases
 
 
+def _pair_form(n_slots: int) -> bool:
+    """Whether `phase_map` contracts value blocks of n_slots slots each in
+    the Hermitian pair form (see there for the rule's measurement)."""
+    return n_slots > 4
+
+
+def _block_stack(matrices: np.ndarray, used: np.ndarray, idx: np.ndarray):
+    """Each value block's distinct matrices, cut to the block: for `used`
+    (blocks, uses), indices into `matrices`, and `idx` (blocks, size), each
+    block's indices, the (blocks, size, n, size) stack whose [b, a, k] holds
+    row a of block b's k-th distinct matrix on its indices (a block with
+    fewer than n repeats its last), and the (blocks, uses) place of every
+    use among its block's n."""
+    distinct = [np.unique(u) for u in used]
+    n = max(d.size for d in distinct)
+    mats = np.array([np.pad(d, (0, n - d.size), mode="edge") for d in distinct])
+    stacked = matrices[mats[:, None, :, None], idx[:, :, None, None], idx[:, None, None, :]]
+    return stacked, np.array([np.searchsorted(d, u) for d, u in zip(distinct, used)])
+
+
 def _phase_factors(durs: np.ndarray, w: np.ndarray):
     """Yield, per frequency of eigenvalues w (F, ..., n), the (..., durations,
     n) phase factors exp(-2 pi i w t) as giant-step x baby-step products (see
@@ -961,10 +981,40 @@ def phase_map(
     dynamics' opening pulse mixes n1, and at p_up = 0 the starts fill one
     half while the other splits into two sectors of 4; either way
     `_diagonal_blocks` falls back to one block of 16. Each value takes a slot
-    in its block, and the blocks pad to the fullest one. Per frequency, two
-    products of each block of B with every A and rho of its slots give all
-    B^dag X B, and one product with conj(E) and one row dot with E give every
-    value at every duration, each stacked over the blocks.
+    in its block, and the blocks pad to the fullest one. Values share
+    matrices: every Pauli value starts from the nominal state, and the
+    readout values of the two spectator states share two projectors. So
+    `_block_stack` stacks each block's distinct matrices once, cut to the
+    block (full dynamics with observables at 0 < p_up: 14 operators and 4
+    starts, 18 in place of the 32 of two per slot), and per frequency two
+    products of each block of B with them give every B^dag X B, with no copy
+    between.
+
+    The values then come out in one of two forms, each stacked over blocks:
+
+    - the row form: one product of conj(E) with the slots' K^T side by side
+      and one row dot with E;
+    - the Hermitian pair form. K is Hermitian, since rho and A are, so the
+      sum is sum_{i <= j} w_ij Re(P_ij conj(K_ij)) with P_ij = conj(E_i) E_j,
+      w = 1 on the diagonal and 2 off it: one real product
+      P.view(float) @ (w K).view(float)^T per frequency over the
+      size (size + 1) / 2 pairs. P is cut from the giant x baby factors E
+      below, so it takes no exponentials of its own; its two one-frequency
+      tables are reused, because fresh ones each frequency cost more in page
+      faults than in arithmetic.
+
+    Per duration and slot the row form does size^2 complex multiply-adds and
+    the pair form size (size + 1) real ones, but P costs size (size + 1) / 2
+    products per duration before the first slot. So `_pair_form` takes the
+    pair form for blocks of more than 4 slots, from the blocks' shape alone.
+    On 101 durations (2-vCPU x86-64 host, numpy 2.4 with OpenBLAS) the forms
+    crossed between 4 and 6 slots, in blocks of 8 and of 16 alike. Over 40
+    interleaved calls on a 51 x 101 grid, the full-dynamics map with
+    observables (one block of 16, 16 slots) took 10.7 ms in the pair form and
+    15.2 ms in the row form, and the gate-model map without observables (two
+    blocks of 8, 2 slots) 6.7 ms and 6.2 ms. In both modes, at p_up 0 and
+    0.14, with and without observables (2, 4, 14 or 16 slots), the form the
+    rule takes was the faster one.
 
     E_t from products: with m = ceil(sqrt(D)) when the D durations equal
     np.linspace(t[0], t[-1], D) bit for bit, and m = 1 otherwise, duration
@@ -988,42 +1038,68 @@ def phase_map(
     pulse, weights, flips, loads = _flip_readout(engine, "n2", mode, noise.p_up)
     readout_starts, projectors = _dense_flip_readout(pulse, flips, loads)
     n_spectator = weights.size
-    starts = readout_starts.reshape(-1, 16, 16)
-    ops = np.tile(projectors, (n_spectator, 1, 1))
+    # value v is Tr(A U rho U^dag) with A = matrices[op[v]], rho = matrices[start[v]]
+    matrices = [projectors, readout_starts.reshape(-1, 16, 16)]
+    op = np.tile([0, 1], n_spectator)
+    start = 2 + np.arange(2 * n_spectator)
     if observables:
-        # the spectator-down branch always has weight 1 - p_up > 0
-        nominal = readout_starts[-1, 1]
+        # the nominal start is the spectator-down branch's b = 1 start, whose
+        # weight 1 - p_up is always > 0
         paulis = np.array([engine._pauli[(s, ax)] for s in SPINS for ax in "xyz"])
-        starts = np.concatenate([starts, np.broadcast_to(nominal, paulis.shape)])
-        ops = np.concatenate([ops, paulis])
-    n_values = ops.shape[0]
+        matrices.append(paulis)
+        op = np.concatenate([op, start[-1] + 1 + np.arange(paulis.shape[0])])
+        start = np.concatenate([start, np.full(paulis.shape[0], start[-1])])
+    matrices = np.concatenate(matrices)
+    n_values = op.size
 
     w, bases = phase_map_eig(engine, mode, freqs)
-    rows, cols = _diagonal_blocks(np.any(bases != 0, axis=0), np.any(starts != 0, axis=0))
+    rows, cols = _diagonal_blocks(np.any(bases != 0, axis=0), np.any(matrices[start] != 0, axis=0))
     n_blocks, size = rows.shape[:2]
     # each value runs in the block that holds its start, at slot `rank` among
     # that block's values; unused slots repeat value 0
-    home = np.argmax(np.any(starts[:, rows, cols] != 0, axis=(2, 3)), axis=1)
+    home = np.argmax(np.any(matrices[start][:, rows, cols] != 0, axis=(2, 3)), axis=1)
     in_block = home[:, None] == np.arange(n_blocks)
     rank = np.cumsum(in_block, axis=0)[in_block] - 1
     n_slots = rank.max() + 1
     slots = np.zeros((n_blocks, n_slots), dtype=int)
     slots[home, rank] = np.arange(n_values)
-    take = np.concatenate([slots, slots + n_values], axis=1)[:, :, None, None]
-    stacked = np.concatenate([ops, starts])[take, rows[:, None], cols[:, None]]
-    stacked = stacked.reshape(n_blocks, -1, size)  # rows (slot, i) of each block
+    used = np.concatenate([op[slots], start[slots]], axis=1)  # every slot's A, then every slot's rho
+    stacked, local = _block_stack(matrices, used, rows[..., 0])  # [b, a, k, c], the shape of bxb below
     bases, w = bases[:, rows, cols], w[:, rows[..., 0]]  # (F, blocks, size, size), (F, blocks, size)
+    pair = _pair_form(n_slots)
+    block, a_k, rho_k = np.arange(n_blocks), local[:, :n_slots], local[:, n_slots:]
+    if pair:
+        # k[b, slot, pair] = K_ij at the pairs i <= j
+        row, col = np.triu_indices(size)
+        block, a_k, rho_k = block[:, None, None], a_k[..., None], rho_k[..., None]
+        weight = np.where(row == col, 1.0, 2.0)
+        p, q = np.empty((2, n_blocks, durs.size, row.size), dtype=complex)  # one frequency's pair tables
+    else:
+        # k[b, i, slot, j] = K_ji, so that the sum over j runs along a matrix product
+        row, col = np.arange(size), np.arange(size)[:, None, None]
+        block, a_k, rho_k = block[:, None, None, None], a_k[:, None, :, None], rho_k[:, None, :, None]
+    # flat places in bxb of (B^dag rho B)_row,col and (B^dag A B)_col,row: K_row,col is their product
+    rho_at = np.ravel_multi_index((block, row, rho_k, col), stacked.shape)
+    a_at = np.ravel_multi_index((block, col, a_k, row), stacked.shape)
+    stacked = stacked.reshape(n_blocks, -1, size)
 
     grid = (freqs.size, durs.size)
     vals = np.zeros((n_values, *grid))  # every recorded value at every point
     for fi, (basis, e) in enumerate(zip(bases, _phase_factors(durs, w))):
-        xb = (stacked @ basis).reshape(n_blocks, -1, size, size).swapaxes(1, 2).reshape(n_blocks, size, -1)
-        # bxb[b, i, slot, j] = (B^dag X B)_ij
-        bxb = (basis.conj().swapaxes(1, 2) @ xb).reshape(n_blocks, size, -1, size)
-        # kt[b, i, k, j] = K_ji, so that the sum over j runs along a matrix product
-        kt = bxb[:, :, :n_slots] * bxb[:, :, n_slots:].transpose(0, 3, 2, 1)
-        ekt = (e.conj() @ kt.reshape(n_blocks, size, -1)).reshape(n_blocks, durs.size, n_slots, size)
-        vals[:, fi] = np.real(ekt @ e[..., None])[home, :, rank, 0]
+        # bxb[b, i, k, j] = (B^dag X_k B)_ij: the rows (a, k) of `stacked`
+        # make X_k B come out as [a, (k, j)], ready for B^dag on the left
+        bxb = basis.conj().swapaxes(1, 2) @ (stacked @ basis).reshape(n_blocks, size, -1)
+        k = bxb.reshape(-1)[rho_at] * bxb.reshape(-1)[a_at]
+        if pair:
+            k *= weight
+            # P = conj(E_i) E_j (blocks, durations, pairs); mode="clip" leaves
+            # `out` unbuffered
+            np.take(e.conj(), row, axis=-1, out=p, mode="clip")
+            p *= np.take(e, col, axis=-1, out=q, mode="clip")
+            vals[:, fi] = (p.view(float) @ k.view(float).swapaxes(1, 2))[home, :, rank]
+        else:
+            ekt = (e.conj() @ k.reshape(n_blocks, size, -1)).reshape(n_blocks, durs.size, n_slots, size)
+            vals[:, fi] = np.real(ekt @ e[..., None])[home, :, rank, 0]
 
     pf = _stationary_flip_rate(weights, vals[: 2 * n_spectator].reshape(n_spectator, 2, *grid))
     obs = {}

@@ -755,11 +755,26 @@ def phase_map_tolerance(params, mode, freqs, durs):
     workloads' ranges. The blocks' eigenvalues round differently from the
     same eigenvalues of the whole matrix, so the kernel and the dense
     per-point oracle differ by about this much, and not by ORACLE_TOL, once
-    t |w| grows."""
+    t |w| grows. The kernel's two contractions, the row form and the
+    Hermitian pair form, take the same phase factors and sum the same terms
+    in another order, which moves a value by a few eps, far inside this."""
     engine = pl.engine_for(params)
     drive = engine.drive_hamiltonian(mode, "ESR", engine.rabi["ESR"])
     w_max = max(np.abs(np.linalg.eigvalsh(engine.free_hamiltonian(float(f)) + drive)).max() for f in freqs)
     return 4 * 2 * math.pi * np.max(durs) * w_max * np.finfo(float).eps
+
+
+def record_calls(monkeypatch, name):
+    """Wrap `pulses.<name>` so that each call's (args, result) is appended
+    to the returned list."""
+    calls, wrapped = [], getattr(pl, name)
+
+    def spy(*args):
+        calls.append((args, wrapped(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(pl, name, spy)
+    return calls
 
 
 CEILING_DRIFT = pl.PIRSModel(shift_khz=pl.MAX_SHIFT_KHZ, time_constant_us=0.3, enabled=True)
@@ -907,6 +922,69 @@ class TestClosedFormKernels:
         for s in SPINS:
             for k in ("x", "y", "norm"):
                 assert np.max(np.abs(split.observables[s][k] - dense.observables[s][k])) < tol
+
+    @pytest.mark.parametrize(
+        "mode, p_up", [(pl.GATE_MODEL, 0.14), (pl.FULL_DYNAMICS, 0.0), (pl.FULL_DYNAMICS, 0.14)]
+    )
+    def test_phase_map_forms_agree(self, params, mode, p_up, monkeypatch):
+        # the Hermitian pair form and the row form, each forced on the same
+        # value blocks, sum the same terms in another order
+        freqs, durs = workload_axes(params, 5, 7)
+        noise = pl.NoiseModel(p_up=p_up)
+        maps = {}
+        for pair in (True, False):
+            monkeypatch.setattr(pl, "_pair_form", lambda n_slots: pair)
+            maps[pair] = pl.phase_map(params, freqs, durs, mode=mode, noise=noise, observables=True)
+        tol = phase_map_tolerance(params, mode, freqs, durs)
+        assert np.max(np.abs(maps[True].p_flip - maps[False].p_flip)) < tol
+        for s in SPINS:
+            for k in ("x", "y", "norm"):
+                assert np.max(np.abs(maps[True].observables[s][k] - maps[False].observables[s][k])) < tol
+
+    @pytest.mark.parametrize(
+        "mode, observables, slots, pair",
+        [(pl.GATE_MODEL, False, 2, False), (pl.FULL_DYNAMICS, True, 16, True)],
+        ids=["phase_map_gate", "phase_sim_full"],
+    )
+    def test_phase_map_form_of_the_workload_options(self, params, mode, observables, slots, pair, monkeypatch):
+        # the gate map keeps the row form on its two blocks of 2 slots; the
+        # full-dynamics map with observables takes the pair form on its one
+        # block of 16 slots
+        seen = record_calls(monkeypatch, "_pair_form")
+        freqs, durs = workload_axes(params, 5, 7)
+        pl.phase_map(params, freqs, durs, mode=mode, noise=pl.NoiseModel(p_up=0.14), observables=observables)
+        assert seen == [((slots,), pair)]
+
+    def test_phase_map_forms_each_distinct_matrix_once(self, params, monkeypatch):
+        # the full-dynamics map with observables at p_up 0.14: 16 values, each
+        # an operator and a start, 32 B^dag X B per frequency at one per use;
+        # the 12 Pauli values share the nominal start and the 4 readout values
+        # share 2 projectors, so 14 operators and 4 starts: 18
+        seen = record_calls(monkeypatch, "_block_stack")
+        freqs, durs = workload_axes(params, 5, 7)
+        pl.phase_map(params, freqs, durs, mode=pl.FULL_DYNAMICS, noise=pl.NoiseModel(p_up=0.14), observables=True)
+        ((matrices, used, idx), (stacked, local)), = seen
+        assert used.shape == (1, 32) and stacked.shape == (1, 16, 18, 16)
+        assert np.unique(used[0, :16]).size == 14 and np.unique(used[0, 16:]).size == 4
+
+    def test_block_stack_cuts_each_block_on_its_own(self, params, monkeypatch):
+        # the gate map with observables at p_up 0.14: two blocks of 8, whose
+        # readout values both use the two projectors; each block stacks its
+        # own cut of them, and the one with fewer matrices repeats its last
+        seen = record_calls(monkeypatch, "_block_stack")
+        freqs, durs = workload_axes(params, 5, 7)
+        pl.phase_map(params, freqs, durs, mode=pl.GATE_MODEL, noise=pl.NoiseModel(p_up=0.14), observables=True)
+        ((matrices, used, idx), (stacked, local)), = seen
+        assert idx.tolist() == [list(range(8)), list(range(8, 16))]
+        assert stacked.shape == (2, 8, 16, 8)
+        assert set(used[0]) & set(used[1]) == {0, 1}  # the projectors
+        for b in range(2):
+            distinct = np.unique(used[b])
+            cut = matrices[distinct][:, idx[b, :, None], idx[b]]  # (k, a, c)
+            got = stacked[b].swapaxes(0, 1)  # (k, a, c)
+            assert np.array_equal(got[: distinct.size], cut)
+            assert np.array_equal(got[distinct.size :], np.broadcast_to(cut[-1], got[distinct.size :].shape))
+            assert np.array_equal(distinct[local[b]], used[b])
 
     @pytest.mark.parametrize("mode", pl.MODES)
     def test_phase_factors_on_a_non_uniform_grid_are_the_exponential(self, params, mode):
@@ -1154,6 +1232,22 @@ class TestClosedFormKernels:
         finally:
             tracemalloc.stop()
         assert peak <= 2.4e6
+
+    def test_phase_map_working_set_is_bounded(self, params, engine):
+        # the 51 x 101 full-dynamics map with observables peaks at 2.34 MB;
+        # the bound is 2.74 MB, its peak when it took the row form alone with
+        # 32 B^dag X B per frequency, plus one frequency's two 101 x 136 pair
+        # tables (0.44 MB). Pair tables over the whole grid would take 11 MB
+        freqs, durs = workload_axes(params, 51, 101)
+        noise = pl.NoiseModel(p_up=0.14)
+        pl.phase_map(params, freqs, durs, mode=pl.FULL_DYNAMICS, noise=noise, observables=True, engine=engine)
+        tracemalloc.start()
+        try:
+            pl.phase_map(params, freqs, durs, mode=pl.FULL_DYNAMICS, noise=noise, observables=True, engine=engine)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.74e6 + 2 * 101 * 136 * 16
 
     @pytest.mark.parametrize("rho", [0.4, 1.0])
     def test_chebyshev_interpolation_meets_its_bound(self, rho):
