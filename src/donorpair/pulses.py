@@ -4,9 +4,10 @@ Two simulation modes, with one working basis: every Hamiltonian and
 propagator is a 16x16 matrix in the product basis, and both modes evolve a
 pulse under the same frame-stripped secular Hamiltonian (`free_hamiltonian`).
 
-* ``GATE_MODEL`` - labeled gates are exact conditioned SU(2) rotations on
-  product-basis pairs (`embed_pairs`); raw swept pulses see the rotating-wave
-  drive truncated to the allowed-transition graph of the secular eigenlevels.
+* ``GATE_MODEL`` - labeled gates are exact SU(2) rotations on the basis
+  states that `gate_condition` selects (`labelled_unitary`); raw swept
+  pulses see the rotating-wave drive truncated to the allowed-transition
+  graph of the secular eigenlevels.
 * ``FULL_DYNAMICS`` - every step, a labeled gate as its compiled pulse, sees
   the whole rotating-wave drive, so cross-talk, AC shifts and unintended
   transitions are included.
@@ -150,8 +151,8 @@ class InitStep:
 
 @dataclass(frozen=True)
 class GateStep:
-    """Rotation R(theta, phase) of one nucleus, conditional on its own
-    electron being spin-down. R(theta, phi) = exp(-i theta/2 (cos(phi) X
+    """Rotation R(theta, phase) of one nucleus, on the basis states that
+    `gate_condition` selects. R(theta, phi) = exp(-i theta/2 (cos(phi) X
     - sin(phi) Y)); phi = +pi/2 is a -Y rotation, phi = -pi/2 a +Y one."""
 
     spin: str
@@ -165,9 +166,10 @@ class GateStep:
 
 @dataclass(frozen=True)
 class CzStep:
-    """Integer number of full electron rotations on one electron, conditional
-    on a nuclear sector and on the other electron being spin-down. Each full
-    turn imparts a geometric pi phase on the conditioned sector."""
+    """Integer number of full electron rotations on one electron in the
+    nuclear sector (n1, n2), on the basis states that `gate_condition`
+    selects. Each full turn imparts a geometric pi phase on the conditioned
+    sector."""
 
     electron: str
     n1: int  # 0 = up, 1 = down
@@ -241,40 +243,45 @@ def spin_bits(spin: str) -> np.ndarray:
     return (np.arange(16) >> (3 - SPIN_INDEX[spin])) & 1
 
 
-def embed_pairs(r, first, second) -> np.ndarray:
-    """16x16 unitaries applying the (..., 2, 2) stack `r` to every pair of
-    basis states (first[k], second[k]), in that order, and the identity
-    elsewhere: a (..., 16, 16) stack."""
-    pair = np.array([first, second])  # (2, pairs)
+def conditional_rotation(r, target: str, where: dict) -> np.ndarray:
+    """16x16 unitary (or stack) applying the 2x2 `r` (or (..., 2, 2) stack; in
+    the target's (up, down) basis) to `target` on the basis states whose spins
+    carry the bits in `where` ({spin: bit}), and the identity elsewhere."""
+    cond = spin_bits(target) == 0  # the pairs' target-up states
+    for spin, bit in where.items():
+        cond &= spin_bits(spin) == bit
+    up = np.flatnonzero(cond)
+    pair = np.array([up, up | (1 << (3 - SPIN_INDEX[target]))])  # (2, pairs): up, down
     u = np.zeros(r.shape[:-2] + (256,), dtype=complex)  # flat: one index per entry
     u[..., ::17] = 1.0
     u[..., 16 * pair[:, None] + pair[None, :]] = r[..., None]
     return u.reshape(r.shape[:-2] + (16, 16))
 
 
-def conditional_rotation(r, target: str, where: dict) -> np.ndarray:
-    """16x16 unitary (or stack) applying the 2x2 `r` (or stack; in the target's
-    (up, down) basis) to `target` on the basis states whose spins carry the
-    bits in `where` ({spin: bit}), and the identity elsewhere."""
-    cond = spin_bits(target) == 0  # the pairs' target-up states
-    for spin, bit in where.items():
-        cond &= spin_bits(spin) == bit
-    up = np.flatnonzero(cond)
-    return embed_pairs(r, up, up | (1 << (3 - SPIN_INDEX[target])))
+def gate_condition(step) -> dict:
+    """The spins ({spin: bit}, 1 = down) that condition a labelled step's
+    gate-model rotation: a `GateStep` turns its nucleus where its own
+    electron is down, and a `CzStep` turns its electron in its nuclear
+    sector where the other electron is down.
 
-
-def gate_unitary(step: GateStep) -> np.ndarray:
-    """Exact SU(2) on the target nucleus wherever its electron is down."""
-    own_e = "e" + step.spin[-1]
-    return conditional_rotation(rot2(step.theta, step.phase), step.spin, {own_e: 1})
-
-
-def cz_unitary(step: CzStep) -> np.ndarray:
-    """(-1)^turns on the conditioned electron pair, identity elsewhere."""
+    The own-electron rule holds while the shift that exchange gives a
+    nucleus's NMR line when the other electron is up stays well below the
+    NMR drive, 0.01 MHz by default. n2's line moves 0.0025 MHz at
+    j = 0.1 MHz, 0.21 MHz at j = 1 MHz, 5.84 MHz at the default j = 12 MHz
+    and 29.8 MHz at j = 50 MHz. Where the shift is far above the drive, the
+    nucleus turns only where both electrons are down."""
+    if isinstance(step, GateStep):
+        return {"e" + step.spin[-1]: 1}
     other = "e2" if step.electron == "e1" else "e1"
-    sign = (-1.0) ** step.turns
-    where = {"n1": step.n1, "n2": step.n2, other: 1}
-    return conditional_rotation(sign * np.eye(2), step.electron, where)
+    return {"n1": step.n1, "n2": step.n2, other: 1}
+
+
+def labelled_unitary(step) -> np.ndarray:
+    """Gate-model unitary of a `GateStep` (its exact SU(2) rotation) or a
+    `CzStep` ((-1)^turns), on the states of `gate_condition`."""
+    if isinstance(step, GateStep):
+        return conditional_rotation(rot2(step.theta, step.phase), step.spin, gate_condition(step))
+    return conditional_rotation((-1.0) ** step.turns * np.eye(2), step.electron, gate_condition(step))
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +502,7 @@ class SequenceEngine:
         compiled pulse; a `PulseStep` with `apply_pirs` drifts under `pirs`."""
         if isinstance(step, (GateStep, CzStep)):
             if mode == GATE_MODEL:
-                return gate_unitary(step) if isinstance(step, GateStep) else cz_unitary(step)
+                return labelled_unitary(step)
             return self.pulse_propagator(self.compile(step), mode)
         if isinstance(step, ProjectStep):
             if step.axis.upper() == "Z":
@@ -908,7 +915,7 @@ def phase_map_eig(engine: SequenceEngine, mode: str, freqs: np.ndarray):
 
 def _pair_form(n_slots: int) -> bool:
     """Whether `phase_map` contracts value blocks of n_slots slots each in
-    the Hermitian pair form (see there for the rule's measurement)."""
+    the Hermitian pair form (see there for the rule)."""
     return n_slots > 4
 
 
@@ -1007,14 +1014,8 @@ def phase_map(
     the pair form size (size + 1) real ones, but P costs size (size + 1) / 2
     products per duration before the first slot. So `_pair_form` takes the
     pair form for blocks of more than 4 slots, from the blocks' shape alone.
-    On 101 durations (2-vCPU x86-64 host, numpy 2.4 with OpenBLAS) the forms
-    crossed between 4 and 6 slots, in blocks of 8 and of 16 alike. Over 40
-    interleaved calls on a 51 x 101 grid, the full-dynamics map with
-    observables (one block of 16, 16 slots) took 10.7 ms in the pair form and
-    15.2 ms in the row form, and the gate-model map without observables (two
-    blocks of 8, 2 slots) 6.7 ms and 6.2 ms. In both modes, at p_up 0 and
-    0.14, with and without observables (2, 4, 14 or 16 slots), the form the
-    rule takes was the faster one.
+    On 101 durations the forms crossed between 4 and 6 slots, in blocks of 8
+    and of 16 alike.
 
     E_t from products: with m = ceil(sqrt(D)) when the D durations equal
     np.linspace(t[0], t[-1], D) bit for bit, and m = 1 otherwise, duration
@@ -1109,23 +1110,6 @@ def phase_map(
     return PhaseMapResult(freqs, durs, pf, obs)
 
 
-def addressed_pulse_unitary(
-    engine: SequenceEngine,
-    tr: Transition,
-    duration_us,
-    pirs: PIRSModel | None = None,
-) -> np.ndarray:
-    """Ideal addressed drive: generalized-Rabi SU(2) on the addressed pair
-    only, identity elsewhere, with an optional piecewise detuning drift of
-    the upper level. A vector of durations gives a (durations, 16, 16)
-    stack."""
-    omega = engine.rabi["ESR"] * tr.amplitude
-    h2 = np.array([[0.0, omega / 2], [omega / 2, 0.0]], dtype=complex)
-    t = np.asarray(duration_us, dtype=float)
-    u2 = sliced_propagators(h2, np.diag([0.0, 1.0]), t.reshape(-1), pirs)
-    return embed_pairs(u2.reshape(t.shape + (2, 2)), [tr.lo_index], [tr.hi_index])
-
-
 # the single-turn CZ whose electron drive `cz_flip_curve` sweeps
 CURVE_CZ = CzStep("e2", n1=0, n2=1)
 
@@ -1142,10 +1126,11 @@ def cz_flip_curve(
     duration between two pi/2 pulses on n1 (the conditional-phase sequence).
 
     The electron pulse is the compiled `CURVE_CZ`, on the up-down nuclear
-    sector resonance, at each duration; the gate model drives its addressed
-    pair alone (`addressed_pulse_unitary`). With a drift model the carrier
-    is taken as recalibrated onto the saturated line, so the effective
-    detuning relaxes away from zero during the pulse.
+    sector resonance, at each duration; the gate model turns the electron
+    by the line's two-level Rabi propagator on the states of
+    `gate_condition` alone. With a drift model the carrier is taken as
+    recalibrated onto the saturated line, so the effective detuning of the
+    electron's up state relaxes away from zero during the pulse.
 
     The modes agree at whole turns, to a gap that falls as the square of the
     ESR drive. Mid-turn they differ at any drive, through the pi/2 readout
@@ -1169,7 +1154,12 @@ def cz_flip_curve(
     pulse, weights, flips, loads = _flip_readout(engine, "n1", mode, noise.p_up)
     if mode == GATE_MODEL:
         tr = engine.electron_transition(CURVE_CZ.electron, CURVE_CZ.n1, CURVE_CZ.n2)
-        drives = addressed_pulse_unitary(engine, tr, durs, pirs=pirs)
+        omega = engine.rabi["ESR"] * tr.amplitude
+        h2 = np.array([[0.0, omega / 2], [omega / 2, 0.0]], dtype=complex)
+        # in the line's (lo, hi) = (down, up) order, the drift on the up state;
+        # reversed into the (up, down) order of `conditional_rotation`
+        u2 = sliced_propagators(h2, np.diag([0.0, 1.0]), durs, pirs)
+        drives = conditional_rotation(u2[..., ::-1, ::-1], CURVE_CZ.electron, gate_condition(CURVE_CZ))
     else:
         drives = engine.pulse_propagator(engine.compile(CURVE_CZ), mode, pirs=pirs, durations_us=durs)
     # O U O over the whole stack, and its squared magnitude in the buffer of O U

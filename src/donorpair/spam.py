@@ -7,9 +7,10 @@ The loading model is `pulses.spam_mixture`: every loaded spin is spin-down,
 erring to spin-up with the same probability p_up (the initialization projects
 the readout electron's state onto the other spins, so one parameter captures
 the error budget). A sequence loads spins only through its `InitStep`s, each
-of which resets the spins it lists to that state. Nuclear drives are
-conditional on the bound electron being spin-down; a spin-up electron detunes
-the drive by roughly the hyperfine coupling.
+of which resets the spins it lists to that state. The phase-reversal
+rotations are conditioned as `pulses.gate_condition` conditions a `GateStep`;
+in the neutral Rabi model a spin-up bound electron detunes the drive by
+roughly the hyperfine coupling.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ContractError
-from .pulses import NoiseModel, conditional_rotation, rot2, spam_mixture
+from . import pulses
+from .pulses import GateStep, NoiseModel, conditional_rotation, rot2, spam_mixture
 from .spinmodel import pauli_op
 
 # Golden regression targets: measured-device sine fit against the p_up = 0.14
@@ -100,12 +102,6 @@ def fit_p_up(durations_us, trace, rabi_mhz: float, detuning_when_up_mhz: float =
 # phase-reversal tomography
 
 
-# the controlled rotation of n2: only where n1 is spin-up, and only where e2
-# is spin-down (a spin-up bound electron detunes the drive); n1 turns only
-# where e1 is spin-down, as a `GateStep` does
-_N1_CONTROL, _N2_CONTROL = {"e1": 1}, {"n1": 0, "e2": 1}
-
-
 def phase_reversal_curve(p_up: float, phi_grid) -> np.ndarray:
     """Up proportion of n1 after preparing the nuclear Bell pair and reversing
     it with phase-swept pulses, the second phase three times the first.
@@ -118,13 +114,16 @@ def phase_reversal_curve(p_up: float, phi_grid) -> np.ndarray:
     phis = np.asarray(phi_grid, dtype=float)
 
     NoiseModel(p_up=p_up)  # checks p_up
-    r1 = conditional_rotation(rot2(math.pi / 2, 0.0), "n1", _N1_CONTROL)
-    prep = conditional_rotation(rot2(math.pi, 0.0), "n2", _N2_CONTROL) @ r1
+    # each rotation as its `GateStep`'s, n2's controlled on n1 being spin-up
+    n1_where = pulses.gate_condition(GateStep("n1", math.pi / 2))
+    n2_where = {"n1": 0, **pulses.gate_condition(GateStep("n2", math.pi))}
+    r1 = conditional_rotation(rot2(math.pi / 2, 0.0), "n1", n1_where)
+    prep = conditional_rotation(rot2(math.pi, 0.0), "n2", n2_where) @ r1
     rho_bell = prep @ spam_mixture(p_up) @ prep.conj().T
 
     # one reversal per phase, as a stack
-    rev = conditional_rotation(rot2(math.pi / 2, phis), "n1", _N1_CONTROL) @ (
-        conditional_rotation(rot2(math.pi, 3 * phis), "n2", _N2_CONTROL)
+    rev = conditional_rotation(rot2(math.pi / 2, phis), "n1", n1_where) @ (
+        conditional_rotation(rot2(math.pi, 3 * phis), "n2", n2_where)
     )
     rho = rev @ rho_bell @ rev.conj().swapaxes(-1, -2)
     return 0.5 * (1.0 + np.real(np.trace(pauli_op("n1", "z") @ rho, axis1=-2, axis2=-1)))

@@ -2,8 +2,8 @@
 per-element formulas for tomography tables and Bloch vectors, the
 per-axis-pair replay of a tomography sequence, the per-resample bootstrap
 draw, the solid-angle law of the geometric phase, the guarded barycentric
-interpolation formula, the dense flip-readout states and projectors, and
-the locations of the phase map's paper anchors (the CZ point and the
+interpolation formula, the dense flip-readout states and projectors, the
+gate model's CZ-curve drive on its addressed pair, and the locations of the phase map's paper anchors (the CZ point and the
 entangling point).
 
 Also helpers that only tests use: the bits of a product-basis index
@@ -173,6 +173,22 @@ def dense_flip_readout(engine: pl.SequenceEngine, target: str, mode: str, p_up: 
     outcome = 1 - pl.spin_bits(target)
     projectors = np.array([pulse.conj().T @ ((outcome == b)[:, None] * pulse) for b in (0, 1)])
     return starts, projectors
+
+
+def addressed_drive(engine: pl.SequenceEngine, durs, pirs: pl.PIRSModel | None = None) -> np.ndarray:
+    """The gate model's `CURVE_CZ` drive at each duration, on the addressed
+    pair alone: the line's generalized-Rabi 2x2, with the drift detuning
+    its upper level, written on `electron_transition`'s (lo, hi) pair of
+    product states, and the identity elsewhere: a (durations, 16, 16)
+    stack."""
+    tr = engine.electron_transition(pl.CURVE_CZ.electron, pl.CURVE_CZ.n1, pl.CURVE_CZ.n2)
+    omega = engine.rabi["ESR"] * tr.amplitude
+    h2 = np.array([[0.0, omega / 2], [omega / 2, 0.0]], dtype=complex)
+    u2 = pl.sliced_propagators(h2, np.diag([0.0, 1.0]), np.asarray(durs, dtype=float), pirs)
+    u = np.tile(np.eye(16, dtype=complex), (len(u2), 1, 1))
+    pair = np.array([tr.lo_index, tr.hi_index])
+    u[:, pair[:, None], pair[None, :]] = u2
+    return u
 
 
 def stokes_of_density(rho4: np.ndarray) -> np.ndarray:

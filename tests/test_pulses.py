@@ -19,6 +19,7 @@ from donorpair.spinmodel import (
 )
 
 from oracles import (
+    addressed_drive,
     barycentric,
     basis_bits,
     calibrate_point,
@@ -272,7 +273,7 @@ class TestGateModel:
         # pi on n2 conditional e2 down flips n2 wherever e2 is down
         psi = np.zeros(16, dtype=complex)
         psi[basis_index(1, 0, 1, 1)] = 1.0  # D U d d
-        u = pl.gate_unitary(pl.GateStep("n2", math.pi, math.pi / 2))
+        u = pl.labelled_unitary(pl.GateStep("n2", math.pi, math.pi / 2))
         out = u @ psi
         target = basis_index(1, 1, 1, 1)
         assert abs(out[target]) == pytest.approx(1.0, abs=1e-12)
@@ -280,18 +281,18 @@ class TestGateModel:
     def test_gate_identity_when_electron_up(self):
         psi = np.zeros(16, dtype=complex)
         psi[basis_index(1, 0, 1, 0)] = 1.0  # e2 up: conditioned gate idles
-        u = pl.gate_unitary(pl.GateStep("n2", math.pi, 0.0))
+        u = pl.labelled_unitary(pl.GateStep("n2", math.pi, 0.0))
         assert abs((u @ psi)[basis_index(1, 0, 1, 0)]) == pytest.approx(1.0)
 
     def test_full_turn_imparts_minus_one(self):
-        u = pl.cz_unitary(pl.CzStep("e2", n1=1, n2=0, turns=1))
+        u = pl.labelled_unitary(pl.CzStep("e2", n1=1, n2=0, turns=1))
         idx = basis_index(1, 0, 1, 1)
         assert u[idx, idx] == pytest.approx(-1.0)
         other = basis_index(1, 1, 1, 1)
         assert u[other, other] == pytest.approx(1.0)
 
     def test_two_turns_restore_identity(self):
-        u = pl.cz_unitary(pl.CzStep("e2", n1=1, n2=0, turns=2))
+        u = pl.labelled_unitary(pl.CzStep("e2", n1=1, n2=0, turns=2))
         assert np.allclose(u, np.eye(16))
 
 
@@ -453,6 +454,15 @@ class TestGeometricPhase:
         assert abs(spam.wrap_angle(got - want)) < 1e-3
 
 
+def read_out(readout, drives):
+    """Flip rate of each drive of a (durations, 16, 16) stack, read out with
+    a factored `pl._flip_readout` by the products `cz_flip_curve` takes."""
+    pulse, weights, flips, loads = readout
+    squared = np.abs(pulse @ drives @ pulse) ** 2
+    q = ((flips @ squared).transpose(1, 0, 2) @ loads.transpose(1, 2, 0)).transpose(2, 0, 1)
+    return pl._stationary_flip_rate(weights, q)
+
+
 class TestPirs:
     def test_recalibrated_profile_sweeps_zero_to_amplitude(self):
         m = pl.PIRSModel(shift_khz=120.0, time_constant_us=3.0, enabled=True)
@@ -496,17 +506,11 @@ class TestPirs:
         # pi/2 pulses on n1, tracks full dynamics over two turns to a gap
         # that falls as the drive squared, and reads 0.375 at half a turn:
         # the modes' mid-turn gap comes from the readout, not the drive
-        def read_out(readout, drives):
-            pulse, weights, flips, loads = readout
-            q = np.einsum("br,drc,sbc->sbd", flips, np.abs(pulse @ drives @ pulse) ** 2, loads)
-            return pl._stationary_flip_rate(weights, q)
-
         gaps, half = [], []
         for rabi in (0.1, 0.05, 0.025):
             engine = pl.SequenceEngine(params, rabi_electron_mhz=rabi)
             durs = np.linspace(0.0, 2 * engine.compile(pl.CURVE_CZ).duration_us, 33)
-            tr = engine.electron_transition(pl.CURVE_CZ.electron, pl.CURVE_CZ.n1, pl.CURVE_CZ.n2)
-            drives = pl.addressed_pulse_unitary(engine, tr, durs)
+            drives = addressed_drive(engine, durs)
             for p_up in (0.14, 0.0):
                 noise = pl.NoiseModel(p_up=p_up)
                 gate, full = (pl.cz_flip_curve(params, durs, mode=m, noise=noise, engine=engine) for m in pl.MODES)
@@ -520,6 +524,21 @@ class TestPirs:
         ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
         assert gaps[0] < 5e-3 and np.all((3.5 <= ratios) & (ratios <= 4.5)), gaps
         assert half == pytest.approx([0.375] * 3, abs=1e-6)
+
+    @pytest.mark.parametrize("p_up", [0.0, 0.14, 0.5])
+    @pytest.mark.parametrize(
+        "pirs",
+        [pl.PIRSModel(enabled=False), pl.PIRSModel(), pl.PIRSModel(shift_khz=5000.0, time_constant_us=0.3)],
+        ids=["no_drift", "default_drift", "ceiling_drift"],
+    )
+    def test_gate_model_curve_is_the_addressed_drive(self, params, p_up, pirs):
+        # the gate model's drive, built from `gate_condition`, is the
+        # addressed-pair drive bit for bit, read out the same way
+        engine = pl.engine_for(params)
+        durs = np.linspace(0.0, 2 * engine.compile(pl.CURVE_CZ).duration_us, 17)
+        got = pl.cz_flip_curve(params, durs, pirs=pirs, noise=pl.NoiseModel(p_up=p_up))
+        want = read_out(pl._flip_readout(engine, "n1", pl.GATE_MODEL, p_up), addressed_drive(engine, durs, pirs))
+        assert np.array_equal(got, want)
 
 
 class TestPhaseMap:
@@ -829,9 +848,12 @@ class TestClosedFormKernels:
             for k in ("x", "y", "norm"):
                 assert np.max(np.abs(got.observables[s][k] - want_obs[s][k])) < ORACLE_TOL
 
-    def test_phase_map_matches_per_point_loop_where_the_gate_model_cuts_lines(self):
-        # at j = 50 MHz the gate model drops electron lines weaker than
-        # GATE_PAIR_THRESHOLD, so its map differs from the full dynamics
+    def test_phase_map_matches_per_point_loop_where_the_readout_condition_splits_the_modes(self, monkeypatch):
+        # at j = 50 MHz the modes differ by more than 0.05 through the gate
+        # model's pi/2 pulses on n2, which turn n2 wherever e2 is down
+        # (`gate_condition`); in full dynamics the exchange moves n2's line
+        # 29.8 MHz off the pulse when e1 is up, so conditioned on both
+        # electrons the modes agree to below 1e-5
         params = SystemParams(j=50.0)
         center = pl.phase_map_center_frequency(pl.engine_for(params))
         freqs, durs = center + np.linspace(-40.0, 40.0, 9), np.array([0.0, 0.7, 3.3, 6.5])
@@ -846,6 +868,9 @@ class TestClosedFormKernels:
                     assert np.max(np.abs(got.observables[s][k] - want_obs[s][k])) < tol
             maps[mode] = got.p_flip
         assert np.max(np.abs(maps[pl.GATE_MODEL] - maps[pl.FULL_DYNAMICS])) > 0.05
+        condition_on_both_electrons(monkeypatch)
+        both = pl.phase_map(params, freqs, durs, noise=pl.NoiseModel(p_up=0.14), observables=True)
+        assert np.max(np.abs(both.p_flip - maps[pl.FULL_DYNAMICS])) < 1e-5
 
     def test_phase_map_without_observables(self, params):
         center = pl.phase_map_center_frequency(pl.engine_for(params))
@@ -1382,6 +1407,17 @@ class TestClosedFormKernels:
 # 16-index loops that the conditional-rotation helper must reproduce
 
 
+def condition_on_both_electrons(monkeypatch):
+    """Replace the rule of `pl.gate_condition` for a `GateStep` with the
+    both-electrons rule: its nucleus turns where e1 and e2 are down."""
+    own = pl.gate_condition
+
+    def both(step):
+        return {"e1": 1, "e2": 1} if isinstance(step, pl.GateStep) else own(step)
+
+    monkeypatch.setattr(pl, "gate_condition", both)
+
+
 def reference_gate_unitary(step):
     """SU(2) on the target nucleus wherever its own electron is down."""
     q = SPIN_INDEX[step.spin]
@@ -1433,20 +1469,21 @@ ANGLES = [(math.pi / 2, math.pi / 2), (math.pi / 2, -math.pi / 2), (math.pi, 0.0
 class TestConditionalRotation:
     @pytest.mark.parametrize("spin", ["n1", "n2"])
     @pytest.mark.parametrize("theta, phase", ANGLES)
-    def test_gate_unitary_matches_loop(self, spin, theta, phase):
+    def test_labelled_gate_matches_loop(self, spin, theta, phase):
         step = pl.GateStep(spin, theta, phase)
-        assert np.array_equal(pl.gate_unitary(step), reference_gate_unitary(step))
+        assert np.array_equal(pl.labelled_unitary(step), reference_gate_unitary(step))
 
     @pytest.mark.parametrize("electron", ["e1", "e2"])
     @pytest.mark.parametrize("n1, n2", [(0, 0), (0, 1), (1, 0), (1, 1)])
     @pytest.mark.parametrize("turns", [1, 2])
-    def test_cz_unitary_matches_loop(self, electron, n1, n2, turns):
+    def test_labelled_cz_matches_loop(self, electron, n1, n2, turns):
         step = pl.CzStep(electron, n1=n1, n2=n2, turns=turns)
-        assert np.array_equal(pl.cz_unitary(step), reference_cz_unitary(step))
+        assert np.array_equal(pl.labelled_unitary(step), reference_cz_unitary(step))
 
     @pytest.mark.parametrize("theta, phase", ANGLES + [(math.pi, 3 * 0.4)])
     def test_phase_reversal_rotation_matches_loop(self, theta, phase):
-        got = pl.conditional_rotation(pl.rot2(theta, phase), "n2", spam._N2_CONTROL)
+        where = {"n1": 0, **pl.gate_condition(pl.GateStep("n2", 0.0))}
+        got = pl.conditional_rotation(pl.rot2(theta, phase), "n2", where)
         assert np.array_equal(got, reference_controlled_rotation_n2(theta, phase))
 
     @pytest.mark.parametrize("spin", SPINS)
@@ -1459,3 +1496,35 @@ class TestConditionalRotation:
         u = pl.conditional_rotation(r, "e1", {})
         want = np.kron(np.kron(np.eye(4), r), np.eye(2))
         assert np.array_equal(u, want)
+
+
+class TestGateCondition:
+    def test_one_rule_conditions_every_gate_model_rotation(self, params, monkeypatch):
+        # the rule lives in `gate_condition` alone: conditioning a GateStep
+        # on both electrons moves the phase-reversal curve, the CZ curve's
+        # readout and the gate model's phase map, which then meets the full
+        # dynamics at the default drive
+        phis = np.linspace(0.0, 2 * np.pi, 96, endpoint=False)
+        engine = pl.engine_for(params)
+        half_turn = [0.5 * engine.compile(pl.CURVE_CZ).duration_us]
+        freqs, durs = workload_axes(params, 11, 11)
+
+        def consumers():
+            offset = spam.sine_fit(phis, spam.phase_reversal_curve(0.14, phis)).offset
+            half = pl.cz_flip_curve(params, half_turn)[0]
+            gaps = []
+            for p_up in (0.0, 0.14, 0.5):
+                noise = pl.NoiseModel(p_up=p_up)
+                gate, full = (pl.phase_map(params, freqs, durs, mode=m, noise=noise).p_flip for m in pl.MODES)
+                gaps.append(np.max(np.abs(gate - full)))
+            return offset, half, gaps
+
+        offset, half, gaps = consumers()
+        assert offset == pytest.approx(0.4496, abs=1e-4)
+        assert half == pytest.approx(0.5, abs=1e-9)
+        assert gaps == pytest.approx([4.9e-2, 0.12, 0.25], abs=5e-3)
+        condition_on_both_electrons(monkeypatch)
+        offset, half, gaps = consumers()
+        assert offset == pytest.approx(0.4063, abs=1e-4)
+        assert half == pytest.approx(0.375, abs=1e-9)
+        assert max(gaps) < 1e-5, gaps
