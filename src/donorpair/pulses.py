@@ -830,7 +830,7 @@ def phase_map_center_frequency(engine: SequenceEngine) -> float:
 
 
 def _duration_grid(durations_us) -> np.ndarray:
-    durs = np.asarray(durations_us, dtype=float)
+    durs = np.atleast_1d(np.asarray(durations_us, dtype=float))
     if np.any(durs < 0):
         raise ContractError(f"negative duration {durs.min()} us")
     return durs
@@ -919,20 +919,6 @@ def _pair_form(n_slots: int) -> bool:
     return n_slots > 4
 
 
-def _block_stack(matrices: np.ndarray, used: np.ndarray, idx: np.ndarray):
-    """Each value block's distinct matrices, cut to the block: for `used`
-    (blocks, uses), indices into `matrices`, and `idx` (blocks, size), each
-    block's indices, the (blocks, size, n, size) stack whose [b, a, k] holds
-    row a of block b's k-th distinct matrix on its indices (a block with
-    fewer than n repeats its last), and the (blocks, uses) place of every
-    use among its block's n."""
-    distinct = [np.unique(u) for u in used]
-    n = max(d.size for d in distinct)
-    mats = np.array([np.pad(d, (0, n - d.size), mode="edge") for d in distinct])
-    stacked = matrices[mats[:, None, :, None], idx[:, :, None, None], idx[:, None, None, :]]
-    return stacked, np.array([np.searchsorted(d, u) for d, u in zip(distinct, used)])
-
-
 def _phase_factors(durs: np.ndarray, w: np.ndarray):
     """Yield, per frequency of eigenvalues w (F, ..., n), the (..., durations,
     n) phase factors exp(-2 pi i w t) as giant-step x baby-step products (see
@@ -988,14 +974,15 @@ def phase_map(
     dynamics' opening pulse mixes n1, and at p_up = 0 the starts fill one
     half while the other splits into two sectors of 4; either way
     `_diagonal_blocks` falls back to one block of 16. Each value takes a slot
-    in its block, and the blocks pad to the fullest one. Values share
-    matrices: every Pauli value starts from the nominal state, and the
-    readout values of the two spectator states share two projectors. So
-    `_block_stack` stacks each block's distinct matrices once, cut to the
-    block (full dynamics with observables at 0 < p_up: 14 operators and 4
-    starts, 18 in place of the 32 of two per slot), and per frequency two
+    in its block, and the blocks pad their slots to the fullest one. The
+    value list holds each operator and start once: the two readout
+    projectors, one start per spectator and target state, and with
+    observables the 12 Paulis, whose values share the nominal start. Every
+    block takes all of them, cut to its indices, and per frequency two
     products of each block of B with them give every B^dag X B, with no copy
-    between.
+    between: 18 for the full dynamics with observables at 0 < p_up, in place
+    of the 32 of two per slot; 6 per block for the gate map at 0 < p_up, and
+    18 per block with observables.
 
     The values then come out in one of two forms, each stacked over blocks:
 
@@ -1031,7 +1018,7 @@ def phase_map(
     """
     noise = noise or NoiseModel()
     engine = engine or engine_for(params)
-    freqs = np.asarray(freqs_mhz, dtype=float)
+    freqs = np.atleast_1d(np.asarray(freqs_mhz, dtype=float))
     durs = _duration_grid(durations_us)
     if freqs.size == 0 or durs.size == 0:
         raise ContractError("frequency and duration grids must be non-empty")
@@ -1056,19 +1043,18 @@ def phase_map(
     w, bases = phase_map_eig(engine, mode, freqs)
     rows, cols = _diagonal_blocks(np.any(bases != 0, axis=0), np.any(matrices[start] != 0, axis=0))
     n_blocks, size = rows.shape[:2]
+    stacked = matrices[:, rows, cols].transpose(1, 2, 0, 3)  # [b, a, k, c], the shape of bxb below
     # each value runs in the block that holds its start, at slot `rank` among
     # that block's values; unused slots repeat value 0
-    home = np.argmax(np.any(matrices[start][:, rows, cols] != 0, axis=(2, 3)), axis=1)
+    home = np.argmax(np.any(stacked[:, :, start] != 0, axis=(1, 3)), axis=0)
     in_block = home[:, None] == np.arange(n_blocks)
     rank = np.cumsum(in_block, axis=0)[in_block] - 1
     n_slots = rank.max() + 1
     slots = np.zeros((n_blocks, n_slots), dtype=int)
     slots[home, rank] = np.arange(n_values)
-    used = np.concatenate([op[slots], start[slots]], axis=1)  # every slot's A, then every slot's rho
-    stacked, local = _block_stack(matrices, used, rows[..., 0])  # [b, a, k, c], the shape of bxb below
     bases, w = bases[:, rows, cols], w[:, rows[..., 0]]  # (F, blocks, size, size), (F, blocks, size)
     pair = _pair_form(n_slots)
-    block, a_k, rho_k = np.arange(n_blocks), local[:, :n_slots], local[:, n_slots:]
+    block, a_k, rho_k = np.arange(n_blocks), op[slots], start[slots]
     if pair:
         # k[b, slot, pair] = K_ij at the pairs i <= j
         row, col = np.triu_indices(size)

@@ -568,6 +568,24 @@ class TestPhaseMap:
         with pytest.raises(ContractError):
             pl.phase_map(params, [], [1.0])
 
+    @pytest.mark.parametrize("mode", pl.MODES)
+    def test_scalar_axes_are_one_element_grids(self, params, engine, mode):
+        # a scalar duration or frequency is the one-element grid, bit for bit
+        for pirs in (None, pl.PIRSModel()):
+            got = pl.cz_flip_curve(params, 1.3, pirs=pirs, mode=mode, engine=engine)
+            assert got.shape == (1,)
+            assert np.array_equal(got, pl.cz_flip_curve(params, [1.3], pirs=pirs, mode=mode, engine=engine))
+        freqs, durs = workload_axes(params, 1, 1)
+        noise = pl.NoiseModel(p_up=0.14)
+        want = pl.phase_map(params, freqs, durs, mode=mode, noise=noise, observables=True, engine=engine)
+        for f, t in ((freqs, durs[0]), (freqs[0], durs)):
+            got = pl.phase_map(params, f, t, mode=mode, noise=noise, observables=True, engine=engine)
+            assert got.p_flip.shape == (1, 1)
+            assert np.array_equal(got.p_flip, want.p_flip)
+            for s in SPINS:
+                for k in ("x", "y", "norm"):
+                    assert np.array_equal(got.observables[s][k], want.observables[s][k])
+
 
 class TestRamsey:
     def test_no_noise_no_decay(self):
@@ -980,36 +998,31 @@ class TestClosedFormKernels:
         pl.phase_map(params, freqs, durs, mode=mode, noise=pl.NoiseModel(p_up=0.14), observables=observables)
         assert seen == [((slots,), pair)]
 
-    def test_phase_map_forms_each_distinct_matrix_once(self, params, monkeypatch):
-        # the full-dynamics map with observables at p_up 0.14: 16 values, each
-        # an operator and a start, 32 B^dag X B per frequency at one per use;
-        # the 12 Pauli values share the nominal start and the 4 readout values
-        # share 2 projectors, so 14 operators and 4 starts: 18
-        seen = record_calls(monkeypatch, "_block_stack")
-        freqs, durs = workload_axes(params, 5, 7)
-        pl.phase_map(params, freqs, durs, mode=pl.FULL_DYNAMICS, noise=pl.NoiseModel(p_up=0.14), observables=True)
-        ((matrices, used, idx), (stacked, local)), = seen
-        assert used.shape == (1, 32) and stacked.shape == (1, 16, 18, 16)
-        assert np.unique(used[0, :16]).size == 14 and np.unique(used[0, 16:]).size == 4
+    @pytest.mark.parametrize(
+        "mode, observables, shape",
+        [
+            (pl.FULL_DYNAMICS, True, (1, 16, 18, 16)),
+            (pl.GATE_MODEL, False, (2, 8, 6, 8)),
+            (pl.GATE_MODEL, True, (2, 8, 18, 8)),
+        ],
+        ids=["full_observables", "phase_map_gate", "gate_observables"],
+    )
+    def test_phase_map_forms_each_distinct_matrix_once(self, params, mode, observables, shape, monkeypatch):
+        # at p_up 0.14 the matrix list holds the 2 projectors, one start per
+        # spectator and target state (4) and, with observables, the 12 Paulis:
+        # each once, and every block takes all of them, cut to its indices.
+        # The flat places of K's factors are read against that stack's shape
+        dims = []
 
-    def test_block_stack_cuts_each_block_on_its_own(self, params, monkeypatch):
-        # the gate map with observables at p_up 0.14: two blocks of 8, whose
-        # readout values both use the two projectors; each block stacks its
-        # own cut of them, and the one with fewer matrices repeats its last
-        seen = record_calls(monkeypatch, "_block_stack")
+        def spy(multi_index, stack_shape, *args, **kwargs):
+            dims.append(tuple(stack_shape))
+            return ravel(multi_index, stack_shape, *args, **kwargs)
+
+        ravel = np.ravel_multi_index
+        monkeypatch.setattr(pl.np, "ravel_multi_index", spy)
         freqs, durs = workload_axes(params, 5, 7)
-        pl.phase_map(params, freqs, durs, mode=pl.GATE_MODEL, noise=pl.NoiseModel(p_up=0.14), observables=True)
-        ((matrices, used, idx), (stacked, local)), = seen
-        assert idx.tolist() == [list(range(8)), list(range(8, 16))]
-        assert stacked.shape == (2, 8, 16, 8)
-        assert set(used[0]) & set(used[1]) == {0, 1}  # the projectors
-        for b in range(2):
-            distinct = np.unique(used[b])
-            cut = matrices[distinct][:, idx[b, :, None], idx[b]]  # (k, a, c)
-            got = stacked[b].swapaxes(0, 1)  # (k, a, c)
-            assert np.array_equal(got[: distinct.size], cut)
-            assert np.array_equal(got[distinct.size :], np.broadcast_to(cut[-1], got[distinct.size :].shape))
-            assert np.array_equal(distinct[local[b]], used[b])
+        pl.phase_map(params, freqs, durs, mode=mode, noise=pl.NoiseModel(p_up=0.14), observables=observables)
+        assert dims == [shape, shape]
 
     @pytest.mark.parametrize("mode", pl.MODES)
     def test_phase_factors_on_a_non_uniform_grid_are_the_exponential(self, params, mode):
