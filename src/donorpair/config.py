@@ -391,7 +391,6 @@ def _validate_options(chk: _Checker, doc, experiment, engine, mode) -> dict:
         if out["data_csv"] is not None and len(out["data_csv"]) < 12:  # the sine fit's minimum
             chk.fail(f"{path}.data_csv", "need at least twelve rows to fit")
     elif experiment == "ramsey":
-        before = len(chk.errors)
         sigma = chk.number(sub, path, "sigma_f_mhz", None, lo=1e-9)
         t2 = chk.number(sub, path, "t2_star_us", None, lo=1e-9)
         if sigma is None and t2 is None:
@@ -406,13 +405,7 @@ def _validate_options(chk: _Checker, doc, experiment, engine, mode) -> dict:
                 chk.fail(f"{path}.{key}", msg)
         out["sigma_f_mhz"], out["t2_star_us"] = sigma, t2
         out["wait"] = chk.grid(sub, path, "wait", GridSpec(0.0, 60.0, 21), lo=0.0)
-        if len(chk.errors) == before:  # a shot's phase is pi delta t, with delta ~ N(0, sigma)
-            # P(|delta| > 40 sigma) ~ 1e-349 is below the smallest double; pi 40 sigma is
-            # formed first, so that if it overflows a zero wait gives a NaN phase, which fails
-            width = sigma if t2 is None else t2_star_from_sigma(t2)
-            t_max = max(out["wait"].start, out["wait"].stop)
-            chk.phase(f"{path}.wait", "pi 40 sigma_f max t", (math.pi * 40 * width) * t_max)
-        out["n_shots"] = chk.integer(sub, path, "n_shots", 10_000, lo=1)
+        out["n_shots"] = chk.integer(sub, path, "n_shots", 10_000, lo=1, hi=MAX_SHOTS)
     elif experiment == "donor_distance_fit":
         pts = sub.get("points")
         if pts is None and sub.get("points_csv") is None:

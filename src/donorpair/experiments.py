@@ -233,15 +233,22 @@ def run_pirs_cz(config: ExperimentConfig):
     ]
 
 
+def _shot_proportions(p, shots: int, seed: int) -> np.ndarray:
+    """The up proportion of `shots` independent shots at each up probability
+    in `p`: one binomial draw per point from SeedSequence([seed, 0]), or `p`
+    itself at 0 shots."""
+    if shots == 0:
+        return p
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    return rng.binomial(shots, np.clip(p, 0, 1)) / shots
+
+
 def run_rabi_spam(config: ExperimentConfig):
     durations = config.options["duration"].points()
     detuning = config.options["detuning_when_up_mhz"]
     rabi = config.options["rabi_mhz"]
     trace = neutral_rabi_forward(config.noise.p_up, durations, rabi, detuning)
-    shots = config.options["shots_per_point"]
-    if shots > 0:
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
-        trace = rng.binomial(shots, np.clip(trace, 0, 1)) / shots
+    trace = _shot_proportions(trace, config.options["shots_per_point"], config.seed)
     fit = fit_p_up(durations, trace, rabi_mhz=rabi, detuning_when_up_mhz=detuning)
     rows = list(zip(durations, trace))
     report = {
@@ -289,13 +296,9 @@ def run_ramsey(config: ExperimentConfig):
     sigma, t2 = config.options["sigma_f_mhz"], config.options["t2_star_us"]
     if sigma is None:
         sigma = t2_star_from_sigma(t2)  # the map is its own inverse
-    trace = ramsey_trace(
-        config.options["wait"].points(),
-        sigma,
-        config.options["n_shots"],
-        seed=config.seed,
-    )
-    rows = list(zip(trace.wait_us, trace.p_up, trace.envelope))
+    trace = ramsey_trace(config.options["wait"].points(), sigma)
+    p_up = _shot_proportions((1 + trace.envelope) / 2, config.options["n_shots"], config.seed)
+    rows = list(zip(trace.wait_us, p_up, trace.envelope))
     return [
         ("ramsey.csv", csv_bytes(("wait_us", "p_up", "envelope"), rows)),
         (

@@ -4,11 +4,8 @@ All Hamiltonians are in frequency units (MHz) and all durations in
 microseconds; propagators therefore carry an explicit 2*pi factor.
 Matrix exponentials go through an eigendecomposition rather than a series
 expansion so the result is unitary to machine precision at these sizes.
-Drifting-drive propagators are not exponentials themselves: they are
-products of slice steps interpolated between the exponentials of one shared
-set of decomposed Hamiltonians, multiplied in real arithmetic (see
-`pulses.sliced_propagators`), and `require_unitary` checks them to
-UNITARITY_TOL.
+`require_unitary` checks propagators built from them to UNITARITY_TOL, such
+as the drifting-drive products of `pulses.sliced_propagators`.
 The eigendecomposition kernels (`hermitian_eig`, `unitary_exp`, `psd_sqrt`,
 `project_to_simplex`, `physical_eig`, `nearest_physical_density`) also take a
 stack along leading axes and apply their checks to the whole stack; a single

@@ -124,8 +124,8 @@ class PIRSModel:
 @dataclass(frozen=True)
 class NoiseModel:
     """Spin-up loading probability. The quasi-static detuning spread
-    sigma_f_mhz must be 0: the probability-level runners draw no detuning,
-    and `ramsey_trace` takes its own spread."""
+    sigma_f_mhz must be 0: no runner reads it here, and the Ramsey
+    experiment takes its spread as an option of its own."""
 
     sigma_f_mhz: float = 0.0
     p_up: float = 0.0
@@ -646,8 +646,7 @@ def sliced_propagators(h0, z_shift, durations_us, pirs: PIRSModel | None = None)
     pattern of h0 and z_shift, found for each call, so the kernel
     exponentiates blocks (four 4x4 nuclear sectors for an electron pulse in
     either mode) rather than whole matrices. Without drift every duration
-    comes from one eigendecomposition of each block, or of h0 for a single
-    duration.
+    comes from one eigendecomposition of each block.
 
     With drift a pulse of duration t is cut into n = max(MIN_SLICES,
     int(t / SLICE_US)) slices of width dt = t / n. Slice k evolves under the
@@ -687,8 +686,6 @@ def sliced_propagators(h0, z_shift, durations_us, pirs: PIRSModel | None = None)
     """
     t = np.asarray(durations_us, dtype=float)
     drift = pirs is not None and pirs.enabled
-    if not drift and t.size == 1:
-        return unitary_exp(h0, t)  # one exponential: splitting it saves nothing
     rows, cols = _diagonal_blocks(h0, z_shift)
     h_blocks, z_blocks = h0[rows, cols], z_shift[rows, cols]
     if drift:
@@ -980,9 +977,8 @@ def phase_map(
     observables the 12 Paulis, whose values share the nominal start. Every
     block takes all of them, cut to its indices, and per frequency two
     products of each block of B with them give every B^dag X B, with no copy
-    between: 18 for the full dynamics with observables at 0 < p_up, in place
-    of the 32 of two per slot; 6 per block for the gate map at 0 < p_up, and
-    18 per block with observables.
+    between: 18 for the full dynamics with observables at 0 < p_up; 6 per
+    block for the gate map at 0 < p_up, and 18 per block with observables.
 
     The values then come out in one of two forms, each stacked over blocks:
 
@@ -1001,8 +997,6 @@ def phase_map(
     the pair form size (size + 1) real ones, but P costs size (size + 1) / 2
     products per duration before the first slot. So `_pair_form` takes the
     pair form for blocks of more than 4 slots, from the blocks' shape alone.
-    On 101 durations the forms crossed between 4 and 6 slots, in blocks of 8
-    and of 16 alike.
 
     E_t from products: with m = ceil(sqrt(D)) when the D durations equal
     np.linspace(t[0], t[-1], D) bit for bit, and m = 1 otherwise, duration
@@ -1166,8 +1160,7 @@ def cz_flip_curve(
 @dataclass
 class RamseyTrace:
     wait_us: np.ndarray
-    p_up: np.ndarray
-    envelope: np.ndarray  # analytic Gaussian envelope exp(-(t/T2*)^2)
+    envelope: np.ndarray  # Gaussian envelope exp(-(t/T2*)^2)
     t2_star_us: float
 
 
@@ -1176,28 +1169,21 @@ def t2_star_from_sigma(sigma_f_mhz: float) -> float:
     return math.sqrt(2.0) / (2 * math.pi * sigma_f_mhz)
 
 
-def ramsey_trace(
-    wait_grid_us,
-    sigma_f_mhz: float,
-    n_shots: int,
-    seed: int = 0,
-) -> RamseyTrace:
-    """Two pi/2 pulses separated by a wait, with a quasi-static detuning drawn
-    per shot; returns the sampled up proportion and the analytic envelope.
+def ramsey_trace(wait_grid_us, sigma_f_mhz: float) -> RamseyTrace:
+    """Two pi/2 pulses separated by a wait, under a quasi-static detuning
+    delta ~ N(0, sigma) that is fixed within a shot; returns the ensemble
+    envelope E(t) = exp(-(t/T2*)^2), T2* = sqrt(2)/(2 pi sigma).
 
-    At zero detuning the pulse pair flips the spin, so p_up = (1 + E(t))/2
-    with ensemble envelope E(t) = exp(-(t/T2*)^2), T2* = sqrt(2)/(2 pi sigma).
+    A shot with detuning delta reads up with probability cos^2(pi delta t),
+    whose mean over delta is (1 + E(t))/2: shots are independent, so that is
+    the exact up probability of every shot at wait t.
     """
     if sigma_f_mhz < 0:
         raise ContractError("sigma_f must be non-negative")
     waits = np.asarray(wait_grid_us, dtype=float)
-    # no spread: the pulse pair always flips, and nothing decays
-    pup, env, t2 = np.ones_like(waits), np.ones_like(waits), math.inf
-    if sigma_f_mhz > 0:
-        for i, t in enumerate(waits):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-            deltas = rng.normal(0.0, sigma_f_mhz, size=n_shots)
-            pup[i] = float(np.mean(rng.random(n_shots) < np.cos(np.pi * deltas * t) ** 2))
-        t2 = t2_star_from_sigma(sigma_f_mhz)
+    if sigma_f_mhz == 0:  # no spread: nothing decays
+        return RamseyTrace(waits, np.ones_like(waits), math.inf)
+    t2 = t2_star_from_sigma(sigma_f_mhz)
+    with np.errstate(over="ignore"):  # (t/T2*)^2 may overflow far past T2*: E is then 0
         env = np.exp(-((waits / t2) ** 2))
-    return RamseyTrace(waits, pup, env, t2)
+    return RamseyTrace(waits, env, t2)

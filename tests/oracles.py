@@ -3,8 +3,9 @@ per-element formulas for tomography tables and Bloch vectors, the
 per-axis-pair replay of a tomography sequence, the per-resample bootstrap
 draw, the solid-angle law of the geometric phase, the guarded barycentric
 interpolation formula, the dense flip-readout states and projectors, the
-gate model's CZ-curve drive on its addressed pair, and the locations of the phase map's paper anchors (the CZ point and the
-entangling point).
+gate model's CZ-curve drive on its addressed pair, the locations of the
+phase map's paper anchors (the CZ point and the entangling point), and the
+shot-by-shot Monte Carlo of a Ramsey fringe.
 
 Also helpers that only tests use: the bits of a product-basis index
 (`basis_bits`), the partial trace (`partial_trace`), the full non-secular
@@ -134,6 +135,19 @@ def resample_counts(n_groups: int, n_resamples: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
         counts[k] = np.bincount(rng.integers(0, n_groups, size=n_groups), minlength=n_groups)
     return counts
+
+
+def ramsey_monte_carlo(waits, sigma_f_mhz: float, n_shots: int, seed: int) -> np.ndarray:
+    """Up proportion of n_shots Ramsey shots at each wait, shot by shot: each
+    shot draws its quasi-static detuning delta ~ N(0, sigma) and reads up
+    with probability cos^2(pi delta t); one generator per wait i, from
+    SeedSequence([seed, i])."""
+    p_up = np.empty(len(waits))
+    for i, t in enumerate(waits):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        deltas = rng.normal(0.0, sigma_f_mhz, size=n_shots)
+        p_up[i] = np.mean(rng.random(n_shots) < np.cos(np.pi * deltas * t) ** 2)
+    return p_up
 
 
 def geometric_phase_of_drive(delta_f_mhz: float, rabi_mhz: float, n_loops: int) -> float:

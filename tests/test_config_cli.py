@@ -55,14 +55,11 @@ FIT_OVERFLOW = {**DONOR, "options": {"points": [[-1e155, 300], [0, 60], [1e155, 
 PHASE_ROUNDED_AWAY = {"experiment": "phase_map", "options": {"freq_offset": grid(1e300, 1e300, 1)}}
 RABI_OVERFLOW = {"experiment": "rabi_spam", "options": {"rabi_mhz": 1e308}}
 RAMSEY_OVERFLOW = {"experiment": "ramsey", "options": {"sigma_f_mhz": 1e308}}
-# Ramsey widths whose per-shot phase pi delta t overflows (a biased p_up), or
-# stays finite but exceeds MAX_PHASE_RAD at the default 60 us wait
-RAMSEY_PHASE_OVERFLOW = {"experiment": "ramsey", "options": {"sigma_f_mhz": 1e307}}
-RAMSEY_PHASE_TOO_LARGE = {"experiment": "ramsey", "options": {"sigma_f_mhz": 1e6}}
 # shot counts past int64, which numpy's samplers reject in the run (exit 3)
 SHOTS_PAST_INT64 = [
     ({"experiment": "bell_tomography", "options": {"shots_per_axis": 2**63}}, "shots_per_axis"),
     ({"experiment": "rabi_spam", "options": {"shots_per_point": 2**63}}, "shots_per_point"),
+    ({"experiment": "ramsey", "options": {"t2_star_us": 10, "n_shots": 2**63}}, "n_shots"),
 ]
 
 # (experiment, mode, the sections it reads), written out here and not taken
@@ -230,9 +227,9 @@ class TestValidateConfig:
             validate_config({"experiment": "donor_distance_fit", "options": options})
         assert err.value.errors == [("$.options", "give points or points_csv, not both")]
 
-    @pytest.mark.parametrize("doc, key", SHOTS_PAST_INT64, ids=["bell_tomography", "rabi_spam"])
+    @pytest.mark.parametrize("doc, key", SHOTS_PAST_INT64, ids=[doc["experiment"] for doc, _ in SHOTS_PAST_INT64])
     def test_shot_counts_bounded_by_int64(self, doc, key):
-        largest = {**doc, "options": {key: 2**63 - 1}}
+        largest = {**doc, "options": {**doc["options"], key: 2**63 - 1}}
         assert validate_config(largest).options[key] == 2**63 - 1
         with pytest.raises(ConfigError) as err:
             validate_config(doc)
@@ -360,29 +357,6 @@ class TestValidateConfig:
         # its image sigma is subnormal, but positive
         assert validate_config({"experiment": "ramsey", "options": {key: 2.8e307}}).options[key] == 2.8e307
 
-    @pytest.mark.parametrize("t_max", [60.0, 3.0])
-    @pytest.mark.parametrize("key", ["sigma_f_mhz", "t2_star_us"])
-    def test_ramsey_phase_bound(self, key, t_max):
-        # the widest sigma whose phase pi 40 sigma max t stays within MAX_PHASE_RAD
-        sigma = MAX_PHASE_RAD / (math.pi * 40 * t_max)
-
-        def doc(scale):  # a wider sigma is a shorter T2*
-            value = sigma * scale if key == "sigma_f_mhz" else t2_star_from_sigma(sigma * scale)
-            return {"experiment": "ramsey", "options": {key: value, "wait": grid(0.0, t_max, 3)}}
-
-        validate_config(doc(1 - 1e-9))
-        with pytest.raises(ConfigError) as err:
-            validate_config(doc(1 + 1e-9))
-        assert [p for p, _ in err.value.errors] == ["$.options.wait"]
-        assert "pi 40 sigma_f max t" in err.value.errors[0][1]
-
-    @pytest.mark.parametrize("wait", [grid(0, 0, 1), grid(5, 0, 3)])
-    def test_overflowing_ramsey_phase_rejected(self, wait):
-        # pi 40 sigma overflows: the phase is NaN at a zero wait and infinite otherwise
-        with pytest.raises(ConfigError) as err:
-            validate_config({"experiment": "ramsey", "options": {"sigma_f_mhz": 1e307, "wait": wait}})
-        assert [p for p, _ in err.value.errors] == ["$.options.wait"]
-
     def test_ramsey_width_must_be_positive(self):
         # a zero width would write an infinite T2* into ramsey_fit.json
         with pytest.raises(ConfigError) as err:
@@ -390,7 +364,7 @@ class TestValidateConfig:
         assert [path for path, _ in err.value.errors] == ["$.options.sigma_f_mhz"]
 
     def test_noise_sigma_f_rejected(self):
-        # every runner but ramsey works at probability level and never reads it
+        # no runner reads it: ramsey takes its spread as an option of its own
         with pytest.raises(ConfigError) as err:
             validate_config({"experiment": "phase_map", "noise": {"sigma_f_mhz": 0.1}})
         assert [path for path, _ in err.value.errors] == ["$.noise.sigma_f_mhz"]
@@ -596,8 +570,6 @@ class TestCli:
             (PHASE_ROUNDED_AWAY, None, "$.options.duration"),
             (RABI_OVERFLOW, None, "$.options.duration"),
             (RAMSEY_OVERFLOW, None, "$.options.sigma_f_mhz"),
-            (RAMSEY_PHASE_OVERFLOW, None, "$.options.wait"),
-            (RAMSEY_PHASE_TOO_LARGE, None, "$.options.wait"),
             *[(doc, None, f"$.options.{key}") for doc, key in SHOTS_PAST_INT64],
         ],
         ids=[
@@ -622,10 +594,9 @@ class TestCli:
             "phase-map-phase-rounded-away",
             "rabi-phase-overflow",
             "ramsey-width-overflow",
-            "ramsey-phase-overflow",
-            "ramsey-phase-too-large",
             "bell-shots-past-int64",
             "rabi-shots-past-int64",
+            "ramsey-shots-past-int64",
         ],
     )
     def test_runtime_failures_are_config_errors(self, tmp_path, capsys, doc, data, path):
@@ -662,6 +633,41 @@ class TestCli:
         doc = {"experiment": experiment, "options": VALID_OPTIONS.get(experiment, {}), **extra}
         assert main(["validate", "--config", str(write_config(tmp_path, doc))]) == 2
         assert f"  {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_max", [60.0, 3.0])
+    @pytest.mark.parametrize("key", ["sigma_f_mhz", "t2_star_us"])
+    @pytest.mark.parametrize("scale", [1 - 1e-9, 1 + 1e-9])
+    def test_ramsey_runs_at_widths_past_the_old_phase_bound(self, tmp_path, key, t_max, scale):
+        # a width on either side of the bound pi 40 sigma max t <= MAX_PHASE_RAD
+        # that the per-shot detuning draws needed
+        sigma = MAX_PHASE_RAD / (math.pi * 40 * t_max) * scale
+        value = sigma if key == "sigma_f_mhz" else t2_star_from_sigma(sigma)
+        self.check_ramsey_runs(tmp_path, {key: value, "wait": grid(0.0, t_max, 3)})
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"sigma_f_mhz": 1e6},
+            {"sigma_f_mhz": 1e307},
+            {"sigma_f_mhz": 1e307, "wait": grid(0, 0, 1)},
+            {"sigma_f_mhz": 1e307, "wait": grid(5, 0, 3)},
+            {"t2_star_us": 10, "n_shots": 2**63 - 1},
+        ],
+        ids=["1e6", "1e307", "1e307-zero-wait", "1e307-descending", "int64-shots"],
+    )
+    def test_ramsey_runs_where_shots_were_drawn_one_by_one(self, tmp_path, options):
+        # the spreads used to fail validation, their per-shot phase pi delta t
+        # beyond the bound or overflowing; the shot count was an array size
+        self.check_ramsey_runs(tmp_path, options)
+
+    @staticmethod
+    def check_ramsey_runs(tmp_path, options):
+        config = write_config(tmp_path, {"experiment": "ramsey", "options": options})
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        rows = np.loadtxt(tmp_path / "o" / "ramsey.csv", delimiter=",", skiprows=1, ndmin=2)
+        p_up, envelope = rows[:, 1], rows[:, 2]
+        assert np.all((0 <= p_up) & (p_up <= 1))
+        assert np.all(np.isfinite(envelope))
 
     def test_noise_sigma_f_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"experiment": "phase_map", "noise": {"sigma_f_mhz": 0.1}})

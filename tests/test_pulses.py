@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from donorpair import pulses as pl
 from donorpair import spam
+from donorpair.experiments import _shot_proportions
 from donorpair.linalg import ContractError, unitary_exp
 from donorpair.spinmodel import (
     SPIN_INDEX,
@@ -28,6 +29,7 @@ from oracles import (
     nuclear_distribution,
     partial_trace,
     phase_map_anchors,
+    ramsey_monte_carlo,
 )
 
 PSI_PLUS = np.array([0, 1, 1, 0]) / np.sqrt(2)
@@ -570,11 +572,17 @@ class TestPhaseMap:
 
     @pytest.mark.parametrize("mode", pl.MODES)
     def test_scalar_axes_are_one_element_grids(self, params, engine, mode):
-        # a scalar duration or frequency is the one-element grid, bit for bit
-        for pirs in (None, pl.PIRSModel()):
-            got = pl.cz_flip_curve(params, 1.3, pirs=pirs, mode=mode, engine=engine)
-            assert got.shape == (1,)
-            assert np.array_equal(got, pl.cz_flip_curve(params, [1.3], pirs=pirs, mode=mode, engine=engine))
+        # a scalar duration or frequency is the one-element grid, bit for bit;
+        # each full-dynamics CZ curve warns of its drive's selectivity once
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for pirs in (None, pl.PIRSModel()):
+                got = pl.cz_flip_curve(params, 1.3, pirs=pirs, mode=mode, engine=engine)
+                assert got.shape == (1,)
+                assert np.array_equal(got, pl.cz_flip_curve(params, [1.3], pirs=pirs, mode=mode, engine=engine))
+        want = reference_selectivity_message(engine, engine.compile(pl.CURVE_CZ))
+        assert want is not None and "rabi 0.5 MHz" in want
+        assert [str(w.message) for w in caught] == ([want] * 4 if mode == pl.FULL_DYNAMICS else [])
         freqs, durs = workload_axes(params, 1, 1)
         noise = pl.NoiseModel(p_up=0.14)
         want = pl.phase_map(params, freqs, durs, mode=mode, noise=noise, observables=True, engine=engine)
@@ -589,26 +597,32 @@ class TestPhaseMap:
 
 class TestRamsey:
     def test_no_noise_no_decay(self):
-        tr = pl.ramsey_trace([0.0, 5.0, 50.0], 0.0, 100, seed=1)
-        assert np.allclose(tr.p_up, 1.0)
+        tr = pl.ramsey_trace([0.0, 5.0, 50.0], 0.0)
+        assert np.array_equal(tr.envelope, np.ones(3))
+        assert tr.t2_star_us == math.inf
 
     def test_t2_constant_conversion_roundtrip(self):
         # sqrt(2) / (2 pi x) is its own inverse
         assert pl.t2_star_from_sigma(pl.t2_star_from_sigma(20.0)) == pytest.approx(20.0)
 
-    def test_envelope_matches_gaussian(self):
+    def test_envelope_matches_monte_carlo(self):
+        # the exact fringe (1 + E)/2 against shot-by-shot detuning draws,
+        # within 4 standard errors of each binomial proportion
         sigma = pl.t2_star_from_sigma(20.0)
         n = 20000
         waits = np.linspace(0.0, 50.0, 11)
-        tr = pl.ramsey_trace(waits, sigma, n, seed=5)
-        for meas, env in zip(tr.p_up, (1 + tr.envelope) / 2):
-            assert abs(meas - env) <= 3.0 / math.sqrt(n) + 1e-12
+        p = (1 + pl.ramsey_trace(waits, sigma).envelope) / 2
+        sampled = ramsey_monte_carlo(waits, sigma, n, seed=5)
+        assert np.all(np.abs(sampled - p) <= 4 * np.sqrt(p * (1 - p) / n) + 1e-12)
 
     def test_one_over_e_point(self):
-        sigma = pl.t2_star_from_sigma(10.0)
-        tr = pl.ramsey_trace([10.0], sigma, 40000, seed=9)
-        envelope = 2 * tr.p_up[0] - 1
-        assert envelope == pytest.approx(math.exp(-1.0), abs=3.0 / math.sqrt(40000) * 2)
+        # E(T2*) = 1/e, and the runner's binomial draw of (1 + E)/2 stays
+        # within 3/sqrt(n) of it
+        tr = pl.ramsey_trace([10.0], pl.t2_star_from_sigma(10.0))
+        assert tr.envelope[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
+        n = 40000
+        p = (1 + tr.envelope) / 2
+        assert abs(_shot_proportions(p, n, seed=9)[0] - p[0]) <= 3.0 / math.sqrt(n)
 
 
 # ---------------------------------------------------------------------------
@@ -914,19 +928,22 @@ class TestClosedFormKernels:
                 assert np.max(np.abs(got.observables[s][k] - want_obs[s][k])) < tol
 
     @pytest.mark.parametrize(
-        "mode, p_up, value_blocks",
+        "mode, p_up, readout_blocks, value_blocks",
         [
-            (pl.GATE_MODEL, 0.14, [list(range(8)), list(range(8, 16))]),
-            (pl.GATE_MODEL, 0.0, [list(range(16))]),
-            (pl.FULL_DYNAMICS, 0.14, [list(range(16))]),
+            (pl.GATE_MODEL, 0.14, [], [list(range(8)), list(range(8, 16))]),
+            (pl.GATE_MODEL, 0.0, [], [list(range(16))]),
+            (pl.FULL_DYNAMICS, 0.14, [[list(range(16))]], [list(range(16))]),
         ],
         ids=["GATE_MODEL", "GATE_MODEL-p_up0", "FULL_DYNAMICS"],
     )
-    def test_phase_map_splits_nuclear_sectors(self, params, mode, p_up, value_blocks, monkeypatch):
-        # one stacked eigendecomposition of four 4x4 blocks per frequency:
-        # the contiguous nuclear sectors of the product basis, in either mode;
-        # then the values run in the blocks of their starts: the n1 halves
-        # when the gate model loads both, else the whole space
+    def test_phase_map_splits_nuclear_sectors(
+        self, params, mode, p_up, readout_blocks, value_blocks, monkeypatch
+    ):
+        # the full dynamics' n2 readout pulse is one propagator of a whole
+        # block of 16; then one stacked eigendecomposition of four 4x4 blocks
+        # per frequency: the contiguous nuclear sectors of the product basis,
+        # in either mode; then the values run in the blocks of their starts:
+        # the n1 halves when the gate model loads both, else the whole space
         sectors = [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]]
         blocks, eigs = [], []
         engine = pl.engine_for(params)  # built before the spies, whatever ran first
@@ -945,7 +962,7 @@ class TestClosedFormKernels:
         monkeypatch.setattr(pl, "hermitian_eig", record_eig)
         freqs, durs = workload_axes(params, 5, 4)
         pl.phase_map(params, freqs, durs, mode=mode, noise=pl.NoiseModel(p_up=p_up), observables=True)
-        assert blocks == [sectors, value_blocks]
+        assert blocks == [*readout_blocks, sectors, value_blocks]
         # the blocks of free_hamiltonian + the mode's drive, the same free
         # Hamiltonian in both modes
         h = engine.free_hamiltonian(freqs) + engine.drive_hamiltonian(mode, "ESR", engine.rabi["ESR"])
