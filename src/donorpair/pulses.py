@@ -88,9 +88,9 @@ class PulseSpec:
     def __post_init__(self):
         if self.channel not in ("ESR", "NMR"):
             raise ContractError(f"unknown channel {self.channel!r}")
-        if self.duration_us < 0:
+        if not 0 <= self.duration_us:
             raise ContractError("pulse duration must be non-negative")
-        if self.rabi_mhz < 0:
+        if not 0 <= self.rabi_mhz:
             raise ContractError("rabi frequency must be non-negative")
 
 
@@ -106,11 +106,11 @@ class PIRSModel:
     enabled: bool = True
 
     def __post_init__(self):
-        if self.shift_khz < 0:
+        if not 0 <= self.shift_khz:
             raise ContractError("shift amplitude must be non-negative")
         if self.shift_khz > MAX_SHIFT_KHZ:
             raise ContractError(f"shift amplitude must be at most {MAX_SHIFT_KHZ} kHz")
-        if self.time_constant_us <= 0:
+        if not 0 < self.time_constant_us:
             raise ContractError("time constant must be positive")
 
     def detuning_mhz(self, t_us):
@@ -828,6 +828,8 @@ def phase_map_center_frequency(engine: SequenceEngine) -> float:
 
 def _duration_grid(durations_us) -> np.ndarray:
     durs = np.atleast_1d(np.asarray(durations_us, dtype=float))
+    if not np.all(np.isfinite(durs)):
+        raise ContractError(f"non-finite duration {durs[~np.isfinite(durs)][0]} us")
     if np.any(durs < 0):
         raise ContractError(f"negative duration {durs.min()} us")
     return durs
@@ -910,16 +912,23 @@ def phase_map_eig(engine: SequenceEngine, mode: str, freqs: np.ndarray):
     return w, bases
 
 
-def _pair_form(n_slots: int) -> bool:
-    """Whether `phase_map` contracts value blocks of n_slots slots each in
-    the Hermitian pair form (see there for the rule)."""
-    return n_slots > 4
-
-
 def _phase_factors(durs: np.ndarray, w: np.ndarray):
     """Yield, per frequency of eigenvalues w (F, ..., n), the (..., durations,
-    n) phase factors exp(-2 pi i w t) as giant-step x baby-step products (see
-    `phase_map`)."""
+    n) phase factors E_t = exp(-2 pi i w t) as giant-step x baby-step
+    products.
+
+    With m = ceil(sqrt(D)) when the D durations equal
+    np.linspace(t[0], t[-1], D) bit for bit, and m = 1 otherwise, duration
+    k = b m + a is t[b m] + a step, step = (t[-1] - t[0]) / (D - 1), so
+    E_t = exp(-2 pi i w t[b m]) exp(-2 pi i w a step). One `np.exp` over
+    every frequency for the giants t[::m] and one for the m babies give
+    about 2 sqrt(D) exponentials per frequency in place of D; their outer
+    product, cut to D rows, is E. With m = 1 the only baby is exp(0) = 1 and
+    the giants are the grid itself, so a non-uniform grid gets
+    exp(-2 pi i w t) exactly. On a linspace grid, t[b m] + a step differs
+    from linspace's point by a few eps t_max, so E moves by a few
+    2 pi t_max max|w| eps, the size of the eigenvalue rounding.
+    """
     d = durs.size
     m = math.isqrt(d - 1) + 1 if np.array_equal(durs, np.linspace(durs[0], durs[-1], d)) else 1
     step = (durs[-1] - durs[0]) / (d - 1) if m > 1 else 0.0
@@ -948,67 +957,26 @@ def phase_map(
     repeated sequence: nuclei persist between shots while electrons are
     reloaded each shot with the noise model's p_up. With `observables` the
     post-drive X/Y up-proportions and Bloch-vector norm of every spin are
-    recorded for the nominal all-down start.
+    recorded for the nominal all-down start. A duration that is not finite
+    and non-negative raises ContractError.
 
-    Closed form: at each frequency the drive Hamiltonian is diagonalized once,
-    H = B diag(w) B^dag, so the drive propagator at duration t is
-    B diag(E_t) B^dag with E_t = exp(-2 pi i w t). Every recorded value has
-    the form Tr(A U rho U^dag) for a fixed state rho (a start state after the
-    opening pulse) and a fixed operator A (a readout projector pulled back
-    through the closing pulse, or a Pauli operator), which is
+    Closed form: at each frequency the drive Hamiltonian is diagonalized once
+    (`phase_map_eig`), H = B diag(w) B^dag, so the drive propagator at
+    duration t is B diag(E_t) B^dag with E_t = exp(-2 pi i w t)
+    (`_phase_factors`). Every recorded value has the form Tr(A U rho U^dag)
+    for a fixed state rho (a start state after the opening pulse) and a fixed
+    operator A (a readout projector pulled back through the closing pulse,
+    or a Pauli operator), which is
 
         Re sum_ij E_ti K_ij conj(E_tj),   K = (B^dag rho B) o (B^dag A B)^T,
 
-    with o the elementwise product.
+    with o the elementwise product. K is Hermitian, since rho and A are, so
+    the sum is sum_{i <= j} w_ij Re(P_ij conj(K_ij)) with
+    P_ij = conj(E_i) E_j, w = 1 on the diagonal and 2 off it.
 
-    `phase_map_eig` decomposes the whole grid by nuclear-sector blocks in one
-    call. The values then run in blocks of their own, from `_diagonal_blocks`
-    on the nonzero pattern of the grid's bases and of the start states: every
-    B keeps each such block, so B^dag rho B, and with it K, vanishes outside
-    the block that holds rho, whatever A is. The gate model conserves the
-    spectator n1, so with 0 < p_up its starts fill the two n1 halves: two
-    blocks of 8, where each K has 64 terms in place of 256. The full
-    dynamics' opening pulse mixes n1, and at p_up = 0 the starts fill one
-    half while the other splits into two sectors of 4; either way
-    `_diagonal_blocks` falls back to one block of 16. Each value takes a slot
-    in its block, and the blocks pad their slots to the fullest one. The
-    value list holds each operator and start once: the two readout
-    projectors, one start per spectator and target state, and with
-    observables the 12 Paulis, whose values share the nominal start. Every
-    block takes all of them, cut to its indices, and per frequency two
-    products of each block of B with them give every B^dag X B, with no copy
-    between: 18 for the full dynamics with observables at 0 < p_up; 6 per
-    block for the gate map at 0 < p_up, and 18 per block with observables.
-
-    The values then come out in one of two forms, each stacked over blocks:
-
-    - the row form: one product of conj(E) with the slots' K^T side by side
-      and one row dot with E;
-    - the Hermitian pair form. K is Hermitian, since rho and A are, so the
-      sum is sum_{i <= j} w_ij Re(P_ij conj(K_ij)) with P_ij = conj(E_i) E_j,
-      w = 1 on the diagonal and 2 off it: one real product
-      P.view(float) @ (w K).view(float)^T per frequency over the
-      size (size + 1) / 2 pairs. P is cut from the giant x baby factors E
-      below, so it takes no exponentials of its own; its two one-frequency
-      tables are reused, because fresh ones each frequency cost more in page
-      faults than in arithmetic.
-
-    Per duration and slot the row form does size^2 complex multiply-adds and
-    the pair form size (size + 1) real ones, but P costs size (size + 1) / 2
-    products per duration before the first slot. So `_pair_form` takes the
-    pair form for blocks of more than 4 slots, from the blocks' shape alone.
-
-    E_t from products: with m = ceil(sqrt(D)) when the D durations equal
-    np.linspace(t[0], t[-1], D) bit for bit, and m = 1 otherwise, duration
-    k = b m + a is t[b m] + a step, step = (t[-1] - t[0]) / (D - 1), so
-    E_t = exp(-2 pi i w t[b m]) exp(-2 pi i w a step). One `np.exp` over
-    every frequency for the giants t[::m] and one for the m babies give
-    about 2 sqrt(D) exponentials per frequency in place of D; their outer
-    product, cut to D rows, is E. With m = 1 the only baby is exp(0) = 1 and
-    the giants are the grid itself, so a non-uniform grid gets
-    exp(-2 pi i w t) exactly. On a linspace grid, t[b m] + a step differs
-    from linspace's point by a few eps t_max, so E moves by a few
-    2 pi t_max max|w| eps, the size of the eigenvalue rounding.
+    Rounding: each value differs from the dense per-point evaluation by a
+    few 2 pi t_max max|w| eps, the rounding of the eigenvalues and, on a
+    linspace grid, of the giant-step x baby-step times.
     """
     noise = noise or NoiseModel()
     engine = engine or engine_for(params)
@@ -1020,7 +988,8 @@ def phase_map(
     pulse, weights, flips, loads = _flip_readout(engine, "n2", mode, noise.p_up)
     readout_starts, projectors = _dense_flip_readout(pulse, flips, loads)
     n_spectator = weights.size
-    # value v is Tr(A U rho U^dag) with A = matrices[op[v]], rho = matrices[start[v]]
+    # value v is Tr(A U rho U^dag) with A = matrices[op[v]], rho = matrices[start[v]];
+    # the list holds each operator and start once
     matrices = [projectors, readout_starts.reshape(-1, 16, 16)]
     op = np.tile([0, 1], n_spectator)
     start = 2 + np.arange(2 * n_spectator)
@@ -1035,52 +1004,38 @@ def phase_map(
     n_values = op.size
 
     w, bases = phase_map_eig(engine, mode, freqs)
+    # value blocks: every B keeps each block of the bases' and the starts'
+    # nonzero pattern, so K vanishes outside the block that holds rho
     rows, cols = _diagonal_blocks(np.any(bases != 0, axis=0), np.any(matrices[start] != 0, axis=0))
     n_blocks, size = rows.shape[:2]
     stacked = matrices[:, rows, cols].transpose(1, 2, 0, 3)  # [b, a, k, c], the shape of bxb below
-    # each value runs in the block that holds its start, at slot `rank` among
-    # that block's values; unused slots repeat value 0
+    # each value is contracted in every block and read from the one that holds its start
     home = np.argmax(np.any(stacked[:, :, start] != 0, axis=(1, 3)), axis=0)
-    in_block = home[:, None] == np.arange(n_blocks)
-    rank = np.cumsum(in_block, axis=0)[in_block] - 1
-    n_slots = rank.max() + 1
-    slots = np.zeros((n_blocks, n_slots), dtype=int)
-    slots[home, rank] = np.arange(n_values)
     bases, w = bases[:, rows, cols], w[:, rows[..., 0]]  # (F, blocks, size, size), (F, blocks, size)
-    pair = _pair_form(n_slots)
-    block, a_k, rho_k = np.arange(n_blocks), op[slots], start[slots]
-    if pair:
-        # k[b, slot, pair] = K_ij at the pairs i <= j
-        row, col = np.triu_indices(size)
-        block, a_k, rho_k = block[:, None, None], a_k[..., None], rho_k[..., None]
-        weight = np.where(row == col, 1.0, 2.0)
-        p, q = np.empty((2, n_blocks, durs.size, row.size), dtype=complex)  # one frequency's pair tables
-    else:
-        # k[b, i, slot, j] = K_ji, so that the sum over j runs along a matrix product
-        row, col = np.arange(size), np.arange(size)[:, None, None]
-        block, a_k, rho_k = block[:, None, None, None], a_k[:, None, :, None], rho_k[:, None, :, None]
-    # flat places in bxb of (B^dag rho B)_row,col and (B^dag A B)_col,row: K_row,col is their product
-    rho_at = np.ravel_multi_index((block, row, rho_k, col), stacked.shape)
-    a_at = np.ravel_multi_index((block, col, a_k, row), stacked.shape)
+    # k[b, v, pair] = K_ij at the pairs i <= j, from the flat places in bxb of
+    # (B^dag rho B)_ij and (B^dag A B)_ji
+    row, col = np.triu_indices(size)
+    block = np.arange(n_blocks)[:, None, None]
+    rho_at = np.ravel_multi_index((block, row, start[:, None], col), stacked.shape)
+    a_at = np.ravel_multi_index((block, col, op[:, None], row), stacked.shape)
+    weight = np.where(row == col, 1.0, 2.0)
     stacked = stacked.reshape(n_blocks, -1, size)
+    p, q = np.empty((2, n_blocks, durs.size, row.size), dtype=complex)  # one frequency's pair tables, reused
 
     grid = (freqs.size, durs.size)
     vals = np.zeros((n_values, *grid))  # every recorded value at every point
+    values = np.arange(n_values)
     for fi, (basis, e) in enumerate(zip(bases, _phase_factors(durs, w))):
         # bxb[b, i, k, j] = (B^dag X_k B)_ij: the rows (a, k) of `stacked`
         # make X_k B come out as [a, (k, j)], ready for B^dag on the left
         bxb = basis.conj().swapaxes(1, 2) @ (stacked @ basis).reshape(n_blocks, size, -1)
         k = bxb.reshape(-1)[rho_at] * bxb.reshape(-1)[a_at]
-        if pair:
-            k *= weight
-            # P = conj(E_i) E_j (blocks, durations, pairs); mode="clip" leaves
-            # `out` unbuffered
-            np.take(e.conj(), row, axis=-1, out=p, mode="clip")
-            p *= np.take(e, col, axis=-1, out=q, mode="clip")
-            vals[:, fi] = (p.view(float) @ k.view(float).swapaxes(1, 2))[home, :, rank]
-        else:
-            ekt = (e.conj() @ k.reshape(n_blocks, size, -1)).reshape(n_blocks, durs.size, n_slots, size)
-            vals[:, fi] = np.real(ekt @ e[..., None])[home, :, rank, 0]
+        k *= weight
+        # P = conj(E_i) E_j (blocks, durations, pairs); mode="clip" leaves
+        # `out` unbuffered
+        np.take(e.conj(), row, axis=-1, out=p, mode="clip")
+        p *= np.take(e, col, axis=-1, out=q, mode="clip")
+        vals[:, fi] = (p.view(float) @ k.view(float).swapaxes(1, 2))[home, :, values]
 
     pf = _stationary_flip_rate(weights, vals[: 2 * n_spectator].reshape(n_spectator, 2, *grid))
     obs = {}

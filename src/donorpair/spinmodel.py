@@ -54,13 +54,13 @@ class SystemParams:
     j: float = 12.0
 
     def __post_init__(self):
-        if self.a1 <= 0 or self.a2 <= 0:
+        if not (0 < self.a1 and 0 < self.a2):
             raise ContractError("hyperfine couplings a1, a2 must be positive")
-        if self.j < 0:
+        if not 0 <= self.j:
             raise ContractError("exchange coupling j must be non-negative")
-        if self.b0 <= 0:
+        if not 0 < self.b0:
             raise ContractError("magnetic field b0 must be positive")
-        if self.g1 <= 0 or self.g2 <= 0:
+        if not (0 < self.g1 and 0 < self.g2):
             raise ContractError("electron g-factors g1, g2 must be positive")
         if abs(self.g1 - self.g2) / self.g1 >= 0.01:
             raise ContractError("electron g-factors differ by more than 1%")
