@@ -16,6 +16,7 @@ holding a decomposition does not pay for another.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -75,6 +76,15 @@ def require_hermitian(m: np.ndarray) -> np.ndarray:
     if not dev < HERMITICITY_TOL:  # a NaN deviation fails too
         raise ContractError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
     return m
+
+
+def require_finite(record, *names: str) -> None:
+    """Raise ContractError naming the first field of `record` among `names`
+    that is not finite."""
+    for name in names:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ContractError(f"{name} must be finite, got {value}")
 
 
 def require_unitary(u: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SUPPORTED_DIMS, ContractError, hermitian_eig, require_unitary, unitary_exp
+from .linalg import SUPPORTED_DIMS, ContractError, hermitian_eig, require_finite, require_unitary, unitary_exp
 from .spinmodel import (
     ELECTRONS,
     NUCLEI,
@@ -92,6 +92,7 @@ class PulseSpec:
             raise ContractError("pulse duration must be non-negative")
         if not 0 <= self.rabi_mhz:
             raise ContractError("rabi frequency must be non-negative")
+        require_finite(self, "carrier_mhz", "rabi_mhz", "duration_us", "phase_rad")
 
 
 @dataclass(frozen=True)
@@ -912,33 +913,28 @@ def phase_map_eig(engine: SequenceEngine, mode: str, freqs: np.ndarray):
     return w, bases
 
 
-def _phase_factors(durs: np.ndarray, w: np.ndarray):
-    """Yield, per frequency of eigenvalues w (F, ..., n), the (..., durations,
-    n) phase factors E_t = exp(-2 pi i w t) as giant-step x baby-step
-    products.
+def _phase_factors(durs: np.ndarray, w: np.ndarray, n_values: int):
+    """Phase factors (giants, babies) over every frequency of eigenvalues
+    w (F, ..., n): giants[b] = exp(-2 pi i w t[b m]) for b < ceil(D / m) and
+    babies[a] = exp(-2 pi i w a step) for a < m, so E_t = exp(-2 pi i w t) at
+    duration k = b m + a is giants[b] babies[a].
 
-    With m = ceil(sqrt(D)) when the D durations equal
-    np.linspace(t[0], t[-1], D) bit for bit, and m = 1 otherwise, duration
-    k = b m + a is t[b m] + a step, step = (t[-1] - t[0]) / (D - 1), so
-    E_t = exp(-2 pi i w t[b m]) exp(-2 pi i w a step). One `np.exp` over
-    every frequency for the giants t[::m] and one for the m babies give
-    about 2 sqrt(D) exponentials per frequency in place of D; their outer
-    product, cut to D rows, is E. With m = 1 the only baby is exp(0) = 1 and
-    the giants are the grid itself, so a non-uniform grid gets
-    exp(-2 pi i w t) exactly. On a linspace grid, t[b m] + a step differs
-    from linspace's point by a few eps t_max, so E moves by a few
-    2 pi t_max max|w| eps, the size of the eigenvalue rounding.
+    If the D durations equal np.linspace(t[0], t[-1], D) bit for bit,
+    step = (t[-1] - t[0]) / (D - 1) and m minimises ceil(D / m) + m n_values,
+    the heights of `phase_map`'s tables, taking the smallest m on a tie;
+    otherwise m = 1, whose only baby is exp(0) = 1 and whose giants are E
+    itself. t[b m] + a step differs from linspace's point by a few eps t_max,
+    which moves E by a few 2 pi t_max max|w| eps, the eigenvalue rounding.
     """
     d = durs.size
-    m = math.isqrt(d - 1) + 1 if np.array_equal(durs, np.linspace(durs[0], durs[-1], d)) else 1
+    m = 1
+    if np.array_equal(durs, np.linspace(durs[0], durs[-1], d)):
+        # n_values >= 1, so no m above ceil(sqrt(D)) does better
+        m = min(range(1, math.isqrt(d - 1) + 2), key=lambda m: -(-d // m) + m * n_values)
     step = (durs[-1] - durs[0]) / (d - 1) if m > 1 else 0.0
     phase = -2j * np.pi
     w = w[..., None, :]
-    giants = np.exp(phase * durs[::m, None] * w)  # (F, ..., G, n)
-    babies = np.exp(phase * (np.arange(m) * step)[:, None] * w)  # (F, ..., m, n)
-    for giant, baby in zip(giants, babies):
-        e = giant[..., None, :] * baby[..., None, :, :]  # (..., G, m, n)
-        yield e.reshape(*e.shape[:-3], -1, e.shape[-1])[..., :d, :]
+    return np.exp(phase * durs[::m, None] * w), np.exp(phase * (np.arange(m) * step)[:, None] * w)
 
 
 def phase_map(
@@ -974,9 +970,20 @@ def phase_map(
     the sum is sum_{i <= j} w_ij Re(P_ij conj(K_ij)) with
     P_ij = conj(E_i) E_j, w = 1 on the diagonal and 2 off it.
 
+    No P over every duration is formed: with E = G_b o B_a at duration
+    k = b m + a (`_phase_factors`), P = PG_b o PB_a for the pair tables PG
+    of the giants and PB of the babies, and the value at k is
+    Re sum_p PG_bp conj(N_ap) with N = conj(PB) o K. One real product of the
+    (giants, pairs) table PG with the (m values, pairs) table N gives every
+    value at every duration. m minimises those heights, ceil(D / m) + m
+    values: 5 for 101 durations and 4 values, 3 for 16 values. On a grid
+    that is not a linspace m = 1, PB = 1 and N = K exactly.
+
     Rounding: each value differs from the dense per-point evaluation by a
     few 2 pi t_max max|w| eps, the rounding of the eigenvalues and, on a
-    linspace grid, of the giant-step x baby-step times.
+    linspace grid, of the giant-step + baby-step times. PG o PB multiplies
+    the same four unit-modulus factors as conj(E_i) E_j in another order,
+    which moves P by a few eps.
     """
     noise = noise or NoiseModel()
     engine = engine or engine_for(params)
@@ -1020,22 +1027,38 @@ def phase_map(
     a_at = np.ravel_multi_index((block, col, op[:, None], row), stacked.shape)
     weight = np.where(row == col, 1.0, 2.0)
     stacked = stacked.reshape(n_blocks, -1, size)
-    p, q = np.empty((2, n_blocks, durs.size, row.size), dtype=complex)  # one frequency's pair tables, reused
+
+    giants, babies = _phase_factors(durs, w, n_values)
+    n_giants, m = giants.shape[-2], babies.shape[-2]
+    # one frequency's tables, reused: its giants and conjugated babies, their
+    # pair tables [PG; conj(PB)] (blocks, giants + babies, pairs) and a
+    # scratch, N = conj(PB) K (blocks, babies, values, pairs) and the product
+    e = np.empty((n_blocks, n_giants + m, size), dtype=complex)
+    pairs, scratch = np.empty((2, *e.shape[:2], row.size), dtype=complex)
+    n = np.empty((n_blocks, m, n_values, row.size), dtype=complex)
+    out = np.empty((n_blocks, n_giants, m * n_values))
+    pg, n_real = pairs[:, :n_giants].view(float), n.view(float).reshape(n_blocks, m * n_values, -1)
 
     grid = (freqs.size, durs.size)
     vals = np.zeros((n_values, *grid))  # every recorded value at every point
     values = np.arange(n_values)
-    for fi, (basis, e) in enumerate(zip(bases, _phase_factors(durs, w))):
+    for fi, basis in enumerate(bases):
         # bxb[b, i, k, j] = (B^dag X_k B)_ij: the rows (a, k) of `stacked`
         # make X_k B come out as [a, (k, j)], ready for B^dag on the left
         bxb = basis.conj().swapaxes(1, 2) @ (stacked @ basis).reshape(n_blocks, size, -1)
         k = bxb.reshape(-1)[rho_at] * bxb.reshape(-1)[a_at]
         k *= weight
-        # P = conj(E_i) E_j (blocks, durations, pairs); mode="clip" leaves
-        # `out` unbuffered
-        np.take(e.conj(), row, axis=-1, out=p, mode="clip")
-        p *= np.take(e, col, axis=-1, out=q, mode="clip")
-        vals[:, fi] = (p.view(float) @ k.view(float).swapaxes(1, 2))[home, :, values]
+        e[:, :n_giants] = giants[fi]
+        np.conjugate(babies[fi], out=e[:, n_giants:])
+        # pair tables conj(e_i) e_j; mode="clip" leaves `out` unbuffered
+        np.take(e.conj(), row, axis=-1, out=pairs, mode="clip")
+        pairs *= np.take(e, col, axis=-1, out=scratch, mode="clip")
+        np.multiply(pairs[:, n_giants:, None], k[:, None], out=n)
+        # out[b, g, (a, v)] = Re sum_p PG[g, p] conj(N[a, v, p]): value v at
+        # duration g m + a
+        np.matmul(pg, n_real.swapaxes(1, 2), out=out)
+        vals[:, fi] = out.reshape(n_blocks, -1, n_values)[home, : durs.size, values]
+    del giants, babies  # the readout below runs without the largest tables
 
     pf = _stationary_flip_rate(weights, vals[: 2 * n_spectator].reshape(n_spectator, 2, *grid))
     obs = {}

@@ -9,7 +9,7 @@ Pauli matrices over two; every Hamiltonian is in MHz.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .linalg import (
     SIGMA_Y,
     SIGMA_Z,
     kron_all,
+    require_finite,
 )
 
 # g * mu_B / h ~ 27.97 GHz/T for g ~ 1.9985; gamma_n is the 31P value.
@@ -62,6 +63,7 @@ class SystemParams:
             raise ContractError("magnetic field b0 must be positive")
         if not (0 < self.g1 and 0 < self.g2):
             raise ContractError("electron g-factors g1, g2 must be positive")
+        require_finite(self, *(f.name for f in fields(self)))
         if abs(self.g1 - self.g2) / self.g1 >= 0.01:
             raise ContractError("electron g-factors differ by more than 1%")
 

@@ -46,6 +46,20 @@ def engine(params):
     return pl.engine_for(params)
 
 
+@pytest.fixture
+def exp_sizes(monkeypatch):
+    """The size of every np.exp argument from here to the end of the test."""
+    sizes = []
+    exp = np.exp
+
+    def counting_exp(x):
+        sizes.append(np.size(x))
+        return exp(x)
+
+    monkeypatch.setattr(pl.np, "exp", counting_exp)
+    return sizes
+
+
 def nuclear_state(result):
     return partial_trace(result.final_state, (0, 1), 4)
 
@@ -234,6 +248,29 @@ class TestValidation:
         # one that NaN fails; accepted, a NaN surfaced only far downstream
         with pytest.raises(ContractError, match=message):
             replace(value, **{field: math.nan})
+
+    @pytest.mark.parametrize(
+        "value, field, bad",
+        [
+            (SystemParams(), "mu_b_over_h", math.nan),
+            (SystemParams(), "gamma_n", math.nan),
+            (SystemParams(), "j", math.inf),
+            (SystemParams(), "a1", math.inf),
+            (SystemParams(), "a2", math.inf),
+            (SystemParams(), "b0", math.inf),
+            (SystemParams(), "g1", math.inf),
+            (SystemParams(), "g2", math.inf),
+            (pl.PulseSpec("ESR", 100.0, 0.1, 1.0), "carrier_mhz", math.nan),
+            (pl.PulseSpec("ESR", 100.0, 0.1, 1.0), "phase_rad", math.nan),
+            (pl.PulseSpec("ESR", 100.0, 0.1, 1.0), "rabi_mhz", math.inf),
+            (pl.PulseSpec("ESR", 100.0, 0.1, 1.0), "duration_us", math.inf),
+        ],
+    )
+    def test_non_finite_field_rejected(self, value, field, bad):
+        # rejected where it is built, by name; accepted, each surfaced only
+        # as a non-Hermitian NaN matrix far downstream
+        with pytest.raises(ContractError, match=f"^{field} must be finite"):
+            replace(value, **{field: bad})
 
     @pytest.mark.parametrize("mode", pl.MODES)
     @pytest.mark.parametrize(
@@ -820,16 +857,17 @@ def phase_map_tolerance(params, mode, freqs, durs):
     """Largest phase-map difference that eigenvalue and time rounding
     explain. An eigenvalue w rounds by about eps |w|, which the phase 2 pi w t
     turns into 2 pi t |w| eps; the kernel's phase factors on a linspace grid
-    take t as a giant-step time plus a baby-step multiple, which rounds t by
-    about eps t and moves the phase by the same 2 pi t |w| eps. Each value
-    depends on differences of two such phases, and both sides of a comparison
-    round on their own: 4 2 pi t_max max|w| eps, about 1e-11 over the
-    workloads' ranges. The blocks' eigenvalues round differently from the
-    same eigenvalues of the whole matrix, so the kernel and the dense
-    per-point oracle differ by about this much, and not by ORACLE_TOL, once
-    t |w| grows. Summing the same terms in another order, as the kernel's
-    pair form does against a dense product, moves a value by a few eps, far
-    inside this."""
+    take t as a giant-step time plus a baby-step multiple, at any split m,
+    which rounds t by about eps t and moves the phase by the same
+    2 pi t |w| eps. Each value depends on differences of two such phases, and
+    both sides of a comparison round on their own: 4 2 pi t_max max|w| eps,
+    about 1e-11 over the workloads' ranges. The blocks' eigenvalues round
+    differently from the same eigenvalues of the whole matrix, so the kernel
+    and the dense per-point oracle differ by about this much, and not by
+    ORACLE_TOL, once t |w| grows. The kernel's pair tables are products of
+    giant and baby pair tables, and its sum runs over pairs and not over a
+    dense product: each multiplies or adds the same terms in another order,
+    which moves a value by a few eps, far inside this."""
     engine = pl.engine_for(params)
     drive = engine.drive_hamiltonian(mode, "ESR", engine.rabi["ESR"])
     w_max = max(np.abs(np.linalg.eigvalsh(engine.free_hamiltonian(float(f)) + drive)).max() for f in freqs)
@@ -1023,45 +1061,60 @@ class TestClosedFormKernels:
         freqs, _ = workload_axes(params, 5, 1)
         w, _ = pl.phase_map_eig(pl.engine_for(params), mode, freqs)
         t = np.array([0.0, 0.3, 1.1, 2.0, 7.5, 10.0])
-        got = list(pl._phase_factors(t, w))
-        assert len(got) == freqs.size
-        for e, row in zip(got, w):
+        giants, babies = pl._phase_factors(t, w, 4)
+        assert np.array_equal(babies, np.ones((freqs.size, 1, 16)))
+        assert giants.shape == (freqs.size, t.size, 16)
+        for e, row in zip(giants, w):
             assert np.array_equal(e, np.exp(-2j * np.pi * t[:, None] * row))
 
     @pytest.mark.parametrize("mode", pl.MODES)
-    @pytest.mark.parametrize("n_dur", [1, 2, 3, 16, 17, 101])
-    def test_phase_factors_on_a_linspace_grid(self, params, mode, n_dur, monkeypatch):
-        # a perfect square, a prime and a cut last giant row among the sizes
+    @pytest.mark.parametrize(
+        "n_dur, n_values, m",
+        [(1, 4, 1), (2, 4, 1), (3, 4, 1), (16, 1, 4), (17, 4, 2), (101, 4, 5), (101, 16, 3)],
+    )
+    def test_phase_factors_on_a_linspace_grid(self, params, mode, n_dur, n_values, m, exp_sizes):
+        # m minimises ceil(D / m) + m n_values, the smallest m on a tie: one
+        # duration, two and three too few for a split, a perfect square, a
+        # cut last giant row (17 = 9 x 2 - 1) and the two workload shapes
         freqs, _ = workload_axes(params, 5, 1)
         w, _ = pl.phase_map_eig(pl.engine_for(params), mode, freqs)
         t = np.linspace(0.0, 10.0, n_dur)
-        sizes = []
-
-        def counting_exp(x):
-            sizes.append(np.size(x))
-            return exp(x)
-
-        exp = np.exp
-        monkeypatch.setattr(pl.np, "exp", counting_exp)
-        got = list(pl._phase_factors(t, w))
-        monkeypatch.undo()
-        m = math.ceil(math.sqrt(n_dur))
+        exp_sizes.clear()
+        giants, babies = pl._phase_factors(t, w, n_values)
+        n_giants = -(-n_dur // m)
         # one table of giants t[::m] and one of m babies, over every frequency
-        assert sizes == [len(t[::m]) * w.size, m * w.size]
+        assert exp_sizes == [n_giants * w.size, m * w.size]
+        assert giants.shape == (freqs.size, n_giants, 16) and babies.shape == (freqs.size, m, 16)
+        if m == 1:
+            assert np.array_equal(babies, np.ones_like(babies))
         tol = 4 * 2 * math.pi * t.max() * np.abs(w).max() * np.finfo(float).eps
-        for e, row in zip(got, w):
-            assert e.shape == (n_dur, 16)
+        for giant, baby, row in zip(giants, babies, w):
+            e = (giant[:, None] * baby).reshape(-1, 16)[:n_dur]
             assert np.max(np.abs(e - np.exp(-2j * np.pi * t[:, None] * row))) <= tol
 
     @pytest.mark.parametrize("n_dur", [1, 17])
     def test_phase_factors_of_blocks_are_the_columns_of_the_whole(self, params, n_dur):
         # eigenvalues grouped (F, blocks, size) give each block's columns of
-        # the (durations, 16) factors, bit for bit
+        # the (F, rows, 16) giant and baby tables, bit for bit
         freqs, _ = workload_axes(params, 5, 1)
         w, _ = pl.phase_map_eig(pl.engine_for(params), pl.GATE_MODEL, freqs)
         t = np.linspace(0.0, 10.0, n_dur)
-        for e_blocks, e in zip(pl._phase_factors(t, w.reshape(-1, 2, 8)), pl._phase_factors(t, w)):
-            assert np.array_equal(e_blocks, e.reshape(n_dur, 2, 8).swapaxes(0, 1))
+        for blocks, whole in zip(pl._phase_factors(t, w.reshape(-1, 2, 8), 4), pl._phase_factors(t, w, 4)):
+            assert np.array_equal(blocks, whole.reshape(freqs.size, -1, 2, 8).swapaxes(1, 2))
+
+    @pytest.mark.parametrize(
+        "mode, n_freq, observables, m",
+        [(pl.GATE_MODEL, 101, False, 5), (pl.FULL_DYNAMICS, 51, True, 3)],
+        ids=["phase_map_gate", "phase_sim_full"],
+    )
+    def test_phase_map_split_of_the_workloads(self, params, mode, n_freq, observables, m, exp_sizes):
+        # 4 values (two spectators x two target states) give m = 5 over 101
+        # durations, 21 giants; 16 (with the 12 Pauli expectations) give
+        # m = 3, 34 giants
+        freqs, durs = workload_axes(params, n_freq, 101)
+        pl.phase_map(params, freqs, durs, mode=mode, noise=pl.NoiseModel(p_up=0.14), observables=observables)
+        w_size = n_freq * 16
+        assert exp_sizes[-2:] == [-(-101 // m) * w_size, m * w_size]
 
     def test_free_hamiltonian_stack_matches_scalar_calls(self, engine):
         freqs = pl.phase_map_center_frequency(engine) + np.linspace(-10.0, 10.0, 9)
@@ -1265,9 +1318,11 @@ class TestClosedFormKernels:
         assert peak <= 2.4e6
 
     def test_phase_map_working_set_is_bounded(self, params, engine):
-        # the 51 x 101 full-dynamics map with observables peaks at 2.34 MB,
-        # one frequency's two 101 x 136 pair tables (0.44 MB) among it; the
-        # bound is 3.18 MB. Pair tables over the whole grid would take 11 MB
+        # the 51 x 101 full-dynamics map with observables peaks at 2.24 MB,
+        # one frequency's tables among it: the pair tables of 34 giants and
+        # 3 babies with their scratch, 2 x 37 x 136, and N, 3 x 16 x 136
+        # (0.27 MB); the bound is 3.01 MB. Pair tables over the whole grid
+        # would take 11 MB
         freqs, durs = workload_axes(params, 51, 101)
         noise = pl.NoiseModel(p_up=0.14)
         pl.phase_map(params, freqs, durs, mode=pl.FULL_DYNAMICS, noise=noise, observables=True, engine=engine)
@@ -1277,7 +1332,7 @@ class TestClosedFormKernels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.74e6 + 2 * 101 * 136 * 16
+        assert peak <= 2.74e6 + (2 * 37 + 3 * 16) * 136 * 16
 
     @pytest.mark.parametrize("rho", [0.4, 1.0])
     def test_chebyshev_interpolation_meets_its_bound(self, rho):
