@@ -34,7 +34,7 @@ from .pulses import (
     phase_map_eig,
     t2_star_from_sigma,
 )
-from .spam import DETUNING_WHEN_UP_MHZ, donor_distance_fit
+from .spam import DETUNING_WHEN_UP_MHZ, compare_fits, donor_distance_fit, phase_reversal_curve, sine_fit
 from .spinmodel import SystemParams
 
 
@@ -303,7 +303,7 @@ def validate_config(doc_or_path, seed=None) -> ExperimentConfig:
         for key in [f.name for f in fields(pirs) if f.name != "enabled" and f.name in doc["pirs"]]:
             chk.fail(f"$.pirs.{key}", "not read when enabled is false")
 
-    options = _validate_options(chk, doc, experiment, engine, mode)
+    options = _validate_options(chk, doc, experiment, engine, mode, noise)
 
     if chk.errors:
         raise ConfigError(chk.errors)
@@ -336,7 +336,7 @@ def _check_phase_map_grid(chk: _Checker, path, options, engine, mode):
         chk.phase(f"{path}.duration", "2 pi max|w| max t", 2 * np.pi * np.abs(w).max() * durs.max())
 
 
-def _validate_options(chk: _Checker, doc, experiment, engine, mode) -> dict:
+def _validate_options(chk: _Checker, doc, experiment, engine, mode, noise) -> dict:
     sub = chk.section(doc, "$", "options", READS[experiment].options)
     path = "$.options"
     out = {}
@@ -385,11 +385,21 @@ def _validate_options(chk: _Checker, doc, experiment, engine, mode) -> dict:
             chk.phase(f"{path}.duration", "pi hypot(rabi_mhz, detuning_when_up_mhz) max t", phase)
         out["shots_per_point"] = chk.integer(sub, path, "shots_per_point", 0, lo=0, hi=MAX_SHOTS)
     elif experiment == "phase_reversal":
+        before = len(chk.errors)
         out["points"] = chk.integer(sub, path, "points", 96, lo=12)
         # the file's rows, which the runner reads in place of the file
         out["data_csv"] = chk.csv_rows(sub, path, "data_csv", ("x_value", "p_up_proportion", "n_shots"))
         if out["data_csv"] is not None and len(out["data_csv"]) < 12:  # the sine fit's minimum
             chk.fail(f"{path}.data_csv", "need at least twelve rows to fit")
+        if out["data_csv"] is not None and len(chk.errors) == before:  # the comparison the run makes
+            phis = np.linspace(0.0, 2 * np.pi, out["points"], endpoint=False)
+            x, y, _ = np.transpose(out["data_csv"])
+            with warnings.catch_warnings():  # a degenerate fit is the run's to report
+                warnings.simplefilter("ignore")
+                try:
+                    compare_fits(sine_fit(phis, phase_reversal_curve(noise.p_up, phis)), sine_fit(x, y))
+                except ContractError as err:
+                    chk.fail("$.noise.p_up", f"the simulated curve cannot be compared with the data: {err}")
     elif experiment == "ramsey":
         sigma = chk.number(sub, path, "sigma_f_mhz", None, lo=1e-9)
         t2 = chk.number(sub, path, "t2_star_us", None, lo=1e-9)

@@ -5,6 +5,10 @@ from hypothesis import settings
 settings.register_profile("ci", deadline=None, max_examples=40)
 settings.load_profile("ci")
 
+# a measured phase-reversal trace for `options.data_csv`: twelve rows, the
+# fewest that its sine fit takes
+TRACE_CSV = "x_value,p_up_proportion,n_shots\n" + "".join(f"{i}.5,0.{i % 9 + 1},200\n" for i in range(1, 13))
+
 
 @pytest.fixture
 def rng():

@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from conftest import TRACE_CSV
 from donorpair.cli import main
 from donorpair.config import MAX_PHASE_RAD, ConfigError, EXPERIMENTS, GridSpec, validate_config
 from donorpair.experiments import _config_hash, run
@@ -33,9 +34,11 @@ VALID_OPTIONS = {
 }
 DONOR_POINTS = VALID_OPTIONS["donor_distance_fit"]
 RABI_FOUR_POINTS = {"experiment": "rabi_spam", "options": {"duration": {"start": 0, "stop": 50, "count": 4}}}
-# the experiments that read a data file; a test fills in the file's path
+# the experiments that read a data file; a test fills in the file's path as
+# the option DATA_KEY names
 DONOR = {"experiment": "donor_distance_fit"}
 REVERSAL = {"experiment": "phase_reversal"}
+DATA_KEY = {"donor_distance_fit": "points_csv", "phase_reversal": "data_csv"}
 
 
 def grid(start, stop, count):
@@ -562,6 +565,9 @@ class TestCli:
             (REVERSAL, "x_value,p_up_proportion,n_shots\n" + "0.5,0.5,200\n" * 11, "$.options.data_csv"),
             (REVERSAL, "x_value,p_up_proportion,n_shots\n" + "0.5,0.5\n" * 12, "$.options.data_csv"),
             (REVERSAL, "", "$.options.data_csv"),
+            # a simulated fit too flat to compare the data with
+            ({**REVERSAL, "noise": {"p_up": 0.5}}, TRACE_CSV, "$.noise.p_up"),
+            ({**REVERSAL, "noise": {"p_up": 0.499999}}, TRACE_CSV, "$.noise.p_up"),
             # runs that overflowed: exit 3, or NaN and Infinity written as numbers
             (FREQ_OVERFLOW, None, "$.options.freq_offset"),
             (PHASE_OVERFLOW, None, "$.options.duration"),
@@ -587,6 +593,8 @@ class TestCli:
             "data-eleven-rows",
             "data-short-rows",
             "data-empty",
+            "data-vs-flat-simulation",
+            "data-vs-near-flat-simulation",
             "phase-map-frequency-overflow",
             "phase-map-phase-overflow",
             "donor-fit-overflow",
@@ -603,8 +611,7 @@ class TestCli:
         # each used to fail only in the run (exit 3) or fit a meaningless line
         if data is not None:
             (tmp_path / "data.csv").write_text(data)
-            key = path.rsplit(".", 1)[1]
-            doc = {**doc, "options": {key: str(tmp_path / "data.csv")}}
+            doc = {**doc, "options": {DATA_KEY[doc["experiment"]]: str(tmp_path / "data.csv")}}
         config = write_config(tmp_path, doc)
         assert main(["validate", "--config", str(config)]) == 2
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2

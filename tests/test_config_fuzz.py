@@ -9,8 +9,10 @@ string, null, a list) in place of any value, an unknown key, an `output`
 section, or a section where the experiment does not read it.
 Grid, shot and resample sizes are bounded, and always given where the
 defaults are large, so that a valid document runs in milliseconds.
-Few of those documents run `pirs_cz`, so a second generator draws only valid
-`pirs_cz` documents, in both modes and with drifts up to the ceiling.
+Some `phase_reversal` documents compare their fit with the twelve-row trace
+TRACE_CSV, written once per session. Few of those documents run `pirs_cz`,
+so a second generator draws only valid `pirs_cz` documents, in both modes
+and with drifts up to the ceiling.
 """
 
 import json
@@ -22,10 +24,14 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import TRACE_CSV
 from donorpair.config import EXPERIMENTS, READS, ConfigError, validate_config
 from donorpair.experiments import run
 from donorpair.pulses import GATE_MODEL, MAX_SHIFT_KHZ, MODES
 
+# the `data_csv` a drawn document names, which the test replaces with the
+# path of the session's trace file
+TRACE = "<trace.csv>"
 BAD = st.sampled_from([0, -1.0, float("nan"), float("inf"), True, "1", None, [1.0]])
 
 
@@ -92,7 +98,7 @@ OPTIONS = {
             "shots_per_point": st.integers(0, 100),
         },
     ),
-    "phase_reversal": obj({"points": st.integers(12, 16)}),
+    "phase_reversal": obj({"points": st.integers(12, 16)}, {"data_csv": st.just(TRACE)}),
     "ramsey": st.one_of(
         obj({"wait": grid(0.0, 60.0, 1, 4), "n_shots": st.integers(1, 50), width: number(0.0, hi)})
         for width, hi in [("sigma_f_mhz", 1.0), ("t2_star_us", 100.0)]
@@ -165,14 +171,24 @@ def check_outputs(out: Path, names):
             assert all(math.isfinite(c) for c in cells), f"{name}: {line}"
 
 
+@pytest.fixture(scope="session")
+def trace_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "trace.csv"
+    path.write_text(TRACE_CSV)
+    return str(path)
+
+
 @settings(
     max_examples=300,
     derandomize=True,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(intended_documents() | faulty_documents())
-def test_document_is_rejected_or_runs_clean(doc):
+@given(doc=intended_documents() | faulty_documents())
+def test_document_is_rejected_or_runs_clean(trace_csv, doc):
+    for container, key in _slots(doc):
+        if container[key] == TRACE:
+            container[key] = trace_csv
     try:
         config = validate_config(doc)
     except ConfigError as err:
