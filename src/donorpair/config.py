@@ -34,7 +34,7 @@ from .pulses import (
     phase_map_eig,
     t2_star_from_sigma,
 )
-from .spam import DETUNING_WHEN_UP_MHZ, compare_fits, donor_distance_fit, phase_reversal_curve, sine_fit
+from .spam import DETUNING_WHEN_UP_MHZ, donor_distance_fit, phase_reversal_curve, require_amplitude, sine_fit
 from .spinmodel import SystemParams
 
 
@@ -391,15 +391,20 @@ def _validate_options(chk: _Checker, doc, experiment, engine, mode, noise) -> di
         out["data_csv"] = chk.csv_rows(sub, path, "data_csv", ("x_value", "p_up_proportion", "n_shots"))
         if out["data_csv"] is not None and len(out["data_csv"]) < 12:  # the sine fit's minimum
             chk.fail(f"{path}.data_csv", "need at least twelve rows to fit")
-        if out["data_csv"] is not None and len(chk.errors) == before:  # the comparison the run makes
+        if out["data_csv"] is not None and len(chk.errors) == before:  # the fits the run compares
             phis = np.linspace(0.0, 2 * np.pi, out["points"], endpoint=False)
             x, y, _ = np.transpose(out["data_csv"])
-            with warnings.catch_warnings():  # a degenerate fit is the run's to report
+            with warnings.catch_warnings():  # a degenerate fit fails here instead
                 warnings.simplefilter("ignore")
+                fits = [
+                    ("$.noise.p_up", "simulated", sine_fit(phis, phase_reversal_curve(noise.p_up, phis))),
+                    (f"{path}.data_csv", "data", sine_fit(x, y)),
+                ]
+            for where, name, fit in fits:  # as `compare_fits` checks them
                 try:
-                    compare_fits(sine_fit(phis, phase_reversal_curve(noise.p_up, phis)), sine_fit(x, y))
+                    require_amplitude(fit, name)
                 except ContractError as err:
-                    chk.fail("$.noise.p_up", f"the simulated curve cannot be compared with the data: {err}")
+                    chk.fail(where, f"the fits cannot be compared: {err}")
     elif experiment == "ramsey":
         sigma = chk.number(sub, path, "sigma_f_mhz", None, lo=1e-9)
         t2 = chk.number(sub, path, "t2_star_us", None, lo=1e-9)

@@ -37,6 +37,11 @@ DETUNING_WHEN_UP_MHZ = 113.0
 # periods of the phase-reversal curve over one turn of phi: (1 - cos(4 phi)) / 2
 FIXED_PERIODS = 4
 
+# sine-fit amplitude below which the fitted phase is degenerate: above it the
+# phase rounds by about eps / amplitude <= 2.2e-10 rad, under the 1e-9 to
+# which outputs are compared
+MIN_FIT_AMPLITUDE = 1e-6
+
 
 def _flip_probabilities(durations_us, rabi_mhz: float, detuning_when_up_mhz: float):
     """Resonant (electron down) and detuned (electron up) nuclear flip
@@ -135,7 +140,9 @@ def phase_reversal_curve(p_up: float, phi_grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SineFit:
-    """offset + amplitude * cos(k phi - phase) with k fixed."""
+    """offset + amplitude * cos(k phi - phase) with k fixed, the phase in
+    [0, 2 pi): the cut sits at 0, opposite the phase-reversal curve's pi, so a
+    rounding-level sine coefficient cannot flip that phase by 2 pi."""
 
     amplitude: float
     phase: float
@@ -155,10 +162,12 @@ def sine_fit(phi_grid, values) -> SineFit:
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     offset, a, b = coef
     amplitude = math.hypot(a, b)
-    phase = math.atan2(b, a)
+    phase = math.atan2(b, a) % (2 * math.pi)
+    if phase == 2 * math.pi:  # a rounding-level negative angle
+        phase = 0.0
     rms = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
-    if amplitude < 0.01:
-        warnings.warn("oscillation amplitude below 0.01: fitted phase is degenerate")
+    if amplitude < MIN_FIT_AMPLITUDE:
+        warnings.warn(f"oscillation amplitude below {MIN_FIT_AMPLITUDE}: fitted phase is degenerate")
     return SineFit(float(amplitude), float(phase), float(offset), k, rms)
 
 
@@ -167,11 +176,20 @@ def wrap_angle(a: float) -> float:
     return (a + math.pi) % (2 * math.pi) - math.pi
 
 
+def require_amplitude(fit: SineFit, name: str) -> None:
+    """Reject a fit whose amplitude is below MIN_FIT_AMPLITUDE, where its
+    phase is degenerate."""
+    if fit.amplitude < MIN_FIT_AMPLITUDE:
+        raise ContractError(
+            f"{name} fit amplitude {fit.amplitude:.3g} is below {MIN_FIT_AMPLITUDE}: its phase is degenerate"
+        )
+
+
 def compare_fits(sim: SineFit, data: SineFit) -> dict:
     """Phase offset (wrapped) and amplitude ratio of a measured fit relative
-    to the simulated reference fit."""
-    if sim.amplitude < 1e-6:
-        raise ContractError("reference fit amplitude too small to compare against")
+    to the simulated reference fit; both must pass `require_amplitude`."""
+    require_amplitude(sim, "simulated")
+    require_amplitude(data, "data")
     return {
         "phase_offset_rad": float(wrap_angle(data.phase - sim.phase)),
         "amplitude_ratio": float(data.amplitude / sim.amplitude),

@@ -7,10 +7,11 @@ gate model's CZ-curve drive on its addressed pair, the locations of the
 phase map's paper anchors (the CZ point and the entangling point), and the
 shot-by-shot Monte Carlo of a Ramsey fringe.
 
-Also helpers that only tests use: the bits of a product-basis index
-(`basis_bits`), the partial trace (`partial_trace`), the full non-secular
-static Hamiltonian (`build_static_hamiltonian`) and the loading state as a
-kron of per-spin populations (`loading_state`)."""
+Also the one tolerance every kernel-oracle comparison takes
+(`oracle_tolerance`), and helpers that only tests use: the bits of a
+product-basis index (`basis_bits`), the partial trace (`partial_trace`), the
+full non-secular static Hamiltonian (`build_static_hamiltonian`) and the
+loading state as a kron of per-spin populations (`loading_state`)."""
 
 from __future__ import annotations
 
@@ -203,6 +204,35 @@ def addressed_drive(engine: pl.SequenceEngine, durs, pirs: pl.PIRSModel | None =
     pair = np.array([tr.lo_index, tr.hi_index])
     u[:, pair[:, None], pair[None, :]] = u2
     return u
+
+
+def oracle_tolerance(h, durs, pirs: pl.PIRSModel | None = None) -> float:
+    """Largest kernel-oracle difference that rounding explains, for the
+    propagators of h (MHz; a matrix or a stack) at `durs` (us) under the drift
+    `pirs`, and for values U rho U^dag read from them. With t the longest
+    duration, w the largest |eigenvalue| of h plus the drift amplitude (the
+    shift operators have unit norm) and d = 16, each propagator carries:
+    - phases: an eigenvalue rounds by about eps w and a duration by eps t (the
+      phase map's giant-step time plus a baby-step multiple), either moving
+      the phase 2 pi w t by 2 pi t w eps;
+    - eigenvectors: oracle and kernel decompose different matrices (the
+      eigenbasis form, or the whole matrix against the kernel's blocks), each
+      exactly up to a backward error of about eps ||h|| = eps w. That turns
+      v_i toward v_j by eps w / |w_i - w_j|, which moves U by the angle times
+      |exp(-2 pi i w_i t) - exp(-2 pi i w_j t)| <= 2 pi t |w_i - w_j|, so by
+      2 pi t w eps whatever the gap;
+    - products: each exponential's V exp(-2 pi i w t) V^dag, slice step and
+      product of unitaries rounds an entry by about d eps (d terms whose
+      magnitudes add to at most 1). A drifting duration takes n = max(
+      MIN_SLICES, int(t / SLICE_US)) slices, a step and a product each:
+      2 n d eps, with n = 1 without drift.
+    A value carries its propagator's error twice and both sides round on
+    their own: 4 (2 pi t w + 2 pi t w + 2 n d) eps, also a bound on entries."""
+    drift = pirs is not None and pirs.enabled
+    w = np.abs(np.linalg.eigvalsh(h)).max() + (pirs.shift_khz / 1e3 if drift else 0.0)
+    t = float(np.max(durs))
+    n = max(pl.MIN_SLICES, int(t / pl.SLICE_US)) if drift else 1
+    return 8 * np.finfo(float).eps * (2 * math.pi * t * w + 16 * n)
 
 
 def stokes_of_density(rho4: np.ndarray) -> np.ndarray:

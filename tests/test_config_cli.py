@@ -39,6 +39,8 @@ RABI_FOUR_POINTS = {"experiment": "rabi_spam", "options": {"duration": {"start":
 DONOR = {"experiment": "donor_distance_fit"}
 REVERSAL = {"experiment": "phase_reversal"}
 DATA_KEY = {"donor_distance_fit": "points_csv", "phase_reversal": "data_csv"}
+# TRACE_CSV's rows with every proportion 0.5: its fit's amplitude is 3.6e-17
+FLAT_TRACE_CSV = "x_value,p_up_proportion,n_shots\n" + "".join(f"{i}.5,0.5,200\n" for i in range(1, 13))
 
 
 def grid(start, stop, count):
@@ -568,6 +570,8 @@ class TestCli:
             # a simulated fit too flat to compare the data with
             ({**REVERSAL, "noise": {"p_up": 0.5}}, TRACE_CSV, "$.noise.p_up"),
             ({**REVERSAL, "noise": {"p_up": 0.499999}}, TRACE_CSV, "$.noise.p_up"),
+            # a data trace too flat to fit a phase to
+            ({**REVERSAL, "noise": {"p_up": 0.14}}, FLAT_TRACE_CSV, "$.options.data_csv"),
             # runs that overflowed: exit 3, or NaN and Infinity written as numbers
             (FREQ_OVERFLOW, None, "$.options.freq_offset"),
             (PHASE_OVERFLOW, None, "$.options.duration"),
@@ -595,6 +599,7 @@ class TestCli:
             "data-empty",
             "data-vs-flat-simulation",
             "data-vs-near-flat-simulation",
+            "flat-data-vs-simulation",
             "phase-map-frequency-overflow",
             "phase-map-phase-overflow",
             "donor-fit-overflow",

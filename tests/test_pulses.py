@@ -27,6 +27,7 @@ from oracles import (
     dense_flip_readout,
     geometric_phase_of_drive,
     nuclear_distribution,
+    oracle_tolerance,
     partial_trace,
     phase_map_anchors,
     ramsey_monte_carlo,
@@ -91,26 +92,29 @@ def channel_drive(channel, rabi_mhz, phase_rad=0.0):
     return rabi_mhz * (math.cos(phase_rad) * x_op + math.sin(phase_rad) * y_op)
 
 
-def gate_eigenbasis_drive(engine, channel, rabi_mhz, phase_rad=0.0):
-    """Gate-model drive in the secular eigenbasis, built from `engine.vectors`
-    alone: the rotating-wave drive kept on the pairs whose
-    |<f| sum sigma_x |i>| exceeds GATE_PAIR_THRESHOLD."""
+def eigenbasis_drive(engine, channel, rabi_mhz, phase_rad=0.0, mode=pl.GATE_MODEL):
+    """Rotating-wave drive in the secular eigenbasis, built from
+    `engine.vectors` alone. The gate model keeps it on the pairs whose
+    |<f| sum sigma_x |i>| exceeds GATE_PAIR_THRESHOLD; full dynamics keeps
+    every pair."""
     v = engine.vectors
-    allowed = np.abs(v.conj().T @ channel_drive(channel, 2.0) @ v) > pl.GATE_PAIR_THRESHOLD
-    return np.where(allowed, v.conj().T @ channel_drive(channel, rabi_mhz, phase_rad) @ v, 0.0)
+    drive = v.conj().T @ channel_drive(channel, rabi_mhz, phase_rad) @ v
+    if mode == pl.FULL_DYNAMICS:
+        return drive
+    return np.where(np.abs(v.conj().T @ channel_drive(channel, 2.0) @ v) > pl.GATE_PAIR_THRESHOLD, drive, 0.0)
 
 
-def gate_eigenbasis_hamiltonian(engine, channel, f_e, rabi_mhz, phase_rad=0.0, f_n=None):
-    """Gate-model pulse Hamiltonian in the secular eigenbasis: the level
-    energies minus the frame, plus `gate_eigenbasis_drive`."""
+def eigenbasis_hamiltonian(engine, channel, f_e, rabi_mhz, phase_rad=0.0, f_n=None, mode=pl.GATE_MODEL):
+    """Pulse Hamiltonian in the secular eigenbasis: the level energies minus
+    the frame, plus the mode's `eigenbasis_drive`."""
     frame = eigenbasis_frame(engine, f_e, f_n)
-    return np.diag(engine.energies - frame) + gate_eigenbasis_drive(engine, channel, rabi_mhz, phase_rad)
+    return np.diag(engine.energies - frame) + eigenbasis_drive(engine, channel, rabi_mhz, phase_rad, mode)
 
 
 def addressed_block(engine, tr, carrier_mhz, rabi_mhz, phase_rad=0.0):
     """Gate-model rotating-frame Hamiltonian of one ESR pulse restricted to
     the addressed pair of eigenlevels (lower level first)."""
-    h = gate_eigenbasis_hamiltonian(engine, "ESR", carrier_mhz, rabi_mhz, phase_rad)
+    h = eigenbasis_hamiltonian(engine, "ESR", carrier_mhz, rabi_mhz, phase_rad)
     levels = [engine._level_of[tr.lo_index], engine._level_of[tr.hi_index]]
     return h[np.ix_(levels, levels)]
 
@@ -151,7 +155,7 @@ class TestRotatingFrame:
         engine = pl.engine_for(SystemParams(j=j))
         v = engine.vectors
         got = engine.drive_hamiltonian(pl.GATE_MODEL, channel, 0.3, phase)
-        want = v @ gate_eigenbasis_drive(engine, channel, 0.3, phase) @ v.conj().T
+        want = v @ eigenbasis_drive(engine, channel, 0.3, phase) @ v.conj().T
         assert np.max(np.abs(got - want)) <= 1e-15
         assert np.max(np.abs(got - got.conj().T)) <= 1e-15
         full = engine.drive_hamiltonian(pl.FULL_DYNAMICS, channel, 0.3, phase)
@@ -178,12 +182,10 @@ class TestRotatingFrame:
 
         sliced = pl.sliced_propagators
         monkeypatch.setattr(pl, "sliced_propagators", record)
-        f_n, f_e, _ = engine._pulse_frame(pulse)
-        free = engine.free_hamiltonian(f_e, f_n)
         for mode in pl.MODES:
             engine.pulse_propagator(pulse, mode, pirs=pl.PIRSModel())
             h0, z_shift = seen.pop()
-            assert np.array_equal(h0, free + engine.drive_hamiltonian(mode, channel, rabi, 0.4))
+            assert np.array_equal(h0, pulse_hamiltonian(engine, pulse, mode))
             assert np.array_equal(z_shift, engine.channel_ops[channel][0])
 
     def test_on_resonance_reduction(self, engine):
@@ -575,7 +577,8 @@ class TestPirs:
                 noise = pl.NoiseModel(p_up=p_up)
                 gate, full = (pl.cz_flip_curve(params, durs, mode=m, noise=noise, engine=engine) for m in pl.MODES)
                 readouts = {m: pl._flip_readout(engine, "n1", m, p_up) for m in pl.MODES}
-                assert np.max(np.abs(read_out(readouts[pl.GATE_MODEL], drives) - gate)) < 1e-12
+                tol = oracle_tolerance(drift_layout(engine, "addressed")[0], durs)
+                assert np.max(np.abs(read_out(readouts[pl.GATE_MODEL], drives) - gate)) < tol
                 hybrid = read_out(readouts[pl.FULL_DYNAMICS], drives)
                 if p_up:
                     gaps.append(np.max(np.abs(hybrid - full)))
@@ -687,43 +690,39 @@ class TestRamsey:
 # per-point loops that the closed-form kernels must reproduce
 
 
-def _scalar_flip_rate(q_down, q_up):
-    if q_down + q_up <= 0:
-        return 0.0
-    return 2.0 * q_down * q_up / (q_down + q_up)
-
-
-def _flip_probabilities(pulse, u_drive, target, spectator_bit, p_up, observe=None):
-    """q[b] for target start b, evolving each start state matrix by matrix."""
+def _flip_rate(pulse, u_drive, target, p_up, observe=None):
+    """Stationary flip rate of the target, weighted over the spectator's
+    loading: from the flip probability q[b] of each target start b, evolved
+    matrix by matrix, 2 q[0] q[1] / (q[0] + q[1]) for each spectator bit."""
     e_fresh = np.kron(np.diag([p_up, 1 - p_up]), np.diag([p_up, 1 - p_up])).astype(complex)
-    q_flip = {}
-    for b in (0, 1):
-        k = 2 * b + spectator_bit if target == "n1" else 2 * spectator_bit + b
-        nuc = np.zeros((4, 4), dtype=complex)
-        nuc[k, k] = 1.0
-        rho = np.kron(nuc, e_fresh)
-        rho = pulse @ rho @ pulse.conj().T
-        rho = u_drive @ rho @ u_drive.conj().T
-        if observe is not None and spectator_bit == 1 and b == 1:
-            observe(rho)
-        rho = pulse @ rho @ pulse.conj().T
-        q_flip[b] = pl._measure_distribution(rho, (target,)).get((b,), 0.0)
-    return q_flip
+    rate = 0.0
+    for spectator_bit, weight in ((0, p_up), (1, 1.0 - p_up)):
+        if weight == 0.0:
+            continue
+        q = [0.0, 0.0]
+        for b in (0, 1):
+            k = 2 * b + spectator_bit if target == "n1" else 2 * spectator_bit + b
+            nuc = np.zeros((4, 4), dtype=complex)
+            nuc[k, k] = 1.0
+            rho = pulse @ np.kron(nuc, e_fresh) @ pulse.conj().T
+            rho = u_drive @ rho @ u_drive.conj().T
+            if observe is not None and spectator_bit == 1 and b == 1:
+                observe(rho)
+            rho = pulse @ rho @ pulse.conj().T
+            q[b] = pl._measure_distribution(rho, (target,)).get((b,), 0.0)
+        if q[0] + q[1] > 0:
+            rate += weight * 2.0 * q[1] * q[0] / (q[1] + q[0])
+    return rate
 
 
 def reference_phase_map(params, freqs, durs, mode, p_up, observables):
     engine = pl.engine_for(params)
     opening = engine.step_unitary(pl.GateStep("n2", math.pi / 2, math.pi / 2), mode)
-    weights = {0: p_up, 1: 1.0 - p_up}
     pf = np.zeros((len(freqs), len(durs)))
     obs = {s: {k: np.zeros_like(pf) for k in ("x", "y", "norm")} for s in SPINS}
-    drive_op = engine.rabi["ESR"] * engine.channel_ops["ESR"][1]
     for fi, f in enumerate(freqs):
-        if mode == pl.GATE_MODEL:
-            w, q = np.linalg.eigh(gate_eigenbasis_hamiltonian(engine, "ESR", float(f), engine.rabi["ESR"]))
-            basis = engine.vectors @ q
-        else:
-            w, basis = np.linalg.eigh(engine.free_hamiltonian(f_e=float(f)) + drive_op)
+        w, q = np.linalg.eigh(eigenbasis_hamiltonian(engine, "ESR", float(f), engine.rabi["ESR"], mode=mode))
+        basis = engine.vectors @ q
         for di, t in enumerate(durs):
             u_drive = (basis * np.exp(-2j * np.pi * w * t)) @ basis.conj().T
 
@@ -734,15 +733,7 @@ def reference_phase_map(params, freqs, durs, mode, p_up, observables):
                     obs[s]["y"][fi, di] = 0.5 * (1 + y)
                     obs[s]["norm"][fi, di] = math.sqrt(x * x + y * y + z * z)
 
-            rate = 0.0
-            for b1, weight in weights.items():
-                if weight == 0.0:
-                    continue
-                q_flip = _flip_probabilities(
-                    opening, u_drive, "n2", b1, p_up, observe if observables else None
-                )
-                rate += weight * _scalar_flip_rate(q_flip[1], q_flip[0])
-            pf[fi, di] = rate
+            pf[fi, di] = _flip_rate(opening, u_drive, "n2", p_up, observe if observables else None)
     return pf, obs
 
 
@@ -763,31 +754,23 @@ def reference_sliced_exp(h0, z_shift, t, pirs):
 
 
 def reference_pulse_propagator(engine, pulse, mode, pirs=None):
-    """Unitary of one rectangular pulse, built matrix by matrix in the
-    product basis: the pulse frame, the secular Hamiltonian minus the frame's
-    Z operators, the rotating-wave drive (in the gate model
-    `gate_eigenbasis_drive`, taken back from the eigenbasis), the
-    drift along the driven species' Z, and the re-alignment to the standing
-    frame."""
-    f = pulse.carrier_mhz
+    """Unitary of one rectangular pulse, built in the secular eigenbasis and
+    returned through `engine.vectors`: `eigenbasis_hamiltonian` at the pulse
+    frame, the drift along the driven species' Z in the same basis, and the
+    re-alignment of the nuclei to their standing references, formed from the
+    nuclear frame's shift alone (whole frames differ by cancelling electron
+    Zeeman terms). A radio pulse turns both nuclei at its carrier."""
+    v = engine.vectors
+    f_ref = (engine.f_n1_ref, engine.f_n2_ref)
     if pulse.channel == "NMR":
-        fn1 = fn2 = (-1.0 if engine.f_n1_ref < 0 else 1.0) * f
-        fe = engine.f_e_default
+        f_n, f_e = ((-1.0 if f_ref[0] < 0 else 1.0) * pulse.carrier_mhz,) * 2, engine.f_e_default
     else:
-        fn1, fn2, fe = engine.f_n1_ref, engine.f_n2_ref, f
-    if mode == pl.FULL_DYNAMICS:
-        drive = channel_drive(pulse.channel, pulse.rabi_mhz, pulse.phase_rad)
-    else:
-        v = engine.vectors
-        drive = v @ gate_eigenbasis_drive(engine, pulse.channel, pulse.rabi_mhz, pulse.phase_rad) @ v.conj().T
-    z_shift = sum(pauli_op(s, "z") for s in CHANNEL_SPINS[pulse.channel]) / 2
-    h0 = engine.h_sec - frame_operator(fe, (fn1, fn2)) + drive
-    u = reference_sliced_exp(h0, z_shift, pulse.duration_us, pirs)
-    realign = (
-        (engine.f_n1_ref - fn1) * np.diag(pauli_op("n1", "z")).real
-        + (engine.f_n2_ref - fn2) * np.diag(pauli_op("n2", "z")).real
-    ) / 2.0
-    return np.exp(2j * np.pi * realign * pulse.duration_us)[:, None] * u
+        f_n, f_e = f_ref, pulse.carrier_mhz
+    h = eigenbasis_hamiltonian(engine, pulse.channel, f_e, pulse.rabi_mhz, pulse.phase_rad, f_n, mode)
+    z_shift = v.conj().T @ sum(pauli_op(s, "z") for s in CHANNEL_SPINS[pulse.channel]) @ v / 2
+    u = reference_sliced_exp(h, z_shift, pulse.duration_us, pirs)
+    realign = eigenbasis_frame(engine, 0.0, (f_ref[0] - f_n[0], f_ref[1] - f_n[1]))
+    return v @ (np.exp(2j * np.pi * realign * pulse.duration_us)[:, None] * u) @ v.conj().T
 
 
 def reference_addressed_unitary(engine, tr, t, pirs):
@@ -833,14 +816,8 @@ def reference_cz_flip_curve(params, durs, pirs, mode, p_up):
         else:
             pulse = pl.PulseSpec("ESR", abs(tr.frequency_mhz), engine.rabi["ESR"], float(t))
             u_drive = reference_pulse_propagator(engine, pulse, mode, pirs)
-        for b2, weight in {0: p_up, 1: 1.0 - p_up}.items():
-            if weight != 0.0:
-                q_flip = _flip_probabilities(opening, u_drive, "n1", b2, p_up)
-                out[di] += weight * _scalar_flip_rate(q_flip[1], q_flip[0])
+        out[di] = _flip_rate(opening, u_drive, "n1", p_up)
     return out
-
-
-ORACLE_TOL = 1e-12
 
 
 def workload_axes(params, n_freq, n_dur):
@@ -853,33 +830,22 @@ def workload_axes(params, n_freq, n_dur):
     return freqs, durs
 
 
-def phase_map_tolerance(params, mode, freqs, durs):
-    """Largest phase-map difference that eigenvalue and time rounding
-    explain. An eigenvalue w rounds by about eps |w|, which the phase 2 pi w t
-    turns into 2 pi t |w| eps; the kernel's phase factors on a linspace grid
-    take t as a giant-step time plus a baby-step multiple, at any split m,
-    which rounds t by about eps t and moves the phase by the same
-    2 pi t |w| eps. Each value depends on differences of two such phases, and
-    both sides of a comparison round on their own: 4 2 pi t_max max|w| eps,
-    about 1e-11 over the workloads' ranges. The blocks' eigenvalues round
-    differently from the same eigenvalues of the whole matrix, so the kernel
-    and the dense per-point oracle differ by about this much, and not by
-    ORACLE_TOL, once t |w| grows. The kernel's pair tables are products of
-    giant and baby pair tables, and its sum runs over pairs and not over a
-    dense product: each multiplies or adds the same terms in another order,
-    which moves a value by a few eps, far inside this."""
-    engine = pl.engine_for(params)
-    drive = engine.drive_hamiltonian(mode, "ESR", engine.rabi["ESR"])
-    w_max = max(np.abs(np.linalg.eigvalsh(engine.free_hamiltonian(float(f)) + drive)).max() for f in freqs)
-    return 4 * 2 * math.pi * np.max(durs) * w_max * np.finfo(float).eps
+def map_hamiltonians(params, mode, freqs):
+    """The phase map's pulse Hamiltonian at each frequency, a (F, 16, 16) stack."""
+    e = pl.engine_for(params)
+    return e.free_hamiltonian(np.asarray(freqs, dtype=float)) + e.drive_hamiltonian(mode, "ESR", e.rabi["ESR"])
+
+
+def pulse_hamiltonian(engine, pulse, mode):
+    """The static Hamiltonian that `pulse_propagator` exponentiates for a pulse."""
+    f_n, f_e, _ = engine._pulse_frame(pulse)
+    drive = engine.drive_hamiltonian(mode, pulse.channel, pulse.rabi_mhz, pulse.phase_rad)
+    return engine.free_hamiltonian(f_e, f_n) + drive
 
 
 CEILING_DRIFT = pl.PIRSModel(shift_khz=pl.MAX_SHIFT_KHZ, time_constant_us=0.3, enabled=True)
-# interpolated drift steps against the per-slice exponentials: flip curves,
-# and the propagators themselves, which carry the rounding of up to 500 slice
-# products of both sides (about 1e-14 each; 7e-12 seen at 25 us)
-DRIFT_TOL = 1e-11
-DRIFT_PROPAGATOR_TOL = 3e-11
+# the layout of `cz_flip_curve`'s drive in each mode
+CURVE_LAYOUT = {pl.GATE_MODEL: "addressed", pl.FULL_DYNAMICS: "esr"}
 
 
 def drift_layout(engine, layout):
@@ -921,10 +887,11 @@ class TestClosedFormKernels:
             params, freqs, durs, mode=mode, noise=pl.NoiseModel(p_up=p_up), observables=True
         )
         want_pf, want_obs = reference_phase_map(params, freqs, durs, mode, p_up, True)
-        assert np.max(np.abs(got.p_flip - want_pf)) < ORACLE_TOL
+        tol = oracle_tolerance(map_hamiltonians(params, mode, freqs), durs)
+        assert np.max(np.abs(got.p_flip - want_pf)) < tol
         for s in SPINS:
             for k in ("x", "y", "norm"):
-                assert np.max(np.abs(got.observables[s][k] - want_obs[s][k])) < ORACLE_TOL
+                assert np.max(np.abs(got.observables[s][k] - want_obs[s][k])) < tol
 
     def test_phase_map_matches_per_point_loop_where_the_readout_condition_splits_the_modes(self, monkeypatch):
         # at j = 50 MHz the modes differ by more than 0.05 through the gate
@@ -939,7 +906,7 @@ class TestClosedFormKernels:
         for mode in pl.MODES:
             got = pl.phase_map(params, freqs, durs, mode=mode, noise=pl.NoiseModel(p_up=0.14), observables=True)
             want_pf, want_obs = reference_phase_map(params, freqs, durs, mode, 0.14, True)
-            tol = phase_map_tolerance(params, mode, freqs, durs)
+            tol = oracle_tolerance(map_hamiltonians(params, mode, freqs), durs)
             assert np.max(np.abs(got.p_flip - want_pf)) < tol
             for s in SPINS:
                 for k in ("x", "y", "norm"):
@@ -956,7 +923,8 @@ class TestClosedFormKernels:
         got = pl.phase_map(params, freqs, durs, noise=pl.NoiseModel(p_up=0.14))
         want, _ = reference_phase_map(params, freqs, durs, pl.GATE_MODEL, 0.14, False)
         assert got.observables == {}
-        assert np.max(np.abs(got.p_flip - want)) < ORACLE_TOL
+        tol = oracle_tolerance(map_hamiltonians(params, pl.GATE_MODEL, freqs), durs)
+        assert np.max(np.abs(got.p_flip - want)) < tol
 
     @pytest.mark.parametrize("mode", pl.MODES)
     @pytest.mark.parametrize("p_up", [0.0, 0.14])
@@ -967,7 +935,7 @@ class TestClosedFormKernels:
             params, freqs, durs, mode=mode, noise=pl.NoiseModel(p_up=p_up), observables=True
         )
         want_pf, want_obs = reference_phase_map(params, freqs, durs, mode, p_up, True)
-        tol = phase_map_tolerance(params, mode, freqs, durs)
+        tol = oracle_tolerance(map_hamiltonians(params, mode, freqs), durs)
         assert np.max(np.abs(got.p_flip - want_pf)) < tol
         for s in SPINS:
             for k in ("x", "y", "norm"):
@@ -1011,7 +979,7 @@ class TestClosedFormKernels:
         assert blocks == [*readout_blocks, sectors, value_blocks]
         # the blocks of free_hamiltonian + the mode's drive, the same free
         # Hamiltonian in both modes
-        h = engine.free_hamiltonian(freqs) + engine.drive_hamiltonian(mode, "ESR", engine.rabi["ESR"])
+        h = map_hamiltonians(params, mode, freqs)
         idx = np.array(sectors)
         assert len(eigs) == 1 and np.array_equal(eigs[0], h[:, idx[:, :, None], idx[:, None, :]])
 
@@ -1023,7 +991,7 @@ class TestClosedFormKernels:
         whole = np.arange(16)[None]
         monkeypatch.setattr(pl, "_diagonal_blocks", lambda h0, z_shift: (whole[:, :, None], whole[:, None, :]))
         dense = pl.phase_map(params, freqs, durs, mode=mode, noise=noise, observables=True)
-        tol = phase_map_tolerance(params, mode, freqs, durs)
+        tol = oracle_tolerance(map_hamiltonians(params, mode, freqs), durs)
         assert np.max(np.abs(split.p_flip - dense.p_flip)) < tol
         for s in SPINS:
             for k in ("x", "y", "norm"):
@@ -1137,7 +1105,7 @@ class TestClosedFormKernels:
             params, freqs, durs, mode=mode, noise=pl.NoiseModel(p_up=p_up), observables=observables
         )
         want_pf, want_obs = reference_phase_map(params, freqs, durs, mode, p_up, observables)
-        tol = phase_map_tolerance(params, mode, freqs, durs)
+        tol = oracle_tolerance(map_hamiltonians(params, mode, freqs), durs)
         assert got.p_flip.shape == (n_freq, n_dur)
         assert np.max(np.abs(got.p_flip - want_pf)) < tol
         assert set(got.observables) == (set(SPINS) if observables else set())
@@ -1155,7 +1123,8 @@ class TestClosedFormKernels:
         noise = pl.NoiseModel(p_up=p_up)
         got = pl.cz_flip_curve(params, durs, pirs=pirs, mode=mode, noise=noise)
         want = reference_cz_flip_curve(params, durs, pirs, mode, p_up)
-        assert np.max(np.abs(got - want)) < ORACLE_TOL
+        h = drift_layout(pl.engine_for(params), CURVE_LAYOUT[mode])[0]
+        assert np.max(np.abs(got - want)) < oracle_tolerance(h, durs, pirs)
 
     @pytest.mark.parametrize("mode", pl.MODES)
     @pytest.mark.parametrize("p_up", [0.0, 0.14, 0.5])
@@ -1200,7 +1169,7 @@ class TestClosedFormKernels:
         step = pl.PulseStep(pulse, apply_pirs=True)
         got = engine.step_unitary(step, mode, pirs=pirs)
         want = reference_pulse_propagator(engine, pulse, mode, pirs)
-        assert np.max(np.abs(got - want)) < ORACLE_TOL
+        assert np.max(np.abs(got - want)) < oracle_tolerance(pulse_hamiltonian(engine, pulse, mode), [duration], pirs)
         # in a sequence the step drifts under the run's pirs, from all-down
         res = pl.run_sequence([step], params, pirs=pirs, mode=mode, engine=engine)
         u = engine.step_unitary(step, mode, pirs=pirs)
@@ -1215,13 +1184,14 @@ class TestClosedFormKernels:
         durs = np.array([25.0, 3.7, 0.0, 0.8499, 12.3, 3.7, 0.4])
         got = pl.cz_flip_curve(params, durs, pirs=pirs, mode=mode, noise=pl.NoiseModel(p_up=0.14))
         want = reference_cz_flip_curve(params, durs, pirs, mode, 0.14)
-        assert np.max(np.abs(got - want)) < DRIFT_TOL
+        h = drift_layout(engine, CURVE_LAYOUT[mode])[0]
+        assert np.max(np.abs(got - want)) < oracle_tolerance(h, durs, pirs)
         tr = engine.electron_transition("e2", n1=0, n2=1)
         pulse = pl.PulseSpec("ESR", abs(tr.frequency_mhz), engine.rabi["ESR"], 0.0)
         got = engine.pulse_propagator(pulse, mode, pirs=pirs, durations_us=durs)
         for t, u in zip(durs, got):
             want = reference_pulse_propagator(engine, replace(pulse, duration_us=t), mode, pirs)
-            assert np.max(np.abs(u - want)) < DRIFT_PROPAGATOR_TOL
+            assert np.max(np.abs(u - want)) < oracle_tolerance(pulse_hamiltonian(engine, pulse, mode), durs, pirs)
 
     @pytest.mark.parametrize(
         "pirs, nodes", [(pl.PIRSModel(), 7), (CEILING_DRIFT, 14)], ids=["fallback", "ceiling"]
@@ -1261,7 +1231,7 @@ class TestClosedFormKernels:
         got = pl.sliced_propagators(h0, z_shift, durs, pirs)
         for t, u in zip(durs, got):
             want = reference_sliced_exp(h0, z_shift, t, pirs)
-            assert np.max(np.abs(u - want)) < DRIFT_PROPAGATOR_TOL
+            assert np.max(np.abs(u - want)) < oracle_tolerance(h0, durs, pirs)
 
     @pytest.mark.parametrize("layout", ["esr", "addressed", "nmr"])
     @pytest.mark.parametrize("pirs", [pl.PIRSModel(), CEILING_DRIFT], ids=["fallback", "ceiling"])
@@ -1279,7 +1249,7 @@ class TestClosedFormKernels:
         got = pl.sliced_propagators(h0, z_shift, durs, pirs)
         for t, u in zip(durs, got):
             want = reference_sliced_exp(h0, z_shift, t, pirs)
-            assert np.max(np.abs(u - want)) < DRIFT_PROPAGATOR_TOL
+            assert np.max(np.abs(u - want)) < oracle_tolerance(h0, durs, pirs)
 
     @pytest.mark.parametrize("mode", pl.MODES)
     @pytest.mark.parametrize("pirs", [None, pl.PIRSModel()], ids=["ideal", "drift"])

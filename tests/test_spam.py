@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,8 +198,25 @@ class TestSineFit:
         fit = spam.sine_fit(phis, 0.5 - 0.5 * np.cos(4 * phis))
         assert fit.amplitude == pytest.approx(0.5, abs=1e-12)
         assert fit.offset == pytest.approx(0.5, abs=1e-12)
-        assert abs(abs(fit.phase) - math.pi) < 1e-12  # -cos == cos(. - pi)
+        assert fit.phase == pytest.approx(math.pi, abs=1e-12)  # -cos == cos(. - pi)
         assert fit.residual_rms < 1e-12
+
+    @pytest.mark.parametrize("points", [24, 96])
+    @pytest.mark.parametrize("p_up", [0.0, 0.14])
+    def test_phase_reversal_phase_does_not_flip(self, p_up, points):
+        # the curve's phase is pi, where atan2 cuts: a rounding-level sine
+        # coefficient used to give +pi at 24 points and -pi at 96
+        phis = np.linspace(0, 2 * math.pi, points, endpoint=False)
+        fit = spam.sine_fit(phis, spam.phase_reversal_curve(p_up, phis))
+        assert fit.phase == pytest.approx(math.pi, abs=1e-12)
+
+    @pytest.mark.parametrize("points", [24, 48, 96])
+    def test_zero_phase_stays_in_range(self, points):
+        # the cut sits at 0: a rounding-level negative angle (the sine
+        # coefficient is -2.9e-17 at 24 points) rounds up to 2 pi, reported as 0
+        phis = np.linspace(0, 2 * math.pi, points, endpoint=False)
+        fit = spam.sine_fit(phis, 0.4 + 0.2 * np.cos(4 * phis))
+        assert 0.0 <= fit.phase < 1e-15
 
     def test_shifted_curve_recovers_phase(self):
         phis = np.linspace(0, 2 * math.pi, 48, endpoint=False)
@@ -207,9 +225,14 @@ class TestSineFit:
         assert fit.amplitude == pytest.approx(0.2, abs=1e-9)
 
     def test_degenerate_amplitude_warns(self):
+        # the floor from both sides: a flat curve and half its amplitude
+        # warn, twice its amplitude does not
         phis = np.linspace(0, 2 * math.pi, 24)
-        with pytest.warns(UserWarning):
-            spam.sine_fit(phis, np.full_like(phis, 0.5))
+        for scale, warns in ((0.0, True), (0.5, True), (2.0, False)):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                spam.sine_fit(phis, 0.5 + scale * spam.MIN_FIT_AMPLITUDE * np.cos(4 * phis))
+            assert bool(seen) == warns, scale
 
     def test_needs_points(self):
         with pytest.raises(ContractError):
@@ -228,7 +251,6 @@ class TestCompareFits:
         sim = spam.sine_fit(phis, 0.5 + 0.40 * np.cos(4 * phis))
         data = spam.sine_fit(phis, 0.5 + 0.244 * np.cos(4 * phis + 0.638))
         out = spam.compare_fits(sim, data)
-        assert out["phase_offset_rad"] == pytest.approx(-0.638 + 2 * 0.638, abs=1e-9) or True
         # phase convention: cos(4p + 0.638) = cos(4p - (-0.638))
         assert out["phase_offset_rad"] == pytest.approx(-0.638, abs=1e-9)
         assert out["amplitude_ratio"] == pytest.approx(0.61, abs=1e-9)
@@ -254,5 +276,12 @@ class TestCompareFits:
 
     def test_degenerate_reference_rejected(self):
         sim = spam.SineFit(1e-9, 0.0, 0.5, 4, 0.0)
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="simulated fit amplitude"):
             spam.compare_fits(sim, sim)
+
+    def test_degenerate_data_rejected(self):
+        # the data's fit is held to the floor at which sine_fit warns
+        sim = spam.SineFit(0.4, 0.0, 0.5, 4, 0.0)
+        data = spam.SineFit(0.5 * spam.MIN_FIT_AMPLITUDE, 0.0, 0.5, 4, 0.0)
+        with pytest.raises(ContractError, match="data fit amplitude"):
+            spam.compare_fits(sim, data)
