@@ -844,12 +844,11 @@ def pulse_hamiltonian(engine, pulse, mode):
 
 
 CEILING_DRIFT = pl.PIRSModel(shift_khz=pl.MAX_SHIFT_KHZ, time_constant_us=0.3, enabled=True)
-# the layout of `cz_flip_curve`'s drive in each mode
-CURVE_LAYOUT = {pl.GATE_MODEL: "addressed", pl.FULL_DYNAMICS: "esr"}
 
 
 def drift_layout(engine, layout):
-    """(h0, z_shift) of a drive whose drift `sliced_propagators` slices."""
+    """(h0, z_shift) of a drive whose drift `sliced_propagators` slices:
+    "esr" and "addressed" are `cz_flip_curve`'s in full dynamics and the gate model."""
     if layout == "esr":
         tr = engine.electron_transition("e2", 0, 1)
         z_e, x_e, _ = engine.channel_ops["ESR"]
@@ -1123,7 +1122,7 @@ class TestClosedFormKernels:
         noise = pl.NoiseModel(p_up=p_up)
         got = pl.cz_flip_curve(params, durs, pirs=pirs, mode=mode, noise=noise)
         want = reference_cz_flip_curve(params, durs, pirs, mode, p_up)
-        h = drift_layout(pl.engine_for(params), CURVE_LAYOUT[mode])[0]
+        h = drift_layout(pl.engine_for(params), "addressed" if mode == pl.GATE_MODEL else "esr")[0]
         assert np.max(np.abs(got - want)) < oracle_tolerance(h, durs, pirs)
 
     @pytest.mark.parametrize("mode", pl.MODES)
@@ -1184,7 +1183,7 @@ class TestClosedFormKernels:
         durs = np.array([25.0, 3.7, 0.0, 0.8499, 12.3, 3.7, 0.4])
         got = pl.cz_flip_curve(params, durs, pirs=pirs, mode=mode, noise=pl.NoiseModel(p_up=0.14))
         want = reference_cz_flip_curve(params, durs, pirs, mode, 0.14)
-        h = drift_layout(engine, CURVE_LAYOUT[mode])[0]
+        h = drift_layout(engine, "addressed" if mode == pl.GATE_MODEL else "esr")[0]
         assert np.max(np.abs(got - want)) < oracle_tolerance(h, durs, pirs)
         tr = engine.electron_transition("e2", n1=0, n2=1)
         pulse = pl.PulseSpec("ESR", abs(tr.frequency_mhz), engine.rabi["ESR"], 0.0)
