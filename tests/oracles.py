@@ -207,32 +207,33 @@ def addressed_drive(engine: pl.SequenceEngine, durs, pirs: pl.PIRSModel | None =
 
 
 def oracle_tolerance(h, durs, pirs: pl.PIRSModel | None = None) -> float:
-    """Largest kernel-oracle difference that rounding explains, for the
-    propagators of h (MHz; a matrix or a stack) at `durs` (us) under the drift
-    `pirs`, and for values U rho U^dag read from them. With t the longest
-    duration, w the largest |eigenvalue| of h plus the drift amplitude (the
-    shift operators have unit norm) and d = 16, each propagator carries:
-    - phases: an eigenvalue rounds by about eps w and a duration by eps t (the
-      phase map's giant-step time plus a baby-step multiple), either moving
-      the phase 2 pi w t by 2 pi t w eps;
-    - eigenvectors: oracle and kernel decompose different matrices (the
-      eigenbasis form, or the whole matrix against the kernel's blocks), each
-      exactly up to a backward error of about eps ||h|| = eps w. That turns
-      v_i toward v_j by eps w / |w_i - w_j|, which moves U by the angle times
-      |exp(-2 pi i w_i t) - exp(-2 pi i w_j t)| <= 2 pi t |w_i - w_j|, so by
-      2 pi t w eps whatever the gap;
+    """Largest entry difference that rounding explains between a kernel's
+    propagators of h (MHz; a d x d matrix or a stack) at `durs` (us) under the
+    drift `pirs` and an oracle's; a value U rho U^dag carries it twice. With t
+    the longest duration, w the largest |eigenvalue| of h plus the drift
+    amplitude (the shift operators have unit norm) and d = h.shape[-1]:
+    - phases: a duration rounds by eps t (the phase map's giant-step time plus
+      a baby-step multiple), moving 2 pi w t by 2 pi t w eps on each side;
+    - eigenvectors: each `hermitian_eig` is exact, eigenvalues and vectors
+      alike, for a matrix within p eps w of its input; LAPACK's p grows
+      modestly with the dimension, taken as d (at d = 16, 7.9 at most measured).
+      As E moves exp(-2 pi i h t) by at most 2 pi t ||E||, the kernel's and
+      the oracle's add 2 pi t d w eps each. Eigenbasis oracles also decompose
+      h_sec for `engine.vectors`, of norm 28 GHz; but h_sec couples only the
+      electron flip-flop pairs of each nuclear sector, where the electron
+      Zeeman cancels, and returns its other levels as their diagonal entries.
+      Assuming those 2 x 2 blocks' norm below w (59 MHz at the defaults),
+      p = 2 adds 4 pi t w eps;
     - products: each exponential's V exp(-2 pi i w t) V^dag, slice step and
-      product of unitaries rounds an entry by about d eps (d terms whose
-      magnitudes add to at most 1). A drifting duration takes n = max(
-      MIN_SLICES, int(t / SLICE_US)) slices, a step and a product each:
-      2 n d eps, with n = 1 without drift.
-    A value carries its propagator's error twice and both sides round on
-    their own: 4 (2 pi t w + 2 pi t w + 2 n d) eps, also a bound on entries."""
+      product of unitaries rounds an entry by about d eps. A drifting duration
+      takes n = max(MIN_SLICES, int(t / SLICE_US)) slices, a step and a
+      product each: 2 n d eps on each side, with n = 1 without drift.
+    Together: (2 pi t w (2 d + 4) + 4 n d) eps."""
     drift = pirs is not None and pirs.enabled
     w = np.abs(np.linalg.eigvalsh(h)).max() + (pirs.shift_khz / 1e3 if drift else 0.0)
-    t = float(np.max(durs))
+    t, d = float(np.max(durs)), np.shape(h)[-1]
     n = max(pl.MIN_SLICES, int(t / pl.SLICE_US)) if drift else 1
-    return 8 * np.finfo(float).eps * (2 * math.pi * t * w + 16 * n)
+    return np.finfo(float).eps * (2 * math.pi * t * w * (2 * d + 4) + 4 * n * d)
 
 
 def stokes_of_density(rho4: np.ndarray) -> np.ndarray:
