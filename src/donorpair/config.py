@@ -391,6 +391,14 @@ def _validate_options(chk: _Checker, doc, experiment, engine, mode, noise) -> di
         out["data_csv"] = chk.csv_rows(sub, path, "data_csv", ("x_value", "p_up_proportion", "n_shots"))
         if out["data_csv"] is not None and len(out["data_csv"]) < 12:  # the sine fit's minimum
             chk.fail(f"{path}.data_csv", "need at least twelve rows to fit")
+        for i, (_, p_up, shots) in enumerate(out["data_csv"] or []):
+            if not (0 <= p_up <= 1 and shots >= 1 and shots == int(shots)):
+                chk.fail(
+                    f"{path}.data_csv",
+                    f"row {i + 1}: p_up_proportion must lie in [0, 1] and n_shots be a "
+                    f"positive whole number, not {p_up!r} and {shots!r}",
+                )
+                break
         if out["data_csv"] is not None and len(chk.errors) == before:  # the fits the run compares
             phis = np.linspace(0.0, 2 * np.pi, out["points"], endpoint=False)
             x, y, _ = np.transpose(out["data_csv"])

@@ -40,6 +40,7 @@ import numpy as np
 
 from .linalg import SUPPORTED_DIMS, ContractError, hermitian_eig, require_finite, require_unitary, unitary_exp
 from .spinmodel import (
+    BOHR_MAGNETON_MHZ_PER_T,
     ELECTRONS,
     NUCLEI,
     SPINS,
@@ -70,6 +71,9 @@ MIN_SLICES = 16
 # bytes of real-form node propagators and slice steps that `sliced_propagators`
 # holds for one group of durations
 DRIFT_GROUP_BYTES = 1 << 20
+# largest propagator error that `sliced_propagators` accepts from taking the
+# drift as saturated after t_c
+SATURATION_BOUND = 1e-14
 
 # ---------------------------------------------------------------------------
 # declarative steps and error-model carriers
@@ -354,7 +358,7 @@ class SequenceEngine:
         self.f_n1_ref = self.nuclear_transition("n1").frequency_mhz
         self.f_n2_ref = self.nuclear_transition("n2").frequency_mhz
         self.f_e_default = (
-            params.mu_b_over_h * params.b0 * (params.g1 + params.g2) / 2
+            BOHR_MAGNETON_MHZ_PER_T * params.b0 * (params.g1 + params.g2) / 2
         )
 
     # -- level bookkeeping ---------------------------------------------------
@@ -611,14 +615,20 @@ def _drifting_group(node_eig, n, dt, coefficients) -> np.ndarray:
 
 def _drifting_blocks(h_blocks, z_blocks, t, pirs: PIRSModel) -> np.ndarray:
     """Slice products of `sliced_propagators` under drift, for a stack of
-    diagonal blocks: one (blocks, b, b) stack per duration."""
+    diagonal blocks: one (blocks, b, b) stack per duration, the saturated
+    exponential times the product to t_c for a duration past t_c."""
     t, inverse = np.unique(t, return_inverse=True)  # ascending slice counts
-    n = np.maximum(MIN_SLICES, (t / SLICE_US).astype(int))
-    dt = t / n
-    # one node range for the call: eps runs from 0 to 2 * half, its value at
-    # the longest duration's last slice midpoint; node x sits at half * (1 + x)
-    half = pirs.detuning_mhz(np.max((n - 0.5) * dt, initial=0.0)) / 2.0
     z_norm = np.abs(z_blocks).sum(axis=-1).max()
+    amplitude, tau = pirs.shift_khz / 1e3, pirs.time_constant_us
+    reach = 2 * np.pi * z_norm * amplitude * tau  # the saturation bound at t_c = 0
+    t_c = tau * math.log(reach / SATURATION_BOUND) if reach > SATURATION_BOUND else 0.0
+    settled = t > t_c
+    sliced = np.append(t[~settled], t_c) if settled.any() else t
+    n = np.maximum(MIN_SLICES, (sliced / SLICE_US).astype(int))
+    dt = sliced / n
+    # one node range for the call: eps runs from 0 to 2 * half, its value at
+    # the longest sliced duration's last slice midpoint; node x sits at half * (1 + x)
+    half = pirs.detuning_mhz(np.max((n - 0.5) * dt, initial=0.0)) / 2.0
     p = _chebyshev_node_count(np.pi * np.max(dt, initial=0.0) * z_norm * abs(half))
     nodes, weights = _chebyshev_points(p)
     node_eig = hermitian_eig(h_blocks + (half * (1.0 + nodes))[:, None, None, None] * z_blocks)
@@ -631,10 +641,13 @@ def _drifting_blocks(h_blocks, z_blocks, t, pirs: PIRSModel) -> np.ndarray:
     # and MIN_SLICES slice steps of one duration
     per_duration = (p + MIN_SLICES) * 4 * h_blocks.size * 8
     group = max(1, DRIFT_GROUP_BYTES // per_duration)
-    u = np.empty(t.shape + h_blocks.shape, dtype=complex)
-    for g in range(0, t.size, group):
+    u = np.empty(sliced.shape + h_blocks.shape, dtype=complex)
+    for g in range(0, sliced.size, group):
         part = slice(g, g + group)
         u[part] = _drifting_group(node_eig, n[part], dt[part], coefficients)
+    if settled.any():  # the saturated shift -amplitude from t_c on, after the product to t_c
+        tail = unitary_exp(h_blocks - amplitude * z_blocks, (t[settled] - t_c)[:, None])
+        u = np.concatenate([u[:-1], tail @ u[-1]])
     return require_unitary(u)[inverse]
 
 
@@ -668,6 +681,18 @@ def sliced_propagators(h0, z_shift, durations_us, pirs: PIRSModel | None = None)
     turns those decompositions into node propagators for every slice width
     by phases alone. Each slice step is the barycentric combination of the
     node propagators at eps_k.
+
+    The drift eps(t) = A (e^(-t/tau) - 1) saturates at eps_inf = -A, so the
+    slicing stops at t_c = tau ln(2 pi ||z_shift|| A tau / SATURATION_BOUND),
+    or 0 where that is negative: 99 us for the default drift, 10.3 us at
+    the `MAX_SHIFT_KHZ` ceiling with tau = 0.3 us. A longer pulse is U(t) =
+    exp(-2 pi i (h0 + eps_inf z_shift) (t - t_c)) U(t_c), one more
+    decomposition of the blocks and a `unitary_exp` per duration. Taking
+    eps_inf for eps after t_c moves U by at most 2 pi ||z_shift|| A tau
+    e^(-t_c / tau) = SATURATION_BOUND, and no product takes more than
+    max(MIN_SLICES, t_c / SLICE_US) slices, whatever the pulse length, so
+    their rounding stays bounded too. Then the node set spans the eps of
+    t_c, and a call whose durations all end by t_c is sliced to their ends.
 
     The steps and the running product are real: a complex block U is held
     as its real form [[Re U, -Im U], [Im U, Re U]] and the product as

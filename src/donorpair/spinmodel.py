@@ -38,18 +38,17 @@ _PAULI_HALF = {"x": SIGMA_X / 2, "y": SIGMA_Y / 2, "z": SIGMA_Z / 2}
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Physical constants and couplings of the four-spin system.
+    """Field, g-factors and couplings of the four-spin system.
 
-    b0 is in tesla; mu_b_over_h and gamma_n in MHz/T; hyperfine couplings
-    a1, a2 and the exchange j in MHz. b0 defaults to 1.0 T, an arbitrary
-    artifact choice: every rotating-frame result depends only on detunings.
+    b0 is in tesla; hyperfine couplings a1, a2 and the exchange j in MHz.
+    b0 defaults to 1.0 T, an arbitrary artifact choice: every rotating-frame
+    result depends only on detunings. mu_B / h and gamma_n are the constants
+    BOHR_MAGNETON_MHZ_PER_T and GYROMAGNETIC_31P_MHZ_PER_T.
     """
 
     b0: float = 1.0
     g1: float = DEFAULT_G_FACTOR
     g2: float = DEFAULT_G_FACTOR
-    mu_b_over_h: float = BOHR_MAGNETON_MHZ_PER_T
-    gamma_n: float = GYROMAGNETIC_31P_MHZ_PER_T
     a1: float = 111.0
     a2: float = 113.0
     j: float = 12.0
@@ -91,10 +90,10 @@ def _dot_coupling(spin_a: str, spin_b: str) -> np.ndarray:
 
 
 def _zeeman_terms(p: SystemParams) -> np.ndarray:
-    h = p.mu_b_over_h * p.b0 * (
+    h = BOHR_MAGNETON_MHZ_PER_T * p.b0 * (
         p.g1 * spin_half_op("e1", "z") + p.g2 * spin_half_op("e2", "z")
     )
-    h += p.gamma_n * p.b0 * (spin_half_op("n1", "z") + spin_half_op("n2", "z"))
+    h += GYROMAGNETIC_31P_MHZ_PER_T * p.b0 * (spin_half_op("n1", "z") + spin_half_op("n2", "z"))
     return h
 
 

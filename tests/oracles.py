@@ -22,7 +22,14 @@ import numpy as np
 
 from donorpair import pulses as pl
 from donorpair.linalg import PAULIS, ContractError
-from donorpair.spinmodel import SPIN_INDEX, SPINS, pauli_op, spin_half_op
+from donorpair.spinmodel import (
+    BOHR_MAGNETON_MHZ_PER_T,
+    GYROMAGNETIC_31P_MHZ_PER_T,
+    SPIN_INDEX,
+    SPINS,
+    pauli_op,
+    spin_half_op,
+)
 from donorpair.tomography import AXIS_PAIRS, PAULI_LABELS
 
 
@@ -52,8 +59,8 @@ def build_static_hamiltonian(p) -> np.ndarray:
     def dot(a, b):
         return sum(spin_half_op(a, ax) @ spin_half_op(b, ax) for ax in "xyz")
 
-    h = p.mu_b_over_h * p.b0 * (p.g1 * spin_half_op("e1", "z") + p.g2 * spin_half_op("e2", "z"))
-    h += p.gamma_n * p.b0 * (spin_half_op("n1", "z") + spin_half_op("n2", "z"))
+    h = BOHR_MAGNETON_MHZ_PER_T * p.b0 * (p.g1 * spin_half_op("e1", "z") + p.g2 * spin_half_op("e2", "z"))
+    h += GYROMAGNETIC_31P_MHZ_PER_T * p.b0 * (spin_half_op("n1", "z") + spin_half_op("n2", "z"))
     h += p.a1 * dot("e1", "n1")
     h += p.a2 * dot("e2", "n2")
     h += p.j * dot("e1", "e2")

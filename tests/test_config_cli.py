@@ -41,6 +41,14 @@ REVERSAL = {"experiment": "phase_reversal"}
 DATA_KEY = {"donor_distance_fit": "points_csv", "phase_reversal": "data_csv"}
 # TRACE_CSV's rows with every proportion 0.5: its fit's amplitude is 3.6e-17
 FLAT_TRACE_CSV = "x_value,p_up_proportion,n_shots\n" + "".join(f"{i}.5,0.5,200\n" for i in range(1, 13))
+# twelve rows whose proportions alternate 1e308 and -1e308, and twelve whose
+# proportions alternate 3 and -2 with n_shots -5
+OVERFLOWING_TRACE_CSV = "x_value,p_up_proportion,n_shots\n" + "".join(
+    f"{i}.5,{(-1) ** i * 1e308},200\n" for i in range(1, 13)
+)
+OUT_OF_RANGE_TRACE_CSV = "x_value,p_up_proportion,n_shots\n" + "".join(
+    f"{i}.5,{3 if i % 2 else -2},-5\n" for i in range(1, 13)
+)
 
 
 def grid(start, stop, count):
@@ -538,15 +546,28 @@ class TestCli:
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value encountered")
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_overflowing_hamiltonian_exit_code(self, tmp_path, capsys, command):
-        # mu_b_over_h = 1.7e308 overflows the Hamiltonian into NaN entries;
+        # b0 = 1e305 overflows the Hamiltonian into NaN entries;
         # this used to pass validation and fail in the run's eigh (exit 3)
-        doc = {"experiment": "phase_map", "system": {"mu_b_over_h": 1.7e308}}
+        doc = {"experiment": "phase_map", "system": {"b0": 1e305}}
         args = [command, "--config", str(write_config(tmp_path, doc))]
         if command == "run":
             args += ["--out", str(tmp_path / "o")]
         assert main(args) == 2
         err = capsys.readouterr().err
         assert "$.system: no spin engine for these parameters: matrix is not Hermitian" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [("mu_b_over_h", 13996.245), ("gamma_n", 17.23)])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_zeeman_constants_are_not_inputs(self, tmp_path, capsys, command, key, value):
+        # mu_B / h and gamma_n are constants: b0, g1 and g2 reach every
+        # Hamiltonian they could, so a document that sets one names an unknown key
+        doc = {"experiment": "phase_map", "system": {key: value}}
+        args = [command, "--config", str(write_config(tmp_path, doc))]
+        if command == "run":
+            args += ["--out", str(tmp_path / "o")]
+        assert main(args) == 2
+        assert f"  $.system.{key}: unknown key" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -567,6 +588,10 @@ class TestCli:
             (REVERSAL, "x_value,p_up_proportion,n_shots\n" + "0.5,0.5,200\n" * 11, "$.options.data_csv"),
             (REVERSAL, "x_value,p_up_proportion,n_shots\n" + "0.5,0.5\n" * 12, "$.options.data_csv"),
             (REVERSAL, "", "$.options.data_csv"),
+            # values no measured trace holds: the fits overflowed to Infinity,
+            # or ran to exit 0 on proportions outside [0, 1]
+            (REVERSAL, OVERFLOWING_TRACE_CSV, "$.options.data_csv: row 1"),
+            (REVERSAL, OUT_OF_RANGE_TRACE_CSV, "$.options.data_csv: row 1"),
             # a simulated fit too flat to compare the data with
             ({**REVERSAL, "noise": {"p_up": 0.5}}, TRACE_CSV, "$.noise.p_up"),
             ({**REVERSAL, "noise": {"p_up": 0.499999}}, TRACE_CSV, "$.noise.p_up"),
@@ -597,6 +622,8 @@ class TestCli:
             "data-eleven-rows",
             "data-short-rows",
             "data-empty",
+            "data-overflowing-proportions",
+            "data-out-of-range-proportions",
             "data-vs-flat-simulation",
             "data-vs-near-flat-simulation",
             "flat-data-vs-simulation",
@@ -700,6 +727,28 @@ class TestCli:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert "donor_distance.json" in manifest["outputs"]
         assert manifest["seed"] == 0
+
+    @pytest.mark.filterwarnings("ignore:rabi")
+    @pytest.mark.parametrize(
+        "mode, system, turns",
+        [("GATE_MODEL", {}, 1000), ("FULL_DYNAMICS", {}, 1000), ("FULL_DYNAMICS", {"j": 3e4}, 1)],
+        ids=["gate-1000-turns", "full-1000-turns", "full-one-turn-at-j-3e4"],
+    )
+    def test_long_drifting_curves_run(self, tmp_path, mode, system, turns):
+        # slicing the drift to each pulse's end added rounding until
+        # `require_unitary` stopped full dynamics (exit 3): after 42,317
+        # slices at 1,000 turns, and after 15,152 at one turn at j = 3e4
+        doc = {
+            "experiment": "pirs_cz",
+            "mode": mode,
+            "system": system,
+            "options": {"max_turns": turns, "points_per_turn": 2},
+        }
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out_dir)]) == 0
+        assert json.loads((out_dir / "manifest.json").read_text())["wall_time_s"] < 1.0
+        rows = np.loadtxt(out_dir / "pirs_cz.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (2 * turns + 1, 3) and np.all((0 <= rows[:, 1:]) & (rows[:, 1:] <= 1))
 
     def test_run_seed_override(self, tmp_path):
         doc = {

@@ -53,8 +53,6 @@ SYSTEM = {
     "b0": number(0.2, 3.0),
     "g1": number(1.99, 2.01),
     "g2": number(1.99, 2.01),
-    "mu_b_over_h": number(1e4, 2e4),
-    "gamma_n": number(5.0, 30.0),
     "a1": number(50.0, 150.0),
     "a2": number(50.0, 150.0),
     "j": number(0.0, 30.0),

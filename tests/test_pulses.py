@@ -254,8 +254,6 @@ class TestValidation:
     @pytest.mark.parametrize(
         "value, field, bad",
         [
-            (SystemParams(), "mu_b_over_h", math.nan),
-            (SystemParams(), "gamma_n", math.nan),
             (SystemParams(), "j", math.inf),
             (SystemParams(), "a1", math.inf),
             (SystemParams(), "a2", math.inf),
@@ -737,12 +735,28 @@ def reference_phase_map(params, freqs, durs, mode, p_up, observables):
     return pf, obs
 
 
+def saturation_time(z_shift, pirs):
+    """t_c = tau ln(2 pi ||z_shift|| A tau / SATURATION_BOUND), or 0 where
+    that is negative: after it a drift of amplitude A is saturated to the
+    bound. ||z_shift|| is the largest absolute row sum."""
+    tau = pirs.time_constant_us
+    reach = 2 * math.pi * np.abs(z_shift).sum(axis=-1).max() * (pirs.shift_khz / 1e3) * tau
+    return max(0.0, tau * math.log(reach / pl.SATURATION_BOUND)) if reach > 0 else 0.0
+
+
 def reference_sliced_exp(h0, z_shift, t, pirs):
     """Drifting drive propagator, one `unitary_exp` per slice: a saturated,
     recalibrated drift relaxes the resonance during the pulse, sampled at
-    each slice midpoint."""
+    each slice midpoint. Past `saturation_time` the slices stop, and one
+    eigendecomposition exponential of h0 at the saturated shift takes the
+    rest of the pulse."""
     if pirs is None or not pirs.enabled:
         return unitary_exp(h0, t)
+    t_c = saturation_time(z_shift, pirs)
+    if t > t_c:
+        w, v = np.linalg.eigh(h0 - pirs.shift_khz / 1e3 * z_shift)
+        tail = (v * np.exp(-2j * np.pi * w * (t - t_c))) @ v.conj().T
+        return tail @ reference_sliced_exp(h0, z_shift, t_c, pirs)
     n_slices = max(16, int(t / 0.05))
     dt = t / n_slices
     u = np.eye(h0.shape[0], dtype=complex)
@@ -1193,12 +1207,16 @@ class TestClosedFormKernels:
             assert np.max(np.abs(u - want)) < oracle_tolerance(pulse_hamiltonian(engine, pulse, mode), durs, pirs)
 
     @pytest.mark.parametrize(
-        "pirs, nodes", [(pl.PIRSModel(), 7), (CEILING_DRIFT, 14)], ids=["fallback", "ceiling"]
+        "pirs, nodes, settled",
+        [(pl.PIRSModel(), 7, []), (CEILING_DRIFT, 14, [(4, 4, 4)])],
+        ids=["fallback", "ceiling"],
     )
-    def test_drift_decomposes_each_block_once_per_node(self, engine, monkeypatch, pirs, nodes):
+    def test_drift_decomposes_each_block_once_per_node(self, engine, monkeypatch, pirs, nodes, settled):
         # one node set serves every duration of a call: nodes x blocks
         # eigendecompositions, however many durations there are; the ceiling
-        # needs no more nodes than the 16-slice minimum
+        # needs no more nodes than the 16-slice minimum. Durations past the
+        # ceiling's 10.3 us saturation time add one decomposition of the
+        # blocks at the saturated shift
         calls = []
 
         def spy(m, *args, **kwargs):
@@ -1212,8 +1230,53 @@ class TestClosedFormKernels:
         for durs in (np.r_[np.linspace(0.0, 25.0, 51), 0.8499], np.linspace(0.0, 24.0, 193)):
             calls.clear()
             engine.pulse_propagator(pulse, pl.FULL_DYNAMICS, pirs=pirs, durations_us=durs)
-            assert calls == [(nodes, 4, 4, 4)]
+            assert calls == [(nodes, 4, 4, 4)] + settled
         assert nodes <= 16
+
+    @pytest.mark.parametrize("layout", ["esr", "addressed"])
+    @pytest.mark.parametrize("pirs", [pl.PIRSModel(), CEILING_DRIFT], ids=["fallback", "ceiling"])
+    def test_durations_up_to_saturation_are_sliced_to_their_end(self, engine, monkeypatch, layout, pirs):
+        # t_c is 99 us at the default drift and 10.3 us at the ceiling; a
+        # call that ends at t_c has the bits of one whose slicing runs on,
+        # here past 200 us with the bound at 1e-300
+        h0, z_shift = drift_layout(engine, layout)
+        t_c = saturation_time(z_shift, pirs)
+        assert t_c == pytest.approx(99.16 if pirs.shift_khz == 120 else 10.34, abs=0.01)
+        durs = np.r_[np.linspace(0.0, t_c, 13), np.nextafter(t_c, 0.0), 0.8499]
+        got = pl.sliced_propagators(h0, z_shift, durs, pirs)
+        monkeypatch.setattr(pl, "SATURATION_BOUND", 1e-300)
+        assert np.array_equal(got, pl.sliced_propagators(h0, z_shift, durs, pirs))
+
+    @pytest.mark.parametrize("layout", ["esr", "addressed", "nmr"])
+    @pytest.mark.parametrize("pirs", [pl.PIRSModel(), CEILING_DRIFT], ids=["fallback", "ceiling"])
+    def test_saturated_tail_matches_per_slice_loop_and_exponential(self, engine, layout, pirs):
+        # past t_c: the per-slice loop to t_c, then one eigendecomposition
+        # exponential at the saturated shift; durations either side of t_c
+        # in one call, 1,000 turns of CURVE_CZ the longest
+        h0, z_shift = drift_layout(engine, layout)
+        t_c = saturation_time(z_shift, pirs)
+        turn = 1.0 / (engine.rabi["ESR"] * engine.electron_transition("e2", 0, 1).amplitude)
+        durs = np.array([0.5 * t_c, np.nextafter(t_c, np.inf), 1.5 * t_c, 1000 * turn])
+        got = pl.sliced_propagators(h0, z_shift, durs, pirs)
+        for t, u in zip(durs, got):
+            want = reference_sliced_exp(h0, z_shift, t, pirs)
+            assert np.max(np.abs(u - want)) < oracle_tolerance(h0, durs, pirs)
+
+    @pytest.mark.parametrize("pirs", [pl.PIRSModel(), CEILING_DRIFT], ids=["fallback", "ceiling"])
+    def test_slice_count_stops_at_saturation(self, engine, monkeypatch, pirs):
+        # 1,000 turns take no more slices than t_c does
+        counts = []
+
+        def spy(node_eig, n, dt, coefficients):
+            counts.append(int(n[-1]))
+            return group(node_eig, n, dt, coefficients)
+
+        group = pl._drifting_group
+        monkeypatch.setattr(pl, "_drifting_group", spy)
+        h0, z_shift = drift_layout(engine, "esr")
+        turn = 1.0 / (engine.rabi["ESR"] * engine.electron_transition("e2", 0, 1).amplitude)
+        pl.sliced_propagators(h0, z_shift, np.linspace(0.0, 1000 * turn, 2001), pirs)
+        assert max(counts) <= saturation_time(z_shift, pirs) / pl.SLICE_US + 1
 
     @pytest.mark.parametrize(
         "layout, blocks", [("esr", (4, 4)), ("addressed", (1, 2)), ("nmr", (1, 16))]

@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -38,6 +40,24 @@ class TestSystemParams:
         with pytest.raises(ContractError, match="must be positive"):
             SystemParams(**kwargs)
 
+    def test_inputs_are_independent(self, params):
+        # H is linear in each field taken alone, so a forward difference with
+        # a 1e-3 relative step is its derivative up to rounding (about
+        # 28 GHz x eps / 1e-3, 1e-13 of a normalised derivative); a field
+        # whose derivative lies in the span of the others' adds nothing H
+        # can see. The weakest independent direction, the nuclear Zeeman
+        # part of dH/db0, gives the smallest singular value, 3.1e-4 of the
+        # largest; a redundant field gives one of rounding size, 5e-17. The
+        # rank counts those above 1e-8, far from both
+        h = sm.secular_hamiltonian(params)
+        derivatives = []
+        for f in fields(SystemParams):
+            step = 1e-3 * getattr(params, f.name)
+            d = (sm.secular_hamiltonian(replace(params, **{f.name: getattr(params, f.name) + step})) - h) / step
+            derivatives.append(d.ravel() / np.linalg.norm(d))
+        singular = np.linalg.svd(np.array(derivatives), compute_uv=False)
+        assert np.sum(singular > 1e-8 * singular[0]) == len(derivatives)
+
 
 class TestStaticHamiltonian:
     def test_zeeman_only_diagonal_entry(self):
@@ -45,7 +65,7 @@ class TestStaticHamiltonian:
         h = build_static_hamiltonian(p)
         off = h - np.diag(np.diag(h))
         assert np.max(np.abs(off)) < 1e-6
-        expected = p.mu_b_over_h * p.b0 * p.g1 + p.gamma_n * p.b0
+        expected = sm.BOHR_MAGNETON_MHZ_PER_T * p.b0 * p.g1 + sm.GYROMAGNETIC_31P_MHZ_PER_T * p.b0
         assert abs(h[0, 0].real - expected) < 1e-6
         # quoted reference values: ~27.97 GHz/T Zeeman plus 17.23 MHz/T nuclear
         assert abs(h[0, 0].real - (27970.0 + 17.23)) < 5.0
@@ -59,8 +79,8 @@ class TestStaticHamiltonian:
         p = SystemParams(j=0.0)
         h = build_static_hamiltonian(p)
         donor1 = (
-            p.mu_b_over_h * p.b0 * p.g1 * sm.spin_half_op("e1", "z")
-            + p.gamma_n * p.b0 * sm.spin_half_op("n1", "z")
+            sm.BOHR_MAGNETON_MHZ_PER_T * p.b0 * p.g1 * sm.spin_half_op("e1", "z")
+            + sm.GYROMAGNETIC_31P_MHZ_PER_T * p.b0 * sm.spin_half_op("n1", "z")
             + p.a1
             * sum(
                 sm.spin_half_op("e1", ax) @ sm.spin_half_op("n1", ax) for ax in "xyz"
@@ -133,7 +153,7 @@ class TestEsrSpectrum:
             ]
             # one line: the four nuclear sectors agree to within 1 Hz
             assert max(freqs) - min(freqs) < 1e-6
-            assert freqs[0] == pytest.approx(p.mu_b_over_h * p.b0 * p.g1, abs=1e-3)
+            assert freqs[0] == pytest.approx(sm.BOHR_MAGNETON_MHZ_PER_T * p.b0 * p.g1, abs=1e-3)
 
     def test_hyperfine_splits_electron_one(self):
         engine = pl.SequenceEngine(SystemParams(a1=111.0, a2=1e-9, j=0.0))
@@ -169,7 +189,7 @@ class TestNmrSpectrum:
     def test_neutral_line_electron_down_leading_order(self):
         p = SystemParams(a1=111.0, a2=1e-9, j=0.0)
         line = pl.SequenceEngine(p).nuclear_transition("n1")
-        expected = abs(p.gamma_n * p.b0 - p.a1 / 2)
+        expected = abs(sm.GYROMAGNETIC_31P_MHZ_PER_T * p.b0 - p.a1 / 2)
         assert abs(abs(line.frequency_mhz) - expected) < 0.5
 
     def test_vanishing_hyperfine_matches_ionized(self):
@@ -177,7 +197,7 @@ class TestNmrSpectrum:
         p = SystemParams(a1=1e-9, a2=1e-9, j=0.0)
         engine = pl.SequenceEngine(p)
         lines = [abs(engine.nuclear_transition(n).frequency_mhz) for n in sm.NUCLEI]
-        assert np.allclose(lines, p.gamma_n * p.b0, atol=1e-6)
+        assert np.allclose(lines, sm.GYROMAGNETIC_31P_MHZ_PER_T * p.b0, atol=1e-6)
 
 
 class TestExpectationAxis:
